@@ -167,6 +167,7 @@ def cmd_optimize(args):
                 "final_loss": report.final_loss,
                 "iterations": report.iterations,
                 "objective_evals": report.objective_evals,
+                "gradient_evals": report.gradient_evals,
                 "converged": report.converged,
                 "wall_time_seconds": report.wall_time_seconds,
                 "loss_trace": [float(x) for x in report.loss_trace],

@@ -15,9 +15,15 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .losses import LossKind, finite_difference_gradient, loss_from_alpha_bar
+# finite_difference_gradient is not called here; it stays importable from
+# this module as the reference the exact gradient is checked against.
+from .losses import (
+    LossKind,
+    finite_difference_gradient,  # noqa: F401
+    loss_from_alpha_bar,
+    loss_gradient_from_alpha_bar,
+)
 from .schedules import cosine_schedule, warm_start_interpolate
 from .spectral import DEFAULT_EPS0, DEFAULT_EPSS, Schedule, SpectralModel
 
@@ -82,6 +88,7 @@ class OptimizeReport:
     final_loss: float
     iterations: int
     objective_evals: int
+    gradient_evals: int
     loss_trace: np.ndarray
     converged: bool
     wall_time_seconds: float
@@ -175,6 +182,8 @@ def optimize_schedule(
     constrained mode) and a run report.  Runs are deterministic: the same
     model and config give bit-identical results.
     """
+    from scipy.optimize import minimize  # deferred: costs most of the CLI start-up
+
     if config.single_eigenvalue_index is not None:
         model = single_eigenvalue_problem(model, config.single_eigenvalue_index)
     if np.all(model.eigenvalues == 0.0) and np.all(model.mean_spectral == 0.0):
@@ -187,14 +196,15 @@ def optimize_schedule(
     upper = np.full(S - 1, 1.0 - eps0)
 
     evals = [0]
+    last_eval: dict[str, object] = {}
 
     def objective(interior: np.ndarray) -> float:
         evals[0] += 1
         full = np.concatenate([head, interior, tail])
-        return loss_from_alpha_bar(model, full, config.loss, config.process)
-
-    def gradient(interior: np.ndarray) -> np.ndarray:
-        return finite_difference_gradient(objective, interior, lower, upper)
+        f = loss_from_alpha_bar(model, full, config.loss, config.process)
+        last_eval["x"] = interior.copy()
+        last_eval["f"] = f
+        return f
 
     # warm starts may come from schedules with wider endpoints; keep the
     # starting interior inside the box
@@ -205,9 +215,12 @@ def optimize_schedule(
 
     trace = [f0]
     last_grad: dict[str, np.ndarray] = {}
+    grad_evals = [0]
 
     def tracked_gradient(interior: np.ndarray) -> np.ndarray:
-        g = gradient(interior)
+        grad_evals[0] += 1
+        full = np.concatenate([head, interior, tail])
+        g = loss_gradient_from_alpha_bar(model, full, config.loss, config.process)
         last_grad["x"] = interior.copy()
         last_grad["g"] = g
         return g
@@ -215,7 +228,9 @@ def optimize_schedule(
     grad_stop = [False]
 
     def callback(xk: np.ndarray) -> None:
-        trace.append(min(trace[-1], objective(xk)))
+        # the solver has usually just evaluated the objective at xk
+        same = np.array_equal(last_eval["x"], xk)
+        trace.append(min(trace[-1], last_eval["f"] if same else objective(xk)))
         if "x" in last_grad and np.array_equal(last_grad["x"], xk):
             g = last_grad["g"]
             proj = g.copy()
@@ -232,7 +247,9 @@ def optimize_schedule(
             full = np.concatenate([head, interior, tail])
             return full[:-1] - full[1:]
 
-        constraints = [{"type": "ineq", "fun": monotone_slack}]
+        # the slack is linear in the interior: a constant bidiagonal Jacobian
+        slack_jac = np.eye(S, S - 1, k=-1) - np.eye(S, S - 1)
+        constraints = [{"type": "ineq", "fun": monotone_slack, "jac": lambda _: slack_jac}]
 
     start = time.perf_counter()
     try:
@@ -284,6 +301,7 @@ def optimize_schedule(
         final_loss=float(final_loss),
         iterations=iterations,
         objective_evals=evals[0],
+        gradient_evals=grad_evals[0],
         loss_trace=np.asarray(trace),
         converged=converged or grad_stop[0],
         wall_time_seconds=wall,

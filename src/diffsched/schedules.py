@@ -9,7 +9,6 @@ deterministic: identical inputs give bit-identical outputs.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .spectral import DEFAULT_EPS0, DEFAULT_EPSS, Schedule, VeSchedule, ve_to_vp
 
@@ -184,6 +183,8 @@ def fit_parametric(schedule: Schedule, family: str) -> tuple[float, float, float
     starting points refined by a local simplex search.  Always returns the
     best parameters found.
     """
+    from scipy.optimize import minimize  # deferred: costs most of the CLI start-up
+
     schedule.validate()
     if family not in _FAMILIES:
         raise ValueError(f"family must be one of {sorted(_FAMILIES)}, got {family!r}")

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import diffsched
 from diffsched.cli import main
 from diffsched.io import load_matrix_csv, load_schedule, save_schedule
 from diffsched import cosine_schedule, synthetic_circulant_model
@@ -65,6 +70,15 @@ def test_optimize_writes_schedule_and_report(tmp_path, model_file):
     report = json.loads((tmp_path / "opt.json.report.json").read_text())
     assert report["converged"] is True
     assert report["final_loss"] >= 0
+
+
+def test_optimize_report_counts_objective_and_gradient_evals(tmp_path, model_file):
+    out = tmp_path / "opt.json"
+    assert run(["optimize", "--model", model_file, "--steps", "12", "--out", out]) == 0
+    report = json.loads((tmp_path / "opt.json.report.json").read_text())
+    assert report["objective_evals"] > 0
+    assert report["gradient_evals"] > 0
+    assert report["objective_evals"] != report["gradient_evals"]
 
 
 def test_optimize_single_step_exits_2(tmp_path, model_file):
@@ -245,3 +259,16 @@ def test_missing_model_file_exits_2(tmp_path, capsys):
     rc = run(["optimize", "--model", tmp_path / "nope.json", "--steps", "4", "--out", tmp_path / "o.json"])
     assert rc == 2
     assert "error" in capsys.readouterr().err
+
+
+# ------------------------------------------------------------- start-up
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    src = str(Path(diffsched.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, diffsched.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

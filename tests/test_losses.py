@@ -277,3 +277,86 @@ def test_loss_kind_cli_names():
     assert LossKind.from_cli_name("wl1") is LossKind.WEIGHTED_L1
     with pytest.raises(ValueError):
         LossKind.from_cli_name("js")
+
+
+# ------------------------------------------------------- exact gradient
+
+
+def _fd_oracle(model, ab, kind, process):
+    def f(interior):
+        full = np.concatenate([ab[:1], interior, ab[-1:]])
+        return loss_from_alpha_bar(model, full, kind, process)
+
+    return finite_difference_gradient(f, ab[1:-1], ab[2:], ab[:-2])
+
+
+@pytest.mark.parametrize("process", ["ddim", "ddpm"])
+@pytest.mark.parametrize("kind", list(LossKind))
+@pytest.mark.parametrize("S", [10, 28, 112])
+def test_exact_gradient_matches_finite_differences(benchmark_model, S, kind, process):
+    _, model = benchmark_model
+    schedule = cosine_schedule(S)
+    g = loss_gradient(model, schedule, kind, process)
+    fd = _fd_oracle(model, schedule.alpha_bar, kind, process)
+    assert np.linalg.norm(g - fd) <= 1e-6 * np.linalg.norm(fd)
+
+
+def _spaced_alpha_bar(rng, S, eps0=1e-4, epsS=4e-5, min_gap=1e-3):
+    """Random schedule whose adjacent levels are at least ``min_gap`` apart."""
+    span = 1.0 - eps0 - epsS
+    gaps = min_gap + rng.dirichlet(np.ones(S)) * (span - S * min_gap)
+    ab = (1.0 - eps0) - np.concatenate([[0.0], np.cumsum(gaps)])
+    ab[-1] = epsS
+    return ab
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000))
+def test_exact_gradient_matches_secant_on_random_problems(seed):
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 8))
+    lam = rng.uniform(0.0, 10.0, d)
+    lam[rng.permutation(d)[: int(rng.integers(1, d))]] = 0.0
+    mu = rng.choice([-1.0, 1.0], d) * rng.uniform(0.1, 2.0, d)
+    model = make_model(lam, mu)
+    ab = _spaced_alpha_bar(rng, int(rng.integers(2, 16)))
+    x = ab[1:-1]
+    r = rng.normal(size=len(x))
+    r /= np.linalg.norm(r)
+    t = 1e-6
+    for kind in (LossKind.WASSERSTEIN2, LossKind.KL):
+        for process in ("ddim", "ddpm"):
+            g = loss_gradient(
+                model, Schedule(kind="custom", steps=len(ab) - 1, alpha_bar=ab), kind, process
+            )
+            assert np.all(np.isfinite(g))
+            # A direction nearly orthogonal to g leaves g.u so small that
+            # the secant's rounding error swamps it; tilting the random
+            # direction toward g keeps |g.u| >= |g| / 3.
+            u = g / np.linalg.norm(g) + 0.5 * r
+            u /= np.linalg.norm(u)
+
+            def f(interior):
+                full = np.concatenate([ab[:1], interior, ab[-1:]])
+                return loss_from_alpha_bar(model, full, kind, process)
+
+            secant = (f(x + t * u) - f(x - t * u)) / (2 * t)
+            assert float(g @ u) == pytest.approx(secant, rel=1e-5)
+
+
+def test_finite_difference_one_sided_fallback_near_degenerate_spacing():
+    # The oracle itself at a sliver-spaced schedule and at exact ties, where
+    # the centered stencil has no room and a one-sided difference is taken.
+    model = make_model([1.0], [0.0])
+    for ab in (
+        np.array([1 - 1e-4, 0.5 + 1e-13, 0.5, 0.5 - 1e-13, 4e-5]),
+        np.array([1 - 1e-4, 0.5, 0.5, 0.3, 4e-5]),
+    ):
+        g = _fd_oracle(model, ab, LossKind.WASSERSTEIN2, "ddim")
+        assert g.shape == (3,)
+        assert np.all(np.isfinite(g))
+    pinned = finite_difference_gradient(lambda v: float(v @ v), np.array([0.5]), [0.5], [0.5])
+    np.testing.assert_array_equal(pinned, [0.0])
+    forward = finite_difference_gradient(lambda v: float(v @ v), np.array([0.5]), [0.5], [0.9])
+    backward = finite_difference_gradient(lambda v: float(v @ v), np.array([0.5]), [0.1], [0.5])
+    np.testing.assert_allclose([forward[0], backward[0]], [1.0, 1.0], rtol=1e-6)
