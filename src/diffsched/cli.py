@@ -321,13 +321,6 @@ def _global_flags() -> argparse.ArgumentParser:
         "--seed", type=int, default=argparse.SUPPRESS, help="global RNG seed"
     )
     common.add_argument(
-        "--threads",
-        type=int,
-        default=argparse.SUPPRESS,
-        help="upper bound on worker threads (recorded; computations are "
-        "deterministic regardless)",
-    )
-    common.add_argument(
         "--manifest-out", default=argparse.SUPPRESS, help="explicit manifest path"
     )
     return common
@@ -341,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
         "for discrete diffusion samplers.",
         parents=[common],
     )
-    parser.set_defaults(seed=None, threads=None, manifest_out=None)
+    parser.set_defaults(seed=None, manifest_out=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_parser(name, **kwargs):

@@ -178,10 +178,10 @@ def circulant_projection(toeplitz_row: np.ndarray, n: int | None = None) -> np.n
         n = len(row)
     if len(row) != n:
         raise ValueError(f"row length {len(row)} != n={n}")
+    k = np.arange(1, n)
     out = np.empty(n)
-    out[0] = row[0]
-    for k in range(1, n):
-        out[k] = (row[k] * (n - k) + row[n - k] * k) / n
+    out[0] = row[0]  # copied: row[0] * n / n need not round back to row[0]
+    out[1:] = (row[1:] * (n - k) + row[n - k] * k) / n
     return out
 
 

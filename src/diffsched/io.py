@@ -46,16 +46,7 @@ def format_float(x: float) -> str:
 
 
 def atomic_write_text(path, text: str) -> None:
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def atomic_write_bytes(path, data: bytes) -> None:

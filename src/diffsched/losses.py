@@ -18,6 +18,7 @@ from .spectral import (
     Schedule,
     Transfer,
     _accumulate,
+    _check_dims,
     _ddim_ab,
     _ddpm_abc,
     _step_gains,
@@ -50,13 +51,6 @@ class LossKind(str, Enum):
         if name not in table:
             raise ValueError(f"unknown loss {name!r}; expected one of {sorted(table)}")
         return table[name]
-
-
-def _check_dims(model: SpectralModel, transfer: Transfer) -> None:
-    if len(transfer.noise_gain) != model.dim:
-        raise ValueError(
-            f"transfer dimension {len(transfer.noise_gain)} != model dim {model.dim}"
-        )
 
 
 def _w2_value(lam: np.ndarray, mu: np.ndarray, variance: np.ndarray, mean_gain: np.ndarray) -> float:

@@ -97,32 +97,16 @@ class OptimizeReport:
 def isotonic_project(values: np.ndarray, lower: float, upper: float) -> np.ndarray:
     """Nearest (least-squares) nonincreasing vector within [lower, upper].
 
-    Pool-adjacent-violators on the reversed ordering, then clipping; for the
-    monotone cone intersected with a box the clipped unbounded solution is
-    the exact projection.
+    Pool-adjacent-violators (scipy's ``isotonic_regression``), then
+    clipping; for the monotone cone intersected with a box the clipped
+    unbounded solution is the exact projection.
     """
+    from scipy.optimize import isotonic_regression  # deferred: keeps CLI start-up light
+
     if not lower < upper:
         raise ValueError(f"require lower < upper, got {lower}, {upper}")
     v = np.asarray(values, dtype=float)
-    n = len(v)
-    # Blocks of (total, count); pooling enforces nonincreasing block means.
-    totals = np.empty(n)
-    counts = np.empty(n, dtype=int)
-    k = -1
-    for x in v:
-        k += 1
-        totals[k] = x
-        counts[k] = 1
-        while k > 0 and totals[k - 1] / counts[k - 1] < totals[k] / counts[k]:
-            totals[k - 1] += totals[k]
-            counts[k - 1] += counts[k]
-            k -= 1
-    out = np.empty(n)
-    pos = 0
-    for j in range(k + 1):
-        out[pos : pos + counts[j]] = totals[j] / counts[j]
-        pos += counts[j]
-    return np.clip(out, lower, upper)
+    return np.clip(isotonic_regression(v, increasing=False).x, lower, upper)
 
 
 def single_eigenvalue_problem(model: SpectralModel, index: int) -> SpectralModel:

@@ -23,9 +23,8 @@ from .spectral import (
     Schedule,
     SpectralModel,
     _ddim_ab,
+    _ddim_trajectory,
     _ddpm_abc,
-    _step_gains,
-    _trajectory_coefficients,
 )
 
 __all__ = [
@@ -196,20 +195,14 @@ def empirical_moments(samples: np.ndarray) -> DenseGaussian:
     return DenseGaussian(mean=mean, covariance=cov)
 
 
-def _trajectory(model: SpectralModel, schedule: Schedule):
-    schedule.validate()
-    a, b = _ddim_ab(schedule.alpha_bar)
-    G, M = _step_gains(model.eigenvalues, schedule.alpha_bar, a, b)
-    return _trajectory_coefficients(G, M)
-
-
 def relative_error_dynamics(model: SpectralModel, schedule: Schedule) -> np.ndarray:
     """Per-step, per-coordinate variance mismatch of the deterministic sampler.
 
     Row ``l`` holds ``|lam_i - var_{l,i}| / (lam_i + eps)`` where
     ``var_{l,i}`` is the state variance at step ``l``; row 0 is the output.
     """
-    A, _ = _trajectory(model, schedule)
+    schedule.validate()
+    A, _ = _ddim_trajectory(model.eigenvalues, schedule.alpha_bar)
     lam = model.eigenvalues
     return np.abs(lam[None, :] - A**2) / (lam[None, :] + REL_ERR_EPS)
 
@@ -221,7 +214,8 @@ def w2_dynamics(model: SpectralModel, schedule: Schedule) -> np.ndarray:
     entry ``S`` is the distance from the initial unit Gaussian, entry 0
     equals the terminal loss.
     """
-    A, B = _trajectory(model, schedule)
+    schedule.validate()
+    A, B = _ddim_trajectory(model.eigenvalues, schedule.alpha_bar)
     lam = model.eigenvalues
     mu = model.mean_spectral
     var_term = np.sum((np.sqrt(lam)[None, :] - np.abs(A)) ** 2, axis=1)

@@ -52,6 +52,11 @@ def _vector(x, name: str) -> np.ndarray:
     return arr
 
 
+def _require_finite(value, name: str) -> None:
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"{name} must be finite (no NaN or inf)")
+
+
 @dataclass
 class SpectralModel:
     """Gaussian target expressed in the eigenbasis of its covariance.
@@ -83,6 +88,8 @@ class SpectralModel:
                 "dim mismatch: dim=%d, eigenvalues=%d, mean_spectral=%d"
                 % (self.dim, len(self.eigenvalues), len(self.mean_spectral))
             )
+        _require_finite(self.eigenvalues, "eigenvalues")
+        _require_finite(self.mean_spectral, "mean_spectral")
         if np.any(self.eigenvalues < 0):
             raise ValueError("eigenvalues must be nonnegative")
 
@@ -108,6 +115,8 @@ class Schedule:
 
     def validate(self, require_monotone: bool = True) -> "Schedule":
         ab = self.alpha_bar
+        for value, name in ((ab, "alpha_bar"), (self.eps0, "eps0"), (self.epsS, "epsS")):
+            _require_finite(value, name)
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if len(ab) != self.steps + 1:
@@ -224,9 +233,8 @@ def ddim_gains(alpha_bar_prev: float, alpha_bar_cur: float) -> tuple[float, floa
         raise ValueError(
             f"ordering violated: alpha_bar_cur={alpha_bar_cur} > alpha_bar_prev={alpha_bar_prev}"
         )
-    a = np.sqrt(1.0 - alpha_bar_prev) / np.sqrt(1.0 - alpha_bar_cur)
-    b = np.sqrt(alpha_bar_prev) - np.sqrt(alpha_bar_cur) * a
-    return float(a), float(b)
+    a, b = _ddim_ab(np.array([alpha_bar_prev, alpha_bar_cur]))
+    return float(a[0]), float(b[0])
 
 
 def _ddim_ab(alpha_bar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -292,17 +300,20 @@ def _transfer_arrays(
     """
     if process == "ddim":
         a, b = _ddim_ab(alpha_bar)
-        G, M = _step_gains(eigenvalues, alpha_bar, a, b)
-        noise_gain, mean_gain, _ = _accumulate(G, M)
-        var_extra = np.zeros_like(noise_gain)
     elif process == "ddpm":
         a, b, c2 = _ddpm_abc(alpha_bar)
-        G, M = _step_gains(eigenvalues, alpha_bar, a, b)
-        noise_gain, mean_gain, prefix = _accumulate(G, M)
-        var_extra = np.sum(prefix**2 * c2[:, None], axis=0)
     else:
         raise ValueError(f"unknown process {process!r}")
-    return noise_gain, mean_gain, var_extra
+    noise_gain, mean_gain, prefix = _accumulate(*_step_gains(eigenvalues, alpha_bar, a, b))
+    if process == "ddim":
+        return noise_gain, mean_gain, np.zeros_like(noise_gain)
+    return noise_gain, mean_gain, np.sum(prefix**2 * c2[:, None], axis=0)
+
+
+def _vp_transfer(model: SpectralModel, schedule: Schedule, process: str) -> Transfer:
+    schedule.validate()
+    arrays = _transfer_arrays(model.eigenvalues, schedule.alpha_bar, process)
+    return Transfer(*arrays, process=process, formulation="vp")
 
 
 def ddim_transfer(model: SpectralModel, schedule: Schedule) -> Transfer:
@@ -310,11 +321,7 @@ def ddim_transfer(model: SpectralModel, schedule: Schedule) -> Transfer:
 
     Single left-to-right pass, O(S d).
     """
-    schedule.validate()
-    noise_gain, mean_gain, var_extra = _transfer_arrays(
-        model.eigenvalues, schedule.alpha_bar, "ddim"
-    )
-    return Transfer(noise_gain, mean_gain, var_extra, process="ddim", formulation="vp")
+    return _vp_transfer(model, schedule, "ddim")
 
 
 def ddpm_transfer(model: SpectralModel, schedule: Schedule) -> Transfer:
@@ -323,11 +330,7 @@ def ddpm_transfer(model: SpectralModel, schedule: Schedule) -> Transfer:
     The output variance is ``noise_gain**2 + var_extra`` where ``var_extra``
     accumulates the per-step fresh noise through the remaining gains.
     """
-    schedule.validate()
-    noise_gain, mean_gain, var_extra = _transfer_arrays(
-        model.eigenvalues, schedule.alpha_bar, "ddpm"
-    )
-    return Transfer(noise_gain, mean_gain, var_extra, process="ddpm", formulation="vp")
+    return _vp_transfer(model, schedule, "ddpm")
 
 
 def _trajectory_coefficients(G: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -337,14 +340,19 @@ def _trajectory_coefficients(G: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, 
     deterministic recursion; ``A[S] = 1`` and ``B[S] = 0``.
     """
     S, d = G.shape
-    A = np.empty((S + 1, d))
+    A = np.ones((S + 1, d))
+    A[:S] = np.cumprod(G[::-1], axis=0)[::-1]
     B = np.empty((S + 1, d))
-    A[S] = 1.0
     B[S] = 0.0
     for s in range(S, 0, -1):
-        A[s - 1] = G[s - 1] * A[s]
         B[s - 1] = G[s - 1] * B[s] + M[s - 1]
     return A, B
+
+
+def _ddim_trajectory(eigenvalues: np.ndarray, alpha_bar: np.ndarray):
+    """:func:`_trajectory_coefficients` of the deterministic sampler (no validation)."""
+    a, b = _ddim_ab(alpha_bar)
+    return _trajectory_coefficients(*_step_gains(eigenvalues, alpha_bar, a, b))
 
 
 def intermediate_distribution(model: SpectralModel, schedule: Schedule, l: int) -> GaussianDiag:
@@ -356,18 +364,20 @@ def intermediate_distribution(model: SpectralModel, schedule: Schedule, l: int) 
     schedule.validate()
     if not 0 <= l <= schedule.steps:
         raise ValueError(f"step index l={l} out of range [0, {schedule.steps}]")
-    a, b = _ddim_ab(schedule.alpha_bar)
-    G, M = _step_gains(model.eigenvalues, schedule.alpha_bar, a, b)
-    A, B = _trajectory_coefficients(G, M)
+    A, B = _ddim_trajectory(model.eigenvalues, schedule.alpha_bar)
     return GaussianDiag(mean=B[l] * model.mean_spectral, variance=A[l] ** 2)
 
 
-def output_distribution(transfer: Transfer, model: SpectralModel) -> GaussianDiag:
-    """Gaussian of the generated signal implied by a transfer."""
+def _check_dims(model: SpectralModel, transfer: Transfer) -> None:
     if len(transfer.noise_gain) != model.dim:
         raise ValueError(
             f"transfer dimension {len(transfer.noise_gain)} != model dim {model.dim}"
         )
+
+
+def output_distribution(transfer: Transfer, model: SpectralModel) -> GaussianDiag:
+    """Gaussian of the generated signal implied by a transfer."""
+    _check_dims(model, transfer)
     return GaussianDiag(
         mean=transfer.mean_gain * model.mean_spectral,
         variance=transfer.output_variance,
@@ -381,10 +391,7 @@ def mean_bias(transfer: Transfer, model: SpectralModel) -> tuple[np.ndarray, np.
     mean_spectral[i]`` and ``gain_deviation = |mean_gain - 1|`` (the
     schedule-dependent factor, independent of the mean itself).
     """
-    if len(transfer.mean_gain) != model.dim:
-        raise ValueError(
-            f"transfer dimension {len(transfer.mean_gain)} != model dim {model.dim}"
-        )
+    _check_dims(model, transfer)
     deviation = transfer.mean_gain - 1.0
     return deviation * model.mean_spectral, np.abs(deviation)
 
@@ -419,24 +426,18 @@ def ve_to_vp(ve: VeSchedule) -> Schedule:
 
 
 def ve_ddim_transfer(model: SpectralModel, ve: VeSchedule) -> Transfer:
-    """Deterministic-sampler transfer computed directly in exploding form.
+    """Deterministic-sampler transfer in exploding form.
 
-    Per step ``G = a + (1-a) * lam / (lam + sigma_s**2)`` and
-    ``M = (1-a) * sigma_s**2 / (lam + sigma_s**2)`` with ``a = sigma_{s-1} /
-    sigma_s``; requires strictly positive sigma at every step s >= 1.
+    The exploding state is the preserving one divided by ``sqrt(alpha_bar)``,
+    so this is the preserving run on ``alpha_bar = 1 / (1 + sigma**2)`` with
+    the noise gain scaled by ``sqrt(alpha_bar[S] / alpha_bar[0])`` and the
+    mean gain by ``1 / sqrt(alpha_bar[0])``; requires strictly positive
+    sigma at every step s >= 1.
     """
     ve.validate()
-    sig_cur = ve.sigma[1:]
-    sig_prev = ve.sigma[:-1]
-    if np.any(sig_cur <= 0.0):
+    if np.any(ve.sigma[1:] <= 0.0):
         raise ValueError("sigma must be strictly positive at every step s >= 1")
-    a = sig_prev / sig_cur
-    b = 1.0 - a
-    lam = model.eigenvalues[None, :]
-    denom = lam + (sig_cur**2)[:, None]
-    G = a[:, None] + b[:, None] * lam / denom
-    M = b[:, None] * (sig_cur**2)[:, None] / denom
-    noise_gain, mean_gain, _ = _accumulate(G, M)
-    return Transfer(
-        noise_gain, mean_gain, np.zeros_like(noise_gain), process="ddim", formulation="ve"
-    )
+    ab = 1.0 / (1.0 + ve.sigma**2)
+    noise_gain, mean_gain, var_extra = _transfer_arrays(model.eigenvalues, ab, "ddim")
+    noise_gain = noise_gain * np.sqrt(ab[-1] / ab[0])
+    return Transfer(noise_gain, mean_gain / np.sqrt(ab[0]), var_extra, "ddim", "ve")

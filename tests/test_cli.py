@@ -261,6 +261,24 @@ def test_missing_model_file_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["eigenvalues", "alpha_bar"])
+def test_eval_non_finite_input_exits_2(tmp_path, capsys, model_file, field):
+    # JSON accepts the NaN literal; the loaders must not pass it on to a CSV
+    schedule_file = tmp_path / "s.json"
+    save_schedule(cosine_schedule(10), schedule_file)
+    path = model_file if field == "eigenvalues" else schedule_file
+    data = json.loads(path.read_text())
+    data[field][1] = float("nan")
+    path.write_text(json.dumps(data))
+    out = tmp_path / "eval.csv"
+    rc = run(["eval", "--model", model_file, "--schedules", schedule_file, "--out", out])
+    assert rc == 2
+    assert not out.exists()
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "ValueError"
+    assert err["error"]["message"].startswith(f"{field} must be finite")
+
+
 # ------------------------------------------------------------- start-up
 
 

@@ -157,6 +157,16 @@ def test_projection_matches_per_lag_quadratic_oracle(n):
         assert got[k] == pytest.approx(exact, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 50, 401])
+def test_projection_equals_per_lag_loop_bitwise(n):
+    rng = np.random.default_rng(n)
+    row = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3, size=n)
+    expected = row.copy()
+    for k in range(1, n):
+        expected[k] = (row[k] * (n - k) + row[n - k] * k) / n
+    np.testing.assert_array_equal(circulant_projection(row), expected)
+
+
 def test_projection_reconstruction_diagonalizes():
     rng = np.random.default_rng(11)
     raw = rng.normal(size=(6, 6))

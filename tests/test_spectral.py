@@ -21,7 +21,7 @@ from diffsched import (
     vp_to_ve,
     wiener_denoise,
 )
-from diffsched.spectral import _ddim_ab, _step_gains
+from diffsched.spectral import _ddim_ab, _step_gains, _trajectory_coefficients
 
 from conftest import random_monotone_alpha_bar
 
@@ -376,6 +376,19 @@ def test_vp_ve_gain_relation_full_schedule(benchmark_model):
         np.testing.assert_allclose(Mvp, np.sqrt(ab[s - 1]) * Mve, atol=1e-10)
 
 
+@pytest.mark.parametrize("S", [1, 10, 112, 250])
+def test_trajectory_coefficients_equal_step_loop_bitwise(S):
+    rng = np.random.default_rng(S)
+    G, M = rng.uniform(0.5, 1.5, size=(S, 7)), rng.normal(size=(S, 7))
+    A_ref, B_ref = np.ones((S + 1, 7)), np.zeros((S + 1, 7))
+    for s in range(S, 0, -1):
+        A_ref[s - 1] = G[s - 1] * A_ref[s]
+        B_ref[s - 1] = G[s - 1] * B_ref[s] + M[s - 1]
+    A, B = _trajectory_coefficients(G, M)
+    np.testing.assert_array_equal(A, A_ref)
+    np.testing.assert_array_equal(B, B_ref)
+
+
 def test_ve_transfer_tied_step_is_identity():
     model = SpectralModel(dim=2, eigenvalues=[1.0, 2.0], mean_spectral=[0.0, 0.0])
     ve = VeSchedule(steps=1, sigma=np.array([3.0, 3.0]))
@@ -388,6 +401,36 @@ def test_ve_transfer_rejects_zero_interior_sigma():
     model = SpectralModel(dim=1, eigenvalues=[1.0], mean_spectral=[0.0])
     with pytest.raises(ValueError):
         ve_ddim_transfer(model, VeSchedule(steps=2, sigma=np.array([0.0, 0.0, 1.0])))
+
+
+def ve_per_step_oracle(lam, sigma):
+    """Exploding-form transfer as a direct product of per-step gains:
+    ``G = a + (1-a) lam / (lam + sigma_s**2)`` and
+    ``M = (1-a) sigma_s**2 / (lam + sigma_s**2)`` with ``a = sigma_{s-1} / sigma_s``."""
+    noise_gain, mean_gain = np.ones_like(lam), np.zeros_like(lam)
+    for s in range(len(sigma) - 1, 0, -1):
+        a = sigma[s - 1] / sigma[s]
+        G = a + (1 - a) * lam / (lam + sigma[s] ** 2)
+        M = (1 - a) * sigma[s] ** 2 / (lam + sigma[s] ** 2)
+        noise_gain, mean_gain = G * noise_gain, G * mean_gain + M
+    return noise_gain, mean_gain
+
+
+@pytest.mark.parametrize(
+    "ve",
+    [vp_to_ve(cosine_schedule(28)), VeSchedule(steps=4, sigma=np.array([0.0, 0.3, 1.0, 1.0, 80.0]))],
+    ids=["cosine28", "sigma0-zero"],
+)
+def test_ve_transfer_matches_per_step_product(benchmark_model, ve):
+    # the transfer runs through the retention-form kernel; the oracle stays
+    # in exploding form step by step
+    _, model = benchmark_model
+    t = ve_ddim_transfer(model, ve)
+    noise_gain, mean_gain = ve_per_step_oracle(model.eigenvalues, ve.sigma)
+    np.testing.assert_allclose(t.noise_gain, noise_gain, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(t.mean_gain, mean_gain, rtol=1e-12, atol=0)
+    assert np.all(t.var_extra == 0.0)
+    assert (t.process, t.formulation) == ("ddim", "ve")
 
 
 # ---------------------------------------------------------------- types
@@ -409,6 +452,27 @@ def test_schedule_validation():
         make_schedule([1 - 1e-4, 0.2, 0.8, 4e-5]).validate()  # not monotone
     # non-monotone passes when monotonicity is not required
     make_schedule([1 - 1e-4, 0.2, 0.8, 4e-5]).validate(require_monotone=False)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["alpha_bar", "eps0", "epsS"])
+def test_schedule_rejects_non_finite(field, bad):
+    schedule = make_schedule([1 - 1e-4, 0.5, 4e-5])
+    if field == "alpha_bar":
+        schedule.alpha_bar[1] = bad
+    else:
+        setattr(schedule, field, bad)
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        schedule.validate(require_monotone=False)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["eigenvalues", "mean_spectral"])
+def test_model_rejects_non_finite(field, bad):
+    values = {"eigenvalues": [1.0, 2.0], "mean_spectral": [0.0, 0.5]}
+    values[field][1] = bad
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        SpectralModel(dim=2, **values)
 
 
 def test_gaussian_diag_rejects_negative_variance():
