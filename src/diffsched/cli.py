@@ -76,21 +76,23 @@ def _parse_floats(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
+# family -> (generator, number of shape parameters it takes); parameters
+# left out fall back to the generator's own defaults
+_FAMILIES = {
+    "linear": (linear_schedule, 0),
+    "cosine": (cosine_schedule, 3),
+    "sigmoid": (sigmoid_schedule, 3),
+    "edm": (edm_schedule, 3),
+}
+
+
 def _generate(family: str, steps: int, params: list[float], eps0: float, epsS: float) -> Schedule:
-    if family == "linear":
-        if params:
-            raise ValueError("linear takes no parameters")
-        return linear_schedule(steps, eps0, epsS)
-    if family == "cosine":
-        s, e, tau = params or (0.0, 1.0, 1.0)
-        return cosine_schedule(steps, s, e, tau, eps0, epsS)
-    if family == "sigmoid":
-        s, e, tau = params or (-3.0, 3.0, 1.0)
-        return sigmoid_schedule(steps, s, e, tau, eps0, epsS)
-    if family == "edm":
-        rho, smin, smax = params or (7.0, 0.002, 80.0)
-        return edm_schedule(steps, rho, smin, smax, eps0, epsS)
-    raise ValueError(f"unknown family {family!r}")
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    generator, max_params = _FAMILIES[family]
+    if len(params) > max_params:
+        raise ValueError(f"{family} takes at most {max_params} parameters, got {len(params)}")
+    return generator(steps, *params, eps0=eps0, epsS=epsS)
 
 
 def _transfer(model: SpectralModel, schedule: Schedule, process: str):
@@ -154,7 +156,6 @@ def cmd_optimize(args):
         init_schedule=init_schedule,
         max_iter=args.max_iter,
         ftol=args.ftol,
-        gtol=args.gtol,
         single_eigenvalue_index=args.eigenvalue_index,
     )
     schedule, report = optimize_schedule(model, config)
@@ -341,9 +342,13 @@ def build_parser() -> argparse.ArgumentParser:
         return sub.add_parser(name, parents=[common], **kwargs)
 
     p = add_parser("gen", help="generate a heuristic schedule")
-    p.add_argument("--family", required=True, choices=["linear", "cosine", "sigmoid", "edm"])
+    p.add_argument("--family", required=True, choices=list(_FAMILIES))
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--params", default=None, help="comma-separated family parameters")
+    p.add_argument(
+        "--params",
+        default=None,
+        help="comma-separated family parameters; omitted trailing ones take their defaults",
+    )
     p.add_argument("--eps0", type=float, default=DEFAULT_EPS0)
     p.add_argument("--epsS", type=float, default=DEFAULT_EPSS)
     p.add_argument("--out", required=True)
@@ -362,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--max-iter", type=int, default=2000)
     p.add_argument("--ftol", type=float, default=1e-6)
-    p.add_argument("--gtol", type=float, default=1e-8)
     p.add_argument("--eigenvalue-index", type=int, default=None)
     p.add_argument("--eps0", type=float, default=DEFAULT_EPS0)
     p.add_argument("--epsS", type=float, default=DEFAULT_EPSS)

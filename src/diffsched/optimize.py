@@ -60,15 +60,20 @@ class OptimizeConfig:
     init_schedule: Schedule | None = None
     max_iter: int = 2000
     ftol: float = 1e-6
-    gtol: float = 1e-8
     single_eigenvalue_index: int | None = None
 
     def __post_init__(self):
         self.loss = LossKind(self.loss)
         if self.steps < 2:
             raise ValueError(f"steps must be >= 2, got {self.steps}")
-        if self.ftol <= 0.0 or self.gtol <= 0.0:
-            raise ValueError("tolerances must be positive")
+        for name in ("ftol", "eps0", "epsS"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if self.eps0 + self.epsS >= 1.0:
+            raise ValueError(
+                f"eps0 + epsS must be < 1, got eps0={self.eps0}, epsS={self.epsS}"
+            )
         if self.process not in ("ddim", "ddpm"):
             raise ValueError(f"process must be 'ddim' or 'ddpm', got {self.process!r}")
         if self.mode not in ("constrained", "free"):
@@ -140,10 +145,6 @@ def _initial_schedule(config: OptimizeConfig) -> np.ndarray:
     return ab
 
 
-class _GradientNormStop(Exception):
-    pass
-
-
 def _enforce_spacing(ab: np.ndarray) -> np.ndarray:
     """Break exact ties left by projection with MIN_SPACING-sized gaps."""
     if np.all(np.diff(ab) < 0.0):
@@ -179,16 +180,13 @@ def optimize_schedule(
     lower = np.full(S - 1, epsS)
     upper = np.full(S - 1, 1.0 - eps0)
 
-    evals = [0]
-    last_eval: dict[str, object] = {}
-
     def objective(interior: np.ndarray) -> float:
-        evals[0] += 1
         full = np.concatenate([head, interior, tail])
-        f = loss_from_alpha_bar(model, full, config.loss, config.process)
-        last_eval["x"] = interior.copy()
-        last_eval["f"] = f
-        return f
+        return loss_from_alpha_bar(model, full, config.loss, config.process)
+
+    def gradient(interior: np.ndarray) -> np.ndarray:
+        full = np.concatenate([head, interior, tail])
+        return loss_gradient_from_alpha_bar(model, full, config.loss, config.process)
 
     # warm starts may come from schedules with wider endpoints; keep the
     # starting interior inside the box
@@ -198,31 +196,9 @@ def optimize_schedule(
         raise ValueError(f"objective is not finite at the initial schedule ({f0})")
 
     trace = [f0]
-    last_grad: dict[str, np.ndarray] = {}
-    grad_evals = [0]
 
-    def tracked_gradient(interior: np.ndarray) -> np.ndarray:
-        grad_evals[0] += 1
-        full = np.concatenate([head, interior, tail])
-        g = loss_gradient_from_alpha_bar(model, full, config.loss, config.process)
-        last_grad["x"] = interior.copy()
-        last_grad["g"] = g
-        return g
-
-    grad_stop = [False]
-
-    def callback(xk: np.ndarray) -> None:
-        # the solver has usually just evaluated the objective at xk
-        same = np.array_equal(last_eval["x"], xk)
-        trace.append(min(trace[-1], last_eval["f"] if same else objective(xk)))
-        if "x" in last_grad and np.array_equal(last_grad["x"], xk):
-            g = last_grad["g"]
-            proj = g.copy()
-            proj[(xk <= lower + 1e-15) & (g > 0)] = 0.0
-            proj[(xk >= upper - 1e-15) & (g < 0)] = 0.0
-            if np.max(np.abs(proj)) < config.gtol:
-                grad_stop[0] = True
-                raise _GradientNormStop
+    def callback(intermediate_result) -> None:
+        trace.append(min(trace[-1], intermediate_result.fun))
 
     constraints = []
     if config.mode == "constrained":
@@ -236,33 +212,26 @@ def optimize_schedule(
         constraints = [{"type": "ineq", "fun": monotone_slack, "jac": lambda _: slack_jac}]
 
     start = time.perf_counter()
-    try:
-        with warnings.catch_warnings():
-            # The solver's line search probes slightly past the box; scipy
-            # clips and warns, and the objective tolerates clipped points.
-            warnings.filterwarnings(
-                "ignore", message="Values in x were outside bounds", category=RuntimeWarning
-            )
-            result = minimize(
-                objective,
-                x0,
-                method="SLSQP",
-                jac=tracked_gradient,
-                bounds=list(zip(lower, upper)),
-                constraints=constraints,
-                callback=callback,
-                options={"maxiter": config.max_iter, "ftol": config.ftol},
-            )
-        x_final = result.x
-        iterations = int(result.nit)
-        converged = bool(result.status == 0)
-    except _GradientNormStop:
-        x_final = last_grad["x"]
-        iterations = len(trace) - 1
-        converged = True
+    with warnings.catch_warnings():
+        # The solver's line search probes slightly past the box; scipy
+        # clips and warns, and the objective tolerates clipped points.
+        warnings.filterwarnings(
+            "ignore", message="Values in x were outside bounds", category=RuntimeWarning
+        )
+        result = minimize(
+            objective,
+            x0,
+            method="SLSQP",
+            jac=gradient,
+            bounds=list(zip(lower, upper)),
+            constraints=constraints,
+            callback=callback,
+            options={"maxiter": config.max_iter, "ftol": config.ftol},
+        )
     wall = time.perf_counter() - start
+    converged = bool(result.status == 0)
 
-    x_final = np.clip(x_final, lower, upper)
+    x_final = np.clip(result.x, lower, upper)
     full = np.concatenate([head, x_final, tail])
     if config.mode == "constrained":
         projected = isotonic_project(full, epsS, 1.0 - eps0)
@@ -283,11 +252,12 @@ def optimize_schedule(
     schedule.validate(require_monotone=(config.mode == "constrained"))
     report = OptimizeReport(
         final_loss=float(final_loss),
-        iterations=iterations,
-        objective_evals=evals[0],
-        gradient_evals=grad_evals[0],
+        iterations=int(result.nit),
+        # the extra objective call is the f0 check before the solver starts
+        objective_evals=1 + int(result.nfev),
+        gradient_evals=int(result.njev),
         loss_trace=np.asarray(trace),
-        converged=converged or grad_stop[0],
+        converged=converged,
         wall_time_seconds=wall,
     )
     return schedule, report

@@ -189,6 +189,7 @@ class VeSchedule:
             raise ValueError(
                 f"sigma must have length steps+1={self.steps + 1}, got {len(self.sigma)}"
             )
+        _require_finite(self.sigma, "sigma")
         if np.any(self.sigma < 0):
             raise ValueError("sigma must be nonnegative")
         if np.any(np.diff(self.sigma) < 0):
@@ -413,8 +414,6 @@ def vp_to_ve(schedule: Schedule) -> VeSchedule:
 def ve_to_vp(ve: VeSchedule) -> Schedule:
     """Inverse of :func:`vp_to_ve`: ``alpha_bar = 1 / (1 + sigma**2)``."""
     ve.validate()
-    if not np.all(np.isfinite(ve.sigma)):
-        raise ValueError("infinite sigma maps to alpha_bar = 0, which is rejected")
     ab = 1.0 / (1.0 + ve.sigma**2)
     return Schedule(
         kind="custom",

@@ -11,7 +11,7 @@ import pytest
 import diffsched
 from diffsched.cli import main
 from diffsched.io import load_matrix_csv, load_schedule, save_schedule
-from diffsched import cosine_schedule, synthetic_circulant_model
+from diffsched import cosine_schedule, edm_schedule, synthetic_circulant_model
 from diffsched.io import save_model
 
 
@@ -46,6 +46,24 @@ def test_gen_edm_defaults(tmp_path):
     out = tmp_path / "edm.json"
     assert run(["gen", "--family", "edm", "--params", "7,0.002,80", "--steps", "112", "--out", out]) == 0
     load_schedule(out).validate()
+
+
+def test_gen_partial_params_use_library_defaults(tmp_path):
+    out = tmp_path / "edm.json"
+    assert run(["gen", "--family", "edm", "--params", "7", "--steps", "10", "--out", out]) == 0
+    expected = edm_schedule(10, 7.0)
+    got = load_schedule(out)
+    assert got.kind == expected.kind
+    assert np.array_equal(got.alpha_bar, expected.alpha_bar)
+
+
+def test_gen_too_many_params_exits_2(tmp_path, capsys):
+    out = tmp_path / "edm.json"
+    rc = run(["gen", "--family", "edm", "--params", "7,0.002,80,1", "--steps", "10", "--out", out])
+    assert rc == 2
+    assert not out.exists()
+    message = json.loads(capsys.readouterr().err)["error"]["message"]
+    assert message.startswith("edm takes at most 3 parameters")
 
 
 def test_gen_invalid_params_exits_2(tmp_path, capsys):
@@ -84,6 +102,18 @@ def test_optimize_report_counts_objective_and_gradient_evals(tmp_path, model_fil
 def test_optimize_single_step_exits_2(tmp_path, model_file):
     rc = run(["optimize", "--model", model_file, "--steps", "1", "--out", tmp_path / "x.json"])
     assert rc == 2
+
+
+def test_optimize_bad_endpoints_exit_2(tmp_path, capsys, model_file):
+    out = tmp_path / "x.json"
+    rc = run([
+        "optimize", "--model", model_file, "--steps", "8",
+        "--eps0", "0.6", "--epsS", "0.5", "--out", out,
+    ])
+    assert rc == 2
+    assert not out.exists()
+    message = json.loads(capsys.readouterr().err)["error"]["message"]
+    assert message.startswith("eps0 + epsS must be < 1")
 
 
 def test_optimize_warm_start(tmp_path, model_file):
@@ -240,6 +270,17 @@ def test_convert_round_trip_identity(tmp_path):
 
 
 # ----------------------------------------------------------- global flags
+
+
+def test_convert_nan_sigma_exits_2(tmp_path, capsys):
+    # JSON accepts the NaN literal; the sigma loader must reject it
+    ve = tmp_path / "ve.json"
+    ve.write_text('{"steps": 2, "sigma": [0.01, NaN, 80.0]}')
+    out = tmp_path / "vp.json"
+    assert run(["convert", "--schedule", ve, "--direction", "to-vp", "--out", out]) == 2
+    assert not out.exists()
+    message = json.loads(capsys.readouterr().err)["error"]["message"]
+    assert message.startswith("sigma must be finite")
 
 
 def test_manifest_out_override(tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -207,11 +208,63 @@ def test_optimizer_rejects_degenerate_inputs():
         OptimizeConfig(steps=8, mode="loose")
 
 
-def test_gradient_norm_stop_reports_convergence(benchmark_model):
-    # With a huge gtol the projected-gradient rule fires immediately.
+def test_default_config_reports_convergence(benchmark_model):
     _, model = benchmark_model
     schedule, report = optimize_schedule(
-        model, OptimizeConfig(loss=LossKind.WASSERSTEIN2, steps=10, gtol=1e6)
+        model, OptimizeConfig(loss=LossKind.WASSERSTEIN2, steps=10)
     )
     assert report.converged
     schedule.validate()
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("ftol", {"ftol": np.nan}),
+        ("eps0", {"eps0": np.nan}),
+        ("eps0", {"eps0": np.inf}),
+        ("epsS", {"epsS": np.nan}),
+        ("epsS", {"epsS": -np.inf}),
+        ("eps0", {"eps0": 0.0}),
+        ("eps0", {"eps0": -1e-4}),
+        ("epsS", {"epsS": 0.0}),
+        ("epsS", {"epsS": -4e-5}),
+        ("eps0 + epsS", {"eps0": 0.6, "epsS": 0.5}),
+        ("eps0 + epsS", {"eps0": 0.5, "epsS": 0.5}),
+    ],
+)
+def test_config_rejects_bad_endpoints_and_tolerance(field, bad):
+    with pytest.raises(ValueError, match=f"^{re.escape(field)} must be"):
+        OptimizeConfig(steps=8, **bad)
+
+
+@pytest.mark.parametrize("process", ["ddim", "ddpm"])
+def test_report_counts_match_traced_calls(benchmark_model, monkeypatch, process):
+    # the report's counts are read off the solver result; every real call
+    # must still be counted: the objective once more for the final loss
+    import diffsched.optimize as optimize_module
+
+    calls = {"objective": 0, "gradient": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        optimize_module,
+        "loss_from_alpha_bar",
+        counted("objective", optimize_module.loss_from_alpha_bar),
+    )
+    monkeypatch.setattr(
+        optimize_module,
+        "loss_gradient_from_alpha_bar",
+        counted("gradient", optimize_module.loss_gradient_from_alpha_bar),
+    )
+    _, model = benchmark_model
+    _, report = optimize_schedule(model, OptimizeConfig(process=process, steps=28))
+    assert calls["objective"] == report.objective_evals + 1
+    assert calls["gradient"] == report.gradient_evals
+    assert len(report.loss_trace) == report.iterations + 1

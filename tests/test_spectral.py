@@ -329,6 +329,15 @@ def test_ve_rejects_infinite_sigma():
         ve_to_vp(ve)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ve_rejects_non_finite_sigma(bad):
+    ve = VeSchedule(steps=2, sigma=np.array([0.01, bad, 80.0]))
+    with pytest.raises(ValueError, match="^sigma must be finite"):
+        ve.validate()
+    with pytest.raises(ValueError, match="^sigma must be finite"):
+        ve_to_vp(ve)
+
+
 def test_zero_sigma_maps_to_full_retention():
     # sigma = 0 is the clean end: alpha_bar = 1 exactly (such a schedule is
     # convertible but not a valid strict-interior schedule).
