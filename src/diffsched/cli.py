@@ -227,7 +227,14 @@ def cmd_compare(args):
 
 def _load_target(args) -> DenseGaussian:
     if args.synthetic:
-        d, l, mu = _parse_floats(args.synthetic)
+        values = _parse_floats(args.synthetic)
+        if len(values) != 3 or not np.all(np.isfinite(values)):
+            raise ValueError(
+                f"--synthetic takes three finite values d,l,mu, got {args.synthetic!r}"
+            )
+        d, l, mu = values
+        if not d.is_integer():
+            raise ValueError(f"--synthetic d must be an integer, got {d}")
         dense, _ = synthetic_circulant_model(int(d), l, mu)
         return dense
     if not args.cov:
@@ -317,6 +324,8 @@ def cmd_convert(args):
 def _global_flags() -> argparse.ArgumentParser:
     # As a parent with SUPPRESS defaults these flags may appear either before
     # or after the subcommand without the subparser clobbering parsed values.
+    # The parsers share these action objects, so their None defaults come from
+    # the namespace ``main`` passes in, never from ``set_defaults``.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--seed", type=int, default=argparse.SUPPRESS, help="global RNG seed"
@@ -335,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
         "for discrete diffusion samplers.",
         parents=[common],
     )
-    parser.set_defaults(seed=None, manifest_out=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_parser(name, **kwargs):
@@ -474,7 +482,7 @@ def _emit_error(kind: str, message: str) -> None:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv, argparse.Namespace(seed=None, manifest_out=None))
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     start = time.perf_counter()

@@ -6,10 +6,16 @@ touches the eigenbasis shortcut.
 
 Reproducibility: sample ``i`` is generated from its own counter-based RNG
 stream derived from ``(seed, i)`` (Philox keyed by the seed, counter offset
-``i << 128``), so results do not depend on chunking or parallel order.
-Standard normals come from the Box-Muller transform on pairs of uniforms
-(``u1`` mapped from [0,1) to (0,1]), which an oracle re-implementation can
-match distributionally.
+``i << 128``).  Standard normals come from the Box-Muller transform on pairs
+of uniforms (``u1`` mapped from [0,1) to (0,1]), which an oracle
+re-implementation can match distributionally.
+
+Samples are drawn in chunks of a fixed number of rows.  Each chunk builds one
+Philox at its first sample's counter and moves it to the next sample's
+counter with ``advance``; Box-Muller then runs over the whole chunk.  The last
+chunk is padded with zero rows, so every sample passes through the same
+matrix-product shapes at the same row position and its bytes depend only on
+``(seed, i)``, not on the sample count.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from .spectral import (
     _ddim_ab,
     _ddim_trajectory,
     _ddpm_abc,
+    _require_finite,
 )
 
 __all__ = [
@@ -40,7 +47,10 @@ SYMMETRY_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 REL_ERR_EPS = 1e-12
 
-_CHUNK = 4096
+# Normals drawn per chunk: rows per chunk = this // normals per sample.  Fewer
+# leave ddpm (d*(S+1) normals per sample) too few rows for efficient matrix
+# products; many more spill the Box-Muller temporaries out of cache.
+_CHUNK_NORMALS = 2**18
 
 
 @dataclass
@@ -53,6 +63,8 @@ class DenseGaussian:
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=float)
         self.covariance = np.asarray(self.covariance, dtype=float)
+        _require_finite(self.mean, "mean")
+        _require_finite(self.covariance, "covariance")
         if self.mean.ndim != 1:
             raise ValueError("mean must be a vector")
         d = len(self.mean)
@@ -79,21 +91,54 @@ class SimConfig:
     def __post_init__(self):
         if self.process not in ("ddim", "ddpm"):
             raise ValueError(f"process must be 'ddim' or 'ddpm', got {self.process!r}")
+        if not isinstance(self.samples, (int, np.integer)):
+            raise ValueError(f"samples must be an integer, got {self.samples!r}")
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
+        if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2**128:
+            raise ValueError(f"seed must be an integer in [0, 2**128), got {self.seed!r}")
+
+
+def _box_muller(u1: np.ndarray, u2: np.ndarray, count: int) -> np.ndarray:
+    """Interleaved Box-Muller normals from uniform pairs along the last axis."""
+    radius = np.sqrt(-2.0 * np.log(1.0 - u1))
+    angle = 2.0 * np.pi * u2
+    z = np.empty(u1.shape[:-1] + (2 * u1.shape[-1],))
+    z[..., 0::2] = radius * np.cos(angle)
+    z[..., 1::2] = radius * np.sin(angle)
+    return z[..., :count]
 
 
 def _sample_stream_normals(seed: int, index: int, count: int) -> np.ndarray:
-    """Box-Muller normals from the per-sample counter-based stream."""
+    """Box-Muller normals from the per-sample counter-based stream.
+
+    This is the stream definition; the sampler draws whole chunks of it
+    through ``_chunk_stream_normals``.
+    """
     gen = Generator(Philox(key=seed, counter=index << 128))
     pairs = (count + 1) // 2
-    u1 = 1.0 - gen.random(pairs)
-    u2 = gen.random(pairs)
-    radius = np.sqrt(-2.0 * np.log(u1))
-    z = np.empty(2 * pairs)
-    z[0::2] = radius * np.cos(2.0 * np.pi * u2)
-    z[1::2] = radius * np.sin(2.0 * np.pi * u2)
-    return z[:count]
+    u = gen.random(2 * pairs)
+    return _box_muller(u[:pairs], u[pairs:], count)
+
+
+def _chunk_stream_normals(seed: int, start: int, rows: int, count: int) -> np.ndarray:
+    """``_sample_stream_normals(seed, i, count)`` for ``i`` in ``start..start+rows-1``.
+
+    One Philox serves the whole chunk.  A sample reads ``2 * pairs`` words,
+    i.e. ``blocks`` 4-word counter blocks; advancing by ``2**128 - blocks``
+    puts the counter on the next sample's ``i << 128`` and drops the rest of
+    the current block.
+    """
+    pairs = (count + 1) // 2
+    blocks = -(-2 * pairs // 4)
+    jump = (1 << 128) - blocks
+    bits = Philox(key=seed, counter=start << 128)
+    gen = Generator(bits)
+    u = np.empty((rows, 2 * pairs))
+    for r in range(rows):
+        gen.random(out=u[r])
+        bits.advance(jump)
+    return _box_muller(u[:, :pairs], u[:, pairs:], count)
 
 
 def _check_psd(covariance: np.ndarray) -> None:
@@ -151,32 +196,26 @@ def simulate_reverse(target: DenseGaussian, cfg: SimConfig) -> np.ndarray:
     _check_psd(target.covariance)
     d = target.dim
     n = cfg.samples
-    S = cfg.schedule.steps
 
     if cfg.process == "ddim":
         T, offset = compose_affine(target, cfg.schedule)
-        out = np.empty((n, d))
-        for start in range(0, n, _CHUNK):
-            stop = min(start + _CHUNK, n)
-            z = np.empty((stop - start, d))
-            for i in range(start, stop):
-                z[i - start] = _sample_stream_normals(cfg.seed, i, d)
-            out[start:stop] = z @ T.T + offset
-        return out
-
-    gains, offsets, c = _step_maps(target, cfg.schedule.alpha_bar, "ddpm")
-    per_sample = d * (S + 1)  # initial state, then one z per step
+        maps, noise = [(T, offset)], []
+    else:
+        gains, offsets, c = _step_maps(target, cfg.schedule.alpha_bar, "ddpm")
+        maps, noise = list(zip(gains, offsets))[::-1], c[::-1]
+    per_sample = d * (1 + len(noise))  # initial state, then one z per noisy step
+    rows = max(1, _CHUNK_NORMALS // per_sample)
     out = np.empty((n, d))
-    for start in range(0, n, _CHUNK):
-        stop = min(start + _CHUNK, n)
-        draws = np.empty((stop - start, per_sample))
-        for i in range(start, stop):
-            draws[i - start] = _sample_stream_normals(cfg.seed, i, per_sample)
-        x = draws[:, :d].copy()
-        for s in range(S, 0, -1):
-            z = draws[:, d * (S - s + 1) : d * (S - s + 2)]
-            x = x @ gains[s - 1].T + offsets[s - 1] + c[s - 1] * z
-        out[start:stop] = x
+    for start in range(0, n, rows):
+        m = min(rows, n - start)
+        draws = np.zeros((rows, per_sample))
+        draws[:m] = _chunk_stream_normals(cfg.seed, start, m, per_sample)
+        x = draws[:, :d]
+        for k, (gain, off) in enumerate(maps):
+            x = x @ gain.T + off
+            if k < len(noise):
+                x += noise[k] * draws[:, d * (k + 1) : d * (k + 2)]
+        out[start : start + m] = x[:m]
     return out
 
 

@@ -204,6 +204,71 @@ def test_simulate_requires_target(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("50", "--synthetic takes three finite values"),
+        ("50.5,0.1,0.05", "--synthetic d must be an integer"),
+        ("nan,0.1,0.05", "--synthetic takes three finite values"),
+    ],
+)
+def test_simulate_bad_synthetic_exits_2(tmp_path, capsys, spec, message):
+    sched = tmp_path / "s.json"
+    save_schedule(cosine_schedule(6), sched)
+    out = tmp_path / "x.f64"
+    rc = run([
+        "simulate", "--synthetic", spec, "--schedule", sched,
+        "--samples", "4", "--out", out,
+    ])
+    assert rc == 2
+    assert not out.exists()
+    assert json.loads(capsys.readouterr().err)["error"]["message"].startswith(message)
+
+
+@pytest.mark.parametrize("field", ["mean", "covariance"])
+def test_simulate_non_finite_target_exits_2(tmp_path, capsys, field):
+    sched = tmp_path / "s.json"
+    save_schedule(cosine_schedule(6), sched)
+    cov = tmp_path / "cov.csv"
+    mean = tmp_path / "mean.csv"
+    cov.write_text("1.0,0.0\n0.0,nan\n" if field == "covariance" else "1.0,0.0\n0.0,1.0\n")
+    mean.write_text("nan\n0.0\n" if field == "mean" else "0.0\n0.0\n")
+    out = tmp_path / "x.f64"
+    rc = run([
+        "simulate", "--cov", cov, "--mean", mean, "--schedule", sched,
+        "--samples", "4", "--out", out,
+    ])
+    assert rc == 2
+    assert not out.exists()
+    assert json.loads(capsys.readouterr().err)["error"]["message"].startswith(
+        f"{field} must be finite"
+    )
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**128)])
+def test_simulate_seed_outside_philox_key_exits_2(tmp_path, capsys, seed):
+    sched = tmp_path / "s.json"
+    save_schedule(cosine_schedule(6), sched)
+    out = tmp_path / "x.f64"
+    rc = run([
+        "--seed", seed, "simulate", "--synthetic", "8,0.1,0.05", "--schedule", sched,
+        "--samples", "4", "--out", out,
+    ])
+    assert rc == 2
+    assert not out.exists()
+    assert json.loads(capsys.readouterr().err)["error"]["message"].startswith("seed must be")
+
+
+@pytest.mark.parametrize("before", [True, False])
+def test_global_flags_before_or_after_subcommand(tmp_path, before):
+    out = tmp_path / "s.json"
+    manifest = tmp_path / "m.json"
+    flags = ["--seed", "5", "--manifest-out", manifest]
+    cmd = ["gen", "--family", "linear", "--steps", "4", "--out", out]
+    assert run(flags + cmd if before else cmd + flags) == 0
+    assert json.loads(manifest.read_text())["seed"] == 5
+
+
 # ---------------------------------------------- dynamics / bias / estimate
 
 

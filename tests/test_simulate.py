@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.random import Generator, Philox
 
 from diffsched import (
     DenseGaussian,
@@ -19,7 +22,8 @@ from diffsched import (
     w2_loss,
     wiener_denoise,
 )
-from diffsched.simulate import _sample_stream_normals, compose_affine
+from diffsched import simulate
+from diffsched.simulate import _chunk_stream_normals, _sample_stream_normals, compose_affine
 
 
 def scalar_target(lam=1.5, mu=0.4):
@@ -70,6 +74,58 @@ def test_sample_depends_only_on_seed_and_index():
     np.testing.assert_array_equal(many[:3], few)
 
 
+def _box_muller_loop(seed, index, count):
+    # The stream definition, written out per sample as the reference.
+    gen = Generator(Philox(key=seed, counter=index << 128))
+    pairs = (count + 1) // 2
+    u1 = 1.0 - gen.random(pairs)
+    u2 = gen.random(pairs)
+    radius = np.sqrt(-2.0 * np.log(u1))
+    z = np.empty(2 * pairs)
+    z[0::2] = radius * np.cos(2.0 * np.pi * u2)
+    z[1::2] = radius * np.sin(2.0 * np.pi * u2)
+    return z[:count]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    start=st.integers(0, 2**40),
+    rows=st.integers(1, 8),
+    count=st.integers(1, 300),
+)
+def test_chunk_stream_matches_per_sample_streams(seed, start, rows, count):
+    chunk = _chunk_stream_normals(seed, start, rows, count)
+    per_sample = np.stack([_sample_stream_normals(seed, start + r, count) for r in range(rows)])
+    reference = np.stack([_box_muller_loop(seed, start + r, count) for r in range(rows)])
+    assert chunk.shape == (rows, count)
+    assert chunk.tobytes() == per_sample.tobytes()
+    assert per_sample.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("count", [1, 51, 5650])
+def test_chunk_stream_split_matches_one_chunk(count):
+    whole = _chunk_stream_normals(3, 7, 10, count)
+    split = np.concatenate(
+        [_chunk_stream_normals(3, 7, 4, count), _chunk_stream_normals(3, 11, 6, count)]
+    )
+    assert split.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("process", ["ddim", "ddpm"])
+def test_dense_sample_depends_only_on_index(benchmark_model, process):
+    # At d > 1 the dense products must see the same shapes whatever the
+    # sample count, or rounding makes earlier samples depend on it.
+    dense, _ = benchmark_model
+    schedule = cosine_schedule(12)
+    per_sample = dense.dim * (1 if process == "ddim" else schedule.steps + 1)
+    rows = simulate._CHUNK_NORMALS // per_sample
+    for few, many in [(3, 10), (4100, 5000), (rows - 1, rows + 1), (rows + 1, 2 * rows + 3)]:
+        a = simulate_reverse(dense, SimConfig(process, few, 17, schedule))
+        b = simulate_reverse(dense, SimConfig(process, many, 17, schedule))
+        assert a.tobytes() == b[:few].tobytes(), (few, many)
+
+
 def test_box_muller_stream_moments():
     z = np.concatenate([_sample_stream_normals(0, i, 100) for i in range(200)])
     assert abs(z.mean()) < 0.02
@@ -93,6 +149,33 @@ def test_rejects_non_psd_covariance():
     bad = DenseGaussian(mean=np.zeros(2), covariance=np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(ValueError):
         simulate_reverse(bad, SimConfig("ddim", 4, 0, cosine_schedule(4)))
+
+
+@pytest.mark.parametrize("field", ["mean", "covariance"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_dense_gaussian_rejects_non_finite(field, value):
+    parts = {"mean": np.zeros(2), "covariance": np.eye(2)}
+    parts[field][(0,) * parts[field].ndim] = value
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        DenseGaussian(**parts)
+
+
+@pytest.mark.parametrize("samples", [2.5, 3.0, "3"])
+def test_sim_config_rejects_non_integer_samples(samples):
+    with pytest.raises(ValueError, match="^samples must be an integer"):
+        SimConfig("ddim", samples, 0, cosine_schedule(4))
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128, 1.5])
+def test_sim_config_rejects_seed_outside_philox_key(seed):
+    with pytest.raises(ValueError, match="^seed must be an integer in"):
+        SimConfig("ddim", 4, seed, cosine_schedule(4))
+
+
+def test_sim_config_accepts_largest_seed():
+    target = scalar_target()
+    out = simulate_reverse(target, SimConfig("ddim", 2, 2**128 - 1, cosine_schedule(4)))
+    assert np.all(np.isfinite(out))
 
 
 def test_rejects_asymmetric_covariance():
