@@ -41,7 +41,6 @@ from .losses import (
 from .optimize import (
     OptimizeConfig,
     OptimizeReport,
-    isotonic_project,
     optimize_schedule,
     single_eigenvalue_problem,
 )

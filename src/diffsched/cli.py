@@ -137,7 +137,11 @@ def cmd_optimize(args):
     init, init_seed, init_schedule = args.init, 0, None
     if init.startswith("random"):
         if ":" in init:
-            init_seed = int(init.split(":", 1)[1])
+            token = init.split(":", 1)[1]
+            try:
+                init_seed = int(token)
+            except ValueError:
+                raise ValueError(f"--init random:SEED takes an integer seed, got {token!r}") from None
         elif args.seed is not None:
             init_seed = args.seed
         init = "random"
@@ -170,6 +174,8 @@ def cmd_optimize(args):
                 "objective_evals": report.objective_evals,
                 "gradient_evals": report.gradient_evals,
                 "converged": report.converged,
+                "status_message": report.status_message,
+                "min_log_snr_gap": report.min_log_snr_gap,
                 "wall_time_seconds": report.wall_time_seconds,
                 "loss_trace": [float(x) for x in report.loss_trace],
             },
@@ -373,8 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="linear",
         help="linear | cosine | random[:SEED] | warm:SCHEDULE.json",
     )
-    p.add_argument("--max-iter", type=int, default=2000)
-    p.add_argument("--ftol", type=float, default=1e-6)
+    p.add_argument("--max-iter", type=int, default=OptimizeConfig.max_iter)
+    p.add_argument("--ftol", type=float, default=OptimizeConfig.ftol)
     p.add_argument("--eigenvalue-index", type=int, default=None)
     p.add_argument("--eps0", type=float, default=DEFAULT_EPS0)
     p.add_argument("--epsS", type=float, default=DEFAULT_EPSS)

@@ -1,17 +1,21 @@
-"""Constrained schedule optimization for a given spectral target.
+"""Schedule optimization for a given spectral target.
 
-The decision variables are the interior retention levels
-``alpha_bar[1..S-1]``; the endpoints stay pinned at ``1 - eps0`` and
-``epsS``.  The solver is sequential least-squares programming over box
-bounds, with the monotonicity inequalities active in ``constrained`` mode
-and dropped in ``free`` mode (they are passive at the optimum for
-well-behaved targets, which ``free`` mode lets one verify).
+The schedule is optimized in log-SNR form, ``logit(alpha_bar)`` (Kingma et
+al., "Variational Diffusion Models"), with the endpoints pinned at
+``1 - eps0`` and ``epsS``.  In ``constrained`` mode the variables are
+``theta`` in R^S: the log-SNR gaps between consecutive levels are
+``span * softmax(theta)``, so the schedule is monotone by
+construction and no constraint is needed.  In ``free`` mode the variables
+are the interior log-SNR levels themselves, box-bounded by the endpoints'
+and free to cross (monotonicity is passive at the optimum for well-behaved
+targets, which ``free`` mode lets one verify).  Both run L-BFGS-B on the
+loss divided by its value at the start, so the stopping rule does not depend
+on the loss's scale.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,13 +35,14 @@ __all__ = [
     "OptimizeConfig",
     "OptimizeReport",
     "optimize_schedule",
-    "isotonic_project",
     "single_eigenvalue_problem",
 ]
 
-# Minimum interior spacing restored after projection when the projection
-# produced exact ties; keeps the per-step coefficients well-conditioned.
-MIN_SPACING = 1e-10
+# L-BFGS-B's projected-gradient stop, on the loss scaled to 1 at the start.
+GTOL = 1e-8
+# Floor on a starting log-SNR gap, relative to the endpoints' log-SNR span:
+# tied (or crossed) starting levels still give a finite softmax weight.
+MIN_START_GAP = 1e-12
 
 
 @dataclass
@@ -46,7 +51,8 @@ class OptimizeConfig:
 
     ``init`` selects the starting schedule: "linear", "cosine",
     "random" (uniform values sorted decreasing, seeded by ``init_seed``) or
-    "warm" (resampled from ``init_schedule``).
+    "warm" (resampled from ``init_schedule``).  ``ftol`` is L-BFGS-B's
+    relative-reduction stop on the loss divided by its starting value.
     """
 
     loss: LossKind = LossKind.WASSERSTEIN2
@@ -59,13 +65,11 @@ class OptimizeConfig:
     init_seed: int = 0
     init_schedule: Schedule | None = None
     max_iter: int = 2000
-    ftol: float = 1e-6
+    ftol: float = 1e-9
     single_eigenvalue_index: int | None = None
 
     def __post_init__(self):
         self.loss = LossKind(self.loss)
-        if self.steps < 2:
-            raise ValueError(f"steps must be >= 2, got {self.steps}")
         for name in ("ftol", "eps0", "epsS"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0.0):
@@ -74,6 +78,10 @@ class OptimizeConfig:
             raise ValueError(
                 f"eps0 + epsS must be < 1, got eps0={self.eps0}, epsS={self.epsS}"
             )
+        for name, least in (("steps", 2), ("init_seed", 0), ("max_iter", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if self.process not in ("ddim", "ddpm"):
             raise ValueError(f"process must be 'ddim' or 'ddpm', got {self.process!r}")
         if self.mode not in ("constrained", "free"):
@@ -86,9 +94,11 @@ class OptimizeConfig:
 
 @dataclass
 class OptimizeReport:
-    """Run summary.  ``loss_trace`` holds the incumbent (best objective seen
-    so far) per iteration, so it is nonincreasing by construction even though
-    the solver's merit-function line search may overshoot the raw objective."""
+    """Run summary.  ``loss_trace`` holds the loss at the start and after
+    each iteration; L-BFGS-B is a descent method, so it is nonincreasing.
+    ``min_log_snr_gap`` is the smallest ``logit(ab[s]) - logit(ab[s+1])`` of
+    the result: how close the schedule came to a tie (negative if a free-mode
+    schedule is not monotone)."""
 
     final_loss: float
     iterations: int
@@ -96,22 +106,13 @@ class OptimizeReport:
     gradient_evals: int
     loss_trace: np.ndarray
     converged: bool
+    status_message: str
+    min_log_snr_gap: float
     wall_time_seconds: float
 
 
-def isotonic_project(values: np.ndarray, lower: float, upper: float) -> np.ndarray:
-    """Nearest (least-squares) nonincreasing vector within [lower, upper].
-
-    Pool-adjacent-violators (scipy's ``isotonic_regression``), then
-    clipping; for the monotone cone intersected with a box the clipped
-    unbounded solution is the exact projection.
-    """
-    from scipy.optimize import isotonic_regression  # deferred: keeps CLI start-up light
-
-    if not lower < upper:
-        raise ValueError(f"require lower < upper, got {lower}, {upper}")
-    v = np.asarray(values, dtype=float)
-    return np.clip(isotonic_regression(v, increasing=False).x, lower, upper)
+def _logit(p):
+    return np.log(p) - np.log1p(-p)
 
 
 def single_eigenvalue_problem(model: SpectralModel, index: int) -> SpectralModel:
@@ -145,27 +146,13 @@ def _initial_schedule(config: OptimizeConfig) -> np.ndarray:
     return ab
 
 
-def _enforce_spacing(ab: np.ndarray) -> np.ndarray:
-    """Break exact ties left by projection with MIN_SPACING-sized gaps."""
-    if np.all(np.diff(ab) < 0.0):
-        return ab
-    out = ab.copy()
-    for s in range(len(out) - 2, 0, -1):
-        out[s] = max(out[s], out[s + 1] + MIN_SPACING)
-    for s in range(1, len(out) - 1):
-        out[s] = min(out[s], out[s - 1] - MIN_SPACING)
-    out[1:-1] = np.clip(out[1:-1], out[-1], out[0])
-    return out
-
-
 def optimize_schedule(
     model: SpectralModel, config: OptimizeConfig
 ) -> tuple[Schedule, OptimizeReport]:
     """Minimize the chosen distance over the interior retention levels.
 
-    Returns the optimized schedule (projected back onto the monotone cone in
-    constrained mode) and a run report.  Runs are deterministic: the same
-    model and config give bit-identical results.
+    Returns the optimized schedule and a run report.  Runs are
+    deterministic: the same model and config give bit-identical results.
     """
     from scipy.optimize import minimize  # deferred: costs most of the CLI start-up
 
@@ -175,77 +162,74 @@ def optimize_schedule(
         raise ValueError("degenerate model: all eigenvalues and means are zero")
 
     S, eps0, epsS = config.steps, config.eps0, config.epsS
-    head = np.array([1.0 - eps0])
-    tail = np.array([epsS])
-    lower = np.full(S - 1, epsS)
-    upper = np.full(S - 1, 1.0 - eps0)
-
-    def objective(interior: np.ndarray) -> float:
-        full = np.concatenate([head, interior, tail])
-        return loss_from_alpha_bar(model, full, config.loss, config.process)
-
-    def gradient(interior: np.ndarray) -> np.ndarray:
-        full = np.concatenate([head, interior, tail])
-        return loss_gradient_from_alpha_bar(model, full, config.loss, config.process)
-
+    head, tail = 1.0 - eps0, epsS
+    top, bottom = _logit(head), _logit(tail)
+    span = top - bottom
     # warm starts may come from schedules with wider endpoints; keep the
-    # starting interior inside the box
-    x0 = np.clip(_initial_schedule(config)[1:-1], lower, upper)
-    f0 = objective(x0)
-    if not np.isfinite(f0):
-        raise ValueError(f"objective is not finite at the initial schedule ({f0})")
+    # starting interior inside the endpoints
+    start_levels = _logit(np.clip(_initial_schedule(config), tail, head))
+
+    if config.mode == "constrained":
+        gaps = np.maximum(-np.diff(start_levels), MIN_START_GAP * span)
+        x0 = np.log(gaps / gaps.sum())
+        bounds = None
+
+        def parameterise(theta):
+            w = np.exp(theta - theta.max())
+            w /= w.sum()
+
+            def pullback(g_levels):
+                # levels[s] = top - span * (w[0] + ... + w[s]): a suffix sum,
+                # then the softmax Jacobian diag(w) - w w^T
+                g_w = np.append(-span * np.cumsum(g_levels[::-1])[::-1], 0.0)
+                return w * (g_w - w @ g_w)
+
+            return top - span * np.cumsum(w[:-1]), pullback
+
+    else:
+        x0 = start_levels[1:-1]
+        bounds = [(bottom, top)] * (S - 1)
+
+        def parameterise(levels):
+            return levels, lambda g_levels: g_levels
+
+    def schedule_of(x):
+        levels, pullback = parameterise(x)
+        # clipping only absorbs rounding at the endpoints
+        interior = np.clip(1.0 / (1.0 + np.exp(-levels)), tail, head)
+        return np.concatenate([[head], interior, [tail]]), pullback
+
+    f0 = loss_from_alpha_bar(model, schedule_of(x0)[0], config.loss, config.process)
+    if not (np.isfinite(f0) and f0 > 0.0):
+        raise ValueError(f"objective is not finite and positive at the initial schedule ({f0})")
+
+    def objective(x):
+        # scaled to 1 at the start, so ftol and GTOL are relative
+        full, pullback = schedule_of(x)
+        f = loss_from_alpha_bar(model, full, config.loss, config.process)
+        g_ab = loss_gradient_from_alpha_bar(model, full, config.loss, config.process)
+        interior = full[1:-1]
+        return f / f0, pullback(g_ab * interior * (1.0 - interior)) / f0
 
     trace = [f0]
 
     def callback(intermediate_result) -> None:
-        trace.append(min(trace[-1], intermediate_result.fun))
-
-    constraints = []
-    if config.mode == "constrained":
-
-        def monotone_slack(interior: np.ndarray) -> np.ndarray:
-            full = np.concatenate([head, interior, tail])
-            return full[:-1] - full[1:]
-
-        # the slack is linear in the interior: a constant bidiagonal Jacobian
-        slack_jac = np.eye(S, S - 1, k=-1) - np.eye(S, S - 1)
-        constraints = [{"type": "ineq", "fun": monotone_slack, "jac": lambda _: slack_jac}]
+        trace.append(f0 * intermediate_result.fun)
 
     start = time.perf_counter()
-    with warnings.catch_warnings():
-        # The solver's line search probes slightly past the box; scipy
-        # clips and warns, and the objective tolerates clipped points.
-        warnings.filterwarnings(
-            "ignore", message="Values in x were outside bounds", category=RuntimeWarning
-        )
-        result = minimize(
-            objective,
-            x0,
-            method="SLSQP",
-            jac=gradient,
-            bounds=list(zip(lower, upper)),
-            constraints=constraints,
-            callback=callback,
-            options={"maxiter": config.max_iter, "ftol": config.ftol},
-        )
+    result = minimize(
+        objective,
+        x0,
+        method="L-BFGS-B",
+        jac=True,
+        bounds=bounds,
+        callback=callback,
+        options={"maxiter": config.max_iter, "ftol": config.ftol, "gtol": GTOL},
+    )
     wall = time.perf_counter() - start
-    converged = bool(result.status == 0)
 
-    x_final = np.clip(result.x, lower, upper)
-    full = np.concatenate([head, x_final, tail])
-    if config.mode == "constrained":
-        projected = isotonic_project(full, epsS, 1.0 - eps0)
-        projected[0] = 1.0 - eps0
-        projected[-1] = epsS
-        full = _enforce_spacing(projected)
-
+    full = schedule_of(result.x)[0]
     final_loss = loss_from_alpha_bar(model, full, config.loss, config.process)
-    if final_loss > f0 + config.ftol:
-        # The solver never beat the starting point; keep the start.
-        full = np.concatenate([head, x0, tail])
-        final_loss = f0
-        converged = False
-
     schedule = Schedule(
         kind="spectral-optimized", steps=S, alpha_bar=full, eps0=eps0, epsS=epsS
     )
@@ -257,7 +241,9 @@ def optimize_schedule(
         objective_evals=1 + int(result.nfev),
         gradient_evals=int(result.njev),
         loss_trace=np.asarray(trace),
-        converged=converged,
+        converged=bool(result.status == 0),
+        status_message=str(result.message),
+        min_log_snr_gap=float(np.min(-np.diff(_logit(full)))),
         wall_time_seconds=wall,
     )
     return schedule, report

@@ -88,6 +88,8 @@ def test_optimize_writes_schedule_and_report(tmp_path, model_file):
     report = json.loads((tmp_path / "opt.json.report.json").read_text())
     assert report["converged"] is True
     assert report["final_loss"] >= 0
+    assert report["status_message"].startswith("CONVERGENCE")
+    assert report["min_log_snr_gap"] > 0
 
 
 def test_optimize_report_counts_objective_and_gradient_evals(tmp_path, model_file):
@@ -114,6 +116,24 @@ def test_optimize_bad_endpoints_exit_2(tmp_path, capsys, model_file):
     assert not out.exists()
     message = json.loads(capsys.readouterr().err)["error"]["message"]
     assert message.startswith("eps0 + epsS must be < 1")
+
+
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        (["--init", "random", "--seed", "-1"], "init_seed"),
+        (["--init", "random:-3"], "init_seed"),
+        (["--init", "random:x"], "--init"),
+        (["--max-iter", "0"], "max_iter"),
+    ],
+)
+def test_optimize_bad_seed_or_iteration_limit_exits_2(tmp_path, capsys, model_file, flags, field):
+    out = tmp_path / "x.json"
+    rc = run(["optimize", "--model", model_file, "--steps", "8", "--out", out, *flags])
+    assert rc == 2
+    assert not out.exists()
+    message = json.loads(capsys.readouterr().err)["error"]["message"]
+    assert field in message
 
 
 def test_optimize_warm_start(tmp_path, model_file):
