@@ -142,6 +142,11 @@ def cmd_optimize(args):
                 init_seed = int(token)
             except ValueError:
                 raise ValueError(f"--init random:SEED takes an integer seed, got {token!r}") from None
+            if args.seed is not None and args.seed != init_seed:
+                raise ValueError(
+                    f"--init {args.init} and --seed {args.seed} name different seeds; give one"
+                )
+            args.seed = init_seed  # the manifest records the seed the run used
         elif args.seed is not None:
             init_seed = args.seed
         init = "random"

@@ -30,6 +30,11 @@ __all__ = [
 ]
 
 
+def _check_silence_threshold(value: float) -> None:
+    if not (np.isfinite(value) and value >= 0):
+        raise ValueError(f"silence_threshold must be finite and >= 0, got {value!r}")
+
+
 @dataclass
 class EstimationConfig:
     """Sliding-window estimation settings.
@@ -52,8 +57,7 @@ class EstimationConfig:
             self.stride = self.window
         if self.stride < 1:
             raise ValueError(f"stride must be >= 1, got {self.stride}")
-        if self.silence_threshold < 0:
-            raise ValueError("silence_threshold must be >= 0")
+        _check_silence_threshold(self.silence_threshold)
         if self.structure not in ("circulant", "symmetric"):
             raise ValueError(f"structure must be 'circulant' or 'symmetric', got {self.structure!r}")
 
@@ -113,6 +117,7 @@ def circulant_matrix(first_row: np.ndarray) -> np.ndarray:
 
 def covariance_from_windows(windows: np.ndarray, silence_threshold: float) -> CovarianceEstimate:
     """Moments over window rows, dropping rows quieter than the threshold."""
+    _check_silence_threshold(silence_threshold)
     windows = np.asarray(windows, dtype=float)
     if windows.ndim != 2:
         raise ValueError(f"windows must be 2-D, got shape {windows.shape}")

@@ -12,14 +12,22 @@ re-implementation can match distributionally.
 
 Samples are drawn in chunks of a fixed number of rows.  Each chunk builds one
 Philox at its first sample's counter and moves it to the next sample's
-counter with ``advance``; Box-Muller then runs over the whole chunk.  The last
-chunk is padded with zero rows, so every sample passes through the same
-matrix-product shapes at the same row position and its bytes depend only on
-``(seed, i)``, not on the sample count.
+counter with ``advance``; Box-Muller then runs over the whole chunk, in place
+in the chunk's draw buffer.  The last chunk is padded with zero rows, so every
+sample passes through the same matrix-product shapes at the same row position
+and its bytes depend only on ``(seed, i)``, not on the sample count.
+
+Chunks are therefore independent, and a run of several chunks splits them
+statically over up to one thread per usable CPU: worker ``w`` takes every
+``workers``-th chunk from chunk ``w``, in buffers the calling thread
+allocates.  The Philox fills, Box-Muller and the matrix products run in numpy
+with the interpreter lock released; the per-row Python loop of the Philox
+moves does not.  The bytes do not depend on the thread count.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,14 +107,26 @@ class SimConfig:
             raise ValueError(f"seed must be an integer in [0, 2**128), got {self.seed!r}")
 
 
-def _box_muller(u1: np.ndarray, u2: np.ndarray, count: int) -> np.ndarray:
-    """Interleaved Box-Muller normals from uniform pairs along the last axis."""
-    radius = np.sqrt(-2.0 * np.log(1.0 - u1))
-    angle = 2.0 * np.pi * u2
-    z = np.empty(u1.shape[:-1] + (2 * u1.shape[-1],))
-    z[..., 0::2] = radius * np.cos(angle)
-    z[..., 1::2] = radius * np.sin(angle)
-    return z[..., :count]
+def _box_muller(u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Interleaved Box-Muller normals written into ``out``.
+
+    ``u`` holds the ``u1`` half then the ``u2`` half of the uniform pairs
+    along its last axis and is overwritten: ``u1`` becomes the radius and
+    ``u2`` the angle.  An odd ``out`` width drops the last sine.
+    """
+    pairs = u.shape[-1] // 2
+    radius, angle = u[..., :pairs], u[..., pairs:]
+    np.subtract(1.0, radius, out=radius)
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle *= 2.0 * np.pi
+    sines = out.shape[-1] - pairs
+    np.cos(angle, out=out[..., 0::2])
+    np.sin(angle[..., :sines], out=out[..., 1::2])
+    out[..., 0::2] *= radius
+    out[..., 1::2] *= radius[..., :sines]
+    return out
 
 
 def _sample_stream_normals(seed: int, index: int, count: int) -> np.ndarray:
@@ -116,29 +136,48 @@ def _sample_stream_normals(seed: int, index: int, count: int) -> np.ndarray:
     through ``_chunk_stream_normals``.
     """
     gen = Generator(Philox(key=seed, counter=index << 128))
-    pairs = (count + 1) // 2
-    u = gen.random(2 * pairs)
-    return _box_muller(u[:pairs], u[pairs:], count)
+    u = gen.random(2 * ((count + 1) // 2))
+    return _box_muller(u, np.empty(count))
 
 
-def _chunk_stream_normals(seed: int, start: int, rows: int, count: int) -> np.ndarray:
+def _chunk_stream_normals(
+    seed: int,
+    start: int,
+    rows: int,
+    count: int,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
     """``_sample_stream_normals(seed, i, count)`` for ``i`` in ``start..start+rows-1``.
 
     One Philox serves the whole chunk.  A sample reads ``2 * pairs`` words,
     i.e. ``blocks`` 4-word counter blocks; advancing by ``2**128 - blocks``
     puts the counter on the next sample's ``i << 128`` and drops the rest of
-    the current block.
+    the current block.  The normals go into ``out`` (shape ``(rows, count)``)
+    and the uniforms into ``scratch`` (shape ``(rows, 2 * pairs)``); either
+    is allocated when not given.  Returns ``out``.
     """
     pairs = (count + 1) // 2
     blocks = -(-2 * pairs // 4)
     jump = (1 << 128) - blocks
+    if out is None:
+        out = np.empty((rows, count))
+    if scratch is None:
+        scratch = np.empty((rows, 2 * pairs))
     bits = Philox(key=seed, counter=start << 128)
     gen = Generator(bits)
-    u = np.empty((rows, 2 * pairs))
     for r in range(rows):
-        gen.random(out=u[r])
+        gen.random(out=scratch[r])
         bits.advance(jump)
-    return _box_muller(u[:, :pairs], u[:, pairs:], count)
+    return _box_muller(scratch, out)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _check_psd(covariance: np.ndarray) -> None:
@@ -205,17 +244,42 @@ def simulate_reverse(target: DenseGaussian, cfg: SimConfig) -> np.ndarray:
         maps, noise = list(zip(gains, offsets))[::-1], c[::-1]
     per_sample = d * (1 + len(noise))  # initial state, then one z per noisy step
     rows = max(1, _CHUNK_NORMALS // per_sample)
+    starts = range(0, n, rows)
+    workers = min(len(starts), _usable_cpus())
     out = np.empty((n, d))
-    for start in range(0, n, rows):
-        m = min(rows, n - start)
-        draws = np.zeros((rows, per_sample))
-        draws[:m] = _chunk_stream_normals(cfg.seed, start, m, per_sample)
-        x = draws[:, :d]
-        for k, (gain, off) in enumerate(maps):
-            x = x @ gain.T + off
-            if k < len(noise):
-                x += noise[k] * draws[:, d * (k + 1) : d * (k + 2)]
-        out[start : start + m] = x[:m]
+    # Each worker's buffers come from the calling thread, so worker threads
+    # allocate nothing large (freed memory would stay in per-thread arenas).
+    buffers = [
+        (
+            np.empty((rows, per_sample)),
+            np.empty((rows, 2 * ((per_sample + 1) // 2))),
+            np.empty((rows, d)),
+        )
+        for _ in range(workers)
+    ]
+
+    def run(w: int) -> None:
+        draws, scratch, tmp = buffers[w]
+        for start in starts[w::workers]:
+            m = min(rows, n - start)
+            _chunk_stream_normals(cfg.seed, start, m, per_sample, draws[:m], scratch[:m])
+            draws[m:] = 0.0
+            x = draws[:, :d]
+            for k, (gain, off) in enumerate(maps):
+                np.matmul(x, gain.T, out=tmp)
+                np.add(tmp, off, out=x)
+                if k < len(noise):
+                    np.multiply(noise[k], draws[:, d * (k + 1) : d * (k + 2)], out=tmp)
+                    x += tmp
+            out[start : start + m] = x[:m]
+
+    if workers == 1:
+        run(0)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(run, range(workers)))
     return out
 
 

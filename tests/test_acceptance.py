@@ -36,7 +36,7 @@ from diffsched import (
 )
 from diffsched.losses import loss_from_alpha_bar
 
-from conftest import random_monotone_alpha_bar
+from conftest import dense_ddpm_moments, random_monotone_alpha_bar
 
 STEP_COUNTS = (10, 28, 60, 112)
 
@@ -115,8 +115,20 @@ def test_criterion_02_dense_time_equivalence():
             worst,
             float(np.max(np.abs(eigvecs.T @ offset - transfer.mean_gain * model.mean_spectral))),
         )
+
+        # ddpm: exact dense moments against the stochastic transfer
+        target = DenseGaussian(mean=mean, covariance=covariance)
+        ddpm = ddpm_transfer(model, schedule)
+        out_mean, out_cov = dense_ddpm_moments(target, ab)
+        conjugated = eigvecs.T @ out_cov @ eigvecs
+        worst = max(worst, float(np.max(np.abs(np.diag(conjugated) - ddpm.output_variance))))
+        worst = max(worst, float(np.max(np.abs(conjugated - np.diag(np.diag(conjugated))))))
+        worst = max(
+            worst,
+            float(np.max(np.abs(eigvecs.T @ out_mean - ddpm.mean_gain * model.mean_spectral))),
+        )
     ok = worst <= 1e-10
-    report(2, "dense time-domain composition equals spectral transfer", ok,
+    report(2, "dense time-domain ddim map and ddpm moments equal spectral transfer", ok,
            f"max deviation {worst:.2e} <= 1e-10")
     assert ok
 

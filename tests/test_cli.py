@@ -136,6 +136,32 @@ def test_optimize_bad_seed_or_iteration_limit_exits_2(tmp_path, capsys, model_fi
     assert field in message
 
 
+def test_optimize_conflicting_init_and_global_seed_exits_2(tmp_path, capsys, model_file):
+    out = tmp_path / "x.json"
+    flags = ["--init", "random:5", "--seed", "7"]
+    rc = run(["optimize", "--model", model_file, "--steps", "8", "--out", out, *flags])
+    assert rc == 2
+    assert not out.exists()
+    message = json.loads(capsys.readouterr().err)["error"]["message"]
+    assert "--init" in message and "--seed" in message
+
+
+def test_optimize_random_init_seed_has_one_source(tmp_path, model_file):
+    base = ["optimize", "--model", model_file, "--steps", "8"]
+    runs = {
+        "both": ["--init", "random:5", "--seed", "5"],
+        "init": ["--init", "random:5"],
+        "flag": ["--init", "random", "--seed", "5"],
+    }
+    for name, flags in runs.items():
+        assert run([*base, *flags, "--out", tmp_path / f"{name}.json"]) == 0
+        manifest = json.loads((tmp_path / f"{name}.json.manifest.json").read_text())
+        assert manifest["seed"] == 5, name
+    flag = (tmp_path / "flag.json").read_bytes()
+    assert (tmp_path / "both.json").read_bytes() == flag
+    assert (tmp_path / "init.json").read_bytes() == flag
+
+
 def test_optimize_warm_start(tmp_path, model_file):
     coarse = tmp_path / "coarse.json"
     assert run(["optimize", "--model", model_file, "--steps", "8", "--out", coarse]) == 0
@@ -339,6 +365,33 @@ def test_estimate_from_wav(tmp_path):
     assert load_model(model_out).dim == 50
 
 
+@pytest.mark.parametrize("th", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("matrix", [False, True], ids=["wav", "csv"])
+def test_estimate_non_finite_threshold_exits_2(tmp_path, capsys, th, matrix):
+    # A 2-D input goes straight to covariance_from_windows, a stream through
+    # EstimationConfig.
+    rng = np.random.default_rng(0)
+    if matrix:
+        source = tmp_path / "windows.csv"
+        np.savetxt(source, rng.normal(size=(20, 8)), delimiter=",")
+    else:
+        source = tmp_path / "noise.wav"
+        with wave.open(str(source), "wb") as wav:
+            wav.setnchannels(1)
+            wav.setsampwidth(2)
+            wav.setframerate(16000)
+            wav.writeframes((rng.normal(size=800) * 8000).astype("<i2").tobytes())
+    cov = tmp_path / "cov.csv"
+    rc = run([
+        "estimate", "--input", source, "--window", "8", f"--th={th}",
+        "--out-cov", cov, "--out-model", tmp_path / "model.json",
+    ])
+    assert rc == 2
+    assert not cov.exists()
+    message = json.loads(capsys.readouterr().err)["error"]["message"]
+    assert message.startswith("silence_threshold must be finite")
+
+
 # ---------------------------------------------------------------- convert
 
 
@@ -416,3 +469,26 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_one_chunk_simulate_leaves_concurrent_futures_unloaded(tmp_path):
+    # Only a multi-chunk simulation imports the thread pool.
+    sched = tmp_path / "s.json"
+    save_schedule(cosine_schedule(10), sched)
+    src = str(Path(diffsched.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = [
+        "simulate", "--synthetic", "8,0.1,0.05", "--schedule", str(sched),
+        "--process", "ddpm", "--samples", "100", "--out", str(tmp_path / "x.f64"),
+    ]
+    code = (
+        "import sys, diffsched.cli\n"
+        "loaded = 'concurrent.futures' in sys.modules\n"
+        f"rc = diffsched.cli.main({argv!r})\n"
+        "print(loaded, rc, 'concurrent.futures' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.splitlines()[-1] == "False 0 False"
+    assert (tmp_path / "x.f64").exists()

@@ -50,6 +50,14 @@ def test_silent_signal_rejected():
         sliding_window_covariance(np.zeros(64), cfg)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -0.1])
+def test_bad_silence_threshold_rejected(value):
+    with pytest.raises(ValueError, match="^silence_threshold must be finite and >= 0"):
+        EstimationConfig(window=4, silence_threshold=value)
+    with pytest.raises(ValueError, match="^silence_threshold must be finite and >= 0"):
+        covariance_from_windows(np.ones((3, 4)), silence_threshold=value)
+
+
 def test_alternating_signal_all_windows_accepted():
     signal = np.tile([1.0, -1.0], 32)
     cfg = EstimationConfig(window=4, silence_threshold=0.05)

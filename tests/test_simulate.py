@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,7 @@ from diffsched import (
     SpectralModel,
     cosine_schedule,
     ddim_transfer,
+    ddpm_transfer,
     empirical_moments,
     linear_schedule,
     optimize_schedule,
@@ -24,6 +28,8 @@ from diffsched import (
 )
 from diffsched import simulate
 from diffsched.simulate import _chunk_stream_normals, _sample_stream_normals, compose_affine
+
+from conftest import dense_ddpm_moments, random_monotone_alpha_bar
 
 
 def scalar_target(lam=1.5, mu=0.4):
@@ -126,10 +132,140 @@ def test_dense_sample_depends_only_on_index(benchmark_model, process):
         assert a.tobytes() == b[:few].tobytes(), (few, many)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    start=st.integers(0, 2**40),
+    rows=st.integers(1, 6),
+    count=st.integers(1, 120),
+)
+def test_chunk_stream_into_buffers_matches_returning_form(seed, start, rows, count):
+    # Odd and even counts: an odd count drops the last sine of each row.
+    pairs = (count + 1) // 2
+    out = np.full((rows, count), np.nan)
+    scratch = np.full((rows, 2 * pairs), np.nan)
+    written = _chunk_stream_normals(seed, start, rows, count, out=out, scratch=scratch)
+    assert written is out
+    assert out.tobytes() == _chunk_stream_normals(seed, start, rows, count).tobytes()
+
+
+def _reference_simulate(target, cfg):
+    # The sampler as one serial loop that allocates as it goes and draws each
+    # sample from its own stream: the reference for the threaded, in-place one.
+    d, n = target.dim, cfg.samples
+    if cfg.process == "ddim":
+        maps, noise = [compose_affine(target, cfg.schedule)], []
+    else:
+        gains, offsets, c = simulate._step_maps(target, cfg.schedule.alpha_bar, "ddpm")
+        maps, noise = list(zip(gains, offsets))[::-1], c[::-1]
+    per_sample = d * (1 + len(noise))
+    rows = simulate._CHUNK_NORMALS // per_sample
+    out = np.empty((n, d))
+    for start in range(0, n, rows):
+        m = min(rows, n - start)
+        draws = np.zeros((rows, per_sample))
+        for r in range(m):
+            draws[r] = _box_muller_loop(cfg.seed, start + r, per_sample)
+        x = draws[:, :d]
+        for k, (gain, off) in enumerate(maps):
+            x = x @ gain.T + off
+            if k < len(noise):
+                x += noise[k] * draws[:, d * (k + 1) : d * (k + 2)]
+        out[start : start + m] = x[:m]
+    return out
+
+
+def odd_dense_target(d=7):
+    rng = np.random.default_rng(4)
+    raw = rng.normal(size=(d, d))
+    return DenseGaussian(mean=rng.normal(size=d), covariance=raw @ raw.T / d)
+
+
+@pytest.mark.parametrize("process", ["ddim", "ddpm"])
+@pytest.mark.parametrize("even", [True, False], ids=["d50", "d7"])
+def test_worker_count_does_not_change_bytes(benchmark_model, monkeypatch, process, even):
+    # d=50 runs at the real chunk size; d=7 at a small one, so that it also
+    # spans several chunks quickly.
+    target = benchmark_model[0] if even else odd_dense_target()
+    if not even:
+        monkeypatch.setattr(simulate, "_CHUNK_NORMALS", 2**10)
+    schedule = cosine_schedule(12)
+    per_sample = target.dim * (1 if process == "ddim" else schedule.steps + 1)
+    rows = simulate._CHUNK_NORMALS // per_sample
+    cfg = SimConfig(process, 3 * rows + rows // 3 + 1, 29, schedule)  # 4 chunks, last partial
+    expected = _reference_simulate(target, cfg).tobytes()
+
+    chunk_stream = simulate._chunk_stream_normals
+    for workers in (1, 2, 3):
+        threads, starts = set(), []
+
+        def traced(seed, start, *args, **kwargs):
+            threads.add(threading.get_ident())
+            starts.append(start)
+            return chunk_stream(seed, start, *args, **kwargs)
+
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(simulate, "_chunk_stream_normals", traced)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, to expose shared state
+        try:
+            got = simulate_reverse(target, cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got.tobytes() == expected, workers
+        assert sorted(starts) == [0, rows, 2 * rows, 3 * rows], workers  # each chunk once
+        # Several workers run every chunk on pool threads; the pool may hand
+        # two workers' tasks to one thread if the first finishes early.
+        on_caller = threading.get_ident() in threads
+        assert on_caller == (workers == 1) and threads, workers
+
+
+def test_worker_error_reaches_the_caller(benchmark_model, monkeypatch):
+    dense, _ = benchmark_model
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("chunk failed")
+
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(simulate, "_chunk_stream_normals", broken)
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        simulate_reverse(dense, SimConfig("ddpm", 2000, 3, cosine_schedule(12)))
+
+
 def test_box_muller_stream_moments():
     z = np.concatenate([_sample_stream_normals(0, i, 100) for i in range(200)])
     assert abs(z.mean()) < 0.02
     assert abs(z.std() - 1.0) < 0.02
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 8),
+    rank=st.integers(1, 8),
+    S=st.integers(2, 29),
+)
+def test_dense_ddpm_moments_match_closed_form(seed, d, rank, S):
+    # Random non-circulant PSD targets, rank-deficient ones included.
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=(d, min(rank, d)))
+    target = DenseGaussian(mean=rng.normal(size=d), covariance=raw @ raw.T / d)
+    ab = random_monotone_alpha_bar(rng, S)
+    mean, cov = dense_ddpm_moments(target, ab)
+
+    eigvals, eigvecs = np.linalg.eigh(target.covariance)
+    model = SpectralModel(
+        dim=d, eigenvalues=np.clip(eigvals, 0, None), mean_spectral=eigvecs.T @ target.mean
+    )
+    transfer = ddpm_transfer(model, make_schedule(ab))
+    conjugated = eigvecs.T @ cov @ eigvecs
+    np.testing.assert_allclose(np.diag(conjugated), transfer.output_variance, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(
+        conjugated - np.diag(np.diag(conjugated)), 0.0, rtol=0, atol=1e-10
+    )
+    np.testing.assert_allclose(
+        eigvecs.T @ mean, transfer.mean_gain * model.mean_spectral, rtol=0, atol=1e-10
+    )
 
 
 # ------------------------------------------------------------- sampling

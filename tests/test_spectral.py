@@ -231,6 +231,35 @@ def test_ddpm_two_step_scalar_oracle():
     assert dist.variance[0] == pytest.approx((G1 * G2) ** 2 + c21 + G1**2 * c22, rel=1e-14)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    eigenvalues=st.lists(
+        st.one_of(st.just(0.0), st.floats(0.0, 1e4, allow_nan=False)), min_size=1, max_size=8
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    S=st.integers(1, 40),
+    tie=st.booleans(),
+)
+def test_transfers_finite_and_ddpm_extra_variance_nonnegative(eigenvalues, seed, S, tie):
+    rng = np.random.default_rng(seed)
+    ab = random_monotone_alpha_bar(rng, S)
+    if tie and S > 2:
+        ab[2] = ab[1]  # a tied interior step
+    d = len(eigenvalues)
+    model = SpectralModel(dim=d, eigenvalues=eigenvalues, mean_spectral=rng.normal(size=d))
+    schedule = make_schedule(ab)
+    transfers = [
+        ddim_transfer(model, schedule),
+        ddpm_transfer(model, schedule),
+        ve_ddim_transfer(model, vp_to_ve(schedule)),
+    ]
+    for t in transfers:
+        for field in (t.noise_gain, t.mean_gain, t.var_extra):
+            assert np.all(np.isfinite(field))
+    assert np.all(transfers[1].var_extra >= 0.0)
+    assert np.all(transfers[0].var_extra == 0.0)
+
+
 # ------------------------------------------------- intermediate / output
 
 
