@@ -3,15 +3,20 @@
 Subcommands: gen, optimize, eval, compare, simulate, dynamics, bias,
 estimate, convert.  Every run writes a manifest JSON next to its primary
 output (or to --manifest-out) holding the resolved configuration, so
-deterministic commands can be reproduced bit-exactly from it.
+deterministic commands can be reproduced bit-exactly from it.  The global
+--seed (default 0) is the one seed of a run: simulate's stream key and
+optimize's random init; the manifest records it.  optimize writes its run
+report, every field of ``OptimizeReport``, to <out>.report.json.
 
 Exit codes: 0 success, 2 usage or validation error, 3 runtime or numerical
-error.  Errors are also emitted as one JSON object on stderr.
+error.  Every error, argument-parsing ones included, is emitted as one JSON
+object ``{"error": {"type", "message"}}`` on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -41,7 +46,7 @@ from .io import (
     save_ve_schedule,
 )
 from .losses import LossKind, kl_loss, w2_loss, weighted_l1_loss
-from .optimize import OptimizeConfig, optimize_schedule
+from .optimize import OptimizeConfig, optimize_schedule, single_eigenvalue_problem
 from .schedules import cosine_schedule, edm_schedule, linear_schedule, sigmoid_schedule
 from .simulate import (
     DenseGaussian,
@@ -134,25 +139,11 @@ def cmd_gen(args):
 
 def cmd_optimize(args):
     model = load_model(args.model)
-    init, init_seed, init_schedule = args.init, 0, None
-    if init.startswith("random"):
-        if ":" in init:
-            token = init.split(":", 1)[1]
-            try:
-                init_seed = int(token)
-            except ValueError:
-                raise ValueError(f"--init random:SEED takes an integer seed, got {token!r}") from None
-            if args.seed is not None and args.seed != init_seed:
-                raise ValueError(
-                    f"--init {args.init} and --seed {args.seed} name different seeds; give one"
-                )
-            args.seed = init_seed  # the manifest records the seed the run used
-        elif args.seed is not None:
-            init_seed = args.seed
-        init = "random"
-    elif init.startswith("warm:"):
-        init_schedule = load_schedule(init.split(":", 1)[1])
-        init = "warm"
+    inputs, init, init_schedule = [args.model], args.init, None
+    if init.startswith("warm:"):
+        init, path = init.split(":", 1)
+        init_schedule = load_schedule(path)
+        inputs.append(path)
     config = OptimizeConfig(
         loss=LossKind.from_cli_name(args.loss),
         process=args.process,
@@ -161,34 +152,19 @@ def cmd_optimize(args):
         epsS=args.epsS,
         mode=args.mode,
         init=init,
-        init_seed=init_seed,
+        init_seed=args.seed,
         init_schedule=init_schedule,
         max_iter=args.max_iter,
         ftol=args.ftol,
-        single_eigenvalue_index=args.eigenvalue_index,
     )
+    if args.eigenvalue_index is not None:
+        model = single_eigenvalue_problem(model, args.eigenvalue_index)
     schedule, report = optimize_schedule(model, config)
     save_schedule(schedule, args.out)
-    report_path = args.report or str(args.out) + ".report.json"
-    atomic_write_text(
-        report_path,
-        json.dumps(
-            {
-                "final_loss": report.final_loss,
-                "iterations": report.iterations,
-                "objective_evals": report.objective_evals,
-                "gradient_evals": report.gradient_evals,
-                "converged": report.converged,
-                "status_message": report.status_message,
-                "min_log_snr_gap": report.min_log_snr_gap,
-                "wall_time_seconds": report.wall_time_seconds,
-                "loss_trace": [float(x) for x in report.loss_trace],
-            },
-            indent=2,
-        )
-        + "\n",
-    )
-    inputs = [args.model] + ([args.init.split(":", 1)[1]] if args.init.startswith("warm:") else [])
+    report_path = str(args.out) + ".report.json"
+    payload = dataclasses.asdict(report)
+    payload["loss_trace"] = report.loss_trace.tolist()
+    atomic_write_text(report_path, json.dumps(payload, indent=2) + "\n")
     return inputs, [args.out, report_path], {
         "final_loss": report.final_loss,
         "converged": report.converged,
@@ -262,12 +238,11 @@ def _load_target(args) -> DenseGaussian:
 def cmd_simulate(args):
     target = _load_target(args)
     schedule = load_schedule(args.schedule)
-    seed = args.seed if args.seed is not None else 0
-    cfg = SimConfig(process=args.process, samples=args.samples, seed=seed, schedule=schedule)
+    cfg = SimConfig(process=args.process, samples=args.samples, seed=args.seed, schedule=schedule)
     samples = simulate_reverse(target, cfg)
     save_raw_f64(samples, args.out)
     inputs = [args.schedule] + [p for p in (args.cov, args.mean) if p]
-    return inputs, [args.out, str(args.out) + ".json"], {"samples": args.samples, "seed": seed}
+    return inputs, [args.out, str(args.out) + ".json"], {"samples": args.samples, "seed": args.seed}
 
 
 def cmd_dynamics(args):
@@ -294,12 +269,7 @@ def cmd_estimate(args):
     if signal.ndim == 2:
         est = covariance_from_windows(signal, args.th)
     else:
-        cfg = EstimationConfig(
-            window=args.window,
-            stride=args.stride,
-            silence_threshold=args.th,
-            structure=args.structure,
-        )
+        cfg = EstimationConfig(window=args.window, stride=args.stride, silence_threshold=args.th)
         est = sliding_window_covariance(signal, cfg)
     model = spectral_model_from_covariance(est, args.structure)
     save_matrix_csv(est.covariance, args.out_cov)
@@ -332,14 +302,24 @@ def cmd_convert(args):
     return [args.schedule], [args.out], {}
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors into ``main``'s JSON error path instead of exiting."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def _global_flags() -> argparse.ArgumentParser:
     # As a parent with SUPPRESS defaults these flags may appear either before
     # or after the subcommand without the subparser clobbering parsed values.
-    # The parsers share these action objects, so their None defaults come from
+    # The parsers share these action objects, so their defaults come from
     # the namespace ``main`` passes in, never from ``set_defaults``.
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument(
-        "--seed", type=int, default=argparse.SUPPRESS, help="global RNG seed"
+        "--seed",
+        type=int,
+        default=argparse.SUPPRESS,
+        help="the run's RNG seed: simulate's stream key, optimize's random init (default 0)",
     )
     common.add_argument(
         "--manifest-out", default=argparse.SUPPRESS, help="explicit manifest path"
@@ -349,7 +329,7 @@ def _global_flags() -> argparse.ArgumentParser:
 
 def build_parser() -> argparse.ArgumentParser:
     common = _global_flags()
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="diffsched",
         description="Spectral transfer analysis and noise-schedule optimization "
         "for discrete diffusion samplers.",
@@ -382,15 +362,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--init",
         default="linear",
-        help="linear | cosine | random[:SEED] | warm:SCHEDULE.json",
+        help="linear | cosine | random (seeded by --seed) | warm:SCHEDULE.json",
     )
     p.add_argument("--max-iter", type=int, default=OptimizeConfig.max_iter)
     p.add_argument("--ftol", type=float, default=OptimizeConfig.ftol)
     p.add_argument("--eigenvalue-index", type=int, default=None)
     p.add_argument("--eps0", type=float, default=DEFAULT_EPS0)
     p.add_argument("--epsS", type=float, default=DEFAULT_EPSS)
-    p.add_argument("--out", required=True)
-    p.add_argument("--report", default=None)
+    p.add_argument("--out", required=True, help="schedule JSON; the report is <out>.report.json")
     p.set_defaults(func=cmd_optimize)
 
     p = add_parser("eval", help="evaluate schedule files against a model")
@@ -491,22 +470,19 @@ def _emit_error(kind: str, message: str) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv, argparse.Namespace(seed=None, manifest_out=None))
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
-    start = time.perf_counter()
-    try:
+        args = build_parser().parse_args(argv, argparse.Namespace(seed=0, manifest_out=None))
+        start = time.perf_counter()
         inputs, outputs, info = args.func(args)
+        _write_manifest(args, inputs, outputs, info, time.perf_counter() - start)
+    except SystemExit as exc:  # --help
+        return int(exc.code) if exc.code else 0
     except (ValueError, FileNotFoundError, json.JSONDecodeError, TypeError) as exc:
         _emit_error(type(exc).__name__, str(exc))
         return USAGE_ERROR
     except Exception as exc:  # numerical/runtime failures
         _emit_error(type(exc).__name__, str(exc))
         return RUNTIME_ERROR
-    wall = time.perf_counter() - start
-    _write_manifest(args, inputs, outputs, info, wall)
     summary = {"command": args.command, "outputs": [str(p) for p in outputs], **info}
     print(json.dumps(summary, default=str))
     return 0

@@ -48,7 +48,6 @@ class EstimationConfig:
     window: int
     stride: int | None = None
     silence_threshold: float = 0.05
-    structure: str = "circulant"
 
     def __post_init__(self):
         if self.window < 2:
@@ -58,8 +57,6 @@ class EstimationConfig:
         if self.stride < 1:
             raise ValueError(f"stride must be >= 1, got {self.stride}")
         _check_silence_threshold(self.silence_threshold)
-        if self.structure not in ("circulant", "symmetric"):
-            raise ValueError(f"structure must be 'circulant' or 'symmetric', got {self.structure!r}")
 
 
 @dataclass
@@ -143,8 +140,7 @@ def sliding_window_covariance(signal: np.ndarray, cfg: EstimationConfig) -> Cova
         raise ValueError(
             f"stream length {len(signal)} is shorter than the window {cfg.window}"
         )
-    starts = range(0, len(signal) - cfg.window + 1, cfg.stride)
-    windows = np.stack([signal[s : s + cfg.window] for s in starts])
+    windows = np.lib.stride_tricks.sliding_window_view(signal, cfg.window)[:: cfg.stride]
     return covariance_from_windows(windows, cfg.silence_threshold)
 
 

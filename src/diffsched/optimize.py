@@ -66,7 +66,6 @@ class OptimizeConfig:
     init_schedule: Schedule | None = None
     max_iter: int = 2000
     ftol: float = 1e-9
-    single_eigenvalue_index: int | None = None
 
     def __post_init__(self):
         self.loss = LossKind(self.loss)
@@ -156,8 +155,6 @@ def optimize_schedule(
     """
     from scipy.optimize import minimize  # deferred: costs most of the CLI start-up
 
-    if config.single_eigenvalue_index is not None:
-        model = single_eigenvalue_problem(model, config.single_eigenvalue_index)
     if np.all(model.eigenvalues == 0.0) and np.all(model.mean_spectral == 0.0):
         raise ValueError("degenerate model: all eigenvalues and means are zero")
 

@@ -231,15 +231,15 @@ def simulate_reverse(target: DenseGaussian, cfg: SimConfig) -> np.ndarray:
     affine map; the stochastic sampler applies the per-step maps and adds
     fresh noise each step.  Sample ``i`` depends only on ``(seed, i)``.
     """
-    cfg.schedule.validate()
-    _check_psd(target.covariance)
     d = target.dim
     n = cfg.samples
 
     if cfg.process == "ddim":
-        T, offset = compose_affine(target, cfg.schedule)
+        T, offset = compose_affine(target, cfg.schedule)  # validates both inputs
         maps, noise = [(T, offset)], []
     else:
+        cfg.schedule.validate()
+        _check_psd(target.covariance)
         gains, offsets, c = _step_maps(target, cfg.schedule.alpha_bar, "ddpm")
         maps, noise = list(zip(gains, offsets))[::-1], c[::-1]
     per_sample = d * (1 + len(noise))  # initial state, then one z per noisy step

@@ -403,10 +403,7 @@ def vp_to_ve(schedule: Schedule) -> VeSchedule:
     ``sigma = sqrt((1 - alpha_bar) / alpha_bar)``; the noisiest retention
     level maps to the largest sigma.
     """
-    schedule.validate()
-    ab = schedule.alpha_bar
-    if np.any(ab <= 0.0):
-        raise ValueError("alpha_bar = 0 has no finite sigma counterpart")
+    ab = schedule.validate().alpha_bar  # validate() keeps alpha_bar inside (0, 1)
     sigma = np.sqrt((1.0 - ab) / ab)
     return VeSchedule(steps=schedule.steps, sigma=sigma).validate()
 

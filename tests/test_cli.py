@@ -1,18 +1,33 @@
+import contextlib
+import dataclasses
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import wave
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import diffsched
 from diffsched.cli import main
-from diffsched.io import load_matrix_csv, load_schedule, save_schedule
-from diffsched import cosine_schedule, edm_schedule, synthetic_circulant_model
-from diffsched.io import save_model
+from diffsched.io import load_matrix_csv, load_model, load_schedule, save_schedule
+from diffsched import (
+    OptimizeConfig,
+    OptimizeReport,
+    cosine_schedule,
+    edm_schedule,
+    optimize_schedule,
+    single_eigenvalue_problem,
+    synthetic_circulant_model,
+)
+from diffsched.io import save_model, save_ve_schedule
+from diffsched.spectral import vp_to_ve
 
 
 @pytest.fixture()
@@ -122,8 +137,8 @@ def test_optimize_bad_endpoints_exit_2(tmp_path, capsys, model_file):
     "flags, field",
     [
         (["--init", "random", "--seed", "-1"], "init_seed"),
-        (["--init", "random:-3"], "init_seed"),
-        (["--init", "random:x"], "--init"),
+        (["--seed", "-1"], "init_seed"),  # checked whatever the init
+        (["--init", "random:5"], "unknown init"),  # --seed is the only seed
         (["--max-iter", "0"], "max_iter"),
     ],
 )
@@ -136,30 +151,44 @@ def test_optimize_bad_seed_or_iteration_limit_exits_2(tmp_path, capsys, model_fi
     assert field in message
 
 
-def test_optimize_conflicting_init_and_global_seed_exits_2(tmp_path, capsys, model_file):
-    out = tmp_path / "x.json"
-    flags = ["--init", "random:5", "--seed", "7"]
-    rc = run(["optimize", "--model", model_file, "--steps", "8", "--out", out, *flags])
-    assert rc == 2
-    assert not out.exists()
-    message = json.loads(capsys.readouterr().err)["error"]["message"]
-    assert "--init" in message and "--seed" in message
-
-
 def test_optimize_random_init_seed_has_one_source(tmp_path, model_file):
-    base = ["optimize", "--model", model_file, "--steps", "8"]
+    base = ["optimize", "--model", model_file, "--steps", "8", "--init", "random"]
     runs = {
-        "both": ["--init", "random:5", "--seed", "5"],
-        "init": ["--init", "random:5"],
-        "flag": ["--init", "random", "--seed", "5"],
+        "after": ([], ["--seed", "5"], 5),
+        "before": (["--seed", "5"], [], 5),
+        "default": ([], [], 0),
     }
-    for name, flags in runs.items():
-        assert run([*base, *flags, "--out", tmp_path / f"{name}.json"]) == 0
+    model = load_model(model_file)
+    for name, (before, after, seed) in runs.items():
+        out = tmp_path / f"{name}.json"
+        assert run([*before, *base, "--out", out, *after]) == 0
         manifest = json.loads((tmp_path / f"{name}.json.manifest.json").read_text())
-        assert manifest["seed"] == 5, name
-    flag = (tmp_path / "flag.json").read_bytes()
-    assert (tmp_path / "both.json").read_bytes() == flag
-    assert (tmp_path / "init.json").read_bytes() == flag
+        assert manifest["seed"] == seed, name
+        config = OptimizeConfig(steps=8, init="random", init_seed=seed)
+        save_schedule(optimize_schedule(model, config)[0], tmp_path / "lib.json")
+        assert out.read_bytes() == (tmp_path / "lib.json").read_bytes(), name
+    assert (tmp_path / "default.json").read_bytes() != (tmp_path / "after.json").read_bytes()
+
+
+def test_optimize_report_holds_every_report_field(tmp_path, model_file):
+    out = tmp_path / "opt.json"
+    assert run(["optimize", "--model", model_file, "--steps", "8", "--out", out]) == 0
+    report = json.loads((tmp_path / "opt.json.report.json").read_text())
+    assert list(report) == [f.name for f in dataclasses.fields(OptimizeReport)]
+    _, expected = optimize_schedule(load_model(model_file), OptimizeConfig(steps=8))
+    assert report["loss_trace"] == expected.loss_trace.tolist()
+    assert report["objective_evals"] == expected.objective_evals
+
+
+@pytest.mark.parametrize("index", [0, 3])
+def test_optimize_eigenvalue_index_matches_library(tmp_path, model_file, index):
+    out = tmp_path / "cli.json"
+    argv = ["optimize", "--model", model_file, "--steps", "12", "--eigenvalue-index", index]
+    assert run([*argv, "--out", out]) == 0
+    model = single_eigenvalue_problem(load_model(model_file), index)
+    schedule, _ = optimize_schedule(model, OptimizeConfig(steps=12))
+    save_schedule(schedule, tmp_path / "lib.json")
+    assert out.read_bytes() == (tmp_path / "lib.json").read_bytes()
 
 
 def test_optimize_warm_start(tmp_path, model_file):
@@ -241,6 +270,17 @@ def test_simulate_deterministic_bytes(tmp_path):
         assert rc == 0
     assert a.read_bytes() == b.read_bytes()
     assert json.loads((tmp_path / "a.f64.json").read_text()) == {"dim": 8, "count": 200}
+
+
+def test_simulate_default_seed_is_zero_and_recorded(tmp_path):
+    sched = tmp_path / "s.json"
+    save_schedule(cosine_schedule(6), sched)
+    base = ["simulate", "--synthetic", "8,0.1,0.05", "--schedule", sched, "--samples", "20"]
+    for name, flags in {"default": [], "zero": ["--seed", "0"]}.items():
+        assert run([*base, "--out", tmp_path / f"{name}.f64", *flags]) == 0
+        manifest = json.loads((tmp_path / f"{name}.f64.manifest.json").read_text())
+        assert manifest["seed"] == 0 and manifest["info"]["seed"] == 0, name
+    assert (tmp_path / "default.f64").read_bytes() == (tmp_path / "zero.f64").read_bytes()
 
 
 def test_simulate_requires_target(tmp_path):
@@ -456,6 +496,98 @@ def test_eval_non_finite_input_exits_2(tmp_path, capsys, model_file, field):
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "ValueError"
     assert err["error"]["message"].startswith(f"{field} must be finite")
+
+
+# ---------------------------------------------------------- usage errors
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["optimize", "--model", "m.json", "--out", "o.json"], "--steps"),
+        (["gen", "--family", "cosine", "--steps", "x", "--out", "o.json"], "--steps"),
+        (["gen", "--family", "square", "--steps", "4", "--out", "o.json"], "--family"),
+        # argparse reads a negative non-number given as its own word as a flag
+        (["estimate", "--input", "s.wav", "--th", "-inf", "--out-cov", "c.csv",
+          "--out-model", "m.json"], "--th"),
+        (["optimize", "--model", "m.json", "--steps", "8", "--out", "o.json",
+          "--report", "r.json"], "--report"),
+        (["--seed", "x", "gen", "--family", "linear", "--steps", "4", "--out", "o.json"], "--seed"),
+    ],
+)
+def test_usage_error_is_one_json_object(capsys, argv, flag):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["type"] == "ValueError"
+    assert flag in error["message"]
+
+
+def test_help_exits_0(capsys):
+    assert run(["optimize", "--help"]) == 0
+    captured = capsys.readouterr()
+    assert "--eigenvalue-index" in captured.out
+    assert captured.err == ""
+
+
+# Every subcommand's flags and some of the values they take, plus values no
+# flag accepts; a drawn argv starts from a valid command and adds flags.
+_BASE_ARGV = {
+    "gen": ["--family", "cosine", "--steps", "5", "--out", "out.json"],
+    "optimize": ["--model", "model.json", "--steps", "5", "--out", "out.json"],
+    "eval": ["--model", "model.json", "--schedules", "sched.json", "--out", "out.csv"],
+    "compare": ["--model", "model.json", "--schedules", "linear", "spectral",
+                "--steps-list", "4", "--out", "out.csv"],
+    "simulate": ["--synthetic", "4,0.1,0.05", "--schedule", "sched.json", "--samples", "5",
+                 "--out", "out.f64"],
+    "dynamics": ["--model", "model.json", "--schedule", "sched.json",
+                 "--out-relative-error", "rel.csv", "--out-w2", "w2.csv"],
+    "bias": ["--model", "model.json", "--schedule", "sched.json", "--out", "out.csv"],
+    "estimate": ["--input", "signal.csv", "--window", "4", "--out-cov", "cov.csv",
+                 "--out-model", "out.json"],
+    "convert": ["--schedule", "sched.json", "--direction", "to-ve", "--out", "out.json"],
+}
+_FLAGS = [
+    "--seed", "--manifest-out", "--family", "--steps", "--params", "--eps0", "--epsS", "--out",
+    "--model", "--loss", "--process", "--mode", "--init", "--max-iter", "--ftol",
+    "--eigenvalue-index", "--schedules", "--steps-list", "--losses", "--synthetic", "--cov",
+    "--mean", "--schedule", "--samples", "--window", "--stride", "--th", "--structure",
+    "--input", "--direction", "--help", "--report",
+]
+_VALUES = [
+    "nan", "-inf", "inf", "", "1e400", "-1", "0", "2", "5", "0.5", "x", "0,1,1",
+    "4,0.1,0.05", "model.json", "sched.json", "ve.json", "signal.csv", "out.json",
+    "random", "warm:sched.json", "cosine", "ddpm", "both", "kl", "free", "symmetric", "to-vp",
+]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    command=st.sampled_from(sorted(_BASE_ARGV)),
+    keep_base=st.booleans(),
+    extra=st.lists(
+        st.tuples(st.sampled_from(_FLAGS), st.none() | st.sampled_from(_VALUES)), max_size=3
+    ),
+)
+def test_cli_exits_0_2_or_3_with_a_json_error(command, keep_base, extra):
+    argv = [command, *(_BASE_ARGV[command] if keep_base else [])]
+    for flag, value in extra:
+        argv += [flag] if value is None else [flag, value]  # None: the value is missing
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        _, model = synthetic_circulant_model(4, 0.1, 0.05)
+        save_model(model, "model.json")
+        save_schedule(cosine_schedule(4), "sched.json")
+        save_ve_schedule(vp_to_ve(cosine_schedule(4)), "ve.json")
+        np.savetxt("signal.csv", np.random.default_rng(0).normal(size=32))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+    assert rc in (0, 2, 3), argv
+    assert "Traceback" not in err.getvalue()
+    if rc != 0:
+        error = json.loads(err.getvalue().splitlines()[-1])["error"]
+        assert set(error) == {"type", "message"}, argv
 
 
 # ------------------------------------------------------------- start-up

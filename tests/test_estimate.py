@@ -76,6 +76,24 @@ def test_window_counts_add_up():
     assert est.windows_rejected > 0
 
 
+@pytest.mark.parametrize("window, stride", [(400, 400), (400, 150), (8, 4), (50, 1)])
+def test_sliding_windows_equal_the_sliced_loop(window, stride):
+    # The reference builds each window by slicing, as a hand loop would.
+    rng = np.random.default_rng(window + stride)
+    signal = rng.normal(size=4_000) * np.repeat([1, 0, 1, 1, 0, 0, 1, 1], 500)  # gated
+    starts = range(0, len(signal) - window + 1, stride)
+    expected = covariance_from_windows(
+        np.stack([signal[s : s + window] for s in starts]), silence_threshold=0.3
+    )
+    est = sliding_window_covariance(
+        signal, EstimationConfig(window=window, stride=stride, silence_threshold=0.3)
+    )
+    assert est.windows_used == expected.windows_used > 0
+    assert est.windows_rejected == expected.windows_rejected > 0
+    assert est.mean.tobytes() == expected.mean.tobytes()
+    assert est.covariance.tobytes() == expected.covariance.tobytes()
+
+
 def test_window_covariance_recovers_known_gaussian():
     rng = np.random.default_rng(3)
     d = 16
