@@ -472,6 +472,14 @@ def _emit_error(kind: str, message: str) -> None:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv, argparse.Namespace(seed=0, manifest_out=None))
+        manifest = args.manifest_out
+        # checked before the run, so an unusable path leaves no primary output
+        if manifest is not None and (
+            Path(manifest).is_dir() or not Path(manifest).parent.is_dir()
+        ):
+            raise ValueError(
+                f"--manifest-out must name a file in an existing directory, got {manifest!r}"
+            )
         start = time.perf_counter()
         inputs, outputs, info = args.func(args)
         _write_manifest(args, inputs, outputs, info, time.perf_counter() - start)

@@ -8,9 +8,9 @@ al., "Variational Diffusion Models"), with the endpoints pinned at
 construction and no constraint is needed.  In ``free`` mode the variables
 are the interior log-SNR levels themselves, box-bounded by the endpoints'
 and free to cross (monotonicity is passive at the optimum for well-behaved
-targets, which ``free`` mode lets one verify).  Both run L-BFGS-B on the
-loss divided by its value at the start, so the stopping rule does not depend
-on the loss's scale.
+targets, which ``free`` mode lets one verify).  Both run the same in-package
+L-BFGS loop (``_lbfgs``, plain numpy) on the loss divided by its value at the
+start, so the stopping rule does not depend on the loss's scale.
 """
 
 from __future__ import annotations
@@ -38,11 +38,17 @@ __all__ = [
     "single_eigenvalue_problem",
 ]
 
-# L-BFGS-B's projected-gradient stop, on the loss scaled to 1 at the start.
+# The optimizer's projected-gradient stop (infinity norm), on the loss scaled
+# to 1 at the start.
 GTOL = 1e-8
 # Floor on a starting log-SNR gap, relative to the endpoints' log-SNR span:
 # tied (or crossed) starting levels still give a finite softmax weight.
 MIN_START_GAP = 1e-12
+# L-BFGS correction pairs kept, the line search's sufficient-decrease
+# constant and its limit on trial points per iteration.
+MEMORY = 10
+ARMIJO = 1e-4
+MAX_TRIALS = 20
 
 
 @dataclass
@@ -51,7 +57,7 @@ class OptimizeConfig:
 
     ``init`` selects the starting schedule: "linear", "cosine",
     "random" (uniform values sorted decreasing, seeded by ``init_seed``) or
-    "warm" (resampled from ``init_schedule``).  ``ftol`` is L-BFGS-B's
+    "warm" (resampled from ``init_schedule``).  ``ftol`` is the optimizer's
     relative-reduction stop on the loss divided by its starting value.
     """
 
@@ -94,10 +100,13 @@ class OptimizeConfig:
 @dataclass
 class OptimizeReport:
     """Run summary.  ``loss_trace`` holds the loss at the start and after
-    each iteration; L-BFGS-B is a descent method, so it is nonincreasing.
-    ``min_log_snr_gap`` is the smallest ``logit(ab[s]) - logit(ab[s+1])`` of
-    the result: how close the schedule came to a tie (negative if a free-mode
-    schedule is not monotone)."""
+    each iteration; the optimizer takes only decreasing steps, so it is
+    nonincreasing.  ``min_log_snr_gap`` is the smallest
+    ``logit(ab[s]) - logit(ab[s+1])`` of the result: how close the schedule
+    came to a tie (negative if a free-mode schedule is not monotone).
+    ``projected_gradient_norm`` is the infinity norm of the projected
+    gradient of the scaled objective at the result; the gradient stop fires
+    when it reaches ``GTOL``."""
 
     final_loss: float
     iterations: int
@@ -107,11 +116,102 @@ class OptimizeReport:
     converged: bool
     status_message: str
     min_log_snr_gap: float
+    projected_gradient_norm: float
     wall_time_seconds: float
 
 
 def _logit(p):
     return np.log(p) - np.log1p(-p)
+
+
+def _projected_gradient_norm(x, g, lower, upper) -> float:
+    """Infinity norm of ``x - clip(x - g, lower, upper)``, formed without
+    rounding: ``g`` itself away from the bounds, zero where ``g`` pushes
+    against one."""
+    projected = np.where(g < 0.0, np.maximum(x - upper, g), np.minimum(x - lower, g))
+    return float(np.max(np.abs(projected)))
+
+
+def _lbfgs(fun, x, lower, upper, ftol, max_iter, on_iteration):
+    """Minimize ``fun(x) -> (f, gradient)`` over the box ``[lower, upper]``.
+
+    Limited-memory BFGS (Liu & Nocedal, Math. Prog. 1989): the two-loop
+    recursion over the last ``MEMORY`` pairs, scaled by ``s.y / y.y`` and
+    updated only when ``s.y > 0``, with a backtracking Armijo line search.
+    Bounds follow Byrd, Lu, Nocedal & Zhu (SIAM J. Sci. Comput. 1995) in
+    their simplest form: variables the gradient holds at a bound stay out
+    of the quasi-Newton step, direction components leaving an active bound
+    are dropped, and trial points are clipped to the box; infinite bounds
+    give plain L-BFGS.  The stops are a relative reduction of ``f`` of at
+    most ``ftol``, a projected-gradient infinity norm of at most ``GTOL``,
+    and ``max_iter`` iterations.  Only decreasing steps are accepted, so the
+    point returned is the best one evaluated.  ``on_iteration(f)`` is called
+    after each iteration.
+
+    Returns ``(x, projected_gradient_norm, iterations, evaluations,
+    message)``; the message starts with "CONVERGENCE" when a stop on
+    ``ftol`` or ``GTOL`` fired.
+    """
+    f, g = fun(x)
+    evaluations, iterations = 1, 0
+    pairs: list[tuple[np.ndarray, np.ndarray, float]] = []  # (s, y, 1/s.y), oldest first
+
+    def direction():
+        held = ((x <= lower) & (g > 0.0)) | ((x >= upper) & (g < 0.0))
+        q = np.where(held, 0.0, -g)
+        alphas = []
+        for s, y, rho in reversed(pairs):
+            alphas.append(rho * (s @ q))
+            q = q - alphas[-1] * y
+        if pairs:
+            s, y, _ = pairs[-1]
+            q = q * ((s @ y) / (y @ y))
+        for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+            q = q + (alpha - rho * (y @ q)) * s
+        q[held | ((x >= upper) & (q > 0.0)) | ((x <= lower) & (q < 0.0))] = 0.0
+        return q
+
+    pg_norm = _projected_gradient_norm(x, g, lower, upper)
+    message = "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL" if pg_norm <= GTOL else None
+    while message is None:
+        d = direction()
+        if not g @ d < 0.0:  # no descent along the quasi-Newton step: restart
+            pairs.clear()
+            d = direction()
+        slope = g @ d
+        t = 1.0 if pairs else min(1.0, 1.0 / np.linalg.norm(d))
+        for _ in range(MAX_TRIALS):
+            x_new = np.clip(x + t * d, lower, upper)
+            f_new, g_new = fun(x_new)
+            evaluations += 1
+            if f_new < f and f_new <= f + ARMIJO * (g @ (x_new - x)):
+                break
+            # minimizer of the quadratic through f, slope and f_new, kept
+            # within [0.1 t, 0.5 t]; a non-finite f_new takes the 0.1 t end
+            t_quad = -slope * t * t / (2.0 * (f_new - f - slope * t))
+            t = min(max(t_quad, 0.1 * t), 0.5 * t) if np.isfinite(t_quad) else 0.1 * t
+        else:
+            if pairs:  # retry the iteration along the projected gradient
+                pairs.clear()
+                continue
+            message = "ABNORMAL: NO DECREASE FOUND ALONG THE PROJECTED GRADIENT"
+            break
+        s, y = x_new - x, g_new - g
+        if s @ y > 0.0:
+            pairs.append((s, y, 1.0 / (s @ y)))
+            del pairs[:-MEMORY]
+        reduction = (f - f_new) / max(abs(f), abs(f_new), 1.0)
+        x, f, g = x_new, f_new, g_new
+        iterations += 1
+        on_iteration(f)
+        pg_norm = _projected_gradient_norm(x, g, lower, upper)
+        if pg_norm <= GTOL:
+            message = "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL"
+        elif reduction <= ftol:
+            message = "CONVERGENCE: RELATIVE REDUCTION OF F <= FTOL"
+        elif iterations >= max_iter:
+            message = "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"
+    return x, pg_norm, iterations, evaluations, message
 
 
 def single_eigenvalue_problem(model: SpectralModel, index: int) -> SpectralModel:
@@ -153,8 +253,6 @@ def optimize_schedule(
     Returns the optimized schedule and a run report.  Runs are
     deterministic: the same model and config give bit-identical results.
     """
-    from scipy.optimize import minimize  # deferred: costs most of the CLI start-up
-
     if np.all(model.eigenvalues == 0.0) and np.all(model.mean_spectral == 0.0):
         raise ValueError("degenerate model: all eigenvalues and means are zero")
 
@@ -169,7 +267,7 @@ def optimize_schedule(
     if config.mode == "constrained":
         gaps = np.maximum(-np.diff(start_levels), MIN_START_GAP * span)
         x0 = np.log(gaps / gaps.sum())
-        bounds = None
+        lower, upper = -np.inf, np.inf
 
         def parameterise(theta):
             w = np.exp(theta - theta.max())
@@ -185,7 +283,7 @@ def optimize_schedule(
 
     else:
         x0 = start_levels[1:-1]
-        bounds = [(bottom, top)] * (S - 1)
+        lower, upper = bottom, top
 
         def parameterise(levels):
             return levels, lambda g_levels: g_levels
@@ -209,23 +307,19 @@ def optimize_schedule(
         return f / f0, pullback(g_ab * interior * (1.0 - interior)) / f0
 
     trace = [f0]
-
-    def callback(intermediate_result) -> None:
-        trace.append(f0 * intermediate_result.fun)
-
     start = time.perf_counter()
-    result = minimize(
+    x, pg_norm, iterations, evaluations, message = _lbfgs(
         objective,
         x0,
-        method="L-BFGS-B",
-        jac=True,
-        bounds=bounds,
-        callback=callback,
-        options={"maxiter": config.max_iter, "ftol": config.ftol, "gtol": GTOL},
+        lower,
+        upper,
+        config.ftol,
+        config.max_iter,
+        lambda f: trace.append(f0 * f),
     )
     wall = time.perf_counter() - start
 
-    full = schedule_of(result.x)[0]
+    full = schedule_of(x)[0]
     final_loss = loss_from_alpha_bar(model, full, config.loss, config.process)
     schedule = Schedule(
         kind="spectral-optimized", steps=S, alpha_bar=full, eps0=eps0, epsS=epsS
@@ -233,14 +327,15 @@ def optimize_schedule(
     schedule.validate(require_monotone=(config.mode == "constrained"))
     report = OptimizeReport(
         final_loss=float(final_loss),
-        iterations=int(result.nit),
+        iterations=iterations,
         # the extra objective call is the f0 check before the solver starts
-        objective_evals=1 + int(result.nfev),
-        gradient_evals=int(result.njev),
+        objective_evals=1 + evaluations,
+        gradient_evals=evaluations,
         loss_trace=np.asarray(trace),
-        converged=bool(result.status == 0),
-        status_message=str(result.message),
+        converged=message.startswith("CONVERGENCE"),
+        status_message=message,
         min_log_snr_gap=float(np.min(-np.diff(_logit(full)))),
+        projected_gradient_norm=pg_norm,
         wall_time_seconds=wall,
     )
     return schedule, report

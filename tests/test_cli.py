@@ -474,6 +474,20 @@ def test_manifest_out_override(tmp_path):
     assert payload["config"]["family"] == "linear"
 
 
+@pytest.mark.parametrize("manifest", ["", ".", "missing-dir/m.json"])
+def test_unusable_manifest_out_exits_2_before_the_run(tmp_path, capsys, monkeypatch, manifest):
+    monkeypatch.chdir(tmp_path)
+    rc = run([
+        "gen", "--family", "linear", "--steps", "10", "--out", "s.json",
+        "--manifest-out", manifest,
+    ])
+    assert rc == 2
+    assert list(tmp_path.iterdir()) == []
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "ValueError"
+    assert error["message"].startswith("--manifest-out must name a file")
+
+
 def test_missing_model_file_exits_2(tmp_path, capsys):
     rc = run(["optimize", "--model", tmp_path / "nope.json", "--steps", "4", "--out", tmp_path / "o.json"])
     assert rc == 2
@@ -593,14 +607,29 @@ def test_cli_exits_0_2_or_3_with_a_json_error(command, keep_base, extra):
 # ------------------------------------------------------------- start-up
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
+def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path, model_file):
+    # optimize runs an in-package solver: neither importing the CLI nor
+    # running the commands that optimize loads scipy
     src = str(Path(diffsched.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, diffsched.cli; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "False"
+    runs = [
+        ["optimize", "--model", model_file, "--steps", "10", "--out", tmp_path / "c.json"],
+        ["optimize", "--model", model_file, "--steps", "10", "--mode", "free",
+         "--out", tmp_path / "f.json"],
+        ["compare", "--model", model_file, "--schedules", "spectral", "cosine",
+         "--steps-list", "10", "--out", tmp_path / "k.csv"],
+    ]
+    for argv in runs:
+        code = (
+            "import sys, diffsched.cli\n"
+            "loaded = 'scipy' in sys.modules\n"
+            f"rc = diffsched.cli.main({[str(a) for a in argv]!r})\n"
+            "print(loaded, rc, 'scipy' in sys.modules)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.splitlines()[-1] == "False 0 False", argv
 
 
 def test_one_chunk_simulate_leaves_concurrent_futures_unloaded(tmp_path):

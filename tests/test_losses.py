@@ -15,7 +15,14 @@ from diffsched import (
     w2_loss,
     weighted_l1_loss,
 )
-from diffsched.losses import finite_difference_gradient, loss_from_alpha_bar
+from diffsched.losses import (
+    finite_difference_gradient,
+    loss_from_alpha_bar,
+    loss_gradient_from_alpha_bar,
+)
+from diffsched.simulate import DenseGaussian
+
+from conftest import dense_ddpm_moments
 
 
 def diag_transfer(noise_gain, mean_gain, var_extra=None, process="ddim"):
@@ -308,6 +315,31 @@ def _spaced_alpha_bar(rng, S, eps0=1e-4, epsS=4e-5, min_gap=1e-3):
     ab = (1.0 - eps0) - np.concatenate([[0.0], np.cumsum(gaps)])
     ab[-1] = epsS
     return ab
+
+
+@pytest.mark.parametrize("kind", [LossKind.WASSERSTEIN2, LossKind.KL])
+@pytest.mark.parametrize("seed", range(4))
+def test_exact_ddpm_gradient_matches_dense_moment_oracle(seed, kind):
+    # The loss recomputed from the eigenbasis-free dense moment recursion and
+    # the generic Gaussian formulas, differentiated by central differences.
+    rng = np.random.default_rng(seed)
+    d, S = int(rng.integers(2, 9)), int(rng.integers(2, 13))
+    raw = rng.normal(size=(d, d))
+    target = DenseGaussian(mean=rng.normal(size=d), covariance=raw @ raw.T / d)
+    eigvals, eigvecs = np.linalg.eigh(target.covariance)
+    model = SpectralModel(dim=d, eigenvalues=eigvals, mean_spectral=eigvecs.T @ target.mean)
+    ab = _spaced_alpha_bar(rng, S)
+
+    def dense_loss(interior):
+        mean, cov = dense_ddpm_moments(target, np.concatenate([ab[:1], interior, ab[-1:]]))
+        out_mean, out_var = eigvecs.T @ mean, np.einsum("ik,ij,jk->k", eigvecs, cov, eigvecs)
+        if kind is LossKind.KL:
+            return kl_oracle(model.mean_spectral, model.eigenvalues, out_mean, out_var)
+        return w2_oracle(out_mean, out_var, model.mean_spectral, model.eigenvalues)
+
+    fd = finite_difference_gradient(dense_loss, ab[1:-1], ab[2:], ab[:-2])
+    g = loss_gradient_from_alpha_bar(model, ab, kind, "ddpm")
+    assert np.linalg.norm(g - fd) <= 1e-6 * np.linalg.norm(fd)
 
 
 @settings(max_examples=60, deadline=None)

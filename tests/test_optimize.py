@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,11 @@ from diffsched import (
     w2_loss,
     ddim_transfer,
 )
+from diffsched import optimize as optimize_module
+from diffsched.losses import loss_from_alpha_bar, loss_gradient_from_alpha_bar
+from diffsched.optimize import GTOL
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 # ------------------------------------------- single-eigenvalue problems
@@ -236,6 +242,109 @@ def test_report_counts_match_traced_calls(benchmark_model, monkeypatch, process,
     assert len(report.loss_trace) == report.iterations + 1
 
 
+@pytest.mark.parametrize("mode", ["constrained", "free"])
+def test_report_projected_gradient_norm(benchmark_model, mode):
+    _, model = benchmark_model
+    # a negligible ftol leaves the gradient stop to end the run
+    config = OptimizeConfig(steps=10, mode=mode, ftol=1e-300)
+    schedule, report = optimize_schedule(model, config)
+    assert report.status_message == "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL"
+    assert 0.0 <= report.projected_gradient_norm <= GTOL
+    if mode == "free":
+        # no bound is active, so the norm is the plain gradient's in log-SNR
+        ab = schedule.alpha_bar
+        interior = ab[1:-1]
+        assert np.all((interior < ab[0]) & (interior > ab[-1]))
+        f0 = loss_from_alpha_bar(model, np.linspace(ab[0], ab[-1], 11), config.loss)
+        g = loss_gradient_from_alpha_bar(model, ab, config.loss) * interior * (1 - interior)
+        assert report.projected_gradient_norm == pytest.approx(np.max(np.abs(g)) / f0, rel=1e-6)
+
+
+# ------------------------------------------ the solver against scipy's L-BFGS-B
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_lbfgs_reaches_a_box_minimum_with_active_bounds(seed):
+    # A coupled convex quadratic whose unconstrained minimizer lies outside
+    # the box: the minimum sits on bounds, where only the projected gradient
+    # vanishes.  Checked by its optimality conditions and against scipy.
+    from scipy.optimize import minimize
+
+    rng = np.random.default_rng(seed)
+    n = 12
+    root = rng.normal(size=(n, n))
+    hessian = root @ root.T + 0.1 * np.eye(n)
+    centre = rng.uniform(-2.0, 3.0, n)
+
+    def fun(x):
+        r = x - centre
+        return r @ hessian @ r, 2.0 * hessian @ r
+
+    x0 = np.full(n, 0.5)
+    x, pg_norm, _, _, message = optimize_module._lbfgs(
+        fun, x0, 0.0, 1.0, 1e-12, 2000, lambda f: None
+    )
+    assert message.startswith("CONVERGENCE")
+    g = fun(x)[1]
+    assert pg_norm == pytest.approx(np.max(np.abs(x - np.clip(x - g, 0.0, 1.0))), rel=1e-6)
+    at_lower, at_upper = x == 0.0, x == 1.0
+    assert np.any(at_lower | at_upper)
+    assert np.all(g[at_lower] >= 0.0) and np.all(g[at_upper] <= 0.0)
+    oracle = minimize(fun, x0, method="L-BFGS-B", jac=True, bounds=[(0.0, 1.0)] * n)
+    assert fun(x)[0] <= oracle.fun * (1 + 1e-9)
+
+
+def _scipy_lbfgsb(fun, x, lower, upper, ftol, max_iter, on_iteration):
+    """scipy's L-BFGS-B in the place of ``_lbfgs``: the same scaled
+    objective, start, bounds and stopping constants."""
+    from scipy.optimize import minimize
+
+    def callback(intermediate_result):
+        on_iteration(intermediate_result.fun)
+
+    result = minimize(
+        fun,
+        x,
+        method="L-BFGS-B",
+        jac=True,
+        bounds=None if np.isinf(lower) else [(lower, upper)] * len(x),
+        callback=callback,
+        options={"maxiter": max_iter, "ftol": ftol, "gtol": GTOL},
+    )
+    return result.x, np.nan, result.nit, result.nfev, str(result.message)
+
+
+def test_solver_matches_scipy_lbfgsb_at_the_design_points(benchmark_model, monkeypatch):
+    # The benchmark's design points plus S=250, constrained, and free where
+    # S <= 28: the in-package loop must reach scipy's loss.
+    monkeypatch.syspath_prepend(str(BENCH))
+    from design import POINTS
+    from inputs import signal_model
+
+    _, d50 = benchmark_model
+    models = {"d50": d50, "d400": signal_model(1)}
+    cases = [
+        (name, mode, OptimizeConfig(loss=loss, process=process, steps=steps, mode=mode), model)
+        for name, loss, process, steps, model in [
+            *POINTS,
+            ("w2-ddim-S250", LossKind.WASSERSTEIN2, "ddim", 250, "d50"),
+        ]
+        for mode in ("constrained", "free")
+        if mode == "constrained" or steps <= 28
+    ]
+    assert len(cases) == 10
+    worse = []
+    for name, mode, config, model in cases:
+        _, ours = optimize_schedule(models[model], config)
+        with monkeypatch.context() as patch:
+            patch.setattr(optimize_module, "_lbfgs", _scipy_lbfgsb)
+            _, oracle = optimize_schedule(models[model], config)
+        assert ours.converged and oracle.converged, (name, mode)
+        if ours.final_loss > (1 + 1e-6) * oracle.final_loss:
+            worse.append((name, mode, ours.final_loss, oracle.final_loss))
+    assert worse == []
+
+
 # ------------------------------- optima the relative stopping rule reaches
 # An absolute stop on the loss ends early wherever the loss is small; these
 # optima sit well below what such a stop reports as converged.
@@ -320,5 +429,9 @@ def test_optimizer_output_properties(model, steps, loss, process, mode, init, se
     assert report.final_loss <= report.loss_trace[0]
     assert np.all(np.diff(report.loss_trace) <= 0.0)
     assert len(report.loss_trace) == report.iterations + 1
+    assert np.isfinite(report.projected_gradient_norm)
+    assert report.projected_gradient_norm >= 0.0
+    if "PROJECTED GRADIENT" in report.status_message:
+        assert report.projected_gradient_norm <= GTOL
     again, _ = optimize_schedule(model, config)
     assert again.alpha_bar.tobytes() == schedule.alpha_bar.tobytes()

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diffsched import (
@@ -346,8 +346,22 @@ def test_sigma_of_half_retention():
     assert ve.sigma[1] == pytest.approx(1.0, rel=1e-15)
 
 
-def test_round_trip_is_identity():
-    schedule = cosine_schedule(28)
+@st.composite
+def _valid_schedules(draw):
+    """Nonincreasing levels in (0, 1), drawn partly from a small grid so that
+    ties and levels next to 0 and 1 are common.  The smallest level keeps
+    ``sigma`` finite: below about 1e-308, ``(1 - ab) / ab`` overflows."""
+    steps = draw(st.integers(1, 40))
+    near = st.sampled_from([1.0 - 2.0**-53, 1.0 - 1e-12, 1.0 - 1e-4, 0.5, 1e-4, 1e-12, 1e-300])
+    level = near | st.floats(1e-300, 1.0, exclude_max=True)
+    ab = np.sort(draw(st.lists(level, min_size=steps + 1, max_size=steps + 1)))[::-1]
+    return make_schedule(ab, eps0=1.0 - ab[0], epsS=ab[-1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(schedule=_valid_schedules())
+@example(schedule=cosine_schedule(28))
+def test_round_trip_is_identity(schedule):
     back = ve_to_vp(vp_to_ve(schedule))
     assert np.max(np.abs(back.alpha_bar - schedule.alpha_bar)) <= 1e-12
 
