@@ -71,6 +71,17 @@ def _check_fields(data: dict, allowed: set, what: str) -> None:
         raise ValueError(f"missing fields in {what}: {sorted(missing)}")
 
 
+def _integer_field(data: dict, name: str, what: str) -> int:
+    """``data[name]`` as an int: a JSON integer, or a float with an integral
+    value; bools, other numbers and other types are rejected."""
+    value = data[name]
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} field {name!r} must be an integer, got {value!r}")
+    return value
+
+
 def save_model(model: SpectralModel, path) -> None:
     payload = {
         "dim": model.dim,
@@ -86,7 +97,7 @@ def load_model(path) -> SpectralModel:
         data = json.load(fh)
     _check_fields(data, _MODEL_FIELDS, "spectral model")
     return SpectralModel(
-        dim=int(data["dim"]),
+        dim=_integer_field(data, "dim", "spectral model"),
         eigenvalues=np.asarray(data["eigenvalues"], dtype=float),
         mean_spectral=np.asarray(data["mean_spectral"], dtype=float),
         source=str(data["source"]),
@@ -94,6 +105,10 @@ def load_model(path) -> SpectralModel:
 
 
 def save_schedule(schedule: Schedule, path) -> None:
+    """Write a schedule JSON; what :meth:`Schedule.validate` rejects (apart
+    from non-monotone levels, which free-mode optimization may return) is
+    never written."""
+    schedule.validate(require_monotone=False)
     payload = {
         "kind": schedule.kind,
         "steps": schedule.steps,
@@ -110,7 +125,7 @@ def load_schedule(path) -> Schedule:
     _check_fields(data, _SCHEDULE_FIELDS, "schedule")
     return Schedule(
         kind=str(data["kind"]),
-        steps=int(data["steps"]),
+        steps=_integer_field(data, "steps", "schedule"),
         alpha_bar=np.asarray(data["alpha_bar"], dtype=float),
         eps0=float(data["eps0"]),
         epsS=float(data["epsS"]),
@@ -126,7 +141,10 @@ def load_ve_schedule(path) -> VeSchedule:
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     _check_fields(data, _VE_FIELDS, "sigma schedule")
-    return VeSchedule(steps=int(data["steps"]), sigma=np.asarray(data["sigma"], dtype=float))
+    return VeSchedule(
+        steps=_integer_field(data, "steps", "sigma schedule"),
+        sigma=np.asarray(data["sigma"], dtype=float),
+    )
 
 
 def save_raw_f64(array: np.ndarray, path) -> None:
@@ -150,7 +168,8 @@ def save_raw_f64(array: np.ndarray, path) -> None:
 def load_raw_f64(path) -> np.ndarray:
     with open(str(path) + ".json", encoding="utf-8") as fh:
         meta = json.load(fh)
-    dim, count = int(meta["dim"]), int(meta["count"])
+    dim = _integer_field(meta, "dim", "raw sidecar")
+    count = _integer_field(meta, "count", "raw sidecar")
     data = np.fromfile(path, dtype="<f8")
     if len(data) != dim * count:
         raise ValueError(
@@ -178,14 +197,19 @@ def load_matrix_csv(path) -> np.ndarray:
 
 
 def read_wav_mono(path) -> np.ndarray:
-    """16-bit PCM RIFF samples scaled by 1/32768; channels averaged to mono."""
-    with wave.open(str(path), "rb") as wav:
-        if wav.getsampwidth() != 2:
-            raise ValueError(
-                f"only 16-bit PCM WAV supported, got sample width {wav.getsampwidth()}"
-            )
-        channels = wav.getnchannels()
-        frames = wav.readframes(wav.getnframes())
+    """16-bit PCM RIFF samples scaled by 1/32768; channels averaged to mono.
+
+    A file that is not such a WAV raises ``ValueError`` naming it.
+    """
+    try:
+        with wave.open(str(path), "rb") as wav:
+            width, channels = wav.getsampwidth(), wav.getnchannels()
+            frames = wav.readframes(wav.getnframes())
+    except (EOFError, wave.Error) as exc:
+        reason = str(exc) or "file ends early"
+        raise ValueError(f"{path}: not a readable WAV file ({reason})") from exc
+    if width != 2:
+        raise ValueError(f"{path}: only 16-bit PCM WAV supported, got sample width {width}")
     data = np.frombuffer(frames, dtype="<i2").astype(float) / 32768.0
     if channels > 1:
         data = data.reshape(-1, channels).mean(axis=1)

@@ -3,8 +3,10 @@
 All distances use the total output variance ``noise_gain**2 + var_extra``,
 so the same formulas cover both the deterministic and stochastic samplers.
 Reported squared-distance values are squared (no root) unless callers take
-the root themselves.  Gradients with respect to the schedule are exact:
-one forward pass through the per-step gains, then one reverse sweep.
+the root themselves.  Gradients with respect to the schedule are exact and
+come with the loss: ``loss_from_alpha_bar(..., gradient=True)`` makes one
+forward pass through the per-step gains and one reverse sweep over the same
+arrays, whose suffix folds run as a log-depth scan (``spectral._suffix_fold``).
 """
 
 from __future__ import annotations
@@ -17,12 +19,8 @@ from .spectral import (
     SpectralModel,
     Schedule,
     Transfer,
-    _accumulate,
     _check_dims,
-    _ddim_ab,
-    _ddpm_abc,
-    _step_gains,
-    _trajectory_coefficients,
+    _suffix_fold,
     _transfer_arrays,
 )
 
@@ -55,7 +53,7 @@ class LossKind(str, Enum):
 
 def _w2_value(lam: np.ndarray, mu: np.ndarray, variance: np.ndarray, mean_gain: np.ndarray) -> float:
     std = np.sqrt(variance)
-    return float(np.sum((np.sqrt(lam) - std) ** 2) + np.sum(mu**2 * (mean_gain - 1.0) ** 2))
+    return float(((np.sqrt(lam) - std) ** 2).sum() + (mu**2 * (mean_gain - 1.0) ** 2).sum())
 
 
 def _kl_value(lam: np.ndarray, mu: np.ndarray, variance: np.ndarray, mean_gain: np.ndarray) -> float:
@@ -173,90 +171,111 @@ def weighted_l1_loss(model: SpectralModel, transfer: Transfer) -> float:
 
 
 def loss_from_alpha_bar(
-    model: SpectralModel, alpha_bar: np.ndarray, kind: LossKind, process: str = "ddim"
-) -> float:
+    model: SpectralModel,
+    alpha_bar: np.ndarray,
+    kind: LossKind,
+    process: str = "ddim",
+    gradient: bool = False,
+):
     """Loss of a raw alpha_bar vector (no schedule validation).
 
     Fast path for optimizer iterates, which may be non-monotone in the
-    unconstrained mode.
-    """
-    noise_gain, mean_gain, var_extra = _transfer_arrays(model.eigenvalues, alpha_bar, process)
-    variance = noise_gain**2 + var_extra
-    return _EVALUATORS[LossKind(kind)](model.eigenvalues, model.mean_spectral, variance, mean_gain)
-
-
-def loss_gradient_from_alpha_bar(
-    model: SpectralModel, alpha_bar: np.ndarray, kind: LossKind, process: str = "ddim"
-) -> np.ndarray:
-    """Exact gradient of :func:`loss_from_alpha_bar` with respect to
-    ``alpha_bar[1:-1]`` (no schedule validation), in O(S d).
-
-    Reverse-mode sweep: the forward pass builds the per-step gains ``G`` and
-    ``M``; their adjoints follow from the suffix folds of
-    ``_trajectory_coefficients`` (``A[s+1]`` is the product of the later
-    gains, ``B[s+1]`` the mean gain they carry), and the stochastic sampler's
-    ``var_extra`` is the same fold run on ``(G**2, c**2)``.  The chain rule
-    then goes through the closed-form partials of ``(a, b, c**2)`` in the
-    two neighbouring levels ``p = alpha_bar[s-1]`` and ``x = alpha_bar[s]``;
-    the partial of ``c**2`` is zero where its clip at zero is active.
+    unconstrained mode.  With ``gradient=True`` returns ``(loss, grad)``,
+    ``grad`` the exact gradient with respect to ``alpha_bar[1:-1]``, from
+    one forward pass and one reverse sweep over its arrays in O(S d); the
+    loss is the same float either way.
     """
     lam, mu = model.eigenvalues, model.mean_spectral
+    kind = LossKind(kind)
+    arrays = _transfer_arrays(lam, alpha_bar, process, forward=gradient)
+    noise_gain, mean_gain, var_extra = arrays[:3]
+    variance = noise_gain**2 + var_extra
+    loss = _EVALUATORS[kind](lam, mu, variance, mean_gain)
+    if not gradient:
+        return loss
+    d_var, d_gain = _PARTIALS[kind](lam, mu, variance, mean_gain)
+    return loss, _reverse_sweep(lam, alpha_bar, process, noise_gain, d_var, d_gain, arrays[3])
+
+
+def _reverse_sweep(lam, alpha_bar, process, noise_gain, d_var, d_gain, forward) -> np.ndarray:
+    """Gradient with respect to ``alpha_bar[1:-1]`` from the loss's partials
+    ``(d_var, d_gain)`` in the output variance and mean gain, reusing the
+    forward arrays of :func:`_transfer_arrays`.
+
+    The adjoints of the per-step gains ``G`` and ``M`` need, per step, the
+    product of the later gains (``A[s+1]`` of ``_trajectory_coefficients``)
+    and the mean gain they carry (``B[s+1]``, by the log-depth scan
+    ``_suffix_fold``); the stochastic sampler's extra variance adds the same
+    fold run on ``(G**2, c**2)``.  The chain rule then goes through the
+    closed-form partials of ``(a, b, c**2)`` in the two neighbouring levels
+    ``p = alpha_bar[s-1]`` and ``x = alpha_bar[s]``; the partial of ``c**2``
+    is zero where its clip at zero is active.
+    """
+    a, b, c2, den, G, M, prefix, prefix2 = forward
     p, x = alpha_bar[:-1], alpha_bar[1:]
     sqrt_p, sqrt_x = np.sqrt(p), np.sqrt(x)
+    one_p, one_x = 1.0 - p, 1.0 - x
     if process == "ddim":
-        a, b = _ddim_ab(alpha_bar)
-        a_p = -0.5 * a / (1.0 - p)
-        a_x = 0.5 * a / (1.0 - x)
+        a_p = -0.5 * a / one_p
+        a_x = 0.5 * a / one_x
         b_p = 0.5 / sqrt_p - sqrt_x * a_p
         b_x = -0.5 * a / sqrt_x - sqrt_x * a_x
-    elif process == "ddpm":
-        a, b, c2 = _ddpm_abc(alpha_bar)
-        a_p = -a * (1.0 / (1.0 - p) + 0.5 / p)
-        a_x = a * (0.5 / x + 1.0 / (1.0 - x))
-        b_p = (p + x) / (2.0 * p * sqrt_p * (1.0 - x))
-        b_x = (p - 1.0) / (sqrt_p * (1.0 - x) ** 2)
-        unclipped = c2 > 0.0
-        c2_p = np.where(unclipped, ((1.0 - p) * x / p**2 - (1.0 - x / p)) / (1.0 - x), 0.0)
-        c2_x = np.where(unclipped, -((1.0 - p) ** 2) / (p * (1.0 - x) ** 2), 0.0)
     else:
-        raise ValueError(f"unknown process {process!r}")
+        a_p = -a * (1.0 / one_p + 0.5 / p)
+        a_x = a * (0.5 / x + 1.0 / one_x)
+        b_p = (p + x) / (2.0 * p * sqrt_p * one_x)
+        b_x = (p - 1.0) / (sqrt_p * one_x**2)
+        unclipped = c2 > 0.0
+        c2_p = np.where(unclipped, (one_p * x / p**2 - (1.0 - x / p)) / one_x, 0.0)
+        c2_x = np.where(unclipped, -(one_p**2) / (p * one_x**2), 0.0)
 
-    G, M = _step_gains(lam, alpha_bar, a, b)
-    noise_gain, mean_gain, prefix = _accumulate(G, M)
-    variance = noise_gain**2
-    if process == "ddpm":
-        _, var_fold = _trajectory_coefficients(G**2, np.broadcast_to(c2[:, None], G.shape))
-        variance = variance + var_fold[0]
-    d_var, d_gain = _PARTIALS[LossKind(kind)](lam, mu, variance, mean_gain)
-
-    # adjoints of the per-step gains, shape (S, d)
-    A, B = _trajectory_coefficients(G, M)
-    dG = prefix * (2.0 * d_var * noise_gain * A[1:] + d_gain * B[1:])
-    dM = prefix * d_gain
+    # adjoints of the per-step gains, shape (S, d):
+    # dG = prefix * (2 d_var noise_gain A[1:] + d_gain B[1:]), dM = prefix * d_gain.
+    # work[0] becomes dG, work[1:] the products summed over coordinates below.
+    work = np.empty((5,) + G.shape)
+    if process == "ddim":
+        later_gain, mean_part = _suffix_fold(G, M)
+    else:
+        # the mean fold and the extra-variance fold on (G**2, c**2), side by
+        # side in one scan
+        d = G.shape[1]
+        A, B = _suffix_fold(
+            np.hstack((G, G**2)), np.hstack((M, np.broadcast_to(c2[:, None], G.shape)))
+        )
+        later_gain, mean_part, var_part = A[:, :d], B[:, :d], B[:, d:]
+    dG = np.multiply(2.0 * d_var * noise_gain, later_gain, out=work[0])
+    mean_part *= d_gain
+    dG += mean_part
+    dG *= prefix
     grad_p = grad_x = 0.0
     if process == "ddpm":
-        dG += 2.0 * d_var * G * prefix**2 * var_fold[1:]
-        d_c2 = (d_var * prefix**2).sum(axis=1)
+        var_gain = 2.0 * d_var * G
+        var_gain *= prefix2
+        var_gain *= var_part
+        dG += var_gain
+        d_c2 = (d_var * prefix2).sum(axis=1)
         grad_p, grad_x = d_c2 * c2_p, d_c2 * c2_x
 
     # chain through G = a + b sqrt(x) lam / den and M = b (1 - x) / den,
-    # with den = 1 + x (lam - 1), summing each step over coordinates
-    den = 1.0 + x[:, None] * (lam - 1.0)
-    ratio = lam / den
+    # with den = x lam + 1 - x, summing each step over coordinates:
+    # dG, dG ratio, dG ratio slope, dM / den and dM slope / den
     slope = (lam - 1.0) / den
-    g_sum = dG.sum(axis=1)
-    g_ratio = (dG * ratio).sum(axis=1)
-    g_slope = (dG * ratio * slope).sum(axis=1)
-    m_inv = (dM / den).sum(axis=1)
-    m_slope = (dM * slope / den).sum(axis=1)
-    grad_p = grad_p + a_p * g_sum + b_p * sqrt_x * g_ratio + b_p * (1.0 - x) * m_inv
+    np.divide(lam, den, out=work[1])
+    work[1] *= dG
+    np.multiply(work[1], slope, out=work[2])
+    dM = np.multiply(prefix, d_gain, out=work[4])
+    np.divide(dM, den, out=work[3])
+    dM *= slope
+    dM /= den
+    g_sum, g_ratio, g_slope, m_inv, m_slope = work.sum(axis=2)
+    grad_p = grad_p + a_p * g_sum + b_p * sqrt_x * g_ratio + b_p * one_x * m_inv
     grad_x = (
         grad_x
         + a_x * g_sum
         + (b_x * sqrt_x + 0.5 * b / sqrt_x) * g_ratio
         - b * sqrt_x * g_slope
-        + (b_x * (1.0 - x) - b) * m_inv
-        - b * (1.0 - x) * m_slope
+        + (b_x * one_x - b) * m_inv
+        - b * one_x * m_slope
     )
     # interior level s is x of step s and p of step s + 1
     return grad_x[:-1] + grad_p[1:]
@@ -267,8 +286,8 @@ def finite_difference_gradient(f, x: np.ndarray, lower: np.ndarray, upper: np.nd
 
     Step per coordinate is ``1e-7 * max(1, |x_i|)``, shrunk so both stencil
     points remain strictly inside ``(lower_i, upper_i)``; degenerate spacing
-    falls back to a one-sided difference.  Kept as the test oracle for
-    :func:`loss_gradient_from_alpha_bar`.
+    falls back to a one-sided difference.  Kept as the test oracle for the
+    exact gradient of :func:`loss_from_alpha_bar`.
     """
     x = np.asarray(x, dtype=float)
     grad = np.zeros_like(x)
@@ -302,15 +321,15 @@ def loss_gradient(
     """Exact gradient of the loss with respect to the interior alpha_bar values.
 
     Endpoints stay fixed; component ``i`` differentiates ``alpha_bar[i+1]``.
-    Computed by the reverse-mode sweep of
-    :func:`loss_gradient_from_alpha_bar` in O(S d), instead of the
-    2(S-1) loss evaluations of central differences.  Differences were also a
-    poor reference near tied levels: on ``linear_schedule(10)`` the last
-    interior levels sit within 1.4e-11 of ``epsS``, the stencil is clipped
-    to that sliver and the last component comes out near -4.6e-2, while
-    shrinking the step moves central differences toward the exact -4.6e-7.
+    Computed by the reverse-mode sweep of :func:`loss_from_alpha_bar` in
+    O(S d), instead of the 2(S-1) loss evaluations of central differences.
+    Differences were also a poor reference near tied levels: on
+    ``linear_schedule(10)`` the last interior levels sit within 1.4e-11 of
+    ``epsS``, the stencil is clipped to that sliver and the last component
+    comes out near -4.6e-2, while shrinking the step moves central
+    differences toward the exact -4.6e-7.
     """
     schedule.validate()
     if schedule.steps < 2:
         return np.zeros(0)
-    return loss_gradient_from_alpha_bar(model, schedule.alpha_bar, kind, process)
+    return loss_from_alpha_bar(model, schedule.alpha_bar, kind, process, gradient=True)[1]

@@ -20,13 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# finite_difference_gradient is not called here; it stays importable from
-# this module as the reference the exact gradient is checked against.
+# finite_difference_gradient is not called here; the traced benchmark
+# (bench/layers.py) still wraps it under this module's name.
 from .losses import (
     LossKind,
     finite_difference_gradient,  # noqa: F401
     loss_from_alpha_bar,
-    loss_gradient_from_alpha_bar,
 )
 from .schedules import cosine_schedule, warm_start_interpolate
 from .spectral import DEFAULT_EPS0, DEFAULT_EPSS, Schedule, SpectralModel
@@ -301,8 +300,7 @@ def optimize_schedule(
     def objective(x):
         # scaled to 1 at the start, so ftol and GTOL are relative
         full, pullback = schedule_of(x)
-        f = loss_from_alpha_bar(model, full, config.loss, config.process)
-        g_ab = loss_gradient_from_alpha_bar(model, full, config.loss, config.process)
+        f, g_ab = loss_from_alpha_bar(model, full, config.loss, config.process, gradient=True)
         interior = full[1:-1]
         return f / f0, pullback(g_ab * interior * (1.0 - interior)) / f0
 

@@ -262,18 +262,33 @@ def _ddpm_abc(alpha_bar: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return a, b, c2
 
 
+def _step_denominators(eigenvalues: np.ndarray, alpha_bar: np.ndarray) -> np.ndarray:
+    """``alpha_bar[s] * lam + (1 - alpha_bar[s])`` over steps s = 1..S, shape (S, d):
+    the variance of the noisy state at each step's input level."""
+    ab_cur = alpha_bar[1:, None]
+    denom = ab_cur * eigenvalues[None, :]
+    denom += 1.0 - ab_cur
+    return denom
+
+
 def _step_gains(
-    eigenvalues: np.ndarray, alpha_bar: np.ndarray, a: np.ndarray, b: np.ndarray
+    eigenvalues: np.ndarray,
+    alpha_bar: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
+    denom: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-step diagonal gains, shape (S, d).
 
     ``G[s-1]`` multiplies the state, ``M[s-1]`` the spectral mean:
-    ``v_{s-1} = G v_s + M mean_spectral``.
+    ``v_{s-1} = G v_s + M mean_spectral``.  ``denom`` is
+    :func:`_step_denominators`, computed here when not given.
     """
-    ab_cur = alpha_bar[1:, None]
-    lam = eigenvalues[None, :]
-    denom = ab_cur * lam + (1.0 - ab_cur)
-    G = a[:, None] + (b * np.sqrt(alpha_bar[1:]))[:, None] * lam / denom
+    if denom is None:
+        denom = _step_denominators(eigenvalues, alpha_bar)
+    G = (b * np.sqrt(alpha_bar[1:]))[:, None] * eigenvalues[None, :]
+    G /= denom
+    G += a[:, None]
     M = (b * (1.0 - alpha_bar[1:]))[:, None] / denom
     return G, M
 
@@ -284,31 +299,44 @@ def _accumulate(G: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     Returns ``(noise_gain, mean_gain, prefix)`` where ``prefix[i-1]`` is the
     exclusive product of G over steps 1..i-1 (used for variance accumulation).
     """
-    cum = np.cumprod(G, axis=0)
-    noise_gain = cum[-1]
-    prefix = np.vstack([np.ones((1, G.shape[1])), cum[:-1]])
-    mean_gain = np.sum(prefix * M, axis=0)
+    prefix = np.empty_like(G)
+    prefix[0] = 1.0
+    np.cumprod(G[:-1], axis=0, out=prefix[1:])
+    noise_gain = prefix[-1] * G[-1]
+    mean_gain = (prefix * M).sum(axis=0)
     return noise_gain, mean_gain, prefix
 
 
 def _transfer_arrays(
-    eigenvalues: np.ndarray, alpha_bar: np.ndarray, process: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    eigenvalues: np.ndarray, alpha_bar: np.ndarray, process: str, forward: bool = False
+):
     """(noise_gain, mean_gain, var_extra) from a raw alpha_bar vector.
 
     Fast path shared with the loss/optimizer code; does no validation so it
-    can be called on unconstrained optimizer iterates.
+    can be called on unconstrained optimizer iterates.  With ``forward=True``
+    a fourth element holds the per-step arrays a reverse sweep reuses:
+    ``(a, b, c2, denom, G, M, prefix, prefix2)`` with ``prefix2 =
+    prefix**2``; ``c2`` and ``prefix2`` are None for ddim.
     """
     if process == "ddim":
         a, b = _ddim_ab(alpha_bar)
+        c2 = None
     elif process == "ddpm":
         a, b, c2 = _ddpm_abc(alpha_bar)
     else:
         raise ValueError(f"unknown process {process!r}")
-    noise_gain, mean_gain, prefix = _accumulate(*_step_gains(eigenvalues, alpha_bar, a, b))
+    denom = _step_denominators(eigenvalues, alpha_bar)
+    G, M = _step_gains(eigenvalues, alpha_bar, a, b, denom)
+    noise_gain, mean_gain, prefix = _accumulate(G, M)
     if process == "ddim":
-        return noise_gain, mean_gain, np.zeros_like(noise_gain)
-    return noise_gain, mean_gain, np.sum(prefix**2 * c2[:, None], axis=0)
+        prefix2 = None
+        var_extra = np.zeros_like(noise_gain)
+    else:
+        prefix2 = prefix**2
+        var_extra = (prefix2 * c2[:, None]).sum(axis=0)
+    if not forward:
+        return noise_gain, mean_gain, var_extra
+    return noise_gain, mean_gain, var_extra, (a, b, c2, denom, G, M, prefix, prefix2)
 
 
 def _vp_transfer(model: SpectralModel, schedule: Schedule, process: str) -> Transfer:
@@ -347,6 +375,32 @@ def _trajectory_coefficients(G: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, 
     B[S] = 0.0
     for s in range(S, 0, -1):
         B[s - 1] = G[s - 1] * B[s] + M[s - 1]
+    return A, B
+
+
+def _suffix_fold(G: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows 1..S of ``A`` and ``B`` in :func:`_trajectory_coefficients`, shape (S, d).
+
+    The affine recurrence ``B[s-1] = G[s-1] * B[s] + M[s-1]`` folded by a
+    log-depth suffix scan (Hillis & Steele 1986; Blelloch 1990): after the
+    round with offset ``k``, ``(A[i], B[i])`` compose the ``2k`` steps from
+    ``i`` on, so ``ceil(log2(S - 1))`` vector rounds replace the S-step loop.
+    Only products of gains are formed, never quotients, so gains that
+    underflow leave the result finite.  Rounding differs from the loop's.
+    Columns fold independently, so side-by-side recurrences share a scan.
+    """
+    S = len(G)
+    A, B = np.ones(G.shape), np.zeros(G.shape)
+    g, m = A[:-1], B[:-1]  # A[S] = 1 and B[S] = 0 stay in the last rows
+    g[...] = G[1:]
+    m[...] = M[1:]
+    tmp = np.empty_like(m)
+    n, k = S - 1, 1
+    while k < n:
+        np.multiply(g[: n - k], m[k:], out=tmp[: n - k])
+        m[: n - k] += tmp[: n - k]
+        g[: n - k] *= g[k:]
+        k *= 2
     return A, B
 
 
@@ -409,9 +463,22 @@ def vp_to_ve(schedule: Schedule) -> VeSchedule:
 
 
 def ve_to_vp(ve: VeSchedule) -> Schedule:
-    """Inverse of :func:`vp_to_ve`: ``alpha_bar = 1 / (1 + sigma**2)``."""
+    """Inverse of :func:`vp_to_ve`: ``alpha_bar = 1 / (1 + sigma**2)``.
+
+    Every level must land strictly inside (0, 1): a ``sigma`` so small that
+    ``alpha_bar`` rounds to 1 (such as 0) or so large that it rounds to 0 is
+    rejected.
+    """
     ve.validate()
-    ab = 1.0 / (1.0 + ve.sigma**2)
+    with np.errstate(over="ignore"):  # sigma**2 = inf gives alpha_bar = 0, rejected below
+        ab = 1.0 / (1.0 + ve.sigma**2)
+    bad = np.flatnonzero((ab <= 0.0) | (ab >= 1.0))
+    if len(bad):
+        i = bad[0]
+        raise ValueError(
+            f"sigma[{i}]={float(ve.sigma[i])!r} gives alpha_bar = 1 / (1 + sigma**2) = {float(ab[i])!r};"
+            " every level must lie strictly inside (0, 1)"
+        )
     return Schedule(
         kind="custom",
         steps=ve.steps,

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 import wave
 from pathlib import Path
 
@@ -459,6 +460,68 @@ def test_convert_nan_sigma_exits_2(tmp_path, capsys):
     assert not out.exists()
     message = json.loads(capsys.readouterr().err)["error"]["message"]
     assert message.startswith("sigma must be finite")
+
+
+@pytest.mark.parametrize(
+    "sigma, level",
+    [([0.0, 1, 80], 0), ([0.1, 1, 1e200], 2)],
+    ids=["zero-sigma", "overflowing-sigma"],
+)
+def test_convert_to_vp_outside_the_retention_range_exits_2(tmp_path, capsys, sigma, level):
+    # each converted with exit 0 to alpha_bar = 1 or 0, a file every later
+    # command rejected; the overflow must not print a warning either
+    ve = tmp_path / "ve.json"
+    ve.write_text(json.dumps({"steps": 2, "sigma": sigma}))
+    out = tmp_path / "vp.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["convert", "--schedule", ve, "--direction", "to-vp", "--out", out]) == 2
+    assert not out.exists()
+    message = json.loads(capsys.readouterr().err)["error"]["message"]
+    assert message.startswith(f"sigma[{level}]=")
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"", b"RIF", b"not a wav file", b"RIFF\x04\x00\x00\x00WAVE"],
+    ids=["empty", "truncated", "not-riff", "header-only"],
+)
+def test_estimate_unreadable_wav_exits_2(tmp_path, capsys, content):
+    source = tmp_path / "bad.wav"
+    source.write_bytes(content)
+    cov = tmp_path / "cov.csv"
+    rc = run([
+        "estimate", "--input", source, "--window", "8", "--th", "0.05",
+        "--out-cov", cov, "--out-model", tmp_path / "model.json",
+    ])
+    assert rc == 2
+    assert not cov.exists()
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "ValueError"
+    assert error["message"].startswith(f"{source}: not a readable WAV file (")
+
+
+@pytest.mark.parametrize("value", [2.5, True, "16", None], ids=["fraction", "bool", "string", "null"])
+@pytest.mark.parametrize("file, field", [("model", "dim"), ("schedule", "steps"), ("sigma", "steps")])
+def test_non_integer_count_field_exits_2(tmp_path, capsys, model_file, file, field, value):
+    schedule_file = tmp_path / "s.json"
+    save_schedule(cosine_schedule(4), schedule_file)
+    sigma_file = tmp_path / "ve.json"
+    save_ve_schedule(vp_to_ve(cosine_schedule(4)), sigma_file)
+    path = {"model": model_file, "schedule": schedule_file, "sigma": sigma_file}[file]
+    data = json.loads(path.read_text())
+    data[field] = value
+    path.write_text(json.dumps(data))
+    out = tmp_path / "out.csv"
+    if file == "sigma":
+        argv = ["convert", "--schedule", sigma_file, "--direction", "to-vp", "--out", out]
+    else:
+        argv = ["eval", "--model", model_file, "--schedules", schedule_file, "--out", out]
+    assert run(argv) == 2
+    assert not out.exists()
+    message = json.loads(capsys.readouterr().err)["error"]["message"]
+    what = {"model": "spectral model", "schedule": "schedule", "sigma": "sigma schedule"}[file]
+    assert message == f"{what} field {field!r} must be an integer, got {value!r}"
 
 
 def test_manifest_out_override(tmp_path):

@@ -75,6 +75,41 @@ def test_unknown_fields_rejected(tmp_path):
         load_schedule(sched_path)
 
 
+def test_integral_float_counts_load(tmp_path):
+    # a writer that emits every number as a float (16.0) still loads
+    model = SpectralModel(dim=2, eigenvalues=[1.0, 0.5], mean_spectral=[0.0, 0.1])
+    path = tmp_path / "m.json"
+    save_model(model, path)
+    data = json.loads(path.read_text())
+    data["dim"] = 2.0
+    path.write_text(json.dumps(data))
+    loaded = load_model(path)
+    assert loaded.dim == 2 and type(loaded.dim) is int
+
+
+@pytest.mark.parametrize("value", [2.5, True, float("inf")])
+def test_raw_f64_sidecar_rejects_non_integer_counts(tmp_path, value):
+    path = tmp_path / "x.f64"
+    save_raw_f64(np.ones((2, 3)), path)
+    meta = json.loads((tmp_path / "x.f64.json").read_text())
+    meta["count"] = value
+    (tmp_path / "x.f64.json").write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match="^raw sidecar field 'count' must be an integer"):
+        load_raw_f64(path)
+
+
+def test_save_schedule_writes_only_valid_schedules(tmp_path):
+    path = tmp_path / "s.json"
+    bad = Schedule(kind="custom", steps=2, alpha_bar=np.array([1.0, 0.5, 4e-5]), eps0=0.0)
+    with pytest.raises(ValueError, match="strictly inside"):
+        save_schedule(bad, path)
+    assert not path.exists()
+    # a non-monotone schedule, as free-mode optimization may return, is written
+    crossed = Schedule(kind="custom", steps=3, alpha_bar=np.array([1 - 1e-4, 0.4, 0.6, 4e-5]))
+    save_schedule(crossed, path)
+    np.testing.assert_array_equal(load_schedule(path).alpha_bar, crossed.alpha_bar)
+
+
 def test_raw_f64_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     data = rng.normal(size=(7, 3))

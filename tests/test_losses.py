@@ -15,11 +15,7 @@ from diffsched import (
     w2_loss,
     weighted_l1_loss,
 )
-from diffsched.losses import (
-    finite_difference_gradient,
-    loss_from_alpha_bar,
-    loss_gradient_from_alpha_bar,
-)
+from diffsched.losses import finite_difference_gradient, loss_from_alpha_bar
 from diffsched.simulate import DenseGaussian
 
 from conftest import dense_ddpm_moments
@@ -317,6 +313,18 @@ def _spaced_alpha_bar(rng, S, eps0=1e-4, epsS=4e-5, min_gap=1e-3):
     return ab
 
 
+@pytest.mark.parametrize("process", ["ddim", "ddpm"])
+@pytest.mark.parametrize("kind", list(LossKind))
+def test_gradient_pass_returns_the_loss_only_value(benchmark_model, kind, process):
+    # asking for the gradient must not change the loss by a single bit
+    _, model = benchmark_model
+    for S in (2, 28, 112):
+        ab = cosine_schedule(S).alpha_bar
+        loss, grad = loss_from_alpha_bar(model, ab, kind, process, gradient=True)
+        assert loss == loss_from_alpha_bar(model, ab, kind, process)
+        assert grad.shape == (S - 1,)
+
+
 @pytest.mark.parametrize("kind", [LossKind.WASSERSTEIN2, LossKind.KL])
 @pytest.mark.parametrize("seed", range(4))
 def test_exact_ddpm_gradient_matches_dense_moment_oracle(seed, kind):
@@ -338,7 +346,7 @@ def test_exact_ddpm_gradient_matches_dense_moment_oracle(seed, kind):
         return w2_oracle(out_mean, out_var, model.mean_spectral, model.eigenvalues)
 
     fd = finite_difference_gradient(dense_loss, ab[1:-1], ab[2:], ab[:-2])
-    g = loss_gradient_from_alpha_bar(model, ab, kind, "ddpm")
+    g = loss_from_alpha_bar(model, ab, kind, "ddpm", gradient=True)[1]
     assert np.linalg.norm(g - fd) <= 1e-6 * np.linalg.norm(fd)
 
 

@@ -21,7 +21,7 @@ from diffsched import (
     ddim_transfer,
 )
 from diffsched import optimize as optimize_module
-from diffsched.losses import loss_from_alpha_bar, loss_gradient_from_alpha_bar
+from diffsched.losses import loss_from_alpha_bar
 from diffsched.optimize import GTOL
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -213,33 +213,74 @@ def test_config_rejects_bad_integer_fields(field, bad):
 )
 def test_report_counts_match_traced_calls(benchmark_model, monkeypatch, process, mode):
     # the report's counts are read off the solver result; every real call
-    # must still be counted: the objective once more for the final loss
+    # must still be counted: the objective once more for the final loss, and
+    # each gradient by a call that asks for one
     import diffsched.optimize as optimize_module
 
     calls = {"objective": 0, "gradient": 0}
+    real = optimize_module.loss_from_alpha_bar
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
+    def counted(*args, gradient=False, **kwargs):
+        calls["objective"] += 1
+        calls["gradient"] += gradient
+        return real(*args, gradient=gradient, **kwargs)
 
-        return wrapper
-
-    monkeypatch.setattr(
-        optimize_module,
-        "loss_from_alpha_bar",
-        counted("objective", optimize_module.loss_from_alpha_bar),
-    )
-    monkeypatch.setattr(
-        optimize_module,
-        "loss_gradient_from_alpha_bar",
-        counted("gradient", optimize_module.loss_gradient_from_alpha_bar),
-    )
+    monkeypatch.setattr(optimize_module, "loss_from_alpha_bar", counted)
     _, model = benchmark_model
     _, report = optimize_schedule(model, OptimizeConfig(process=process, mode=mode, steps=28))
     assert calls["objective"] == report.objective_evals + 1
     assert calls["gradient"] == report.gradient_evals
     assert len(report.loss_trace) == report.iterations + 1
+
+
+@pytest.mark.parametrize("process", ["ddim", "ddpm"])
+def test_each_evaluation_runs_one_forward_pass(benchmark_model, monkeypatch, process):
+    # the loss and its gradient come from one pass through the per-step
+    # gains; only the start check and the final loss add a pass each
+    import diffsched.losses as losses_module
+
+    passes = 0
+    real = losses_module._transfer_arrays
+
+    def counted(*args, **kwargs):
+        nonlocal passes
+        passes += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(losses_module, "_transfer_arrays", counted)
+    _, model = benchmark_model
+    _, report = optimize_schedule(model, OptimizeConfig(process=process, steps=28))
+    assert passes == report.objective_evals + 1
+
+
+# (objective evaluations, iterations, final loss) of the run before the loss
+# and gradient shared one forward pass; only the gradient's rounding changed
+PARENT_RUNS = {
+    "w2-ddim-S10": (24, 19, 0.17051774202746478),
+    "w2-ddim-S28": (23, 20, 0.023671603261191686),
+    "w2-ddim-S60": (24, 20, 0.005309007495607418),
+    "w2-ddim-S112": (25, 22, 0.0015795976078100671),
+    "kl-ddpm-S60": (35, 31, 0.07564910988765328),
+    "w2-ddim-S28-d400": (23, 19, 0.04903674830009625),
+    "w2-ddim-S250": (28, 25, 0.00038329303975931145),
+}
+
+
+def test_design_points_agree_with_the_two_pass_gradient(benchmark_model, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    from design import POINTS
+    from inputs import signal_model
+
+    _, d50 = benchmark_model
+    models = {"d50": d50, "d400": signal_model(1)}
+    points = [*POINTS, ("w2-ddim-S250", LossKind.WASSERSTEIN2, "ddim", 250, "d50")]
+    assert sorted(name for name, *_ in points) == sorted(PARENT_RUNS)
+    for name, loss, process, steps, model in points:
+        config = OptimizeConfig(loss=loss, process=process, steps=steps)
+        _, report = optimize_schedule(models[model], config)
+        evals, iterations, final_loss = PARENT_RUNS[name]
+        assert (report.objective_evals, report.iterations) == (evals, iterations), name
+        assert report.final_loss == pytest.approx(final_loss, rel=1e-12, abs=0.0), name
 
 
 @pytest.mark.parametrize("mode", ["constrained", "free"])
@@ -256,7 +297,7 @@ def test_report_projected_gradient_norm(benchmark_model, mode):
         interior = ab[1:-1]
         assert np.all((interior < ab[0]) & (interior > ab[-1]))
         f0 = loss_from_alpha_bar(model, np.linspace(ab[0], ab[-1], 11), config.loss)
-        g = loss_gradient_from_alpha_bar(model, ab, config.loss) * interior * (1 - interior)
+        g = loss_from_alpha_bar(model, ab, config.loss, gradient=True)[1] * interior * (1 - interior)
         assert report.projected_gradient_norm == pytest.approx(np.max(np.abs(g)) / f0, rel=1e-6)
 
 

@@ -21,7 +21,7 @@ from diffsched import (
     vp_to_ve,
     wiener_denoise,
 )
-from diffsched.spectral import _ddim_ab, _step_gains, _trajectory_coefficients
+from diffsched.spectral import _ddim_ab, _step_gains, _suffix_fold, _trajectory_coefficients
 
 from conftest import random_monotone_alpha_bar
 
@@ -381,12 +381,19 @@ def test_ve_rejects_non_finite_sigma(bad):
         ve_to_vp(ve)
 
 
-def test_zero_sigma_maps_to_full_retention():
-    # sigma = 0 is the clean end: alpha_bar = 1 exactly (such a schedule is
-    # convertible but not a valid strict-interior schedule).
-    back = ve_to_vp(VeSchedule(steps=1, sigma=np.array([0.0, 1.0])))
-    assert back.alpha_bar[0] == 1.0
-    assert back.alpha_bar[1] == 0.5
+@pytest.mark.parametrize(
+    "sigma, level",
+    [([0.0, 1.0], 0), ([1e-9, 1.0], 0), ([0.1, 1.0, 1e200], 2)],
+    ids=["zero", "rounds-to-one", "overflows-to-zero"],
+)
+def test_ve_to_vp_rejects_sigma_outside_the_retention_range(sigma, level):
+    # sigma = 0 (or one so small that 1 + sigma**2 rounds to 1) would give
+    # alpha_bar = 1, and one whose square overflows alpha_bar = 0: neither is
+    # a valid strict-interior schedule, so the conversion refuses both
+    ve = VeSchedule(steps=len(sigma) - 1, sigma=np.array(sigma))
+    with pytest.raises(ValueError, match=rf"^sigma\[{level}\]="):
+        ve_to_vp(ve)
+    assert ve_to_vp(VeSchedule(steps=1, sigma=np.array([1e-7, 1.0]))).alpha_bar[1] == 0.5
 
 
 def test_ve_gain_scalar_example():
@@ -540,3 +547,24 @@ def test_refinement_narrows_distance(benchmark_model):
     coarse = w2_loss(model, ddim_transfer(model, cosine_schedule(10)))
     fine = w2_loss(model, ddim_transfer(model, cosine_schedule(334)))
     assert fine < coarse
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-3], ids=["gains", "underflowing-gains"])
+@pytest.mark.parametrize("S", [1, 2, 3, 10, 112, 250])
+def test_suffix_fold_matches_step_loop(S, scale):
+    # The log-depth scan against the step loop it replaces in the gradient.
+    # Its error is measured against the same fold of |G| and |M|, the size
+    # rounding is relative to; gains scaled by 1e-3 make the products
+    # underflow, which a form dividing by products of G would not survive.
+    rng = np.random.default_rng(S)
+    G, M = scale * rng.uniform(0.5, 1.5, size=(S, 7)), rng.normal(size=(S, 7))
+    A_ref, B_ref = _trajectory_coefficients(G, M)
+    A_abs, B_abs = _trajectory_coefficients(np.abs(G), np.abs(M))
+    A, B = _suffix_fold(G, M)
+    assert A.shape == B.shape == (S, 7)
+    assert np.all(np.abs(B - B_ref[1:]) <= 1e-14 * B_abs[1:])
+    # products that leave the normal range only owe an absolute error there
+    tiny = np.finfo(float).tiny
+    assert np.all(np.abs(A - A_ref[1:]) <= 1e-14 * A_abs[1:] + tiny)
+    np.testing.assert_array_equal(A[-1], 1.0)
+    np.testing.assert_array_equal(B[-1], 0.0)
