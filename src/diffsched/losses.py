@@ -53,7 +53,7 @@ class LossKind(str, Enum):
 
 def _w2_value(lam: np.ndarray, mu: np.ndarray, variance: np.ndarray, mean_gain: np.ndarray) -> float:
     std = np.sqrt(variance)
-    return float(((np.sqrt(lam) - std) ** 2).sum() + (mu**2 * (mean_gain - 1.0) ** 2).sum())
+    return float(np.sum((np.sqrt(lam) - std) ** 2) + np.sum(mu**2 * (mean_gain - 1.0) ** 2))
 
 
 def _kl_value(lam: np.ndarray, mu: np.ndarray, variance: np.ndarray, mean_gain: np.ndarray) -> float:
