@@ -182,8 +182,9 @@ def loss_from_alpha_bar(
     Fast path for optimizer iterates, which may be non-monotone in the
     unconstrained mode.  With ``gradient=True`` returns ``(loss, grad)``,
     ``grad`` the exact gradient with respect to ``alpha_bar[1:-1]``, from
-    one forward pass and one reverse sweep over its arrays in O(S d); the
-    loss is the same float either way.
+    one forward pass and one reverse sweep over its arrays in O(S d), the
+    sweep's suffix folds done by a log-depth scan; the loss is the same
+    float either way.
     """
     lam, mu = model.eigenvalues, model.mean_spectral
     kind = LossKind(kind)
