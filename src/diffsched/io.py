@@ -19,7 +19,6 @@ from .spectral import Schedule, SpectralModel, VeSchedule
 
 __all__ = [
     "atomic_write_text",
-    "atomic_write_bytes",
     "save_model",
     "load_model",
     "save_schedule",
@@ -62,13 +61,17 @@ def atomic_write_bytes(path, data: bytes) -> None:
         raise
 
 
-def _check_fields(data: dict, allowed: set, what: str) -> None:
+def _read_fields(path, allowed: set, what: str) -> dict:
+    """The JSON object in ``path``, which must hold exactly the ``allowed`` fields."""
+    with open(path, encoding="utf-8") as fh:
+        data = json.load(fh)
     unknown = set(data) - allowed
     if unknown:
         raise ValueError(f"unknown fields in {what}: {sorted(unknown)}")
     missing = allowed - set(data)
     if missing:
         raise ValueError(f"missing fields in {what}: {sorted(missing)}")
+    return data
 
 
 def _integer_field(data: dict, name: str, what: str) -> int:
@@ -82,6 +85,29 @@ def _integer_field(data: dict, name: str, what: str) -> int:
     return value
 
 
+def _string_field(data: dict, name: str, what: str) -> str:
+    value = data[name]
+    if not isinstance(value, str):
+        raise ValueError(f"{what} field {name!r} must be a string, got {value!r}")
+    return value
+
+
+def _number_list_field(data: dict, name: str, what: str) -> np.ndarray:
+    """``data[name]`` as a float vector: a flat JSON list of numbers, no bools."""
+    value = data[name]
+    if not isinstance(value, list):
+        raise ValueError(f"{what} field {name!r} must be a list of numbers, got {value!r}")
+    for i, item in enumerate(value):
+        if isinstance(item, bool) or not isinstance(item, (int, float)):
+            raise ValueError(
+                f"{what} field {name!r} must be a list of numbers, item {i} is {item!r}"
+            )
+    try:
+        return np.asarray(value, dtype=float)
+    except OverflowError:  # an integer literal beyond the float range
+        raise ValueError(f"{what} field {name!r} holds an integer beyond the float range") from None
+
+
 def save_model(model: SpectralModel, path) -> None:
     payload = {
         "dim": model.dim,
@@ -93,14 +119,12 @@ def save_model(model: SpectralModel, path) -> None:
 
 
 def load_model(path) -> SpectralModel:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    _check_fields(data, _MODEL_FIELDS, "spectral model")
+    data = _read_fields(path, _MODEL_FIELDS, "spectral model")
     return SpectralModel(
         dim=_integer_field(data, "dim", "spectral model"),
-        eigenvalues=np.asarray(data["eigenvalues"], dtype=float),
-        mean_spectral=np.asarray(data["mean_spectral"], dtype=float),
-        source=str(data["source"]),
+        eigenvalues=_number_list_field(data, "eigenvalues", "spectral model"),
+        mean_spectral=_number_list_field(data, "mean_spectral", "spectral model"),
+        source=_string_field(data, "source", "spectral model"),
     )
 
 
@@ -120,13 +144,11 @@ def save_schedule(schedule: Schedule, path) -> None:
 
 
 def load_schedule(path) -> Schedule:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    _check_fields(data, _SCHEDULE_FIELDS, "schedule")
+    data = _read_fields(path, _SCHEDULE_FIELDS, "schedule")
     return Schedule(
-        kind=str(data["kind"]),
+        kind=_string_field(data, "kind", "schedule"),
         steps=_integer_field(data, "steps", "schedule"),
-        alpha_bar=np.asarray(data["alpha_bar"], dtype=float),
+        alpha_bar=_number_list_field(data, "alpha_bar", "schedule"),
         eps0=float(data["eps0"]),
         epsS=float(data["epsS"]),
     )
@@ -138,12 +160,10 @@ def save_ve_schedule(ve: VeSchedule, path) -> None:
 
 
 def load_ve_schedule(path) -> VeSchedule:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    _check_fields(data, _VE_FIELDS, "sigma schedule")
+    data = _read_fields(path, _VE_FIELDS, "sigma schedule")
     return VeSchedule(
         steps=_integer_field(data, "steps", "sigma schedule"),
-        sigma=np.asarray(data["sigma"], dtype=float),
+        sigma=_number_list_field(data, "sigma", "sigma schedule"),
     )
 
 
@@ -185,12 +205,20 @@ def save_matrix_csv(matrix: np.ndarray, path) -> None:
 
 
 def load_matrix_csv(path) -> np.ndarray:
+    """Comma-separated rows of numbers, all of one length; blank lines are skipped."""
     rows = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
-                rows.append([float(tok) for tok in line.split(",")])
+            if not line:
+                continue
+            try:
+                row = [float(tok) for tok in line.split(",")]
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {number}: {exc}") from None
+            if rows and len(row) != len(rows[0]):
+                raise ValueError(f"{path}: line {number} has {len(row)} values, not {len(rows[0])}")
+            rows.append(row)
     if not rows:
         raise ValueError(f"empty CSV file: {path}")
     return np.asarray(rows, dtype=float)

@@ -51,83 +51,63 @@ class LossKind(str, Enum):
         return table[name]
 
 
-def _w2_value(lam: np.ndarray, mu: np.ndarray, variance: np.ndarray, mean_gain: np.ndarray) -> float:
-    std = np.sqrt(variance)
-    return float(np.sum((np.sqrt(lam) - std) ** 2) + np.sum(mu**2 * (mean_gain - 1.0) ** 2))
+# Each loss of the per-coordinate output variance and mean gain returns its
+# value and, with ``partials=True``, also its partials in both, as
+# ``(value, d_variance, d_mean_gain)``.
 
 
-def _kl_value(lam: np.ndarray, mu: np.ndarray, variance: np.ndarray, mean_gain: np.ndarray) -> float:
+def _w2(lam, mu, variance, mean_gain, partials=False):
+    sqrt_lam, std = np.sqrt(lam), np.sqrt(variance)
+    value = float(np.sum((sqrt_lam - std) ** 2) + np.sum(mu**2 * (mean_gain - 1.0) ** 2))
+    if not partials:
+        return value
+    return value, 1.0 - sqrt_lam / std, 2.0 * mu**2 * (mean_gain - 1.0)
+
+
+def _kl(lam, mu, variance, mean_gain, partials=False):
     keep = lam >= LAMBDA_FLOOR
     if not np.any(keep):
         raise ValueError("all coordinates fall below the eigenvalue floor; KL undefined")
-    lam, mu = lam[keep], mu[keep]
-    var, gain = variance[keep], mean_gain[keep]
-    if np.any(var <= 0.0):
-        # a degenerate generated coordinate: infinite divergence, not NaN
-        # (log -> -inf and the ratio -> +inf would otherwise cancel badly)
-        return float("inf")
-    return float(
-        0.5
-        * np.sum(np.log(var) - np.log(lam) - 1.0 + (lam + (gain - 1.0) ** 2 * mu**2) / var)
-    )
+    lam_k, mu_k, var, gain = lam[keep], mu[keep], variance[keep], mean_gain[keep]
+    # a degenerate generated coordinate: infinite divergence, not NaN
+    # (log -> -inf and the ratio -> +inf would otherwise cancel badly)
+    value = float("inf")
+    if not np.any(var <= 0.0):
+        ratio = (lam_k + (gain - 1.0) ** 2 * mu_k**2) / var
+        value = float(0.5 * np.sum(np.log(var) - np.log(lam_k) - 1.0 + ratio))
+    if not partials:
+        return value
+    drift = (mean_gain - 1.0) * mu**2
+    d_var = 0.5 * (1.0 - (lam + (mean_gain - 1.0) * drift) / variance) / variance
+    return value, np.where(keep, d_var, 0.0), np.where(keep, drift / variance, 0.0)
 
 
-def _weighted_l1_value(
-    lam: np.ndarray, mu: np.ndarray, variance: np.ndarray, mean_gain: np.ndarray
-) -> float:
+def _weighted_l1(lam, mu, variance, mean_gain, partials=False):
     lam_total = np.sum(lam)
     if lam_total <= 0.0:
         raise ValueError("all eigenvalues are zero; weighted-L1 loss undefined")
-    value = float(np.sum(lam / lam_total * np.abs(variance - lam)))
+    weight = lam / lam_total
+    value = float(np.sum(weight * np.abs(variance - lam)))
     mu_total = np.sum(mu**2)
     if mu_total > 0.0:
         value += float(np.sum(mu**2 / mu_total * (mean_gain - 1.0) ** 2))
-    return value
+    if not partials:
+        return value
+    d_gain = 2.0 * mu**2 / mu_total * (mean_gain - 1.0) if mu_total > 0.0 else np.zeros_like(mu)
+    return value, weight * np.sign(variance - lam), d_gain
 
 
-_EVALUATORS = {
-    LossKind.WASSERSTEIN2: _w2_value,
-    LossKind.KL: _kl_value,
-    LossKind.WEIGHTED_L1: _weighted_l1_value,
+_LOSSES = {
+    LossKind.WASSERSTEIN2: _w2,
+    LossKind.KL: _kl,
+    LossKind.WEIGHTED_L1: _weighted_l1,
 }
 
 
-# Partials of each loss with respect to the per-coordinate output variance
-# and mean gain, as ``(d_variance, d_mean_gain)``.
-
-
-def _w2_partials(lam: np.ndarray, mu: np.ndarray, variance: np.ndarray, mean_gain: np.ndarray):
-    return 1.0 - np.sqrt(lam) / np.sqrt(variance), 2.0 * mu**2 * (mean_gain - 1.0)
-
-
-def _kl_partials(lam: np.ndarray, mu: np.ndarray, variance: np.ndarray, mean_gain: np.ndarray):
-    keep = lam >= LAMBDA_FLOOR
-    if not np.any(keep):
-        raise ValueError("all coordinates fall below the eigenvalue floor; KL undefined")
-    drift = (mean_gain - 1.0) * mu**2
-    d_var = 0.5 * (1.0 - (lam + (mean_gain - 1.0) * drift) / variance) / variance
-    return np.where(keep, d_var, 0.0), np.where(keep, drift / variance, 0.0)
-
-
-def _weighted_l1_partials(
-    lam: np.ndarray, mu: np.ndarray, variance: np.ndarray, mean_gain: np.ndarray
-):
-    lam_total = np.sum(lam)
-    if lam_total <= 0.0:
-        raise ValueError("all eigenvalues are zero; weighted-L1 loss undefined")
-    mu_total = np.sum(mu**2)
-    if mu_total > 0.0:
-        d_gain = 2.0 * mu**2 / mu_total * (mean_gain - 1.0)
-    else:
-        d_gain = np.zeros_like(mu)
-    return lam / lam_total * np.sign(variance - lam), d_gain
-
-
-_PARTIALS = {
-    LossKind.WASSERSTEIN2: _w2_partials,
-    LossKind.KL: _kl_partials,
-    LossKind.WEIGHTED_L1: _weighted_l1_partials,
-}
+def _of_transfer(loss, model: SpectralModel, transfer: Transfer) -> float:
+    _check_dims(model, transfer)
+    variance = transfer.output_variance
+    return loss(model.eigenvalues, model.mean_spectral, variance, transfer.mean_gain)
 
 
 def w2_loss(model: SpectralModel, transfer: Transfer) -> float:
@@ -138,10 +118,7 @@ def w2_loss(model: SpectralModel, transfer: Transfer) -> float:
     is 1 on every coordinate with nonzero mean.  Unlike the KL, coordinates
     below the eigenvalue floor stay included.
     """
-    _check_dims(model, transfer)
-    return _w2_value(
-        model.eigenvalues, model.mean_spectral, transfer.output_variance, transfer.mean_gain
-    )
+    return _of_transfer(_w2, model, transfer)
 
 
 def kl_loss(model: SpectralModel, transfer: Transfer) -> float:
@@ -151,10 +128,7 @@ def kl_loss(model: SpectralModel, transfer: Transfer) -> float:
     the sums (the effective dimension shrinks accordingly); raises when every
     coordinate is excluded.
     """
-    _check_dims(model, transfer)
-    return _kl_value(
-        model.eigenvalues, model.mean_spectral, transfer.output_variance, transfer.mean_gain
-    )
+    return _of_transfer(_kl, model, transfer)
 
 
 def weighted_l1_loss(model: SpectralModel, transfer: Transfer) -> float:
@@ -164,10 +138,7 @@ def weighted_l1_loss(model: SpectralModel, transfer: Transfer) -> float:
     eigenvalue mass; the mean term weights by the share of squared mean and
     is dropped entirely for a centered target.
     """
-    _check_dims(model, transfer)
-    return _weighted_l1_value(
-        model.eigenvalues, model.mean_spectral, transfer.output_variance, transfer.mean_gain
-    )
+    return _of_transfer(_weighted_l1, model, transfer)
 
 
 def loss_from_alpha_bar(
@@ -187,18 +158,17 @@ def loss_from_alpha_bar(
     float either way.
     """
     lam, mu = model.eigenvalues, model.mean_spectral
-    kind = LossKind(kind)
     arrays = _transfer_arrays(lam, alpha_bar, process, forward=gradient)
     noise_gain, mean_gain, var_extra = arrays[:3]
     variance = noise_gain**2 + var_extra
-    loss = _EVALUATORS[kind](lam, mu, variance, mean_gain)
+    result = _LOSSES[LossKind(kind)](lam, mu, variance, mean_gain, partials=gradient)
     if not gradient:
-        return loss
-    d_var, d_gain = _PARTIALS[kind](lam, mu, variance, mean_gain)
-    return loss, _reverse_sweep(lam, alpha_bar, process, noise_gain, d_var, d_gain, arrays[3])
+        return result
+    loss, d_var, d_gain = result
+    return loss, _reverse_sweep(lam, alpha_bar, noise_gain, d_var, d_gain, arrays[3])
 
 
-def _reverse_sweep(lam, alpha_bar, process, noise_gain, d_var, d_gain, forward) -> np.ndarray:
+def _reverse_sweep(lam, alpha_bar, noise_gain, d_var, d_gain, forward) -> np.ndarray:
     """Gradient with respect to ``alpha_bar[1:-1]`` from the loss's partials
     ``(d_var, d_gain)`` in the output variance and mean gain, reusing the
     forward arrays of :func:`_transfer_arrays`.
@@ -207,34 +177,20 @@ def _reverse_sweep(lam, alpha_bar, process, noise_gain, d_var, d_gain, forward) 
     product of the later gains (``A[s+1]`` of ``_trajectory_coefficients``)
     and the mean gain they carry (``B[s+1]``, by the log-depth scan
     ``_suffix_fold``); the stochastic sampler's extra variance adds the same
-    fold run on ``(G**2, c**2)``.  The chain rule then goes through the
-    closed-form partials of ``(a, b, c**2)`` in the two neighbouring levels
-    ``p = alpha_bar[s-1]`` and ``x = alpha_bar[s]``; the partial of ``c**2``
-    is zero where its clip at zero is active.
+    fold run on ``(G**2, c**2)``, its only branch on the process.  The chain
+    rule then goes through the partials of ``(a, b, c**2)`` in the two
+    neighbouring levels ``p = alpha_bar[s-1]`` and ``x = alpha_bar[s]``
+    that :func:`spectral._step_coefficients` returned with them.
     """
-    a, b, c2, den, G, M, prefix, prefix2 = forward
-    p, x = alpha_bar[:-1], alpha_bar[1:]
-    sqrt_p, sqrt_x = np.sqrt(p), np.sqrt(x)
-    one_p, one_x = 1.0 - p, 1.0 - x
-    if process == "ddim":
-        a_p = -0.5 * a / one_p
-        a_x = 0.5 * a / one_x
-        b_p = 0.5 / sqrt_p - sqrt_x * a_p
-        b_x = -0.5 * a / sqrt_x - sqrt_x * a_x
-    else:
-        a_p = -a * (1.0 / one_p + 0.5 / p)
-        a_x = a * (0.5 / x + 1.0 / one_x)
-        b_p = (p + x) / (2.0 * p * sqrt_p * one_x)
-        b_x = (p - 1.0) / (sqrt_p * one_x**2)
-        unclipped = c2 > 0.0
-        c2_p = np.where(unclipped, (one_p * x / p**2 - (1.0 - x / p)) / one_x, 0.0)
-        c2_x = np.where(unclipped, -(one_p**2) / (p * one_x**2), 0.0)
+    b, c2, (a_p, a_x, b_p, b_x, c2_p, c2_x), den, G, M, prefix, prefix2 = forward
+    x = alpha_bar[1:]
+    sqrt_x, one_x = np.sqrt(x), 1.0 - x
 
     # adjoints of the per-step gains, shape (S, d):
     # dG = prefix * (2 d_var noise_gain A[1:] + d_gain B[1:]), dM = prefix * d_gain.
     # work[0] becomes dG, work[1:] the products summed over coordinates below.
     work = np.empty((5,) + G.shape)
-    if process == "ddim":
+    if c2 is None:
         later_gain, mean_part = _suffix_fold(G, M)
     else:
         # the mean fold and the extra-variance fold on (G**2, c**2), side by
@@ -249,7 +205,7 @@ def _reverse_sweep(lam, alpha_bar, process, noise_gain, d_var, d_gain, forward) 
     dG += mean_part
     dG *= prefix
     grad_p = grad_x = 0.0
-    if process == "ddpm":
+    if c2 is not None:
         var_gain = 2.0 * d_var * G
         var_gain *= prefix2
         var_gain *= var_part

@@ -36,10 +36,9 @@ from numpy.random import Generator, Philox
 from .spectral import (
     Schedule,
     SpectralModel,
-    _ddim_ab,
     _ddim_trajectory,
-    _ddpm_abc,
     _require_finite,
+    _step_coefficients,
 )
 
 __all__ = [
@@ -187,18 +186,15 @@ def _check_psd(covariance: np.ndarray) -> None:
 
 
 def _step_maps(target: DenseGaussian, alpha_bar: np.ndarray, process: str):
-    """Dense per-step affine maps (W_s, o_s) and, for ddpm, noise scales c_s.
+    """Dense per-step affine maps (W_s, o_s) and, for ddpm, noise scales c_s
+    (None for ddim).
 
     Step ``s`` maps state s to s-1 via ``x <- W_s x + o_s (+ c_s z)``.
     """
     d = target.dim
     eye = np.eye(d)
-    if process == "ddim":
-        a, b = _ddim_ab(alpha_bar)
-        c = np.zeros(len(a))
-    else:
-        a, b, c2 = _ddpm_abc(alpha_bar)
-        c = np.sqrt(c2)
+    a, b, c2 = _step_coefficients(alpha_bar, process)
+    c = None if c2 is None else np.sqrt(c2)
     gains = []
     offsets = []
     for s in range(len(a)):

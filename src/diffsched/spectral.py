@@ -234,32 +234,55 @@ def ddim_gains(alpha_bar_prev: float, alpha_bar_cur: float) -> tuple[float, floa
         raise ValueError(
             f"ordering violated: alpha_bar_cur={alpha_bar_cur} > alpha_bar_prev={alpha_bar_prev}"
         )
-    a, b = _ddim_ab(np.array([alpha_bar_prev, alpha_bar_cur]))
+    a, b, _ = _step_coefficients(np.array([alpha_bar_prev, alpha_bar_cur]), "ddim")
     return float(a[0]), float(b[0])
 
 
-def _ddim_ab(alpha_bar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(a_s, b_s) arrays over steps s = 1..S for the deterministic sampler."""
-    ab_cur = alpha_bar[1:]
-    ab_prev = alpha_bar[:-1]
-    a = np.sqrt(1.0 - ab_prev) / np.sqrt(1.0 - ab_cur)
-    b = np.sqrt(ab_prev) - np.sqrt(ab_cur) * a
-    return a, b
+def _step_coefficients(alpha_bar: np.ndarray, process: str, partials: bool = False):
+    """Per-step sampler coefficients ``(a, b, c2)`` over steps s = 1..S.
 
+    Both samplers are members of one family (Song, Meng & Ermon 2021,
+    eq. 12): step ``s`` keeps a share ``r`` of the noise of level
+    ``x = alpha_bar[s]`` and goes to level ``p = alpha_bar[s-1]`` by
+    ``a = sqrt((1 - p) / (1 - x) * r)``, ``b = sqrt(p) - sqrt(x) * a`` and
+    fresh-noise variance ``c2 = (1 - p) * (1 - r)``.  The deterministic
+    sampler has ``r = 1`` and ``c2`` None; the stochastic one the forward
+    posterior's ``r = x (1 - p) / (p (1 - x))``, with ``c2`` clamped at zero
+    so that a tied or crossed step adds no variance.
 
-def _ddpm_abc(alpha_bar: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(a_t, b_t, c_t^2) arrays over steps t = 1..S for the stochastic sampler.
-
-    ``c_t`` is the fresh-noise scale; clamped at zero so that a tied step
-    (alpha_bar_t == alpha_bar_{t-1}) contributes no extra variance.
+    With ``partials=True`` a fourth element holds
+    ``(a_p, a_x, b_p, b_x, c2_p, c2_x)``, the partials in ``p`` and ``x``;
+    those of ``c2`` are zero where its clamp is active (None for ddim).
     """
-    ab_cur = alpha_bar[1:]
-    ab_prev = alpha_bar[:-1]
-    step_alpha = ab_cur / ab_prev
-    a = (step_alpha - ab_cur) / (np.sqrt(step_alpha) * (1.0 - ab_cur))
-    b = np.sqrt(ab_prev) * (1.0 - step_alpha) / (1.0 - ab_cur)
-    c2 = np.clip((1.0 - ab_prev) / (1.0 - ab_cur) * (1.0 - step_alpha), 0.0, None)
-    return a, b, c2
+    p, x = alpha_bar[:-1], alpha_bar[1:]
+    one_p, one_x = 1.0 - p, 1.0 - x
+    a = np.sqrt(one_p) / np.sqrt(one_x)
+    if process == "ddim":
+        c2 = None
+    elif process == "ddpm":
+        # r and 1 - r as quotients of products: no cancellation in 1 - r
+        den = p * one_x
+        a *= np.sqrt(x * one_p / den)
+        c2 = np.maximum(one_p * ((p - x) / den), 0.0)
+    else:
+        raise ValueError(f"unknown process {process!r}")
+    sqrt_p, sqrt_x = np.sqrt(p), np.sqrt(x)
+    b = sqrt_p - sqrt_x * a
+    if not partials:
+        return a, b, c2
+    if c2 is None:
+        a_p = -0.5 * a / one_p
+        a_x = 0.5 * a / one_x
+        c2_p = c2_x = None
+    else:
+        a_p = -a * (1.0 / one_p + 0.5 / p)
+        a_x = a * (0.5 / x + 1.0 / one_x)
+        unclipped = c2 > 0.0
+        c2_p = np.where(unclipped, (x / p**2 - 1.0) / one_x, 0.0)
+        c2_x = np.where(unclipped, -(one_p**2) / (p * one_x**2), 0.0)
+    b_p = 0.5 / sqrt_p - sqrt_x * a_p
+    b_x = -0.5 * a / sqrt_x - sqrt_x * a_x
+    return a, b, c2, (a_p, a_x, b_p, b_x, c2_p, c2_x)
 
 
 def _step_denominators(eigenvalues: np.ndarray, alpha_bar: np.ndarray) -> np.ndarray:
@@ -315,20 +338,16 @@ def _transfer_arrays(
     Fast path shared with the loss/optimizer code; does no validation so it
     can be called on unconstrained optimizer iterates.  With ``forward=True``
     a fourth element holds the per-step arrays a reverse sweep reuses:
-    ``(a, b, c2, denom, G, M, prefix, prefix2)`` with ``prefix2 =
-    prefix**2``; ``c2`` and ``prefix2`` are None for ddim.
+    ``(b, c2, partials, denom, G, M, prefix, prefix2)``, where ``partials``
+    are those of :func:`_step_coefficients` and ``prefix2 = prefix**2``;
+    ``c2`` and ``prefix2`` are None for ddim.
     """
-    if process == "ddim":
-        a, b = _ddim_ab(alpha_bar)
-        c2 = None
-    elif process == "ddpm":
-        a, b, c2 = _ddpm_abc(alpha_bar)
-    else:
-        raise ValueError(f"unknown process {process!r}")
+    coefficients = _step_coefficients(alpha_bar, process, partials=forward)
+    a, b, c2 = coefficients[:3]
     denom = _step_denominators(eigenvalues, alpha_bar)
     G, M = _step_gains(eigenvalues, alpha_bar, a, b, denom)
     noise_gain, mean_gain, prefix = _accumulate(G, M)
-    if process == "ddim":
+    if c2 is None:
         prefix2 = None
         var_extra = np.zeros_like(noise_gain)
     else:
@@ -336,7 +355,7 @@ def _transfer_arrays(
         var_extra = (prefix2 * c2[:, None]).sum(axis=0)
     if not forward:
         return noise_gain, mean_gain, var_extra
-    return noise_gain, mean_gain, var_extra, (a, b, c2, denom, G, M, prefix, prefix2)
+    return noise_gain, mean_gain, var_extra, (b, c2, coefficients[3], denom, G, M, prefix, prefix2)
 
 
 def _vp_transfer(model: SpectralModel, schedule: Schedule, process: str) -> Transfer:
@@ -406,7 +425,7 @@ def _suffix_fold(G: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _ddim_trajectory(eigenvalues: np.ndarray, alpha_bar: np.ndarray):
     """:func:`_trajectory_coefficients` of the deterministic sampler (no validation)."""
-    a, b = _ddim_ab(alpha_bar)
+    a, b, _ = _step_coefficients(alpha_bar, "ddim")
     return _trajectory_coefficients(*_step_gains(eigenvalues, alpha_bar, a, b))
 
 

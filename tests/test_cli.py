@@ -524,6 +524,72 @@ def test_non_integer_count_field_exits_2(tmp_path, capsys, model_file, file, fie
     assert message == f"{what} field {field!r} must be an integer, got {value!r}"
 
 
+@pytest.mark.parametrize(
+    "file, field, value, message",
+    [
+        ("model", "eigenvalues", ["1", 2], "must be a list of numbers, item 0 is '1'"),
+        ("model", "mean_spectral", [0.0, True], "must be a list of numbers, item 1 is True"),
+        ("model", "source", 5, "must be a string, got 5"),
+        ("schedule", "kind", None, "must be a string, got None"),
+        ("schedule", "alpha_bar", [[0.9999], 0.5], "must be a list of numbers, item 0 is [0.9999]"),
+        ("sigma", "sigma", "0.01,80", "must be a list of numbers, got '0.01,80'"),
+        ("model", "eigenvalues", [10**400, 1], "holds an integer beyond the float range"),
+    ],
+    ids=[
+        "numeric-string",
+        "bool",
+        "number-for-string",
+        "null",
+        "nested-list",
+        "string-for-list",
+        "huge-integer",
+    ],
+)
+def test_mistyped_file_field_exits_2(tmp_path, capsys, model_file, file, field, value, message):
+    schedule_file = tmp_path / "s.json"
+    save_schedule(cosine_schedule(4), schedule_file)
+    sigma_file = tmp_path / "ve.json"
+    save_ve_schedule(vp_to_ve(cosine_schedule(4)), sigma_file)
+    path = {"model": model_file, "schedule": schedule_file, "sigma": sigma_file}[file]
+    data = json.loads(path.read_text())
+    data[field] = value
+    path.write_text(json.dumps(data))
+    out = tmp_path / "out.csv"
+    if file == "sigma":
+        argv = ["convert", "--schedule", sigma_file, "--direction", "to-vp", "--out", out]
+    else:
+        argv = ["eval", "--model", model_file, "--schedules", schedule_file, "--out", out]
+    assert run(argv) == 2
+    assert not out.exists()
+    what = {"model": "spectral model", "schedule": "schedule", "sigma": "sigma schedule"}[file]
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "ValueError"
+    assert error["message"] == f"{what} field {field!r} {message}"
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ("1,2\n3\n", "line 2 has 1 values, not 2"),
+        ("1,2\n\n3,x\n", "line 3: could not convert string to float: 'x'"),
+    ],
+    ids=["ragged", "not-a-number"],
+)
+def test_estimate_malformed_csv_exits_2(tmp_path, capsys, content, message):
+    source = tmp_path / "windows.csv"
+    source.write_text(content)
+    cov = tmp_path / "cov.csv"
+    rc = run([
+        "estimate", "--input", source, "--window", "2", "--th", "0.05",
+        "--out-cov", cov, "--out-model", tmp_path / "model.json",
+    ])
+    assert rc == 2
+    assert not cov.exists()
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "ValueError"
+    assert error["message"] == f"{source}: {message}"
+
+
 def test_manifest_out_override(tmp_path):
     out = tmp_path / "s.json"
     manifest = tmp_path / "custom-manifest.json"

@@ -21,7 +21,12 @@ from diffsched import (
     vp_to_ve,
     wiener_denoise,
 )
-from diffsched.spectral import _ddim_ab, _step_gains, _suffix_fold, _trajectory_coefficients
+from diffsched.spectral import (
+    _step_coefficients,
+    _step_gains,
+    _suffix_fold,
+    _trajectory_coefficients,
+)
 
 from conftest import random_monotone_alpha_bar
 
@@ -94,7 +99,8 @@ def test_gains_agree_with_time_domain_step():
     a, b = ddim_gains(ab_prev, ab_cur)
     x = 0.9
     stepped = a * x + b * wiener_denoise(model, ab_cur, np.array([x]))[0]
-    G, M = _step_gains(np.array([lam]), np.array([ab_prev, ab_cur]), *(_ddim_ab(np.array([ab_prev, ab_cur]))))
+    ab = np.array([ab_prev, ab_cur])
+    G, M = _step_gains(np.array([lam]), ab, *_step_coefficients(ab, "ddim")[:2])
     assert stepped == pytest.approx(G[0, 0] * x + M[0, 0] * mu, abs=1e-14)
 
 
@@ -109,6 +115,50 @@ def test_gains_reject_bad_ordering():
         ddim_gains(0.25, 0.75)
     with pytest.raises(ValueError):
         ddim_gains(1.0, 0.5)
+
+
+def _textbook_ddpm_abc(alpha_bar):
+    """The stochastic sampler's coefficients in forward-posterior form, with
+    ``alpha_t = alpha_bar[s] / alpha_bar[s-1]`` (Ho, Jain & Abbeel 2020)."""
+    ab_cur = alpha_bar[1:]
+    ab_prev = alpha_bar[:-1]
+    step_alpha = ab_cur / ab_prev
+    a = (step_alpha - ab_cur) / (np.sqrt(step_alpha) * (1.0 - ab_cur))
+    b = np.sqrt(ab_prev) * (1.0 - step_alpha) / (1.0 - ab_cur)
+    c2 = np.clip((1.0 - ab_prev) / (1.0 - ab_cur) * (1.0 - step_alpha), 0.0, None)
+    return a, b, c2
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 60), st.booleans(), st.booleans())
+def test_step_coefficients_match_textbook_samplers(seed, S, crossed, tie):
+    rng = np.random.default_rng(seed)
+    ab = random_monotone_alpha_bar(rng, S)
+    if crossed:
+        ab[1:-1] = rng.uniform(4e-5, 1.0 - 1e-4, S - 1)
+    if tie and S > 2:
+        ab[2] = ab[1]
+    p, x = ab[:-1], ab[1:]
+
+    # deterministic sampler: r = 1, the expressions of Song, Meng & Ermon bit for bit
+    a, b, c2 = _step_coefficients(ab, "ddim")
+    a_ref = np.sqrt(1.0 - p) / np.sqrt(1.0 - x)
+    assert a.tobytes() == a_ref.tobytes()
+    assert b.tobytes() == (np.sqrt(p) - np.sqrt(x) * a_ref).tobytes()
+    assert c2 is None
+
+    # stochastic sampler, each coefficient at its own scale
+    a, b, c2 = _step_coefficients(ab, "ddpm")
+    a_ref, b_ref, c2_ref = _textbook_ddpm_abc(ab)
+    assert np.all(np.abs(a - a_ref) <= 1e-11 * np.abs(a_ref))
+    assert np.all(np.abs(b - b_ref) <= 1e-11 * (np.sqrt(p) + np.sqrt(x) * np.abs(a_ref)))
+    assert np.all(np.abs(c2 - c2_ref) <= 1e-11 * (1.0 - p))
+    assert np.all(c2 >= 0.0)
+    # one family: the kept and the fresh noise add up to the noise of level p
+    unclipped = c2 > 0.0
+    np.testing.assert_allclose(
+        (a**2 * (1.0 - x) + c2)[unclipped], (1.0 - p)[unclipped], rtol=1e-14, atol=0.0
+    )
 
 
 # ---------------------------------------------------------------- transfer
@@ -178,7 +228,7 @@ def test_transfer_matches_dense_composition(seed):
 def test_step_gains_positive_for_monotone_schedules(seed, S):
     rng = np.random.default_rng(seed)
     ab = random_monotone_alpha_bar(rng, S)
-    a, b = _ddim_ab(ab)
+    a, b, _ = _step_coefficients(ab, "ddim")
     assert np.all(b >= -1e-15)
     lam = rng.uniform(0.0, 5.0, size=4)
     G, _ = _step_gains(lam, ab, a, b)
