@@ -77,8 +77,13 @@ _LOSS_FUNCS = {
 }
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+def _parse_list(text: str, convert, name: str) -> list:
+    """The comma-separated values of ``text``, each read by ``convert``; an
+    error names ``name``, the flag or token the text came from."""
+    try:
+        return [convert(tok) for tok in text.split(",")]
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
 
 
 # family -> (generator, number of shape parameters it takes); parameters
@@ -130,9 +135,8 @@ def _write_loss_csv(rows, path):
 
 
 def cmd_gen(args):
-    schedule = _generate(
-        args.family, args.steps, _parse_floats(args.params or ""), args.eps0, args.epsS
-    )
+    params = _parse_list(args.params, float, "--params") if args.params else []
+    schedule = _generate(args.family, args.steps, params, args.eps0, args.epsS)
     save_schedule(schedule, args.out)
     return [], [args.out], {"kind": schedule.kind}
 
@@ -173,7 +177,7 @@ def cmd_optimize(args):
 
 def cmd_eval(args):
     model = load_model(args.model)
-    losses = [LossKind.from_cli_name(tok) for tok in args.losses.split(",")]
+    losses = _parse_list(args.losses, LossKind.from_cli_name, "--losses")
     processes = ["ddim", "ddpm"] if args.process == "both" else [args.process]
     rows = []
     for path in args.schedules:
@@ -185,9 +189,9 @@ def cmd_eval(args):
 
 def cmd_compare(args):
     model = load_model(args.model)
-    losses = [LossKind.from_cli_name(tok) for tok in args.losses.split(",")]
+    losses = _parse_list(args.losses, LossKind.from_cli_name, "--losses")
     processes = ["ddim", "ddpm"] if args.process == "both" else [args.process]
-    steps_list = [int(tok) for tok in args.steps_list.split(",")]
+    steps_list = _parse_list(args.steps_list, int, "--steps-list")
     rows = []
     for steps in steps_list:
         for token in args.schedules:
@@ -202,10 +206,9 @@ def cmd_compare(args):
                 schedule, _ = optimize_schedule(model, config)
                 label = "spectral"
             else:
-                family, _, params = token.partition(":")
-                schedule = _generate(
-                    family, steps, _parse_floats(params), args.eps0, args.epsS
-                )
+                family, _, text = token.partition(":")
+                params = _parse_list(text, float, f"--schedules token {token!r}") if text else []
+                schedule = _generate(family, steps, params, args.eps0, args.epsS)
                 label = token
             rows.extend(_loss_rows(model, schedule, label, losses, processes))
     _write_loss_csv(rows, args.out)
@@ -214,7 +217,7 @@ def cmd_compare(args):
 
 def _load_target(args) -> DenseGaussian:
     if args.synthetic:
-        values = _parse_floats(args.synthetic)
+        values = _parse_list(args.synthetic, float, "--synthetic")
         if len(values) != 3 or not np.all(np.isfinite(values)):
             raise ValueError(
                 f"--synthetic takes three finite values d,l,mu, got {args.synthetic!r}"

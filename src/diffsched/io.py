@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import tempfile
 import wave
 from pathlib import Path
@@ -85,6 +86,16 @@ def _integer_field(data: dict, name: str, what: str) -> int:
     return value
 
 
+def _number_field(data: dict, name: str, what: str) -> float:
+    """``data[name]`` as a float: a finite JSON number, not a bool."""
+    value = data[name]
+    # NaN, the infinities and integers beyond the float range fail the bound
+    finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    if isinstance(value, bool) or not finite:
+        raise ValueError(f"{what} field {name!r} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _string_field(data: dict, name: str, what: str) -> str:
     value = data[name]
     if not isinstance(value, str):
@@ -149,8 +160,8 @@ def load_schedule(path) -> Schedule:
         kind=_string_field(data, "kind", "schedule"),
         steps=_integer_field(data, "steps", "schedule"),
         alpha_bar=_number_list_field(data, "alpha_bar", "schedule"),
-        eps0=float(data["eps0"]),
-        epsS=float(data["epsS"]),
+        eps0=_number_field(data, "eps0", "schedule"),
+        epsS=_number_field(data, "epsS", "schedule"),
     )
 
 

@@ -243,8 +243,8 @@ def finite_difference_gradient(f, x: np.ndarray, lower: np.ndarray, upper: np.nd
 
     Step per coordinate is ``1e-7 * max(1, |x_i|)``, shrunk so both stencil
     points remain strictly inside ``(lower_i, upper_i)``; degenerate spacing
-    falls back to a one-sided difference.  Kept as the test oracle for the
-    exact gradient of :func:`loss_from_alpha_bar`.
+    falls back to a one-sided difference.  Used by ``schedules.fit_parametric``
+    and as the test oracle for the exact gradient of :func:`loss_from_alpha_bar`.
     """
     x = np.asarray(x, dtype=float)
     grad = np.zeros_like(x)

@@ -1,4 +1,4 @@
-"""Heuristic baseline schedules and schedule utilities.
+"""Heuristic baseline schedules, warm-start resampling and family fits.
 
 All generators emit a :class:`~diffsched.spectral.Schedule` whose endpoints
 are pinned to ``(1 - eps0, epsS)`` by an affine rescale of the raw curve,
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .losses import finite_difference_gradient
 from .spectral import DEFAULT_EPS0, DEFAULT_EPSS, Schedule, VeSchedule, ve_to_vp
 
 __all__ = [
@@ -29,15 +30,15 @@ _BETA_MAX = 0.02
 _BETA_CAP = 0.999
 
 
-def _pin_endpoints(raw: np.ndarray, eps0: float, epsS: float) -> np.ndarray:
-    """Affinely map a decreasing curve onto [epsS, 1 - eps0]."""
+def _pinned_schedule(kind: str, raw: np.ndarray, eps0: float, epsS: float) -> Schedule:
+    """A decreasing curve affinely mapped onto [epsS, 1 - eps0], validated."""
     lo, hi = raw[-1], raw[0]
     if hi <= lo:
         raise ValueError("raw schedule must be decreasing to pin endpoints")
-    out = epsS + (raw - lo) * (1.0 - eps0 - epsS) / (hi - lo)
-    out[0] = 1.0 - eps0
-    out[-1] = epsS
-    return out
+    ab = epsS + (raw - lo) * (1.0 - eps0 - epsS) / (hi - lo)
+    ab[0] = 1.0 - eps0
+    ab[-1] = epsS
+    return Schedule(kind=kind, steps=len(ab) - 1, alpha_bar=ab, eps0=eps0, epsS=epsS).validate()
 
 
 def linear_schedule(S: int, eps0: float = DEFAULT_EPS0, epsS: float = DEFAULT_EPSS) -> Schedule:
@@ -48,14 +49,9 @@ def linear_schedule(S: int, eps0: float = DEFAULT_EPS0, epsS: float = DEFAULT_EP
     """
     if S < 1:
         raise ValueError(f"S must be >= 1, got {S}")
-    if S == 1:
-        ab = np.array([1.0 - eps0, epsS])
-    else:
-        scale = 1000.0 / S
-        beta = np.minimum(scale * np.linspace(_BETA_MIN, _BETA_MAX, S), _BETA_CAP)
-        raw = np.concatenate([[1.0], np.cumprod(1.0 - beta)])
-        ab = _pin_endpoints(raw, eps0, epsS)
-    return Schedule(kind="linear", steps=S, alpha_bar=ab, eps0=eps0, epsS=epsS).validate()
+    beta = np.minimum(1000.0 / S * np.linspace(_BETA_MIN, _BETA_MAX, S), _BETA_CAP)
+    raw = np.concatenate([[1.0], np.cumprod(1.0 - beta)])
+    return _pinned_schedule("linear", raw, eps0, epsS)
 
 
 def _cosine_curve(t: np.ndarray, s: float, e: float, tau: float) -> np.ndarray:
@@ -79,15 +75,7 @@ def cosine_schedule(
     """
     if not (0.0 <= s < e <= 1.0):
         raise ValueError(f"require 0 <= s < e <= 1, got s={s}, e={e}")
-    if tau <= 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    if S < 1:
-        raise ValueError(f"S must be >= 1, got {S}")
-    t = np.linspace(0.0, 1.0, S + 1)
-    ab = _pin_endpoints(_cosine_curve(t, s, e, tau), eps0, epsS)
-    return Schedule(
-        kind=f"cosine({s},{e},{tau})", steps=S, alpha_bar=ab, eps0=eps0, epsS=epsS
-    ).validate()
+    return _family_schedule("cosine", S, s, e, tau, eps0, epsS)
 
 
 def _sigmoid_curve(t: np.ndarray, s: float, e: float, tau: float) -> np.ndarray:
@@ -103,18 +91,26 @@ def sigmoid_schedule(
     eps0: float = DEFAULT_EPS0,
     epsS: float = DEFAULT_EPSS,
 ) -> Schedule:
-    """Logistic-family schedule with shape parameters (s, e, tau)."""
+    """Logistic-family schedule with shape parameters (s, e, tau): the raw
+    curve ``1 / (1 + exp((t (e-s) + s) / tau))`` depends on ``s/tau`` and
+    ``e/tau`` only, so ``(k s, k e, k tau)`` gives the same schedule for any
+    ``k > 0`` (bit for bit when ``k`` is a power of 2)."""
     if not s < e:
         raise ValueError(f"require s < e, got s={s}, e={e}")
+    return _family_schedule("sigmoid", S, s, e, tau, eps0, epsS)
+
+
+_FAMILIES = {"cosine": _cosine_curve, "sigmoid": _sigmoid_curve}
+
+
+def _family_schedule(family, S, s, e, tau, eps0, epsS) -> Schedule:
+    """The cosine or sigmoid curve with shape (s, e, tau), endpoints pinned."""
     if tau <= 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
     if S < 1:
         raise ValueError(f"S must be >= 1, got {S}")
-    t = np.linspace(0.0, 1.0, S + 1)
-    ab = _pin_endpoints(_sigmoid_curve(t, s, e, tau), eps0, epsS)
-    return Schedule(
-        kind=f"sigmoid({s},{e},{tau})", steps=S, alpha_bar=ab, eps0=eps0, epsS=epsS
-    ).validate()
+    raw = _FAMILIES[family](np.linspace(0.0, 1.0, S + 1), s, e, tau)
+    return _pinned_schedule(f"{family}({s},{e},{tau})", raw, eps0, epsS)
 
 
 def edm_schedule(
@@ -143,10 +139,7 @@ def edm_schedule(
         + ((S - s) / S) * (sigma_min ** (1.0 / rho) - sigma_max ** (1.0 / rho))
     ) ** rho
     raw = ve_to_vp(VeSchedule(steps=S, sigma=sigma)).alpha_bar
-    ab = _pin_endpoints(raw, eps0, epsS)
-    return Schedule(
-        kind=f"edm({rho},{sigma_min},{sigma_max})", steps=S, alpha_bar=ab, eps0=eps0, epsS=epsS
-    ).validate()
+    return _pinned_schedule(f"edm({rho},{sigma_min},{sigma_max})", raw, eps0, epsS)
 
 
 def warm_start_interpolate(schedule: Schedule, S_new: int) -> Schedule:
@@ -172,64 +165,57 @@ def warm_start_interpolate(schedule: Schedule, S_new: int) -> Schedule:
     ).validate()
 
 
-_FAMILIES = {"cosine": _cosine_curve, "sigmoid": _sigmoid_curve}
-
-
 def fit_parametric(schedule: Schedule, family: str) -> tuple[float, float, float, float]:
     """Best-fitting (s, e, tau) of a parametric family, plus the L2 residual.
 
     Minimizes the L2 norm of the pointwise deviation between the schedule and
     the family curve (with the same pinned endpoints), using a coarse grid of
-    starting points refined by a local simplex search.  Always returns the
-    best parameters found.
+    starting points refined by the optimizer's box-bounded L-BFGS on
+    central-difference gradients.  Cosine fits search ``s/e`` in [0, 0.999],
+    ``e`` in [0.001, 1] and ``log tau``; sigmoid fits search ``s`` and
+    ``log(e - s)`` and return ``tau = 1`` (see :func:`sigmoid_schedule`).
+    Equal curves have many parameters, so compare fits by their residuals.
     """
-    from scipy.optimize import minimize  # deferred: costs most of the CLI start-up
+    from .optimize import _lbfgs  # deferred: optimize imports this module
 
     schedule.validate()
     if family not in _FAMILIES:
         raise ValueError(f"family must be one of {sorted(_FAMILIES)}, got {family!r}")
-    curve = _FAMILIES[family]
-    ab = schedule.alpha_bar
     t = np.linspace(0.0, 1.0, schedule.steps + 1)
     span = 1.0 - schedule.eps0 - schedule.epsS
 
     if family == "cosine":
-        s_grid = np.linspace(0.0, 0.6, 4)
-        e_grid = np.linspace(0.4, 1.0, 4)
-        box_ok = lambda s, e: 0.0 <= s < e <= 1.0
+        s_grid, e_grid = np.linspace(0.0, 0.6, 4), np.linspace(0.4, 1.0, 4)
+        # s = e or e = 0 flattens the curve, which then has no normalized form
+        lower, upper = np.array([0.0, 1e-3, -np.inf]), np.array([0.999, 1.0, np.inf])
+        to_x = lambda s, e, tau: np.array([s / e, e, np.log(tau)])
+        shape = lambda x: (x[0] * x[1], x[1], np.exp(x[2]))
     else:
-        s_grid = np.linspace(-4.0, 1.0, 4)
-        e_grid = np.linspace(0.0, 5.0, 4)
-        box_ok = lambda s, e: s < e
-    tau_grid = (0.5, 1.0, 2.0)
+        s_grid, e_grid = np.linspace(-4.0, 1.0, 4), np.linspace(0.0, 5.0, 4)
+        lower, upper = np.full(2, -np.inf), np.full(2, np.inf)
+        to_x = lambda s, e, tau: np.array([s / tau, np.log((e - s) / tau)])
+        shape = lambda x: (x[0], x[0] + np.exp(x[1]), 1.0)
+    grid = [to_x(s, e, tau) for s in s_grid for e in e_grid if s < e for tau in (0.5, 1.0, 2.0)]
+    # rounding leaves cosine grid points with s = e just below e, outside the box
+    starts = [x for x in grid if np.all((lower <= x) & (x <= upper))]
 
-    def sum_sq(p):
-        s, e, tau = p
-        if not box_ok(s, e) or tau <= 0.0:
-            return 1e12
-        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            fitted = schedule.epsS + curve(t, s, e, tau) * span
-            value = float(np.sum((fitted - ab) ** 2))
-        # extreme tau can underflow the whole curve; treat as infeasible
-        return value if np.isfinite(value) else 1e12
+    def sum_sq(x):
+        # far out in tau (or in the sigmoid's s and e) the curve under- or
+        # overflows to a constant, giving NaN; the solver backs off from it
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            fitted = schedule.epsS + _FAMILIES[family](t, *shape(x)) * span
+            return float(np.sum((fitted - schedule.alpha_bar) ** 2))
 
-    starts = [
-        np.array([s0, e0, tau0])
-        for s0 in s_grid
-        for e0 in e_grid
-        if box_ok(s0, e0)
-        for tau0 in tau_grid
-    ]
+    def refine(start):
+        scale = sum_sq(start)  # the solver's stops are relative to the start
+        if scale == 0.0:  # an exact fit
+            return start
+        scaled = lambda x: sum_sq(x) / scale
+        fun = lambda x: (scaled(x), finite_difference_gradient(scaled, x, lower, upper))
+        # ftol 0: run until the projected gradient vanishes or no step lowers f
+        return _lbfgs(fun, start, lower, upper, 0.0, 1000, lambda f: None)[0]
+
     starts.sort(key=sum_sq)
-    best = None
-    for start in starts[:3]:
-        res = minimize(
-            sum_sq,
-            start,
-            method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-16, "maxiter": 4000},
-        )
-        if best is None or res.fun < best.fun:
-            best = res
-    s, e, tau = best.x
-    return float(s), float(e), float(tau), float(np.sqrt(best.fun))
+    best = min((refine(start) for start in starts[:3]), key=sum_sq)
+    s, e, tau = shape(best)
+    return float(s), float(e), float(tau), float(np.sqrt(sum_sq(best)))

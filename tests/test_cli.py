@@ -534,6 +534,10 @@ def test_non_integer_count_field_exits_2(tmp_path, capsys, model_file, file, fie
         ("schedule", "alpha_bar", [[0.9999], 0.5], "must be a list of numbers, item 0 is [0.9999]"),
         ("sigma", "sigma", "0.01,80", "must be a list of numbers, got '0.01,80'"),
         ("model", "eigenvalues", [10**400, 1], "holds an integer beyond the float range"),
+        ("schedule", "eps0", "0.0001", "must be a finite number, got '0.0001'"),
+        ("schedule", "epsS", True, "must be a finite number, got True"),
+        ("schedule", "eps0", None, "must be a finite number, got None"),
+        ("schedule", "epsS", [4e-5], "must be a finite number, got [4e-05]"),
     ],
     ids=[
         "numeric-string",
@@ -543,6 +547,10 @@ def test_non_integer_count_field_exits_2(tmp_path, capsys, model_file, file, fie
         "nested-list",
         "string-for-list",
         "huge-integer",
+        "numeric-string-eps0",
+        "bool-epsS",
+        "null-eps0",
+        "list-epsS",
     ],
 )
 def test_mistyped_file_field_exits_2(tmp_path, capsys, model_file, file, field, value, message):
@@ -667,6 +675,33 @@ def test_usage_error_is_one_json_object(capsys, argv, flag):
     assert flag in error["message"]
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["compare", "--model", "model.json", "--schedules", "linear", "--steps-list", "1.5"],
+         "--steps-list"),
+        (["compare", "--model", "model.json", "--schedules", "linear", "--steps-list", ",,"],
+         "--steps-list"),
+        (["compare", "--model", "model.json", "--schedules", "cosine:0,x", "--steps-list", "4"],
+         "--schedules token 'cosine:0,x'"),
+        (["gen", "--family", "cosine", "--steps", "4", "--params", "0,x"], "--params"),
+        (["simulate", "--synthetic", "4,x,0.05", "--schedule", "s.json", "--samples", "5"],
+         "--synthetic"),
+    ],
+    ids=["fraction", "empty-items", "schedules-token", "params", "synthetic"],
+)
+def test_malformed_comma_list_exits_2_naming_its_flag(
+    tmp_path, capsys, monkeypatch, model_file, argv, name
+):
+    monkeypatch.chdir(tmp_path)
+    save_schedule(cosine_schedule(4), "s.json")
+    assert run([*argv, "--out", "out"]) == 2
+    assert not Path("out").exists()
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "ValueError"
+    assert name in error["message"]
+
+
 def test_help_exits_0(capsys):
     assert run(["optimize", "--help"]) == 0
     captured = capsys.readouterr()
@@ -759,6 +794,60 @@ def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path, model_file):
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert out.stdout.splitlines()[-1] == "False 0 False", argv
+
+
+_BLOCK_SCIPY = """
+import sys
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+sys.meta_path.insert(0, BlockScipy())
+"""
+
+
+def test_readme_workflow_runs_with_scipy_blocked(tmp_path):
+    # Every subcommand of the README workflow, on small inputs, in a process
+    # where importing scipy fails: scipy is a test dependency only.
+    rng = np.random.default_rng(0)
+    signal = 0.4 * np.sin(2 * np.pi * np.arange(4000) / 25) + 0.05 * rng.normal(size=4000)
+    with wave.open(str(tmp_path / "tone.wav"), "wb") as wav:
+        wav.setnchannels(1)
+        wav.setsampwidth(2)
+        wav.setframerate(16000)
+        wav.writeframes(np.clip(signal * 32768, -32768, 32767).astype("<i2").tobytes())
+    runs = [
+        ["gen", "--family", "cosine", "--params", "0,1,1", "--steps", "20", "--out", "cosine.json"],
+        ["estimate", "--input", "tone.wav", "--window", "16", "--th", "0.05",
+         "--out-cov", "cov.csv", "--out-model", "model.json"],
+        ["optimize", "--model", "model.json", "--steps", "10", "--out", "s10.json"],
+        ["optimize", "--model", "model.json", "--steps", "10", "--mode", "free",
+         "--out", "f10.json"],
+        ["optimize", "--model", "model.json", "--steps", "20", "--init", "warm:s10.json",
+         "--out", "s20.json"],
+        ["eval", "--model", "model.json", "--schedules", "cosine.json", "s20.json",
+         "--losses", "w2,kl", "--process", "both", "--out", "eval.csv"],
+        ["compare", "--model", "model.json", "--schedules", "linear", "sigmoid:-3,3,1",
+         "spectral", "--steps-list", "10", "--out", "compare.csv"],
+        ["simulate", "--synthetic", "8,0.1,0.05", "--schedule", "cosine.json",
+         "--samples", "100", "--out", "samples.f64"],
+        ["dynamics", "--model", "model.json", "--schedule", "cosine.json",
+         "--out-relative-error", "rel.csv", "--out-w2", "w2.csv"],
+        ["bias", "--model", "model.json", "--schedule", "cosine.json", "--out", "bias.csv"],
+        ["convert", "--schedule", "cosine.json", "--direction", "to-ve", "--out", "ve.json"],
+        ["convert", "--schedule", "ve.json", "--direction", "to-vp", "--out", "back.json"],
+    ]
+    code = _BLOCK_SCIPY + (
+        "import diffsched.cli\n"
+        f"print([diffsched.cli.main(argv) for argv in {runs!r}])\n"
+    )
+    src = str(Path(diffsched.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == str([0] * len(runs)), out.stderr
 
 
 def test_one_chunk_simulate_leaves_concurrent_futures_unloaded(tmp_path):

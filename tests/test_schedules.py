@@ -4,11 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diffsched import (
+    OptimizeConfig,
     VeSchedule,
     cosine_schedule,
     edm_schedule,
     fit_parametric,
     linear_schedule,
+    optimize_schedule,
     sigmoid_schedule,
     ve_to_vp,
     warm_start_interpolate,
@@ -118,6 +120,13 @@ def test_sigmoid_late_family_monotone():
     assert np.all(np.diff(sigmoid_schedule(80, 0, 3, 0.7).alpha_bar) < 0)
 
 
+def test_sigmoid_shape_depends_only_on_s_and_e_over_tau():
+    # Why a sigmoid fit cannot identify tau (scaling by a power of two is exact)
+    base = sigmoid_schedule(64, -3, 3, 1).alpha_bar
+    for k in (2.0, 0.5):
+        assert np.array_equal(sigmoid_schedule(64, -3 * k, 3 * k, k).alpha_bar, base)
+
+
 def test_sigmoid_rejects_bad_params():
     with pytest.raises(ValueError):
         sigmoid_schedule(10, 3, -3, 1)
@@ -204,6 +213,58 @@ def test_fit_reports_residual_for_arbitrary_schedule():
     # No ground truth asserted; the fit must simply return a finite residual.
     *params, residual = fit_parametric(linear_schedule(40), "sigmoid")
     assert np.isfinite(residual)
+
+
+def _nelder_mead_residual(schedule, family):
+    """The fit's residual by scipy's Nelder-Mead on (s, e, tau), infeasible
+    points penalized, from the same grid: the oracle for the L-BFGS fit."""
+    from scipy.optimize import minimize
+
+    from diffsched.schedules import _FAMILIES
+
+    curve = _FAMILIES[family]
+    t = np.linspace(0.0, 1.0, schedule.steps + 1)
+    span = 1.0 - schedule.eps0 - schedule.epsS
+    if family == "cosine":
+        s_grid, e_grid = np.linspace(0.0, 0.6, 4), np.linspace(0.4, 1.0, 4)
+        feasible = lambda s, e, tau: 0.0 <= s < e <= 1.0 and tau > 0.0
+    else:
+        s_grid, e_grid = np.linspace(-4.0, 1.0, 4), np.linspace(0.0, 5.0, 4)
+        feasible = lambda s, e, tau: s < e and tau > 0.0
+
+    def sum_sq(p):
+        if not feasible(*p):
+            return 1e12
+        with np.errstate(all="ignore"):
+            value = float(np.sum((schedule.epsS + curve(t, *p) * span - schedule.alpha_bar) ** 2))
+        return value if np.isfinite(value) else 1e12
+
+    starts = [(s, e, tau) for s in s_grid for e in e_grid if s < e for tau in (0.5, 1.0, 2.0)]
+    starts.sort(key=sum_sq)
+    options = {"xatol": 1e-10, "fatol": 1e-16, "maxiter": 4000}
+    best = min(minimize(sum_sq, x, method="Nelder-Mead", options=options).fun for x in starts[:3])
+    return np.sqrt(best)
+
+
+def test_fit_matches_nelder_mead(benchmark_model):
+    # Exact fits (residuals near 1e-12 for both) are covered by the absolute term.
+    _, model = benchmark_model
+    optimum, _ = optimize_schedule(model, OptimizeConfig(steps=112))
+    targets = [
+        cosine_schedule(64, 0, 1, 1),
+        sigmoid_schedule(64, -3, 3, 1),
+        linear_schedule(40),
+        edm_schedule(60),
+        optimum,
+    ]
+    worse = []
+    for target in targets:
+        for family in ("cosine", "sigmoid"):
+            *_, residual = fit_parametric(target, family)
+            oracle = _nelder_mead_residual(target, family)
+            if residual > (1 + 1e-6) * oracle + 1e-10:
+                worse.append((target.kind, family, residual, oracle))
+    assert worse == []
 
 
 def test_fit_rejects_unknown_family():
