@@ -17,9 +17,11 @@ from .spectral import (
     intermediate_distribution,
     mean_bias,
     output_distribution,
+    relative_error_dynamics,
     ve_ddim_transfer,
     ve_to_vp,
     vp_to_ve,
+    w2_dynamics,
     wiener_denoise,
 )
 from .schedules import (
@@ -48,9 +50,7 @@ from .simulate import (
     DenseGaussian,
     SimConfig,
     empirical_moments,
-    relative_error_dynamics,
     simulate_reverse,
-    w2_dynamics,
 )
 from .estimate import (
     CovarianceEstimate,

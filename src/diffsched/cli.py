@@ -48,13 +48,7 @@ from .io import (
 from .losses import LossKind, kl_loss, w2_loss, weighted_l1_loss
 from .optimize import OptimizeConfig, optimize_schedule, single_eigenvalue_problem
 from .schedules import cosine_schedule, edm_schedule, linear_schedule, sigmoid_schedule
-from .simulate import (
-    DenseGaussian,
-    SimConfig,
-    relative_error_dynamics,
-    simulate_reverse,
-    w2_dynamics,
-)
+from .simulate import DenseGaussian, SimConfig, simulate_reverse
 from .spectral import (
     DEFAULT_EPS0,
     DEFAULT_EPSS,
@@ -63,8 +57,10 @@ from .spectral import (
     ddim_transfer,
     ddpm_transfer,
     mean_bias,
+    relative_error_dynamics,
     ve_to_vp,
     vp_to_ve,
+    w2_dynamics,
 )
 
 USAGE_ERROR = 2
@@ -86,22 +82,20 @@ def _parse_list(text: str, convert, name: str) -> list:
         raise ValueError(f"{name}: {exc}") from None
 
 
-# family -> (generator, number of shape parameters it takes); parameters
-# left out fall back to the generator's own defaults
-_FAMILIES = {
-    "linear": (linear_schedule, 0),
-    "cosine": (cosine_schedule, 3),
-    "sigmoid": (sigmoid_schedule, 3),
-    "edm": (edm_schedule, 3),
-}
+# family -> number of shape parameters its generator ``<family>_schedule``
+# takes; parameters left out fall back to the generator's own defaults
+_FAMILIES = {"linear": 0, "cosine": 3, "sigmoid": 3, "edm": 3}
 
 
 def _generate(family: str, steps: int, params: list[float], eps0: float, epsS: float) -> Schedule:
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    generator, max_params = _FAMILIES[family]
+    max_params = _FAMILIES[family]
     if len(params) > max_params:
         raise ValueError(f"{family} takes at most {max_params} parameters, got {len(params)}")
+    # looked up in this module's namespace at call time, so that a wrapper
+    # on ``diffsched.cli.<family>_schedule`` sees the call
+    generator = globals()[f"{family}_schedule"]
     return generator(steps, *params, eps0=eps0, epsS=epsS)
 
 

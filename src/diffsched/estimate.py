@@ -166,7 +166,7 @@ def toeplitz_average(covariance: np.ndarray) -> np.ndarray:
     return row
 
 
-def circulant_projection(toeplitz_row: np.ndarray, n: int | None = None) -> np.ndarray:
+def circulant_projection(toeplitz_row: np.ndarray) -> np.ndarray:
     """First row of the circulant matrix closest to a symmetric Toeplitz one.
 
     Minimizes, independently per lag k, the occurrence-weighted mismatch
@@ -175,10 +175,7 @@ def circulant_projection(toeplitz_row: np.ndarray, n: int | None = None) -> np.n
     A row already satisfying ``X_B[k] == X_B[n-k]`` is a fixed point.
     """
     row = np.asarray(toeplitz_row, dtype=float)
-    if n is None:
-        n = len(row)
-    if len(row) != n:
-        raise ValueError(f"row length {len(row)} != n={n}")
+    n = len(row)
     k = np.arange(1, n)
     out = np.empty(n)
     out[0] = row[0]  # copied: row[0] * n / n need not round back to row[0]

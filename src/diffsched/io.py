@@ -166,6 +166,9 @@ def load_schedule(path) -> Schedule:
 
 
 def save_ve_schedule(ve: VeSchedule, path) -> None:
+    """Write a sigma schedule JSON; what :meth:`VeSchedule.validate` rejects
+    is never written."""
+    ve.validate()
     payload = {"steps": ve.steps, "sigma": [float(x) for x in ve.sigma]}
     atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
 

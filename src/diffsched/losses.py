@@ -174,10 +174,10 @@ def _reverse_sweep(lam, alpha_bar, noise_gain, d_var, d_gain, forward) -> np.nda
     forward arrays of :func:`_transfer_arrays`.
 
     The adjoints of the per-step gains ``G`` and ``M`` need, per step, the
-    product of the later gains (``A[s+1]`` of ``_trajectory_coefficients``)
-    and the mean gain they carry (``B[s+1]``, by the log-depth scan
-    ``_suffix_fold``); the stochastic sampler's extra variance adds the same
-    fold run on ``(G**2, c**2)``, its only branch on the process.  The chain
+    product of the later gains and the mean gain they carry (``A[s+1]`` and
+    ``B[s+1]`` of the log-depth scan ``_suffix_fold``); the stochastic
+    sampler's extra variance adds the same fold run on ``(G**2, c**2)``, its
+    only branch on the process.  The chain
     rule then goes through the partials of ``(a, b, c**2)`` in the two
     neighbouring levels ``p = alpha_bar[s-1]`` and ``x = alpha_bar[s]``
     that :func:`spectral._step_coefficients` returned with them.
@@ -190,16 +190,15 @@ def _reverse_sweep(lam, alpha_bar, noise_gain, d_var, d_gain, forward) -> np.nda
     # dG = prefix * (2 d_var noise_gain A[1:] + d_gain B[1:]), dM = prefix * d_gain.
     # work[0] becomes dG, work[1:] the products summed over coordinates below.
     work = np.empty((5,) + G.shape)
-    if c2 is None:
-        later_gain, mean_part = _suffix_fold(G, M)
-    else:
+    d = G.shape[1]
+    gains, means = G, M
+    if c2 is not None:
         # the mean fold and the extra-variance fold on (G**2, c**2), side by
         # side in one scan
-        d = G.shape[1]
-        A, B = _suffix_fold(
-            np.hstack((G, G**2)), np.hstack((M, np.broadcast_to(c2[:, None], G.shape)))
-        )
-        later_gain, mean_part, var_part = A[:, :d], B[:, :d], B[:, d:]
+        gains = np.hstack((G, G**2))
+        means = np.hstack((M, np.broadcast_to(c2[:, None], G.shape)))
+    A, B = _suffix_fold(gains, means)  # row 0, the whole run, is not needed
+    later_gain, mean_part, var_part = A[1:, :d], B[1:, :d], B[1:, d:]
     dG = np.multiply(2.0 * d_var * noise_gain, later_gain, out=work[0])
     mean_part *= d_gain
     dG += mean_part

@@ -33,26 +33,17 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .spectral import (
-    Schedule,
-    SpectralModel,
-    _ddim_trajectory,
-    _require_finite,
-    _step_coefficients,
-)
+from .spectral import Schedule, _require_finite, _step_coefficients
 
 __all__ = [
     "DenseGaussian",
     "SimConfig",
     "simulate_reverse",
     "empirical_moments",
-    "relative_error_dynamics",
-    "w2_dynamics",
 ]
 
 SYMMETRY_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
-REL_ERR_EPS = 1e-12
 
 # Normals drawn per chunk: rows per chunk = this // normals per sample.  Fewer
 # leave ddpm (d*(S+1) normals per sample) too few rows for efficient matrix
@@ -292,31 +283,3 @@ def empirical_moments(samples: np.ndarray) -> DenseGaussian:
     cov = centered.T @ centered / (n - 1)
     cov = 0.5 * (cov + cov.T)
     return DenseGaussian(mean=mean, covariance=cov)
-
-
-def relative_error_dynamics(model: SpectralModel, schedule: Schedule) -> np.ndarray:
-    """Per-step, per-coordinate variance mismatch of the deterministic sampler.
-
-    Row ``l`` holds ``|lam_i - var_{l,i}| / (lam_i + eps)`` where
-    ``var_{l,i}`` is the state variance at step ``l``; row 0 is the output.
-    """
-    schedule.validate()
-    A, _ = _ddim_trajectory(model.eigenvalues, schedule.alpha_bar)
-    lam = model.eigenvalues
-    return np.abs(lam[None, :] - A**2) / (lam[None, :] + REL_ERR_EPS)
-
-
-def w2_dynamics(model: SpectralModel, schedule: Schedule) -> np.ndarray:
-    """Squared quadratic-transport distance to the target at every step.
-
-    Entry ``l`` compares the step-``l`` state distribution with the target;
-    entry ``S`` is the distance from the initial unit Gaussian, entry 0
-    equals the terminal loss.
-    """
-    schedule.validate()
-    A, B = _ddim_trajectory(model.eigenvalues, schedule.alpha_bar)
-    lam = model.eigenvalues
-    mu = model.mean_spectral
-    var_term = np.sum((np.sqrt(lam)[None, :] - np.abs(A)) ** 2, axis=1)
-    mean_term = np.sum(mu[None, :] ** 2 * (B - 1.0) ** 2, axis=1)
-    return var_term + mean_term

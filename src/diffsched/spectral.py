@@ -28,6 +28,8 @@ __all__ = [
     "ddim_transfer",
     "ddpm_transfer",
     "intermediate_distribution",
+    "relative_error_dynamics",
+    "w2_dynamics",
     "output_distribution",
     "mean_bias",
     "vp_to_ve",
@@ -43,6 +45,7 @@ DEFAULT_EPS0 = 1e-4
 DEFAULT_EPSS = 4e-5
 
 ENDPOINT_TOL = 1e-12
+REL_ERR_EPS = 1e-12
 
 
 def _vector(x, name: str) -> np.ndarray:
@@ -381,52 +384,39 @@ def ddpm_transfer(model: SpectralModel, schedule: Schedule) -> Transfer:
     return _vp_transfer(model, schedule, "ddpm")
 
 
-def _trajectory_coefficients(G: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _suffix_fold(G: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """State/mean coefficients of every intermediate step, shape (S+1, d).
 
     Row ``l`` gives ``v_l = A[l] * v_S + B[l] * mean_spectral`` under the
-    deterministic recursion; ``A[S] = 1`` and ``B[S] = 0``.
-    """
-    S, d = G.shape
-    A = np.ones((S + 1, d))
-    A[:S] = np.cumprod(G[::-1], axis=0)[::-1]
-    B = np.empty((S + 1, d))
-    B[S] = 0.0
-    for s in range(S, 0, -1):
-        B[s - 1] = G[s - 1] * B[s] + M[s - 1]
-    return A, B
-
-
-def _suffix_fold(G: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows 1..S of ``A`` and ``B`` in :func:`_trajectory_coefficients`, shape (S, d).
-
-    The affine recurrence ``B[s-1] = G[s-1] * B[s] + M[s-1]`` folded by a
-    log-depth suffix scan (Hillis & Steele 1986; Blelloch 1990): after the
-    round with offset ``k``, ``(A[i], B[i])`` compose the ``2k`` steps from
-    ``i`` on, so ``ceil(log2(S - 1))`` vector rounds replace the S-step loop.
+    recursion ``v_{s-1} = G[s-1] * v_s + M[s-1] * mean_spectral`` of
+    :func:`_step_gains`: ``A[S] = 1``, ``B[S] = 0`` and row 0 is the whole
+    run.  The affine recurrence ``B[s-1] = G[s-1] * B[s] + M[s-1]`` is folded
+    by a log-depth suffix scan (Hillis & Steele 1986; Blelloch 1990): after
+    the round with offset ``k``, ``(A[i], B[i])`` compose the ``2k`` steps
+    from ``i`` on, so ``ceil(log2 S)`` vector rounds replace the S-step loop.
     Only products of gains are formed, never quotients, so gains that
-    underflow leave the result finite.  Rounding differs from the loop's.
-    Columns fold independently, so side-by-side recurrences share a scan.
+    underflow leave the result finite.  Columns fold independently, so
+    side-by-side recurrences share a scan.
     """
     S = len(G)
-    A, B = np.ones(G.shape), np.zeros(G.shape)
+    A, B = np.ones((S + 1, G.shape[1])), np.zeros((S + 1, G.shape[1]))
     g, m = A[:-1], B[:-1]  # A[S] = 1 and B[S] = 0 stay in the last rows
-    g[...] = G[1:]
-    m[...] = M[1:]
+    g[...] = G
+    m[...] = M
     tmp = np.empty_like(m)
-    n, k = S - 1, 1
-    while k < n:
-        np.multiply(g[: n - k], m[k:], out=tmp[: n - k])
-        m[: n - k] += tmp[: n - k]
-        g[: n - k] *= g[k:]
+    k = 1
+    while k < S:
+        np.multiply(g[: S - k], m[k:], out=tmp[: S - k])
+        m[: S - k] += tmp[: S - k]
+        g[: S - k] *= g[k:]
         k *= 2
     return A, B
 
 
 def _ddim_trajectory(eigenvalues: np.ndarray, alpha_bar: np.ndarray):
-    """:func:`_trajectory_coefficients` of the deterministic sampler (no validation)."""
+    """:func:`_suffix_fold` of the deterministic sampler's gains (no validation)."""
     a, b, _ = _step_coefficients(alpha_bar, "ddim")
-    return _trajectory_coefficients(*_step_gains(eigenvalues, alpha_bar, a, b))
+    return _suffix_fold(*_step_gains(eigenvalues, alpha_bar, a, b))
 
 
 def intermediate_distribution(model: SpectralModel, schedule: Schedule, l: int) -> GaussianDiag:
@@ -440,6 +430,34 @@ def intermediate_distribution(model: SpectralModel, schedule: Schedule, l: int) 
         raise ValueError(f"step index l={l} out of range [0, {schedule.steps}]")
     A, B = _ddim_trajectory(model.eigenvalues, schedule.alpha_bar)
     return GaussianDiag(mean=B[l] * model.mean_spectral, variance=A[l] ** 2)
+
+
+def relative_error_dynamics(model: SpectralModel, schedule: Schedule) -> np.ndarray:
+    """Per-step, per-coordinate variance mismatch of the deterministic sampler.
+
+    Row ``l`` holds ``|lam_i - var_{l,i}| / (lam_i + eps)`` where
+    ``var_{l,i}`` is the state variance at step ``l``; row 0 is the output.
+    """
+    schedule.validate()
+    A, _ = _ddim_trajectory(model.eigenvalues, schedule.alpha_bar)
+    lam = model.eigenvalues
+    return np.abs(lam[None, :] - A**2) / (lam[None, :] + REL_ERR_EPS)
+
+
+def w2_dynamics(model: SpectralModel, schedule: Schedule) -> np.ndarray:
+    """Squared quadratic-transport distance to the target at every step.
+
+    Entry ``l`` compares the step-``l`` state distribution with the target;
+    entry ``S`` is the distance from the initial unit Gaussian, entry 0
+    equals the terminal loss.
+    """
+    schedule.validate()
+    A, B = _ddim_trajectory(model.eigenvalues, schedule.alpha_bar)
+    lam = model.eigenvalues
+    mu = model.mean_spectral
+    var_term = np.sum((np.sqrt(lam)[None, :] - np.abs(A)) ** 2, axis=1)
+    mean_term = np.sum(mu[None, :] ** 2 * (B - 1.0) ** 2, axis=1)
+    return var_term + mean_term
 
 
 def _check_dims(model: SpectralModel, transfer: Transfer) -> None:

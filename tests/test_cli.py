@@ -73,6 +73,20 @@ def test_gen_partial_params_use_library_defaults(tmp_path):
     assert np.array_equal(got.alpha_bar, expected.alpha_bar)
 
 
+def test_gen_calls_the_generator_through_the_cli_namespace(tmp_path, monkeypatch):
+    # the benchmark traces each family's generator by wrapping this name
+    calls = []
+    generator = diffsched.cli.cosine_schedule
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return generator(*args, **kwargs)
+
+    monkeypatch.setattr(diffsched.cli, "cosine_schedule", counting)
+    assert run(["gen", "--family", "cosine", "--steps", "16", "--out", tmp_path / "c.json"]) == 0
+    assert len(calls) == 1
+
+
 def test_gen_too_many_params_exits_2(tmp_path, capsys):
     out = tmp_path / "edm.json"
     rc = run(["gen", "--family", "edm", "--params", "7,0.002,80,1", "--steps", "10", "--out", out])

@@ -1,4 +1,5 @@
-"""The package imports exactly the third-party modules it declares."""
+"""The package imports exactly the third-party modules it declares, and its
+dense oracle stays out of the eigenbasis."""
 
 import ast
 import re
@@ -35,3 +36,34 @@ def test_runtime_imports_are_the_declared_dependencies():
     assert third_party == _requirement_names(project["dependencies"])
     # scipy is the tests' oracle, not a runtime dependency
     assert "scipy" in _requirement_names(project["optional-dependencies"]["test"])
+
+
+def _package_imports(path: Path) -> set[tuple[str, str]]:
+    """``(module, name)`` of every import from inside the package in ``path``;
+    ``from . import x`` and ``import diffsched.x`` give module ``""``."""
+    pairs = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                module = node.module or ""
+            elif node.module.partition(".")[0] == "diffsched":
+                module = node.module.partition(".")[2]
+            else:
+                continue
+            pairs.update((module, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            pairs.update(
+                ("", alias.name) for alias in node.names if alias.name.partition(".")[0] == "diffsched"
+            )
+    return pairs
+
+
+def test_dense_oracle_takes_only_the_step_kernel_from_spectral():
+    # simulate checks the eigenbasis closed forms, so it may share the scalar
+    # step coefficients and the schedule type with them, but nothing that
+    # works in the eigenbasis
+    assert _package_imports(ROOT / "src" / "diffsched" / "simulate.py") == {
+        ("spectral", "Schedule"),
+        ("spectral", "_require_finite"),
+        ("spectral", "_step_coefficients"),
+    }

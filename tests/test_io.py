@@ -110,6 +110,14 @@ def test_save_schedule_writes_only_valid_schedules(tmp_path):
     np.testing.assert_array_equal(load_schedule(path).alpha_bar, crossed.alpha_bar)
 
 
+def test_save_ve_schedule_writes_only_valid_schedules(tmp_path):
+    # a decreasing sigma, which load_ve_schedule's callers reject
+    path = tmp_path / "ve.json"
+    with pytest.raises(ValueError, match="^sigma must be nondecreasing"):
+        save_ve_schedule(VeSchedule(steps=1, sigma=np.array([2.0, 1.0])), path)
+    assert not path.exists()
+
+
 def test_raw_f64_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     data = rng.normal(size=(7, 3))

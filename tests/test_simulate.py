@@ -18,6 +18,7 @@ from diffsched import (
     ddim_transfer,
     ddpm_transfer,
     empirical_moments,
+    intermediate_distribution,
     linear_schedule,
     optimize_schedule,
     relative_error_dynamics,
@@ -364,6 +365,26 @@ def test_folded_map_diagonalizes_in_fourier_basis(benchmark_model):
     np.testing.assert_allclose(
         conjugated - np.diag(np.diag(conjugated)), 0.0, atol=1e-10
     )
+
+
+@pytest.mark.parametrize("l", [0, 1, 9, 23, 24])
+def test_dense_steps_match_intermediate_distribution(benchmark_model, l):
+    # steps S .. l+1 composed densely in the original coordinates; conjugated
+    # into the Fourier basis, the state at level l must have variance A[l]**2
+    # and mean B[l] * mean_spectral
+    dense, model = benchmark_model
+    schedule = linear_schedule(24)
+    gains, offsets, _ = simulate._step_maps(dense, schedule.alpha_bar, "ddim")
+    T, offset = np.eye(dense.dim), np.zeros(dense.dim)
+    for s in range(schedule.steps - 1, l - 1, -1):
+        T = gains[s] @ T
+        offset = gains[s] @ offset + offsets[s]
+    F = np.fft.fft(np.eye(dense.dim)) / np.sqrt(dense.dim)
+    covariance = F @ (T @ T.T) @ F.conj().T
+    expected = intermediate_distribution(model, schedule, l)
+    np.testing.assert_allclose(np.diag(covariance).real, expected.variance, atol=1e-10)
+    np.testing.assert_allclose(covariance - np.diag(np.diag(covariance)), 0.0, atol=1e-10)
+    np.testing.assert_allclose(F @ offset, expected.mean, atol=1e-10)
 
 
 # -------------------------------------------------------------- dynamics

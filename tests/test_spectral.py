@@ -21,12 +21,7 @@ from diffsched import (
     vp_to_ve,
     wiener_denoise,
 )
-from diffsched.spectral import (
-    _step_coefficients,
-    _step_gains,
-    _suffix_fold,
-    _trajectory_coefficients,
-)
+from diffsched.spectral import _step_coefficients, _step_gains, _suffix_fold
 
 from conftest import random_monotone_alpha_bar
 
@@ -485,19 +480,6 @@ def test_vp_ve_gain_relation_full_schedule(benchmark_model):
         np.testing.assert_allclose(Mvp, np.sqrt(ab[s - 1]) * Mve, atol=1e-10)
 
 
-@pytest.mark.parametrize("S", [1, 10, 112, 250])
-def test_trajectory_coefficients_equal_step_loop_bitwise(S):
-    rng = np.random.default_rng(S)
-    G, M = rng.uniform(0.5, 1.5, size=(S, 7)), rng.normal(size=(S, 7))
-    A_ref, B_ref = np.ones((S + 1, 7)), np.zeros((S + 1, 7))
-    for s in range(S, 0, -1):
-        A_ref[s - 1] = G[s - 1] * A_ref[s]
-        B_ref[s - 1] = G[s - 1] * B_ref[s] + M[s - 1]
-    A, B = _trajectory_coefficients(G, M)
-    np.testing.assert_array_equal(A, A_ref)
-    np.testing.assert_array_equal(B, B_ref)
-
-
 def test_ve_transfer_tied_step_is_identity():
     model = SpectralModel(dim=2, eigenvalues=[1.0, 2.0], mean_spectral=[0.0, 0.0])
     ve = VeSchedule(steps=1, sigma=np.array([3.0, 3.0]))
@@ -599,22 +581,34 @@ def test_refinement_narrows_distance(benchmark_model):
     assert fine < coarse
 
 
+def step_loop(G, M):
+    """Trajectory coefficients ``(A, B)``, shape (S+1, d), one step at a time:
+    ``A[s-1] = G[s-1] A[s]`` and ``B[s-1] = G[s-1] B[s] + M[s-1]`` from
+    ``A[S] = 1``, ``B[S] = 0``."""
+    S = len(G)
+    A, B = np.ones((S + 1,) + G.shape[1:]), np.zeros((S + 1,) + G.shape[1:])
+    for s in range(S, 0, -1):
+        A[s - 1] = G[s - 1] * A[s]
+        B[s - 1] = G[s - 1] * B[s] + M[s - 1]
+    return A, B
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e-3], ids=["gains", "underflowing-gains"])
 @pytest.mark.parametrize("S", [1, 2, 3, 10, 112, 250])
 def test_suffix_fold_matches_step_loop(S, scale):
-    # The log-depth scan against the step loop it replaces in the gradient.
-    # Its error is measured against the same fold of |G| and |M|, the size
-    # rounding is relative to; gains scaled by 1e-3 make the products
+    # The log-depth scan against the step loop it replaces, over all S + 1
+    # rows.  Its error is measured against the same fold of |G| and |M|, the
+    # size rounding is relative to; gains scaled by 1e-3 make the products
     # underflow, which a form dividing by products of G would not survive.
     rng = np.random.default_rng(S)
     G, M = scale * rng.uniform(0.5, 1.5, size=(S, 7)), rng.normal(size=(S, 7))
-    A_ref, B_ref = _trajectory_coefficients(G, M)
-    A_abs, B_abs = _trajectory_coefficients(np.abs(G), np.abs(M))
+    A_ref, B_ref = step_loop(G, M)
+    A_abs, B_abs = step_loop(np.abs(G), np.abs(M))
     A, B = _suffix_fold(G, M)
-    assert A.shape == B.shape == (S, 7)
-    assert np.all(np.abs(B - B_ref[1:]) <= 1e-14 * B_abs[1:])
+    assert A.shape == B.shape == (S + 1, 7)
+    assert np.all(np.abs(B - B_ref) <= 1e-14 * B_abs)
     # products that leave the normal range only owe an absolute error there
     tiny = np.finfo(float).tiny
-    assert np.all(np.abs(A - A_ref[1:]) <= 1e-14 * A_abs[1:] + tiny)
+    assert np.all(np.abs(A - A_ref) <= 1e-14 * A_abs + tiny)
     np.testing.assert_array_equal(A[-1], 1.0)
     np.testing.assert_array_equal(B[-1], 0.0)
