@@ -214,7 +214,8 @@ def load_raw_f64(path) -> np.ndarray:
 
 def save_matrix_csv(matrix: np.ndarray, path) -> None:
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    lines = [",".join(format_float(x) for x in row) for row in matrix]
+    # repr of a Python float is format_float's string, without a call per value.
+    lines = [",".join(map(repr, row)) for row in matrix.tolist()]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

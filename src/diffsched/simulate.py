@@ -10,19 +10,26 @@ stream derived from ``(seed, i)`` (Philox keyed by the seed, counter offset
 of uniforms (``u1`` mapped from [0,1) to (0,1]), which an oracle
 re-implementation can match distributionally.
 
-Samples are drawn in chunks of a fixed number of rows.  Each chunk builds one
-Philox at its first sample's counter and moves it to the next sample's
-counter with ``advance``; Box-Muller then runs over the whole chunk, in place
-in the chunk's draw buffer.  The last chunk is padded with zero rows, so every
-sample passes through the same matrix-product shapes at the same row position
-and its bytes depend only on ``(seed, i)``, not on the sample count.
+Both samplers are one affine map of a sample's draws ``[x_S, z, ...]`` (the
+initial state, then ddpm's step noises): the Gaussian steps compose exactly,
+so the dense per-step maps are folded once per run into ``x_0 = draws @ M +
+offset``.  ddim's ``M`` is ``compose_affine``'s map transposed; ddpm's stacks
+one ``d x d`` block per draw, so its bytes differ from a per-step loop by
+rounding only.
+
+Samples are drawn in chunks of a fixed number of rows.  Each chunk sets one
+Philox's counter to each sample's ``i << 128`` in turn; Box-Muller then runs
+over the whole chunk, in place in the chunk's draw buffer, and one matrix
+product maps it.  The last chunk is padded with zero rows, so every sample
+passes through the same matrix-product shapes at the same row position and
+its bytes depend only on ``(seed, i)``, not on the sample count.
 
 Chunks are therefore independent, and a run of several chunks splits them
 statically over up to one thread per usable CPU: worker ``w`` takes every
 ``workers``-th chunk from chunk ``w``, in buffers the calling thread
 allocates.  The Philox fills, Box-Muller and the matrix products run in numpy
-with the interpreter lock released; the per-row Python loop of the Philox
-moves does not.  The bytes do not depend on the thread count.
+with the interpreter lock released; the per-row Python loop that sets the
+Philox counter does not.  The bytes do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -49,6 +56,7 @@ EIGENVALUE_FLOOR = -1e-10
 # leave ddpm (d*(S+1) normals per sample) too few rows for efficient matrix
 # products; many more spill the Box-Muller temporaries out of cache.
 _CHUNK_NORMALS = 2**18
+_WORD = 2**64 - 1  # mask of one of Philox's four 64-bit counter words
 
 
 @dataclass
@@ -140,25 +148,26 @@ def _chunk_stream_normals(
 ) -> np.ndarray:
     """``_sample_stream_normals(seed, i, count)`` for ``i`` in ``start..start+rows-1``.
 
-    One Philox serves the whole chunk.  A sample reads ``2 * pairs`` words,
-    i.e. ``blocks`` 4-word counter blocks; advancing by ``2**128 - blocks``
-    puts the counter on the next sample's ``i << 128`` and drops the rest of
-    the current block.  The normals go into ``out`` (shape ``(rows, count)``)
-    and the uniforms into ``scratch`` (shape ``(rows, 2 * pairs)``); either
-    is allocated when not given.  Returns ``out``.
+    One Philox serves the whole chunk.  Before each sample its counter words
+    are set to ``i << 128`` with an empty output buffer, the state a fresh
+    ``Philox(key=seed, counter=i << 128)`` starts in.  The normals go into
+    ``out`` (shape ``(rows, count)``) and the uniforms into ``scratch``
+    (shape ``(rows, 2 * pairs)``); either is allocated when not given.
+    Returns ``out``.
     """
     pairs = (count + 1) // 2
-    blocks = -(-2 * pairs // 4)
-    jump = (1 << 128) - blocks
     if out is None:
         out = np.empty((rows, count))
     if scratch is None:
         scratch = np.empty((rows, 2 * pairs))
-    bits = Philox(key=seed, counter=start << 128)
+    bits = Philox(key=seed)
+    state = bits.state  # a fresh generator's: buffer_pos 4, nothing buffered
+    counter = state["state"]["counter"]
     gen = Generator(bits)
-    for r in range(rows):
+    for r, i in enumerate(range(start, start + rows)):
+        counter[2], counter[3] = i & _WORD, i >> 64
+        bits.state = state
         gen.random(out=scratch[r])
-        bits.advance(jump)
     return _box_muller(scratch, out)
 
 
@@ -211,25 +220,46 @@ def compose_affine(target: DenseGaussian, schedule: Schedule) -> tuple[np.ndarra
     return T, offset
 
 
+def _folded_map(target: DenseGaussian, schedule: Schedule, process: str):
+    """The whole sampler as ``x_0 = draws @ M + offset`` for one draw row.
+
+    ``draws`` is the initial state ``x_S``, then one noise per ddpm step in
+    the order the steps run: step ``s`` maps state ``s + 1`` to ``s``, for
+    ``s = S-1, ..., 0``, and its noise is block ``S - s``.  With
+    ``P_s = W_0 ... W_{s-1}``, ddpm's ``M`` stacks ``P_S^T`` for ``x_S`` and
+    ``c_s P_s^T`` for the noise of step ``s``, and ``offset = sum_s P_s o_s``.
+    ddim's ``M`` is ``compose_affine``'s ``T`` transposed.  Validates both
+    inputs.
+    """
+    if process == "ddim":
+        T, offset = compose_affine(target, schedule)
+        return T.T, offset
+    schedule.validate()
+    _check_psd(target.covariance)
+    gains, offsets, c = _step_maps(target, schedule.alpha_bar, "ddpm")
+    d, S = target.dim, len(gains)
+    M = np.empty(((S + 1) * d, d))
+    prefix = np.eye(d)
+    offset = np.zeros(d)
+    for s in range(S):
+        offset += prefix @ offsets[s]
+        M[(S - s) * d : (S - s + 1) * d] = c[s] * prefix.T
+        prefix = prefix @ gains[s]
+    M[:d] = prefix.T
+    return M, offset
+
+
 def simulate_reverse(target: DenseGaussian, cfg: SimConfig) -> np.ndarray:
     """Draw ``cfg.samples`` outputs of the reverse process, shape (n, d).
 
-    The deterministic sampler folds all steps into a single precomputed
-    affine map; the stochastic sampler applies the per-step maps and adds
-    fresh noise each step.  Sample ``i`` depends only on ``(seed, i)``.
+    Both samplers fold all steps into one precomputed affine map of a
+    sample's draws (``_folded_map``), applied as one matrix product per
+    chunk of samples.  Sample ``i`` depends only on ``(seed, i)``.
     """
     d = target.dim
     n = cfg.samples
-
-    if cfg.process == "ddim":
-        T, offset = compose_affine(target, cfg.schedule)  # validates both inputs
-        maps, noise = [(T, offset)], []
-    else:
-        cfg.schedule.validate()
-        _check_psd(target.covariance)
-        gains, offsets, c = _step_maps(target, cfg.schedule.alpha_bar, "ddpm")
-        maps, noise = list(zip(gains, offsets))[::-1], c[::-1]
-    per_sample = d * (1 + len(noise))  # initial state, then one z per noisy step
+    M, offset = _folded_map(target, cfg.schedule, cfg.process)
+    per_sample = M.shape[0]  # initial state, then one z per noisy step
     rows = max(1, _CHUNK_NORMALS // per_sample)
     starts = range(0, n, rows)
     workers = min(len(starts), _usable_cpus())
@@ -251,14 +281,8 @@ def simulate_reverse(target: DenseGaussian, cfg: SimConfig) -> np.ndarray:
             m = min(rows, n - start)
             _chunk_stream_normals(cfg.seed, start, m, per_sample, draws[:m], scratch[:m])
             draws[m:] = 0.0
-            x = draws[:, :d]
-            for k, (gain, off) in enumerate(maps):
-                np.matmul(x, gain.T, out=tmp)
-                np.add(tmp, off, out=x)
-                if k < len(noise):
-                    np.multiply(noise[k], draws[:, d * (k + 1) : d * (k + 2)], out=tmp)
-                    x += tmp
-            out[start : start + m] = x[:m]
+            np.matmul(draws, M, out=tmp)
+            np.add(tmp[:m], offset, out=out[start : start + m])
 
     if workers == 1:
         run(0)

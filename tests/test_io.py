@@ -153,6 +153,14 @@ def test_matrix_csv_round_trip_bit_exact(tmp_path):
     np.testing.assert_array_equal(load_matrix_csv(path), matrix)
 
 
+def test_matrix_csv_bytes_are_format_float_per_element(tmp_path):
+    matrix = np.array([[-0.0, 5e-324, 1e-300], [0.1, 1e16, 1e20]])
+    path = tmp_path / "matrix.csv"
+    save_matrix_csv(matrix, path)
+    expected = "".join(",".join(format_float(x) for x in row) + "\n" for row in matrix)
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
 def test_format_float_shortest_round_trip():
     for x in (0.1, 1 / 3, 4e-5, 1e300, -7.25):
         assert float(format_float(x)) == x

@@ -176,6 +176,12 @@ def _reference_simulate(target, cfg):
     return out
 
 
+def assert_within_rounding(got, reference):
+    # The gate on a folded sampler that sums in another order than the
+    # per-step reference.
+    assert np.max(np.abs(got - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
 def odd_dense_target(d=7):
     rng = np.random.default_rng(4)
     raw = rng.normal(size=(d, d))
@@ -194,7 +200,7 @@ def test_worker_count_does_not_change_bytes(benchmark_model, monkeypatch, proces
     per_sample = target.dim * (1 if process == "ddim" else schedule.steps + 1)
     rows = simulate._CHUNK_NORMALS // per_sample
     cfg = SimConfig(process, 3 * rows + rows // 3 + 1, 29, schedule)  # 4 chunks, last partial
-    expected = _reference_simulate(target, cfg).tobytes()
+    runs = []
 
     chunk_stream = simulate._chunk_stream_normals
     for workers in (1, 2, 3):
@@ -213,12 +219,48 @@ def test_worker_count_does_not_change_bytes(benchmark_model, monkeypatch, proces
             got = simulate_reverse(target, cfg)
         finally:
             sys.setswitchinterval(interval)
-        assert got.tobytes() == expected, workers
+        runs.append(got.tobytes())
         assert sorted(starts) == [0, rows, 2 * rows, 3 * rows], workers  # each chunk once
         # Several workers run every chunk on pool threads; the pool may hand
         # two workers' tasks to one thread if the first finishes early.
         on_caller = threading.get_ident() in threads
         assert on_caller == (workers == 1) and threads, workers
+    assert runs == runs[:1] * 3  # the same bytes at every worker count
+
+    # ddim's folded map is the reference's; ddpm's sums its steps in another
+    # order, so it may differ by rounding only.
+    reference = _reference_simulate(target, cfg)
+    if process == "ddim":
+        assert runs[0] == reference.tobytes()
+    else:
+        assert_within_rounding(got, reference)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 8),
+    rank=st.integers(1, 8),
+    S=st.integers(1, 40),
+)
+def test_folded_ddpm_matches_per_step_loop(seed, d, rank, S):
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=(d, min(rank, d)))
+    target = DenseGaussian(mean=rng.normal(size=d), covariance=raw @ raw.T / d)
+    cfg = SimConfig("ddpm", 5, seed, make_schedule(random_monotone_alpha_bar(rng, S)))
+    assert_within_rounding(simulate_reverse(target, cfg), _reference_simulate(target, cfg))
+
+
+@pytest.mark.parametrize("even", [True, False], ids=["d50", "d7"])
+def test_folded_ddpm_map_has_the_per_step_moments(benchmark_model, even):
+    # The draws are independent standard normals, so the folded map's output
+    # has mean ``offset`` and covariance ``M^T M``: no samples needed.
+    target = benchmark_model[0] if even else odd_dense_target()
+    schedule = cosine_schedule(112)
+    M, offset = simulate._folded_map(target, schedule, "ddpm")
+    mean, cov = dense_ddpm_moments(target, schedule.alpha_bar)
+    np.testing.assert_allclose(offset, mean, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(M.T @ M, cov, rtol=0, atol=1e-12)
 
 
 def test_worker_error_reaches_the_caller(benchmark_model, monkeypatch):
