@@ -185,26 +185,32 @@ def _check_psd(covariance: np.ndarray) -> None:
         raise ValueError(f"covariance is not PSD (smallest eigenvalue {eigs[0]:.3e})")
 
 
-def _step_maps(target: DenseGaussian, alpha_bar: np.ndarray, process: str):
-    """Dense per-step affine maps (W_s, o_s) and, for ddpm, noise scales c_s
-    (None for ddim).
+def _dense_steps(target: DenseGaussian, alpha_bar: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Yield the dense affine map ``(W_s, o_s)`` of each step ``s = 0, 1, ...``.
 
-    Step ``s`` maps state s to s-1 via ``x <- W_s x + o_s (+ c_s z)``.
+    Step ``s`` maps state ``s + 1`` to ``s`` via ``x <- W_s x + o_s (+ c_s z)``;
+    ``a`` and ``b`` are ``_step_coefficients``'.  One step at a time, so a
+    fold over the steps need not hold all of them.
     """
-    d = target.dim
-    eye = np.eye(d)
-    a, b, c2 = _step_coefficients(alpha_bar, process)
-    c = None if c2 is None else np.sqrt(c2)
-    gains = []
-    offsets = []
+    eye = np.eye(target.dim)
     for s in range(len(a)):
         ab_s = alpha_bar[s + 1]
         shifted = ab_s * target.covariance + (1.0 - ab_s) * eye
         wiener_gain = np.linalg.solve(shifted, target.covariance)
         wiener_offset = np.linalg.solve(shifted, target.mean)
-        gains.append(a[s] * eye + b[s] * np.sqrt(ab_s) * wiener_gain)
-        offsets.append(b[s] * (1.0 - ab_s) * wiener_offset)
-    return gains, offsets, c
+        gain = a[s] * eye + b[s] * np.sqrt(ab_s) * wiener_gain
+        yield gain, b[s] * (1.0 - ab_s) * wiener_offset
+
+
+def _step_maps(target: DenseGaussian, alpha_bar: np.ndarray, process: str):
+    """Lists of the dense per-step maps W_s and o_s (``_dense_steps``) and,
+    for ddpm, the noise scales c_s (None for ddim)."""
+    a, b, c2 = _step_coefficients(alpha_bar, process)
+    gains, offsets = [], []
+    for gain, offset in _dense_steps(target, alpha_bar, a, b):
+        gains.append(gain)
+        offsets.append(offset)
+    return gains, offsets, None if c2 is None else np.sqrt(c2)
 
 
 def compose_affine(target: DenseGaussian, schedule: Schedule) -> tuple[np.ndarray, np.ndarray]:
@@ -236,15 +242,16 @@ def _folded_map(target: DenseGaussian, schedule: Schedule, process: str):
         return T.T, offset
     schedule.validate()
     _check_psd(target.covariance)
-    gains, offsets, c = _step_maps(target, schedule.alpha_bar, "ddpm")
-    d, S = target.dim, len(gains)
+    a, b, c2 = _step_coefficients(schedule.alpha_bar, "ddpm")
+    c = np.sqrt(c2)
+    d, S = target.dim, len(a)
     M = np.empty(((S + 1) * d, d))
     prefix = np.eye(d)
     offset = np.zeros(d)
-    for s in range(S):
-        offset += prefix @ offsets[s]
+    for s, (gain, off) in enumerate(_dense_steps(target, schedule.alpha_bar, a, b)):
+        offset += prefix @ off
         M[(S - s) * d : (S - s + 1) * d] = c[s] * prefix.T
-        prefix = prefix @ gains[s]
+        prefix = prefix @ gain
     M[:d] = prefix.T
     return M, offset
 
