@@ -6,23 +6,18 @@ __version__ = "0.1.0"
 from .spectral import (
     DEFAULT_EPS0,
     DEFAULT_EPSS,
-    GaussianDiag,
     Schedule,
     SpectralModel,
     Transfer,
-    VeSchedule,
     ddim_gains,
     ddim_transfer,
     ddpm_transfer,
     intermediate_distribution,
     mean_bias,
-    output_distribution,
     relative_error_dynamics,
-    ve_ddim_transfer,
     ve_to_vp,
     vp_to_ve,
     w2_dynamics,
-    wiener_denoise,
 )
 from .schedules import (
     cosine_schedule,
@@ -33,7 +28,6 @@ from .schedules import (
     warm_start_interpolate,
 )
 from .losses import (
-    LAMBDA_FLOOR,
     LossKind,
     kl_loss,
     loss_gradient,
@@ -53,12 +47,10 @@ from .simulate import (
     simulate_reverse,
 )
 from .estimate import (
-    CovarianceEstimate,
     EstimationConfig,
     circulant_projection,
     pca_truncate,
     sliding_window_covariance,
     spectral_model_from_covariance,
     synthetic_circulant_model,
-    toeplitz_average,
 )

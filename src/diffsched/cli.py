@@ -45,7 +45,7 @@ from .io import (
     save_schedule,
     save_ve_schedule,
 )
-from .losses import LossKind, kl_loss, w2_loss, weighted_l1_loss
+from .losses import LossKind, transfer_loss
 from .optimize import OptimizeConfig, optimize_schedule, single_eigenvalue_problem
 from .schedules import cosine_schedule, edm_schedule, linear_schedule, sigmoid_schedule
 from .simulate import DenseGaussian, SimConfig, simulate_reverse
@@ -65,13 +65,6 @@ from .spectral import (
 
 USAGE_ERROR = 2
 RUNTIME_ERROR = 3
-
-_LOSS_FUNCS = {
-    LossKind.WASSERSTEIN2: w2_loss,
-    LossKind.KL: kl_loss,
-    LossKind.WEIGHTED_L1: weighted_l1_loss,
-}
-
 
 def _parse_list(text: str, convert, name: str) -> list:
     """The comma-separated values of ``text``, each read by ``convert``; an
@@ -112,7 +105,7 @@ def _loss_rows(model, schedule, label, losses, processes):
     for process in processes:
         transfer = _transfer(model, schedule, process)
         for loss in losses:
-            value = _LOSS_FUNCS[loss](model, transfer)
+            value = transfer_loss(model, transfer, loss)
             rows.append((schedule.steps, label, process, loss.value, value))
     return rows
 

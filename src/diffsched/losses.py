@@ -30,6 +30,7 @@ __all__ = [
     "w2_loss",
     "kl_loss",
     "weighted_l1_loss",
+    "transfer_loss",
     "loss_gradient",
 ]
 
@@ -83,12 +84,15 @@ def _kl(lam, mu, variance, mean_gain, partials=False):
 
 
 def _weighted_l1(lam, mu, variance, mean_gain, partials=False):
-    lam_total = np.sum(lam)
+    with np.errstate(over="ignore"):  # an overflowing mass is rejected below
+        lam_total, mu_total = np.sum(lam), np.sum(mu**2)
+    for total, mass in ((lam_total, "sum(eigenvalues)"), (mu_total, "sum(mean_spectral**2)")):
+        if not np.isfinite(total):
+            raise ValueError(f"weighted-L1 loss undefined: the mass {mass} overflows to {total}")
     if lam_total <= 0.0:
         raise ValueError("all eigenvalues are zero; weighted-L1 loss undefined")
     weight = lam / lam_total
     value = float(np.sum(weight * np.abs(variance - lam)))
-    mu_total = np.sum(mu**2)
     if mu_total > 0.0:
         value += float(np.sum(mu**2 / mu_total * (mean_gain - 1.0) ** 2))
     if not partials:
@@ -104,8 +108,10 @@ _LOSSES = {
 }
 
 
-def _of_transfer(loss, model: SpectralModel, transfer: Transfer) -> float:
+def transfer_loss(model: SpectralModel, transfer: Transfer, kind: LossKind) -> float:
+    """Loss ``kind`` between the target and the output ``transfer`` implies."""
     _check_dims(model, transfer)
+    loss = _LOSSES[LossKind(kind)]
     variance = transfer.output_variance
     return loss(model.eigenvalues, model.mean_spectral, variance, transfer.mean_gain)
 
@@ -118,7 +124,7 @@ def w2_loss(model: SpectralModel, transfer: Transfer) -> float:
     is 1 on every coordinate with nonzero mean.  Unlike the KL, coordinates
     below the eigenvalue floor stay included.
     """
-    return _of_transfer(_w2, model, transfer)
+    return transfer_loss(model, transfer, LossKind.WASSERSTEIN2)
 
 
 def kl_loss(model: SpectralModel, transfer: Transfer) -> float:
@@ -128,7 +134,7 @@ def kl_loss(model: SpectralModel, transfer: Transfer) -> float:
     the sums (the effective dimension shrinks accordingly); raises when every
     coordinate is excluded.
     """
-    return _of_transfer(_kl, model, transfer)
+    return transfer_loss(model, transfer, LossKind.KL)
 
 
 def weighted_l1_loss(model: SpectralModel, transfer: Transfer) -> float:
@@ -136,9 +142,10 @@ def weighted_l1_loss(model: SpectralModel, transfer: Transfer) -> float:
 
     The variance term weights each coordinate by its share of the total
     eigenvalue mass; the mean term weights by the share of squared mean and
-    is dropped entirely for a centered target.
+    is dropped entirely for a centered target.  Raises when the eigenvalue
+    mass is zero or either mass overflows.
     """
-    return _of_transfer(_weighted_l1, model, transfer)
+    return transfer_loss(model, transfer, LossKind.WEIGHTED_L1)
 
 
 def loss_from_alpha_bar(

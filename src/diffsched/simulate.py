@@ -13,9 +13,10 @@ re-implementation can match distributionally.
 Both samplers are one affine map of a sample's draws ``[x_S, z, ...]`` (the
 initial state, then ddpm's step noises): the Gaussian steps compose exactly,
 so the dense per-step maps are folded once per run into ``x_0 = draws @ M +
-offset``.  ddim's ``M`` is ``compose_affine``'s map transposed; ddpm's stacks
-one ``d x d`` block per draw, so its bytes differ from a per-step loop by
-rounding only.
+offset``.  The fold takes the steps one at a time from ``_dense_steps``, so
+it holds one step's ``d x d`` gain, never all S of them.  ddim's ``M`` is
+``compose_affine``'s map transposed; ddpm's stacks one ``d x d`` block per
+draw, so its bytes differ from a per-step loop by rounding only.
 
 Samples are drawn in chunks of a fixed number of rows.  Each chunk sets one
 Philox's counter to each sample's ``i << 128`` in turn; Box-Muller then runs
@@ -185,15 +186,17 @@ def _check_psd(covariance: np.ndarray) -> None:
         raise ValueError(f"covariance is not PSD (smallest eigenvalue {eigs[0]:.3e})")
 
 
-def _dense_steps(target: DenseGaussian, alpha_bar: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """Yield the dense affine map ``(W_s, o_s)`` of each step ``s = 0, 1, ...``.
+def _dense_steps(
+    target: DenseGaussian, alpha_bar: np.ndarray, a: np.ndarray, b: np.ndarray, order
+):
+    """Yield the dense affine map ``(W_s, o_s)`` of each step ``s`` in ``order``.
 
     Step ``s`` maps state ``s + 1`` to ``s`` via ``x <- W_s x + o_s (+ c_s z)``;
     ``a`` and ``b`` are ``_step_coefficients``'.  One step at a time, so a
-    fold over the steps need not hold all of them.
+    fold over the steps never holds more than one of them.
     """
     eye = np.eye(target.dim)
-    for s in range(len(a)):
+    for s in order:
         ab_s = alpha_bar[s + 1]
         shifted = ab_s * target.covariance + (1.0 - ab_s) * eye
         wiener_gain = np.linalg.solve(shifted, target.covariance)
@@ -202,27 +205,20 @@ def _dense_steps(target: DenseGaussian, alpha_bar: np.ndarray, a: np.ndarray, b:
         yield gain, b[s] * (1.0 - ab_s) * wiener_offset
 
 
-def _step_maps(target: DenseGaussian, alpha_bar: np.ndarray, process: str):
-    """Lists of the dense per-step maps W_s and o_s (``_dense_steps``) and,
-    for ddpm, the noise scales c_s (None for ddim)."""
-    a, b, c2 = _step_coefficients(alpha_bar, process)
-    gains, offsets = [], []
-    for gain, offset in _dense_steps(target, alpha_bar, a, b):
-        gains.append(gain)
-        offsets.append(offset)
-    return gains, offsets, None if c2 is None else np.sqrt(c2)
-
-
 def compose_affine(target: DenseGaussian, schedule: Schedule) -> tuple[np.ndarray, np.ndarray]:
-    """Fold all deterministic steps into one map: ``x0 = T x_S + offset``."""
+    """Fold all deterministic steps into one map: ``x0 = T x_S + offset``.
+
+    The steps are folded in the order they run, ``s = S-1, ..., 0``, each
+    gain multiplying from the left: this association fixes ddim's bytes.
+    """
     schedule.validate()
     _check_psd(target.covariance)
-    gains, offsets, _ = _step_maps(target, schedule.alpha_bar, "ddim")
+    a, b, _ = _step_coefficients(schedule.alpha_bar, "ddim")
     T = np.eye(target.dim)
     offset = np.zeros(target.dim)
-    for s in range(len(gains) - 1, -1, -1):
-        T = gains[s] @ T
-        offset = gains[s] @ offset + offsets[s]
+    for gain, off in _dense_steps(target, schedule.alpha_bar, a, b, reversed(range(len(a)))):
+        T = gain @ T
+        offset = gain @ offset + off
     return T, offset
 
 
@@ -248,7 +244,7 @@ def _folded_map(target: DenseGaussian, schedule: Schedule, process: str):
     M = np.empty(((S + 1) * d, d))
     prefix = np.eye(d)
     offset = np.zeros(d)
-    for s, (gain, off) in enumerate(_dense_steps(target, schedule.alpha_bar, a, b)):
+    for s, (gain, off) in enumerate(_dense_steps(target, schedule.alpha_bar, a, b, range(S))):
         offset += prefix @ off
         M[(S - s) * d : (S - s + 1) * d] = c[s] * prefix.T
         prefix = prefix @ gain

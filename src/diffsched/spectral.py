@@ -6,6 +6,10 @@ sampler acts coordinatewise.  A whole sampler run therefore collapses to a
 diagonal affine map ``v_out = noise_gain * v_in + mean_gain * mean_spectral``
 plus, for the stochastic sampler, an accumulated extra variance term.
 
+The transfers run in retention (VP) form.  An exploding-sigma (VE) schedule
+is analysed after :func:`ve_to_vp` maps it to ``alpha_bar = 1 / (1 +
+sigma**2)``: the VE state is the VP one divided by ``sqrt(alpha_bar)``.
+
 Index convention: ``alpha_bar`` has length ``S + 1`` with index 0 the
 cleanest level and index ``S`` the noisiest; the reverse recursion runs
 ``s = S .. 1``, each step producing index ``s - 1``.
@@ -23,18 +27,15 @@ __all__ = [
     "Transfer",
     "GaussianDiag",
     "VeSchedule",
-    "wiener_denoise",
     "ddim_gains",
     "ddim_transfer",
     "ddpm_transfer",
     "intermediate_distribution",
     "relative_error_dynamics",
     "w2_dynamics",
-    "output_distribution",
     "mean_bias",
     "vp_to_ve",
     "ve_to_vp",
-    "ve_ddim_transfer",
     "DEFAULT_EPS0",
     "DEFAULT_EPSS",
 ]
@@ -149,8 +150,6 @@ class Transfer:
     noise_gain: np.ndarray
     mean_gain: np.ndarray
     var_extra: np.ndarray
-    process: str = "ddim"
-    formulation: str = "vp"
 
     def __post_init__(self):
         self.noise_gain = _vector(self.noise_gain, "noise_gain")
@@ -198,31 +197,6 @@ class VeSchedule:
         if np.any(np.diff(self.sigma) < 0):
             raise ValueError("sigma must be nondecreasing")
         return self
-
-
-def wiener_denoise(model: SpectralModel, alpha_bar: float, v_t: np.ndarray) -> np.ndarray:
-    """Posterior-mean (linear MMSE) estimate of the clean signal, coordinatewise.
-
-    Parameters
-    ----------
-    model :
-        Gaussian prior in the eigenbasis.
-    alpha_bar :
-        Retention level in (0, 1] at which ``v_t`` was observed.
-    v_t :
-        Noisy observation, ``v_t = sqrt(alpha_bar) v_0 + sqrt(1-alpha_bar) eps``.
-    """
-    if not 0.0 < alpha_bar <= 1.0:
-        raise ValueError(f"alpha_bar must be in (0, 1], got {alpha_bar}")
-    v_t = _vector(v_t, "v_t")
-    if len(v_t) != model.dim:
-        raise ValueError(f"v_t has length {len(v_t)}, expected {model.dim}")
-    lam = model.eigenvalues
-    denom = alpha_bar * lam + (1.0 - alpha_bar)
-    num = np.sqrt(alpha_bar) * lam * v_t + (1.0 - alpha_bar) * model.mean_spectral
-    # alpha_bar == 1 with a zero eigenvalue is 0/0; the observation is then
-    # noiseless so the posterior mean is v_t itself.
-    return np.divide(num, denom, out=v_t.astype(float), where=denom > 0.0)
 
 
 def ddim_gains(alpha_bar_prev: float, alpha_bar_cur: float) -> tuple[float, float]:
@@ -361,10 +335,9 @@ def _transfer_arrays(
     return noise_gain, mean_gain, var_extra, (b, c2, coefficients[3], denom, G, M, prefix, prefix2)
 
 
-def _vp_transfer(model: SpectralModel, schedule: Schedule, process: str) -> Transfer:
+def _transfer(model: SpectralModel, schedule: Schedule, process: str) -> Transfer:
     schedule.validate()
-    arrays = _transfer_arrays(model.eigenvalues, schedule.alpha_bar, process)
-    return Transfer(*arrays, process=process, formulation="vp")
+    return Transfer(*_transfer_arrays(model.eigenvalues, schedule.alpha_bar, process))
 
 
 def ddim_transfer(model: SpectralModel, schedule: Schedule) -> Transfer:
@@ -372,7 +345,7 @@ def ddim_transfer(model: SpectralModel, schedule: Schedule) -> Transfer:
 
     Single left-to-right pass, O(S d).
     """
-    return _vp_transfer(model, schedule, "ddim")
+    return _transfer(model, schedule, "ddim")
 
 
 def ddpm_transfer(model: SpectralModel, schedule: Schedule) -> Transfer:
@@ -381,7 +354,7 @@ def ddpm_transfer(model: SpectralModel, schedule: Schedule) -> Transfer:
     The output variance is ``noise_gain**2 + var_extra`` where ``var_extra``
     accumulates the per-step fresh noise through the remaining gains.
     """
-    return _vp_transfer(model, schedule, "ddpm")
+    return _transfer(model, schedule, "ddpm")
 
 
 def _suffix_fold(G: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -467,15 +440,6 @@ def _check_dims(model: SpectralModel, transfer: Transfer) -> None:
         )
 
 
-def output_distribution(transfer: Transfer, model: SpectralModel) -> GaussianDiag:
-    """Gaussian of the generated signal implied by a transfer."""
-    _check_dims(model, transfer)
-    return GaussianDiag(
-        mean=transfer.mean_gain * model.mean_spectral,
-        variance=transfer.output_variance,
-    )
-
-
 def mean_bias(transfer: Transfer, model: SpectralModel) -> tuple[np.ndarray, np.ndarray]:
     """Drift of the generated mean away from the target mean.
 
@@ -524,20 +488,3 @@ def ve_to_vp(ve: VeSchedule) -> Schedule:
         epsS=float(ab[-1]),
     )
 
-
-def ve_ddim_transfer(model: SpectralModel, ve: VeSchedule) -> Transfer:
-    """Deterministic-sampler transfer in exploding form.
-
-    The exploding state is the preserving one divided by ``sqrt(alpha_bar)``,
-    so this is the preserving run on ``alpha_bar = 1 / (1 + sigma**2)`` with
-    the noise gain scaled by ``sqrt(alpha_bar[S] / alpha_bar[0])`` and the
-    mean gain by ``1 / sqrt(alpha_bar[0])``; requires strictly positive
-    sigma at every step s >= 1.
-    """
-    ve.validate()
-    if np.any(ve.sigma[1:] <= 0.0):
-        raise ValueError("sigma must be strictly positive at every step s >= 1")
-    ab = 1.0 / (1.0 + ve.sigma**2)
-    noise_gain, mean_gain, var_extra = _transfer_arrays(model.eigenvalues, ab, "ddim")
-    noise_gain = noise_gain * np.sqrt(ab[-1] / ab[0])
-    return Transfer(noise_gain, mean_gain / np.sqrt(ab[0]), var_extra, "ddim", "ve")

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from diffsched import synthetic_circulant_model
-from diffsched.simulate import _step_maps
+from diffsched.simulate import _dense_steps
+from diffsched.spectral import _step_coefficients
 
 
 @pytest.fixture(scope="session")
@@ -18,16 +19,37 @@ def random_monotone_alpha_bar(rng: np.random.Generator, S: int, eps0=1e-4, epsS=
     return np.concatenate([[1.0 - eps0], interior, [epsS]])
 
 
+def wiener_denoise(model, alpha_bar: float, v_t) -> np.ndarray:
+    """Posterior-mean (linear MMSE) estimate of the clean signal, coordinatewise.
+
+    The generic Gaussian-conditioning formula, the oracle that the step
+    kernel is checked against: ``v_t = sqrt(alpha_bar) v_0 + sqrt(1 -
+    alpha_bar) eps`` observed at retention level ``alpha_bar`` in (0, 1].
+    """
+    if not 0.0 < alpha_bar <= 1.0:
+        raise ValueError(f"alpha_bar must be in (0, 1], got {alpha_bar}")
+    v_t = np.asarray(v_t, dtype=float)
+    if v_t.shape != (model.dim,):
+        raise ValueError(f"v_t has shape {v_t.shape}, expected ({model.dim},)")
+    lam = model.eigenvalues
+    denom = alpha_bar * lam + (1.0 - alpha_bar)
+    num = np.sqrt(alpha_bar) * lam * v_t + (1.0 - alpha_bar) * model.mean_spectral
+    # alpha_bar == 1 with a zero eigenvalue is 0/0; the observation is then
+    # noiseless so the posterior mean is v_t itself.
+    return np.divide(num, denom, out=v_t.copy(), where=denom > 0.0)
+
+
 def dense_ddpm_moments(target, alpha_bar):
     """Exact output mean and covariance of the stochastic sampler.
 
     Pushes the moments of ``x_S ~ N(0, I)`` through the dense per-step maps,
     ``m <- W m + o`` and ``C <- W C W^T + c^2 I``; never uses the eigenbasis.
     """
-    gains, offsets, c = _step_maps(target, alpha_bar, "ddpm")
+    a, b, c2 = _step_coefficients(alpha_bar, "ddpm")
+    steps = reversed(range(len(a)))
     eye = np.eye(target.dim)
     mean, cov = np.zeros(target.dim), eye
-    for W, o, c_s in reversed(list(zip(gains, offsets, c))):
+    for (W, o), c2_s in zip(_dense_steps(target, alpha_bar, a, b, steps), c2[::-1]):
         mean = W @ mean + o
-        cov = W @ cov @ W.T + c_s**2 * eye
+        cov = W @ cov @ W.T + c2_s * eye
     return mean, cov

@@ -21,6 +21,7 @@ from diffsched.io import load_matrix_csv, load_model, load_schedule, save_schedu
 from diffsched import (
     OptimizeConfig,
     OptimizeReport,
+    SpectralModel,
     cosine_schedule,
     edm_schedule,
     optimize_schedule,
@@ -41,6 +42,17 @@ def model_file(tmp_path):
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def write_tone_wav(path):
+    """A 4000-sample 16-bit mono WAV: a tone plus a little noise."""
+    rng = np.random.default_rng(0)
+    signal = 0.4 * np.sin(2 * np.pi * np.arange(4000) / 25) + 0.05 * rng.normal(size=4000)
+    with wave.open(str(path), "wb") as wav:
+        wav.setnchannels(1)
+        wav.setsampwidth(2)
+        wav.setframerate(16000)
+        wav.writeframes(np.clip(signal * 32768, -32768, 32767).astype("<i2").tobytes())
 
 
 # ------------------------------------------------------------------ gen
@@ -397,14 +409,7 @@ def test_bias_output(tmp_path, model_file):
 
 def test_estimate_from_wav(tmp_path):
     wav_path = tmp_path / "tone.wav"
-    rng = np.random.default_rng(0)
-    signal = 0.4 * np.sin(2 * np.pi * np.arange(4000) / 25) + 0.05 * rng.normal(size=4000)
-    pcm = np.clip(signal * 32768, -32768, 32767).astype("<i2")
-    with wave.open(str(wav_path), "wb") as wav:
-        wav.setnchannels(1)
-        wav.setsampwidth(2)
-        wav.setframerate(16000)
-        wav.writeframes(pcm.tobytes())
+    write_tone_wav(wav_path)
     cov = tmp_path / "cov.csv"
     model_out = tmp_path / "model.json"
     rc = run([
@@ -639,6 +644,73 @@ def test_unusable_manifest_out_exits_2_before_the_run(tmp_path, capsys, monkeypa
     assert error["message"].startswith("--manifest-out must name a file")
 
 
+# The README's command-line workflow on small inputs: steps <= 28 and at
+# most 500 samples per process, on the model estimated from tone.wav.
+SMALL_WORKFLOW = [
+    "gen --family cosine --params 0,1,1 --steps 28 --out cosine.json",
+    "gen --family edm --params 7,0.002,80 --steps 28 --out edm.json",
+    "estimate --input tone.wav --window 16 --th 0.05 --out-cov cov.csv --out-model model.json",
+    "optimize --model model.json --loss w2 --steps 28 --out spectral.json",
+    "optimize --model model.json --steps 10 --out s10.json",
+    "optimize --model model.json --steps 28 --init warm:s10.json --out s28.json",
+    "optimize --model model.json --steps 20 --init random --seed 3 --out r20.json",
+    "optimize --model model.json --steps 20 --eigenvalue-index 3 --out profile3.json",
+    "eval --model model.json --schedules cosine.json spectral.json --losses w2,kl,wl1"
+    " --process both --out eval.csv",
+    "compare --model model.json --schedules linear cosine:0,1,1 sigmoid:-3,3,1 edm:7,0.002,80"
+    " spectral --steps-list 10,28 --losses w2 --out compare.csv",
+    "simulate --synthetic 8,0.1,0.05 --schedule cosine.json --process ddim --samples 500"
+    " --seed 7 --out samples.f64",
+    "simulate --synthetic 8,0.1,0.05 --schedule cosine.json --process ddpm --samples 500"
+    " --seed 7 --out samples_ddpm.f64",
+    "dynamics --model model.json --schedule cosine.json --out-relative-error rel.csv"
+    " --out-w2 w2.csv",
+    "bias --model model.json --schedule cosine.json --out bias.csv",
+    "convert --schedule cosine.json --direction to-ve --out cosine_ve.json",
+    "convert --schedule cosine_ve.json --direction to-vp --out back.json",
+]
+
+
+def argv_from_manifest(manifest):
+    """The command line a manifest's ``config`` describes: the subcommand,
+    then ``--key value`` per field, a list's values as separate tokens."""
+    config = dict(manifest["config"])
+    argv = [config.pop("command")]
+    for key, value in config.items():
+        argv.append("--" + key.replace("_", "-"))
+        argv.extend(map(str, value) if isinstance(value, list) else [str(value)])
+    return argv
+
+
+def test_manifests_reproduce_their_runs(tmp_path, monkeypatch, capsys):
+    # The README's claim: a deterministic command is reproduced bit-exactly
+    # from its manifest.  Every command is re-run, in order, from the argv
+    # its manifest rebuilds, in a directory that holds only the WAV; every
+    # output but the optimizer report (wall times) must keep its bytes.
+    first, second = tmp_path / "first", tmp_path / "second"
+    manifests = []
+    for directory in (first, second):
+        directory.mkdir()
+        write_tone_wav(directory / "tone.wav")
+    monkeypatch.chdir(first)
+    for command in SMALL_WORKFLOW:
+        assert run(command.split()) == 0, command
+        outputs = json.loads(capsys.readouterr().out)["outputs"]
+        manifests.append(json.loads(Path(outputs[0] + ".manifest.json").read_text()))
+    monkeypatch.chdir(second)
+    for manifest in manifests:
+        assert run(argv_from_manifest(manifest)) == 0, manifest["config"]
+    compared = [
+        path
+        for manifest in manifests
+        for path in manifest["outputs"]
+        if not path.endswith(".report.json")
+    ]
+    assert len(compared) == 21
+    for path in compared:
+        assert (first / path).read_bytes() == (second / path).read_bytes(), path
+
+
 def test_missing_model_file_exits_2(tmp_path, capsys):
     rc = run(["optimize", "--model", tmp_path / "nope.json", "--steps", "4", "--out", tmp_path / "o.json"])
     assert rc == 2
@@ -661,6 +733,30 @@ def test_eval_non_finite_input_exits_2(tmp_path, capsys, model_file, field):
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "ValueError"
     assert err["error"]["message"].startswith(f"{field} must be finite")
+
+
+@pytest.mark.parametrize(
+    "eigenvalues, mean, mass",
+    [
+        ([1.0, 2.0], [1e200, 0.0], "sum(mean_spectral**2)"),
+        ([1e308, 1e308], [0.0, 0.0], "sum(eigenvalues)"),
+    ],
+    ids=["mean-mass", "eigenvalue-mass"],
+)
+def test_eval_weighted_l1_of_an_overflowing_mass_exits_2(
+    tmp_path, capsys, eigenvalues, mean, mass
+):
+    # Finite values whose total mass overflows would make every weight nan
+    # (or 0, and the loss 0.0); the loss refuses them instead.
+    model_path, schedule_path, out = tmp_path / "m.json", tmp_path / "s.json", tmp_path / "e.csv"
+    save_model(SpectralModel(dim=2, eigenvalues=eigenvalues, mean_spectral=mean), model_path)
+    save_schedule(cosine_schedule(10), schedule_path)
+    rc = run(["eval", "--model", model_path, "--schedules", schedule_path, "--losses", "wl1",
+              "--out", out])
+    assert rc == 2
+    assert not out.exists()
+    message = json.loads(capsys.readouterr().err)["error"]["message"]
+    assert "weighted-L1" in message and mass in message
 
 
 # ---------------------------------------------------------- usage errors
@@ -823,13 +919,7 @@ sys.meta_path.insert(0, BlockScipy())
 def test_readme_workflow_runs_with_scipy_blocked(tmp_path):
     # Every subcommand of the README workflow, on small inputs, in a process
     # where importing scipy fails: scipy is a test dependency only.
-    rng = np.random.default_rng(0)
-    signal = 0.4 * np.sin(2 * np.pi * np.arange(4000) / 25) + 0.05 * rng.normal(size=4000)
-    with wave.open(str(tmp_path / "tone.wav"), "wb") as wav:
-        wav.setnchannels(1)
-        wav.setsampwidth(2)
-        wav.setframerate(16000)
-        wav.writeframes(np.clip(signal * 32768, -32768, 32767).astype("<i2").tobytes())
+    write_tone_wav(tmp_path / "tone.wav")
     runs = [
         ["gen", "--family", "cosine", "--params", "0,1,1", "--steps", "20", "--out", "cosine.json"],
         ["estimate", "--input", "tone.wav", "--window", "16", "--th", "0.05",

@@ -1,11 +1,15 @@
-"""The package imports exactly the third-party modules it declares, and its
-dense oracle stays out of the eigenbasis."""
+"""The package imports exactly the third-party modules it declares, its
+dense oracle stays out of the eigenbasis, and every public name it exports
+has a documented use."""
 
 import ast
 import re
 import sys
 import tomllib
+import types
 from pathlib import Path
+
+import diffsched
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -67,3 +71,20 @@ def test_dense_oracle_takes_only_the_step_kernel_from_spectral():
         ("spectral", "_require_finite"),
         ("spectral", "_step_coefficients"),
     }
+
+
+def test_every_public_name_has_a_documented_use():
+    # A name the package exports stays only if the CLI, the README or the
+    # acceptance suite uses it; what only unit tests reach is imported from
+    # its module instead.
+    text = "\n".join(
+        (ROOT / path).read_text(encoding="utf-8")
+        for path in ("src/diffsched/cli.py", "README.md", "tests/test_acceptance.py")
+    )
+    public = [
+        name
+        for name, value in vars(diffsched).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    ]
+    unused = [name for name in public if not re.search(rf"\b{re.escape(name)}\b", text)]
+    assert public and unused == []

@@ -3,16 +3,19 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from diffsched import (
-    CovarianceEstimate,
     EstimationConfig,
     circulant_projection,
     pca_truncate,
     sliding_window_covariance,
     spectral_model_from_covariance,
     synthetic_circulant_model,
+)
+from diffsched.estimate import (
+    CovarianceEstimate,
+    circulant_matrix,
+    covariance_from_windows,
     toeplitz_average,
 )
-from diffsched.estimate import circulant_matrix, covariance_from_windows
 
 
 # ------------------------------------------------------- synthetic model

@@ -4,7 +4,7 @@ import wave
 import numpy as np
 import pytest
 
-from diffsched import Schedule, SpectralModel, VeSchedule, cosine_schedule
+from diffsched import Schedule, SpectralModel, cosine_schedule
 from diffsched.io import (
     format_float,
     load_matrix_csv,
@@ -20,6 +20,7 @@ from diffsched.io import (
     save_schedule,
     save_ve_schedule,
 )
+from diffsched.spectral import VeSchedule
 
 
 def test_model_round_trip_bit_exact(tmp_path):

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diffsched import (
-    LAMBDA_FLOOR,
     LossKind,
     Schedule,
     SpectralModel,
@@ -15,17 +14,17 @@ from diffsched import (
     w2_loss,
     weighted_l1_loss,
 )
-from diffsched.losses import finite_difference_gradient, loss_from_alpha_bar
+from diffsched.losses import LAMBDA_FLOOR, finite_difference_gradient, loss_from_alpha_bar
 from diffsched.simulate import DenseGaussian
 
 from conftest import dense_ddpm_moments
 
 
-def diag_transfer(noise_gain, mean_gain, var_extra=None, process="ddim"):
+def diag_transfer(noise_gain, mean_gain, var_extra=None):
     noise_gain = np.asarray(noise_gain, dtype=float)
     if var_extra is None:
         var_extra = np.zeros_like(noise_gain)
-    return Transfer(noise_gain, np.asarray(mean_gain, dtype=float), var_extra, process=process)
+    return Transfer(noise_gain, np.asarray(mean_gain, dtype=float), var_extra)
 
 
 def make_model(lam, mu):
@@ -80,7 +79,7 @@ def test_w2_matches_generic_oracle_on_random_instances():
 
 def test_w2_uses_total_variance_for_stochastic_sampler():
     model = make_model([4.0], [0.0])
-    t = diag_transfer([1.0], [1.0], var_extra=np.array([3.0]), process="ddpm")
+    t = diag_transfer([1.0], [1.0], var_extra=np.array([3.0]))
     # total std = sqrt(1 + 3) = 2 matches sqrt(lam): variance term vanishes
     assert w2_loss(model, t) == pytest.approx(0.0, abs=1e-15)
 

@@ -7,7 +7,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from diffsched import (
-    LAMBDA_FLOOR,
     LossKind,
     OptimizeConfig,
     Schedule,
@@ -21,7 +20,7 @@ from diffsched import (
     ddim_transfer,
 )
 from diffsched import optimize as optimize_module
-from diffsched.losses import loss_from_alpha_bar
+from diffsched.losses import LAMBDA_FLOOR, loss_from_alpha_bar
 from diffsched.optimize import GTOL
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from diffsched import (
     OptimizeConfig,
-    VeSchedule,
     cosine_schedule,
     edm_schedule,
     fit_parametric,
@@ -15,6 +14,7 @@ from diffsched import (
     ve_to_vp,
     warm_start_interpolate,
 )
+from diffsched.spectral import VeSchedule
 
 ALL_GENERATORS = [
     ("linear", lambda S: linear_schedule(S)),

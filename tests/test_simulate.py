@@ -25,12 +25,17 @@ from diffsched import (
     simulate_reverse,
     w2_dynamics,
     w2_loss,
-    wiener_denoise,
 )
 from diffsched import simulate
-from diffsched.simulate import _chunk_stream_normals, _sample_stream_normals, compose_affine
+from diffsched.simulate import (
+    _chunk_stream_normals,
+    _dense_steps,
+    _sample_stream_normals,
+    compose_affine,
+)
+from diffsched.spectral import _step_coefficients
 
-from conftest import dense_ddpm_moments, random_monotone_alpha_bar
+from conftest import dense_ddpm_moments, random_monotone_alpha_bar, wiener_denoise
 
 
 def scalar_target(lam=1.5, mu=0.4):
@@ -157,8 +162,10 @@ def _reference_simulate(target, cfg):
     if cfg.process == "ddim":
         maps, noise = [compose_affine(target, cfg.schedule)], []
     else:
-        gains, offsets, c = simulate._step_maps(target, cfg.schedule.alpha_bar, "ddpm")
-        maps, noise = list(zip(gains, offsets))[::-1], c[::-1]
+        ab = cfg.schedule.alpha_bar
+        a, b, c2 = _step_coefficients(ab, "ddpm")
+        maps = list(_dense_steps(target, ab, a, b, reversed(range(len(a)))))
+        noise = np.sqrt(c2)[::-1]
     per_sample = d * (1 + len(noise))
     rows = simulate._CHUNK_NORMALS // per_sample
     out = np.empty((n, d))
@@ -409,6 +416,23 @@ def test_folded_map_diagonalizes_in_fourier_basis(benchmark_model):
     )
 
 
+def test_compose_affine_holds_one_step_map_at_a_time():
+    # The fold takes the S dense steps one at a time: its peak memory is a
+    # few d x d matrices, not the S gains (200 of them here).
+    import tracemalloc
+
+    d = 64
+    target = odd_dense_target(d)
+    schedule = cosine_schedule(200)
+    tracemalloc.start()
+    try:
+        compose_affine(target, schedule)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * d * d * 8
+
+
 @pytest.mark.parametrize("l", [0, 1, 9, 23, 24])
 def test_dense_steps_match_intermediate_distribution(benchmark_model, l):
     # steps S .. l+1 composed densely in the original coordinates; conjugated
@@ -416,11 +440,12 @@ def test_dense_steps_match_intermediate_distribution(benchmark_model, l):
     # and mean B[l] * mean_spectral
     dense, model = benchmark_model
     schedule = linear_schedule(24)
-    gains, offsets, _ = simulate._step_maps(dense, schedule.alpha_bar, "ddim")
+    a, b, _ = _step_coefficients(schedule.alpha_bar, "ddim")
+    steps = reversed(range(l, schedule.steps))
     T, offset = np.eye(dense.dim), np.zeros(dense.dim)
-    for s in range(schedule.steps - 1, l - 1, -1):
-        T = gains[s] @ T
-        offset = gains[s] @ offset + offsets[s]
+    for gain, off in _dense_steps(dense, schedule.alpha_bar, a, b, steps):
+        T = gain @ T
+        offset = gain @ offset + off
     F = np.fft.fft(np.eye(dense.dim)) / np.sqrt(dense.dim)
     covariance = F @ (T @ T.T) @ F.conj().T
     expected = intermediate_distribution(model, schedule, l)

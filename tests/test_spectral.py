@@ -4,26 +4,27 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diffsched import (
-    GaussianDiag,
     Schedule,
     SpectralModel,
-    VeSchedule,
     cosine_schedule,
     ddim_gains,
     ddim_transfer,
     ddpm_transfer,
     intermediate_distribution,
     mean_bias,
-    output_distribution,
     synthetic_circulant_model,
-    ve_ddim_transfer,
     ve_to_vp,
     vp_to_ve,
-    wiener_denoise,
 )
-from diffsched.spectral import _step_coefficients, _step_gains, _suffix_fold
+from diffsched.spectral import (
+    GaussianDiag,
+    VeSchedule,
+    _step_coefficients,
+    _step_gains,
+    _suffix_fold,
+)
 
-from conftest import random_monotone_alpha_bar
+from conftest import random_monotone_alpha_bar, wiener_denoise
 
 
 def make_schedule(alpha_bar, eps0=1e-4, epsS=4e-5):
@@ -272,8 +273,7 @@ def test_ddpm_two_step_scalar_oracle():
     t = ddpm_transfer(model, make_schedule(ab))
     assert t.noise_gain[0] == pytest.approx(G1 * G2, rel=1e-14)
     assert t.var_extra[0] == pytest.approx(c21 + G1**2 * c22, rel=1e-14)
-    dist = output_distribution(t, model)
-    assert dist.variance[0] == pytest.approx((G1 * G2) ** 2 + c21 + G1**2 * c22, rel=1e-14)
+    assert t.output_variance[0] == pytest.approx((G1 * G2) ** 2 + c21 + G1**2 * c22, rel=1e-14)
 
 
 @settings(max_examples=80, deadline=None)
@@ -293,11 +293,7 @@ def test_transfers_finite_and_ddpm_extra_variance_nonnegative(eigenvalues, seed,
     d = len(eigenvalues)
     model = SpectralModel(dim=d, eigenvalues=eigenvalues, mean_spectral=rng.normal(size=d))
     schedule = make_schedule(ab)
-    transfers = [
-        ddim_transfer(model, schedule),
-        ddpm_transfer(model, schedule),
-        ve_ddim_transfer(model, vp_to_ve(schedule)),
-    ]
+    transfers = [ddim_transfer(model, schedule), ddpm_transfer(model, schedule)]
     for t in transfers:
         for field in (t.noise_gain, t.mean_gain, t.var_extra):
             assert np.all(np.isfinite(field))
@@ -338,14 +334,6 @@ def test_intermediate_rejects_out_of_range(benchmark_model):
     _, model = benchmark_model
     with pytest.raises(ValueError):
         intermediate_distribution(model, cosine_schedule(16), 17)
-
-
-def test_output_distribution_zero_mean():
-    model = SpectralModel(dim=2, eigenvalues=[1.0, 2.0], mean_spectral=[0.0, 0.0])
-    t = ddim_transfer(model, cosine_schedule(8))
-    dist = output_distribution(t, model)
-    np.testing.assert_array_equal(dist.mean, np.zeros(2))
-    np.testing.assert_array_equal(dist.variance, t.noise_gain**2)
 
 
 # ---------------------------------------------------------------- bias
@@ -441,25 +429,6 @@ def test_ve_to_vp_rejects_sigma_outside_the_retention_range(sigma, level):
     assert ve_to_vp(VeSchedule(steps=1, sigma=np.array([1e-7, 1.0]))).alpha_bar[1] == 0.5
 
 
-def test_ve_gain_scalar_example():
-    # Retention pair (0.99, 0.25) on a unit eigenvalue: the exploding-form
-    # gains relate to the preserving-form ones by the sqrt retention ratios.
-    model = SpectralModel(dim=1, eigenvalues=[1.0], mean_spectral=[0.0])
-    ab = np.array([0.99, 0.25])
-    sig = np.sqrt((1 - ab) / ab)
-    ve_t = ve_ddim_transfer(model, VeSchedule(steps=1, sigma=sig))
-    vp_t = ddim_transfer(
-        model,
-        Schedule(kind="custom", steps=1, alpha_bar=ab, eps0=1 - ab[0], epsS=ab[-1]),
-    )
-    assert ve_t.noise_gain[0] == pytest.approx(0.29352, abs=5e-6)
-    assert vp_t.noise_gain[0] == pytest.approx(0.58410, abs=5e-6)
-    assert ve_t.mean_gain[0] == pytest.approx(0.70648, abs=5e-6)
-    assert vp_t.mean_gain[0] == pytest.approx(0.70294, abs=5e-6)
-    assert vp_t.noise_gain[0] == pytest.approx(np.sqrt(ab[0] / ab[1]) * ve_t.noise_gain[0], rel=1e-12)
-    assert vp_t.mean_gain[0] == pytest.approx(np.sqrt(ab[0]) * ve_t.mean_gain[0], rel=1e-12)
-
-
 def test_vp_ve_gain_relation_full_schedule(benchmark_model):
     # Per-step relation across a whole schedule, checked through the
     # composed transfers of matching sub-schedules.
@@ -478,50 +447,6 @@ def test_vp_ve_gain_relation_full_schedule(benchmark_model):
         Mve = bv * sigma[s] ** 2 / (lam + sigma[s] ** 2)
         np.testing.assert_allclose(Gvp, np.sqrt(ab[s - 1] / ab[s]) * Gve, atol=1e-10)
         np.testing.assert_allclose(Mvp, np.sqrt(ab[s - 1]) * Mve, atol=1e-10)
-
-
-def test_ve_transfer_tied_step_is_identity():
-    model = SpectralModel(dim=2, eigenvalues=[1.0, 2.0], mean_spectral=[0.0, 0.0])
-    ve = VeSchedule(steps=1, sigma=np.array([3.0, 3.0]))
-    t = ve_ddim_transfer(model, ve)
-    np.testing.assert_allclose(t.noise_gain, 1.0, atol=1e-15)
-    np.testing.assert_allclose(t.mean_gain, 0.0, atol=1e-15)
-
-
-def test_ve_transfer_rejects_zero_interior_sigma():
-    model = SpectralModel(dim=1, eigenvalues=[1.0], mean_spectral=[0.0])
-    with pytest.raises(ValueError):
-        ve_ddim_transfer(model, VeSchedule(steps=2, sigma=np.array([0.0, 0.0, 1.0])))
-
-
-def ve_per_step_oracle(lam, sigma):
-    """Exploding-form transfer as a direct product of per-step gains:
-    ``G = a + (1-a) lam / (lam + sigma_s**2)`` and
-    ``M = (1-a) sigma_s**2 / (lam + sigma_s**2)`` with ``a = sigma_{s-1} / sigma_s``."""
-    noise_gain, mean_gain = np.ones_like(lam), np.zeros_like(lam)
-    for s in range(len(sigma) - 1, 0, -1):
-        a = sigma[s - 1] / sigma[s]
-        G = a + (1 - a) * lam / (lam + sigma[s] ** 2)
-        M = (1 - a) * sigma[s] ** 2 / (lam + sigma[s] ** 2)
-        noise_gain, mean_gain = G * noise_gain, G * mean_gain + M
-    return noise_gain, mean_gain
-
-
-@pytest.mark.parametrize(
-    "ve",
-    [vp_to_ve(cosine_schedule(28)), VeSchedule(steps=4, sigma=np.array([0.0, 0.3, 1.0, 1.0, 80.0]))],
-    ids=["cosine28", "sigma0-zero"],
-)
-def test_ve_transfer_matches_per_step_product(benchmark_model, ve):
-    # the transfer runs through the retention-form kernel; the oracle stays
-    # in exploding form step by step
-    _, model = benchmark_model
-    t = ve_ddim_transfer(model, ve)
-    noise_gain, mean_gain = ve_per_step_oracle(model.eigenvalues, ve.sigma)
-    np.testing.assert_allclose(t.noise_gain, noise_gain, rtol=1e-12, atol=0)
-    np.testing.assert_allclose(t.mean_gain, mean_gain, rtol=1e-12, atol=0)
-    assert np.all(t.var_extra == 0.0)
-    assert (t.process, t.formulation) == ("ddim", "ve")
 
 
 # ---------------------------------------------------------------- types
