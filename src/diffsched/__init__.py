@@ -22,7 +22,6 @@ from .spectral import (
 from .schedules import (
     cosine_schedule,
     edm_schedule,
-    fit_parametric,
     linear_schedule,
     sigmoid_schedule,
     warm_start_interpolate,
@@ -37,6 +36,7 @@ from .losses import (
 from .optimize import (
     OptimizeConfig,
     OptimizeReport,
+    fit_parametric,
     optimize_schedule,
     single_eigenvalue_problem,
 )

@@ -93,11 +93,9 @@ def _generate(family: str, steps: int, params: list[float], eps0: float, epsS: f
 
 
 def _transfer(model: SpectralModel, schedule: Schedule, process: str):
-    if process == "ddim":
-        return ddim_transfer(model, schedule)
-    if process == "ddpm":
-        return ddpm_transfer(model, schedule)
-    raise ValueError(f"unknown process {process!r}")
+    # ``ddim_transfer`` or ``ddpm_transfer``: argparse's choices admit no
+    # other process
+    return globals()[f"{process}_transfer"](model, schedule)
 
 
 def _loss_rows(model, schedule, label, losses, processes):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .simulate import DenseGaussian
-from .spectral import SpectralModel
+from .spectral import SpectralModel, _require_integer
 
 __all__ = [
     "EstimationConfig",
@@ -50,12 +50,10 @@ class EstimationConfig:
     silence_threshold: float = 0.05
 
     def __post_init__(self):
-        if self.window < 2:
-            raise ValueError(f"window must be >= 2, got {self.window}")
+        _require_integer(self.window, "window", 2)
         if self.stride is None:
             self.stride = self.window
-        if self.stride < 1:
-            raise ValueError(f"stride must be >= 1, got {self.stride}")
+        _require_integer(self.stride, "stride", 1)
         _check_silence_threshold(self.silence_threshold)
 
 

@@ -200,10 +200,16 @@ def save_raw_f64(array: np.ndarray, path) -> None:
 
 
 def load_raw_f64(path) -> np.ndarray:
-    with open(str(path) + ".json", encoding="utf-8") as fh:
+    sidecar = str(path) + ".json"
+    with open(sidecar, encoding="utf-8") as fh:
         meta = json.load(fh)
     dim = _integer_field(meta, "dim", "raw sidecar")
     count = _integer_field(meta, "count", "raw sidecar")
+    for name, value, least in (("dim", dim, 1), ("count", count, 0)):
+        if value < least:
+            raise ValueError(
+                f"raw sidecar field {name!r} must be >= {least}, got {value} ({sidecar})"
+            )
     data = np.fromfile(path, dtype="<f8")
     if len(data) != dim * count:
         raise ValueError(

@@ -4,9 +4,9 @@ All distances use the total output variance ``noise_gain**2 + var_extra``,
 so the same formulas cover both the deterministic and stochastic samplers.
 Reported squared-distance values are squared (no root) unless callers take
 the root themselves.  Gradients with respect to the schedule are exact and
-come with the loss: ``loss_from_alpha_bar(..., gradient=True)`` makes one
-forward pass through the per-step gains and one reverse sweep over the same
-arrays, whose suffix folds run as a log-depth scan (``spectral._suffix_fold``).
+come with the loss: ``loss_from_alpha_bar(..., gradient=True)`` hands the
+loss's partials in the output variance and mean gain to the pullback of
+``spectral``'s forward pass, whose reverse sweep gives the gradient.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .spectral import (
     Schedule,
     Transfer,
     _check_dims,
-    _suffix_fold,
     _transfer_arrays,
 )
 
@@ -160,9 +159,8 @@ def loss_from_alpha_bar(
     Fast path for optimizer iterates, which may be non-monotone in the
     unconstrained mode.  With ``gradient=True`` returns ``(loss, grad)``,
     ``grad`` the exact gradient with respect to ``alpha_bar[1:-1]``, from
-    one forward pass and one reverse sweep over its arrays in O(S d), the
-    sweep's suffix folds done by a log-depth scan; the loss is the same
-    float either way.
+    one forward pass and the reverse sweep of its pullback in O(S d); the
+    loss is the same float either way.
     """
     lam, mu = model.eigenvalues, model.mean_spectral
     arrays = _transfer_arrays(lam, alpha_bar, process, forward=gradient)
@@ -172,110 +170,7 @@ def loss_from_alpha_bar(
     if not gradient:
         return result
     loss, d_var, d_gain = result
-    return loss, _reverse_sweep(lam, alpha_bar, noise_gain, d_var, d_gain, arrays[3])
-
-
-def _reverse_sweep(lam, alpha_bar, noise_gain, d_var, d_gain, forward) -> np.ndarray:
-    """Gradient with respect to ``alpha_bar[1:-1]`` from the loss's partials
-    ``(d_var, d_gain)`` in the output variance and mean gain, reusing the
-    forward arrays of :func:`_transfer_arrays`.
-
-    The adjoints of the per-step gains ``G`` and ``M`` need, per step, the
-    product of the later gains and the mean gain they carry (``A[s+1]`` and
-    ``B[s+1]`` of the log-depth scan ``_suffix_fold``); the stochastic
-    sampler's extra variance adds the same fold run on ``(G**2, c**2)``, its
-    only branch on the process.  The chain
-    rule then goes through the partials of ``(a, b, c**2)`` in the two
-    neighbouring levels ``p = alpha_bar[s-1]`` and ``x = alpha_bar[s]``
-    that :func:`spectral._step_coefficients` returned with them.
-    """
-    b, c2, (a_p, a_x, b_p, b_x, c2_p, c2_x), den, G, M, prefix, prefix2 = forward
-    x = alpha_bar[1:]
-    sqrt_x, one_x = np.sqrt(x), 1.0 - x
-
-    # adjoints of the per-step gains, shape (S, d):
-    # dG = prefix * (2 d_var noise_gain A[1:] + d_gain B[1:]), dM = prefix * d_gain.
-    # work[0] becomes dG, work[1:] the products summed over coordinates below.
-    work = np.empty((5,) + G.shape)
-    d = G.shape[1]
-    gains, means = G, M
-    if c2 is not None:
-        # the mean fold and the extra-variance fold on (G**2, c**2), side by
-        # side in one scan
-        gains = np.hstack((G, G**2))
-        means = np.hstack((M, np.broadcast_to(c2[:, None], G.shape)))
-    A, B = _suffix_fold(gains, means)  # row 0, the whole run, is not needed
-    later_gain, mean_part, var_part = A[1:, :d], B[1:, :d], B[1:, d:]
-    dG = np.multiply(2.0 * d_var * noise_gain, later_gain, out=work[0])
-    mean_part *= d_gain
-    dG += mean_part
-    dG *= prefix
-    grad_p = grad_x = 0.0
-    if c2 is not None:
-        var_gain = 2.0 * d_var * G
-        var_gain *= prefix2
-        var_gain *= var_part
-        dG += var_gain
-        d_c2 = (d_var * prefix2).sum(axis=1)
-        grad_p, grad_x = d_c2 * c2_p, d_c2 * c2_x
-
-    # chain through G = a + b sqrt(x) lam / den and M = b (1 - x) / den,
-    # with den = x lam + 1 - x, summing each step over coordinates:
-    # dG, dG ratio, dG ratio slope, dM / den and dM slope / den
-    slope = (lam - 1.0) / den
-    np.divide(lam, den, out=work[1])
-    work[1] *= dG
-    np.multiply(work[1], slope, out=work[2])
-    dM = np.multiply(prefix, d_gain, out=work[4])
-    np.divide(dM, den, out=work[3])
-    dM *= slope
-    dM /= den
-    g_sum, g_ratio, g_slope, m_inv, m_slope = work.sum(axis=2)
-    grad_p = grad_p + a_p * g_sum + b_p * sqrt_x * g_ratio + b_p * one_x * m_inv
-    grad_x = (
-        grad_x
-        + a_x * g_sum
-        + (b_x * sqrt_x + 0.5 * b / sqrt_x) * g_ratio
-        - b * sqrt_x * g_slope
-        + (b_x * one_x - b) * m_inv
-        - b * one_x * m_slope
-    )
-    # interior level s is x of step s and p of step s + 1
-    return grad_x[:-1] + grad_p[1:]
-
-
-def finite_difference_gradient(f, x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """Central-difference gradient with steps clipped to stay inside bounds.
-
-    Step per coordinate is ``1e-7 * max(1, |x_i|)``, shrunk so both stencil
-    points remain strictly inside ``(lower_i, upper_i)``; degenerate spacing
-    falls back to a one-sided difference.  Used by ``schedules.fit_parametric``
-    and as the test oracle for the exact gradient of :func:`loss_from_alpha_bar`.
-    """
-    x = np.asarray(x, dtype=float)
-    grad = np.zeros_like(x)
-    for i in range(len(x)):
-        h = 1e-7 * max(1.0, abs(x[i]))
-        room_up = max(upper[i] - x[i], 0.0)
-        room_down = max(x[i] - lower[i], 0.0)
-        step = min(h, 0.5 * room_up, 0.5 * room_down)
-        if step > 0.0:
-            xp = x.copy()
-            xm = x.copy()
-            xp[i] += step
-            xm[i] -= step
-            grad[i] = (f(xp) - f(xm)) / (2.0 * step)
-        else:
-            side = min(h, 0.5 * room_up)
-            if side == 0.0:
-                side = -min(h, 0.5 * room_down)
-            if side == 0.0:
-                grad[i] = 0.0
-                continue
-            xs = x.copy()
-            xs[i] += side
-            grad[i] = (f(xs) - f(x)) / side
-    return grad
+    return loss, arrays[3](d_var, d_gain)
 
 
 def loss_gradient(

@@ -10,7 +10,9 @@ are the interior log-SNR levels themselves, box-bounded by the endpoints'
 and free to cross (monotonicity is passive at the optimum for well-behaved
 targets, which ``free`` mode lets one verify).  Both run the same in-package
 L-BFGS loop (``_lbfgs``, plain numpy) on the loss divided by its value at the
-start, so the stopping rule does not depend on the loss's scale.
+start, so the stopping rule does not depend on the loss's scale.  The same
+solver, on central-difference gradients, fits the cosine and sigmoid
+families of ``schedules`` to a schedule (:func:`fit_parametric`).
 """
 
 from __future__ import annotations
@@ -20,21 +22,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# finite_difference_gradient is not called here; the traced benchmark
-# (bench/layers.py) still wraps it under this module's name.
-from .losses import (
-    LossKind,
-    finite_difference_gradient,  # noqa: F401
-    loss_from_alpha_bar,
-)
-from .schedules import cosine_schedule, warm_start_interpolate
-from .spectral import DEFAULT_EPS0, DEFAULT_EPSS, Schedule, SpectralModel
+from .losses import LossKind, loss_from_alpha_bar
+from .schedules import _FAMILIES, cosine_schedule, warm_start_interpolate
+from .spectral import DEFAULT_EPS0, DEFAULT_EPSS, Schedule, SpectralModel, _require_integer
 
 __all__ = [
     "OptimizeConfig",
     "OptimizeReport",
     "optimize_schedule",
     "single_eigenvalue_problem",
+    "fit_parametric",
 ]
 
 # The optimizer's projected-gradient stop (infinity norm), on the loss scaled
@@ -83,9 +80,7 @@ class OptimizeConfig:
                 f"eps0 + epsS must be < 1, got eps0={self.eps0}, epsS={self.epsS}"
             )
         for name, least in (("steps", 2), ("init_seed", 0), ("max_iter", 1)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+            _require_integer(getattr(self, name), name, least)
         if self.process not in ("ddim", "ddpm"):
             raise ValueError(f"process must be 'ddim' or 'ddpm', got {self.process!r}")
         if self.mode not in ("constrained", "free"):
@@ -211,6 +206,95 @@ def _lbfgs(fun, x, lower, upper, ftol, max_iter, on_iteration):
         elif iterations >= max_iter:
             message = "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"
     return x, pg_norm, iterations, evaluations, message
+
+
+def finite_difference_gradient(f, x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Central-difference gradient with steps clipped to stay inside bounds.
+
+    Step per coordinate is ``1e-7 * max(1, |x_i|)``, shrunk so both stencil
+    points remain strictly inside ``(lower_i, upper_i)``; degenerate spacing
+    falls back to a one-sided difference.  Used by :func:`fit_parametric` and
+    as the test oracle for the exact gradient of ``loss_from_alpha_bar``.
+    """
+    x = np.asarray(x, dtype=float)
+    grad = np.zeros_like(x)
+    for i in range(len(x)):
+        h = 1e-7 * max(1.0, abs(x[i]))
+        room_up = max(upper[i] - x[i], 0.0)
+        room_down = max(x[i] - lower[i], 0.0)
+        step = min(h, 0.5 * room_up, 0.5 * room_down)
+        if step > 0.0:
+            xp = x.copy()
+            xm = x.copy()
+            xp[i] += step
+            xm[i] -= step
+            grad[i] = (f(xp) - f(xm)) / (2.0 * step)
+        else:
+            side = min(h, 0.5 * room_up)
+            if side == 0.0:
+                side = -min(h, 0.5 * room_down)
+            if side == 0.0:
+                grad[i] = 0.0
+                continue
+            xs = x.copy()
+            xs[i] += side
+            grad[i] = (f(xs) - f(x)) / side
+    return grad
+
+
+def fit_parametric(schedule: Schedule, family: str) -> tuple[float, float, float, float]:
+    """Best-fitting (s, e, tau) of a parametric family, plus the L2 residual.
+
+    Minimizes the L2 norm of the pointwise deviation between the schedule and
+    the family curve (with the same pinned endpoints), using a coarse grid of
+    starting points refined by the box-bounded :func:`_lbfgs` on the
+    gradients of :func:`finite_difference_gradient`.  Cosine fits search
+    ``s/e`` in [0, 0.999], ``e`` in [0.001, 1] and ``log tau``; sigmoid fits
+    search ``s`` and ``log(e - s)`` and return ``tau = 1`` (see
+    ``schedules.sigmoid_schedule``).
+    Equal curves have many parameters, so compare fits by their residuals.
+    """
+    schedule.validate()
+    if family not in _FAMILIES:
+        raise ValueError(f"family must be one of {sorted(_FAMILIES)}, got {family!r}")
+    t = np.linspace(0.0, 1.0, schedule.steps + 1)
+    span = 1.0 - schedule.eps0 - schedule.epsS
+
+    if family == "cosine":
+        s_grid, e_grid = np.linspace(0.0, 0.6, 4), np.linspace(0.4, 1.0, 4)
+        # s = e or e = 0 flattens the curve, which then has no normalized form
+        lower, upper = np.array([0.0, 1e-3, -np.inf]), np.array([0.999, 1.0, np.inf])
+        to_x = lambda s, e, tau: np.array([s / e, e, np.log(tau)])
+        shape = lambda x: (x[0] * x[1], x[1], np.exp(x[2]))
+    else:
+        s_grid, e_grid = np.linspace(-4.0, 1.0, 4), np.linspace(0.0, 5.0, 4)
+        lower, upper = np.full(2, -np.inf), np.full(2, np.inf)
+        to_x = lambda s, e, tau: np.array([s / tau, np.log((e - s) / tau)])
+        shape = lambda x: (x[0], x[0] + np.exp(x[1]), 1.0)
+    grid = [to_x(s, e, tau) for s in s_grid for e in e_grid if s < e for tau in (0.5, 1.0, 2.0)]
+    # rounding leaves cosine grid points with s = e just below e, outside the box
+    starts = [x for x in grid if np.all((lower <= x) & (x <= upper))]
+
+    def sum_sq(x):
+        # far out in tau (or in the sigmoid's s and e) the curve under- or
+        # overflows to a constant, giving NaN; the solver backs off from it
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            fitted = schedule.epsS + _FAMILIES[family](t, *shape(x)) * span
+            return float(np.sum((fitted - schedule.alpha_bar) ** 2))
+
+    def refine(start):
+        scale = sum_sq(start)  # the solver's stops are relative to the start
+        if scale == 0.0:  # an exact fit
+            return start
+        scaled = lambda x: sum_sq(x) / scale
+        fun = lambda x: (scaled(x), finite_difference_gradient(scaled, x, lower, upper))
+        # ftol 0: run until the projected gradient vanishes or no step lowers f
+        return _lbfgs(fun, start, lower, upper, 0.0, 1000, lambda f: None)[0]
+
+    starts.sort(key=sum_sq)
+    best = min((refine(start) for start in starts[:3]), key=sum_sq)
+    s, e, tau = shape(best)
+    return float(s), float(e), float(tau), float(np.sqrt(sum_sq(best)))
 
 
 def single_eigenvalue_problem(model: SpectralModel, index: int) -> SpectralModel:

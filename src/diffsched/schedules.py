@@ -1,16 +1,17 @@
-"""Heuristic baseline schedules, warm-start resampling and family fits.
+"""Heuristic baseline schedules and warm-start resampling.
 
 All generators emit a :class:`~diffsched.spectral.Schedule` whose endpoints
 are pinned to ``(1 - eps0, epsS)`` by an affine rescale of the raw curve,
 which keeps the interior shape intact (no truncation).  Generators are
-deterministic: identical inputs give bit-identical outputs.
+deterministic: identical inputs give bit-identical outputs.  The raw curves
+of the cosine and sigmoid families (``_FAMILIES``) are also what
+``optimize.fit_parametric`` fits to a schedule.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .losses import finite_difference_gradient
 from .spectral import DEFAULT_EPS0, DEFAULT_EPSS, Schedule, VeSchedule, ve_to_vp
 
 __all__ = [
@@ -19,7 +20,6 @@ __all__ = [
     "sigmoid_schedule",
     "edm_schedule",
     "warm_start_interpolate",
-    "fit_parametric",
 ]
 
 # Incremental-noise range of the classic 1000-step linear recipe; for other
@@ -163,59 +163,3 @@ def warm_start_interpolate(schedule: Schedule, S_new: int) -> Schedule:
         eps0=schedule.eps0,
         epsS=schedule.epsS,
     ).validate()
-
-
-def fit_parametric(schedule: Schedule, family: str) -> tuple[float, float, float, float]:
-    """Best-fitting (s, e, tau) of a parametric family, plus the L2 residual.
-
-    Minimizes the L2 norm of the pointwise deviation between the schedule and
-    the family curve (with the same pinned endpoints), using a coarse grid of
-    starting points refined by the optimizer's box-bounded L-BFGS on
-    central-difference gradients.  Cosine fits search ``s/e`` in [0, 0.999],
-    ``e`` in [0.001, 1] and ``log tau``; sigmoid fits search ``s`` and
-    ``log(e - s)`` and return ``tau = 1`` (see :func:`sigmoid_schedule`).
-    Equal curves have many parameters, so compare fits by their residuals.
-    """
-    from .optimize import _lbfgs  # deferred: optimize imports this module
-
-    schedule.validate()
-    if family not in _FAMILIES:
-        raise ValueError(f"family must be one of {sorted(_FAMILIES)}, got {family!r}")
-    t = np.linspace(0.0, 1.0, schedule.steps + 1)
-    span = 1.0 - schedule.eps0 - schedule.epsS
-
-    if family == "cosine":
-        s_grid, e_grid = np.linspace(0.0, 0.6, 4), np.linspace(0.4, 1.0, 4)
-        # s = e or e = 0 flattens the curve, which then has no normalized form
-        lower, upper = np.array([0.0, 1e-3, -np.inf]), np.array([0.999, 1.0, np.inf])
-        to_x = lambda s, e, tau: np.array([s / e, e, np.log(tau)])
-        shape = lambda x: (x[0] * x[1], x[1], np.exp(x[2]))
-    else:
-        s_grid, e_grid = np.linspace(-4.0, 1.0, 4), np.linspace(0.0, 5.0, 4)
-        lower, upper = np.full(2, -np.inf), np.full(2, np.inf)
-        to_x = lambda s, e, tau: np.array([s / tau, np.log((e - s) / tau)])
-        shape = lambda x: (x[0], x[0] + np.exp(x[1]), 1.0)
-    grid = [to_x(s, e, tau) for s in s_grid for e in e_grid if s < e for tau in (0.5, 1.0, 2.0)]
-    # rounding leaves cosine grid points with s = e just below e, outside the box
-    starts = [x for x in grid if np.all((lower <= x) & (x <= upper))]
-
-    def sum_sq(x):
-        # far out in tau (or in the sigmoid's s and e) the curve under- or
-        # overflows to a constant, giving NaN; the solver backs off from it
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            fitted = schedule.epsS + _FAMILIES[family](t, *shape(x)) * span
-            return float(np.sum((fitted - schedule.alpha_bar) ** 2))
-
-    def refine(start):
-        scale = sum_sq(start)  # the solver's stops are relative to the start
-        if scale == 0.0:  # an exact fit
-            return start
-        scaled = lambda x: sum_sq(x) / scale
-        fun = lambda x: (scaled(x), finite_difference_gradient(scaled, x, lower, upper))
-        # ftol 0: run until the projected gradient vanishes or no step lowers f
-        return _lbfgs(fun, start, lower, upper, 0.0, 1000, lambda f: None)[0]
-
-    starts.sort(key=sum_sq)
-    best = min((refine(start) for start in starts[:3]), key=sum_sq)
-    s, e, tau = shape(best)
-    return float(s), float(e), float(tau), float(np.sqrt(sum_sq(best)))

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .spectral import Schedule, _require_finite, _step_coefficients
+from .spectral import Schedule, _require_finite, _require_integer, _step_coefficients
 
 __all__ = [
     "DenseGaussian",
@@ -98,12 +98,8 @@ class SimConfig:
     def __post_init__(self):
         if self.process not in ("ddim", "ddpm"):
             raise ValueError(f"process must be 'ddim' or 'ddpm', got {self.process!r}")
-        if not isinstance(self.samples, (int, np.integer)):
-            raise ValueError(f"samples must be an integer, got {self.samples!r}")
-        if self.samples < 1:
-            raise ValueError(f"samples must be >= 1, got {self.samples}")
-        if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2**128:
-            raise ValueError(f"seed must be an integer in [0, 2**128), got {self.seed!r}")
+        _require_integer(self.samples, "samples", 1)
+        _require_integer(self.seed, "seed", 0, bits=128)
 
 
 def _box_muller(u: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -18,6 +18,7 @@ cleanest level and index ``S`` the noisiest; the reverse recursion runs
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -59,6 +60,15 @@ def _vector(x, name: str) -> np.ndarray:
 def _require_finite(value, name: str) -> None:
     if not np.all(np.isfinite(value)):
         raise ValueError(f"{name} must be finite (no NaN or inf)")
+
+
+def _require_integer(value, name: str, least: int, bits: int | None = None) -> None:
+    """Reject ``value`` unless it is an int or numpy integer, not a bool, of
+    at least ``least`` and, when ``bits`` is given, below ``2**bits``."""
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (integer and least <= value and (bits is None or value < 2**bits)):
+        bound = f">= {least}" if bits is None else f"in [{least}, 2**{bits})"
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
 
 
 @dataclass
@@ -262,35 +272,24 @@ def _step_coefficients(alpha_bar: np.ndarray, process: str, partials: bool = Fal
     return a, b, c2, (a_p, a_x, b_p, b_x, c2_p, c2_x)
 
 
-def _step_denominators(eigenvalues: np.ndarray, alpha_bar: np.ndarray) -> np.ndarray:
-    """``alpha_bar[s] * lam + (1 - alpha_bar[s])`` over steps s = 1..S, shape (S, d):
-    the variance of the noisy state at each step's input level."""
+def _step_gains(
+    eigenvalues: np.ndarray, alpha_bar: np.ndarray, a: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-step diagonal gains ``(G, M, denom)``, each of shape (S, d).
+
+    ``G[s-1]`` multiplies the state, ``M[s-1]`` the spectral mean:
+    ``v_{s-1} = G v_s + M mean_spectral``, with ``G = a + b sqrt(x) lam / denom``
+    and ``M = b (1 - x) / denom`` at ``x = alpha_bar[s]``.  ``denom = x lam +
+    1 - x`` is the variance of the noisy state at each step's input level.
+    """
     ab_cur = alpha_bar[1:, None]
     denom = ab_cur * eigenvalues[None, :]
     denom += 1.0 - ab_cur
-    return denom
-
-
-def _step_gains(
-    eigenvalues: np.ndarray,
-    alpha_bar: np.ndarray,
-    a: np.ndarray,
-    b: np.ndarray,
-    denom: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-step diagonal gains, shape (S, d).
-
-    ``G[s-1]`` multiplies the state, ``M[s-1]`` the spectral mean:
-    ``v_{s-1} = G v_s + M mean_spectral``.  ``denom`` is
-    :func:`_step_denominators`, computed here when not given.
-    """
-    if denom is None:
-        denom = _step_denominators(eigenvalues, alpha_bar)
     G = (b * np.sqrt(alpha_bar[1:]))[:, None] * eigenvalues[None, :]
     G /= denom
     G += a[:, None]
     M = (b * (1.0 - alpha_bar[1:]))[:, None] / denom
-    return G, M
+    return G, M, denom
 
 
 def _accumulate(G: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -314,15 +313,14 @@ def _transfer_arrays(
 
     Fast path shared with the loss/optimizer code; does no validation so it
     can be called on unconstrained optimizer iterates.  With ``forward=True``
-    a fourth element holds the per-step arrays a reverse sweep reuses:
-    ``(b, c2, partials, denom, G, M, prefix, prefix2)``, where ``partials``
-    are those of :func:`_step_coefficients` and ``prefix2 = prefix**2``;
-    ``c2`` and ``prefix2`` are None for ddim.
+    a fourth element is the pullback ``(d_var, d_gain) -> gradient``: given a
+    loss's partials in the output variance and the mean gain, it returns the
+    gradient with respect to ``alpha_bar[1:-1]`` by :func:`_reverse_sweep`
+    over this pass's arrays.
     """
     coefficients = _step_coefficients(alpha_bar, process, partials=forward)
     a, b, c2 = coefficients[:3]
-    denom = _step_denominators(eigenvalues, alpha_bar)
-    G, M = _step_gains(eigenvalues, alpha_bar, a, b, denom)
+    G, M, denom = _step_gains(eigenvalues, alpha_bar, a, b)
     noise_gain, mean_gain, prefix = _accumulate(G, M)
     if c2 is None:
         prefix2 = None
@@ -332,7 +330,11 @@ def _transfer_arrays(
         var_extra = (prefix2 * c2[:, None]).sum(axis=0)
     if not forward:
         return noise_gain, mean_gain, var_extra
-    return noise_gain, mean_gain, var_extra, (b, c2, coefficients[3], denom, G, M, prefix, prefix2)
+    pullback = partial(
+        _reverse_sweep,
+        eigenvalues, alpha_bar, coefficients, denom, G, M, noise_gain, prefix, prefix2,
+    )
+    return noise_gain, mean_gain, var_extra, pullback
 
 
 def _transfer(model: SpectralModel, schedule: Schedule, process: str) -> Transfer:
@@ -386,10 +388,81 @@ def _suffix_fold(G: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return A, B
 
 
+def _reverse_sweep(
+    lam, alpha_bar, coefficients, den, G, M, noise_gain, prefix, prefix2, d_var, d_gain
+) -> np.ndarray:
+    """Gradient with respect to ``alpha_bar[1:-1]`` from a loss's partials
+    ``(d_var, d_gain)`` in the output variance and mean gain, reusing the
+    arrays of the forward pass of :func:`_transfer_arrays`.
+
+    The adjoints of the per-step gains ``G`` and ``M`` need, per step, the
+    product of the later gains and the mean gain they carry (``A[s+1]`` and
+    ``B[s+1]`` of the log-depth scan :func:`_suffix_fold`); the stochastic
+    sampler's extra variance adds the same fold run on ``(G**2, c**2)``, its
+    only branch on the process.  The chain rule then goes through the
+    partials of ``(a, b, c**2)`` in the two neighbouring levels
+    ``p = alpha_bar[s-1]`` and ``x = alpha_bar[s]``.
+    """
+    _, b, c2, (a_p, a_x, b_p, b_x, c2_p, c2_x) = coefficients
+    x = alpha_bar[1:]
+    sqrt_x, one_x = np.sqrt(x), 1.0 - x
+
+    # adjoints of the per-step gains, shape (S, d):
+    # dG = prefix * (2 d_var noise_gain A[1:] + d_gain B[1:]), dM = prefix * d_gain.
+    # work[0] becomes dG, work[1:] the products summed over coordinates below.
+    work = np.empty((5,) + G.shape)
+    d = G.shape[1]
+    gains, means = G, M
+    if c2 is not None:
+        # the mean fold and the extra-variance fold on (G**2, c**2), side by
+        # side in one scan
+        gains = np.hstack((G, G**2))
+        means = np.hstack((M, np.broadcast_to(c2[:, None], G.shape)))
+    A, B = _suffix_fold(gains, means)  # row 0, the whole run, is not needed
+    later_gain, mean_part, var_part = A[1:, :d], B[1:, :d], B[1:, d:]
+    dG = np.multiply(2.0 * d_var * noise_gain, later_gain, out=work[0])
+    mean_part *= d_gain
+    dG += mean_part
+    dG *= prefix
+    grad_p = grad_x = 0.0
+    if c2 is not None:
+        var_gain = 2.0 * d_var * G
+        var_gain *= prefix2
+        var_gain *= var_part
+        dG += var_gain
+        d_c2 = (d_var * prefix2).sum(axis=1)
+        grad_p, grad_x = d_c2 * c2_p, d_c2 * c2_x
+
+    # chain through G = a + b sqrt(x) lam / den and M = b (1 - x) / den,
+    # with den = x lam + 1 - x, summing each step over coordinates:
+    # dG, dG ratio, dG ratio slope, dM / den and dM slope / den
+    slope = (lam - 1.0) / den
+    np.divide(lam, den, out=work[1])
+    work[1] *= dG
+    np.multiply(work[1], slope, out=work[2])
+    dM = np.multiply(prefix, d_gain, out=work[4])
+    np.divide(dM, den, out=work[3])
+    dM *= slope
+    dM /= den
+    g_sum, g_ratio, g_slope, m_inv, m_slope = work.sum(axis=2)
+    grad_p = grad_p + a_p * g_sum + b_p * sqrt_x * g_ratio + b_p * one_x * m_inv
+    grad_x = (
+        grad_x
+        + a_x * g_sum
+        + (b_x * sqrt_x + 0.5 * b / sqrt_x) * g_ratio
+        - b * sqrt_x * g_slope
+        + (b_x * one_x - b) * m_inv
+        - b * one_x * m_slope
+    )
+    # interior level s is x of step s and p of step s + 1
+    return grad_x[:-1] + grad_p[1:]
+
+
 def _ddim_trajectory(eigenvalues: np.ndarray, alpha_bar: np.ndarray):
     """:func:`_suffix_fold` of the deterministic sampler's gains (no validation)."""
     a, b, _ = _step_coefficients(alpha_bar, "ddim")
-    return _suffix_fold(*_step_gains(eigenvalues, alpha_bar, a, b))
+    G, M, _ = _step_gains(eigenvalues, alpha_bar, a, b)
+    return _suffix_fold(G, M)
 
 
 def intermediate_distribution(model: SpectralModel, schedule: Schedule, l: int) -> GaussianDiag:

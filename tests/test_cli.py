@@ -543,6 +543,38 @@ def test_non_integer_count_field_exits_2(tmp_path, capsys, model_file, file, fie
     assert message == f"{what} field {field!r} must be an integer, got {value!r}"
 
 
+@pytest.mark.parametrize("command", ["estimate", "simulate"])
+@pytest.mark.parametrize(
+    "meta, doubles, field",
+    [
+        ({"dim": -1, "count": -3}, 3, "dim"),  # reshape's error named neither
+        ({"dim": 0, "count": 5}, 0, "dim"),  # estimate warned twice on stderr
+        ({"dim": 2, "count": -1}, 0, "count"),
+    ],
+    ids=["negative-dim", "zero-dim", "negative-count"],
+)
+def test_raw_sidecar_with_bad_counts_exits_2_naming_the_field(
+    tmp_path, capsys, command, meta, doubles, field
+):
+    raw = tmp_path / "x.f64"
+    np.zeros(doubles).tofile(raw)
+    (tmp_path / "x.f64.json").write_text(json.dumps(meta))
+    if command == "estimate":
+        argv = ["estimate", "--input", raw, "--window", "4",
+                "--out-cov", tmp_path / "c.csv", "--out-model", tmp_path / "m.json"]
+    else:
+        sched = tmp_path / "s.json"
+        save_schedule(cosine_schedule(4), sched)
+        argv = ["simulate", "--cov", raw, "--schedule", sched, "--samples", "4",
+                "--out", tmp_path / "o.f64"]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1  # no numpy warning before the JSON error
+    message = json.loads(err)["error"]["message"]
+    assert message.startswith(f"raw sidecar field {field!r} must be >= ")
+    assert message.endswith(f"({raw}.json)")
+
+
 @pytest.mark.parametrize(
     "file, field, value, message",
     [

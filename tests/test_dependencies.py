@@ -1,8 +1,10 @@
 """The package imports exactly the third-party modules it declares, its
-dense oracle stays out of the eigenbasis, and every public name it exports
-has a documented use."""
+modules import each other without cycles, its dense oracle stays out of the
+eigenbasis, its losses take only the forward pass from ``spectral``, and
+every public name it exports has a documented use."""
 
 import ast
+import graphlib
 import re
 import sys
 import tomllib
@@ -12,6 +14,7 @@ from pathlib import Path
 import diffsched
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "diffsched"
 
 
 def _top_level_imports(path: Path) -> set[str]:
@@ -34,7 +37,7 @@ def test_runtime_imports_are_the_declared_dependencies():
     with open(ROOT / "pyproject.toml", "rb") as fh:
         project = tomllib.load(fh)["project"]
     imported = set().union(
-        *(_top_level_imports(path) for path in (ROOT / "src" / "diffsched").glob("*.py"))
+        *(_top_level_imports(path) for path in PACKAGE.glob("*.py"))
     )
     third_party = imported - set(sys.stdlib_module_names) - {"diffsched"}
     assert third_party == _requirement_names(project["dependencies"])
@@ -42,35 +45,66 @@ def test_runtime_imports_are_the_declared_dependencies():
     assert "scipy" in _requirement_names(project["optional-dependencies"]["test"])
 
 
-def _package_imports(path: Path) -> set[tuple[str, str]]:
-    """``(module, name)`` of every import from inside the package in ``path``;
+def _package_imports_of(node: ast.AST) -> set[tuple[str, str]]:
+    """``(module, name)`` of ``node`` if it imports from inside the package;
     ``from . import x`` and ``import diffsched.x`` give module ``""``."""
-    pairs = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
-        if isinstance(node, ast.ImportFrom):
-            if node.level:
-                module = node.module or ""
-            elif node.module.partition(".")[0] == "diffsched":
-                module = node.module.partition(".")[2]
-            else:
-                continue
-            pairs.update((module, alias.name) for alias in node.names)
-        elif isinstance(node, ast.Import):
-            pairs.update(
-                ("", alias.name) for alias in node.names if alias.name.partition(".")[0] == "diffsched"
-            )
-    return pairs
+    if isinstance(node, ast.ImportFrom):
+        if node.level:
+            module = node.module or ""
+        elif node.module.partition(".")[0] == "diffsched":
+            module = node.module.partition(".")[2]
+        else:
+            return set()
+        return {(module, alias.name) for alias in node.names}
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+        return {("", name) for name in names if name.partition(".")[0] == "diffsched"}
+    return set()
+
+
+def _package_imports(path: Path) -> set[tuple[str, str]]:
+    """``(module, name)`` of every import from inside the package in ``path``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return set().union(*map(_package_imports_of, ast.walk(tree)))
 
 
 def test_dense_oracle_takes_only_the_step_kernel_from_spectral():
     # simulate checks the eigenbasis closed forms, so it may share the scalar
     # step coefficients and the schedule type with them, but nothing that
     # works in the eigenbasis
-    assert _package_imports(ROOT / "src" / "diffsched" / "simulate.py") == {
+    assert _package_imports(PACKAGE / "simulate.py") == {
         ("spectral", "Schedule"),
         ("spectral", "_require_finite"),
+        ("spectral", "_require_integer"),
         ("spectral", "_step_coefficients"),
     }
+
+
+def test_losses_take_only_the_forward_pass_from_spectral():
+    # spectral owns the step gains and the reverse sweep through them; the
+    # losses see the whole-run arrays and the pullback, never the per-step ones
+    assert _package_imports(PACKAGE / "losses.py") == {
+        ("spectral", "SpectralModel"),
+        ("spectral", "Schedule"),
+        ("spectral", "Transfer"),
+        ("spectral", "_check_dims"),
+        ("spectral", "_transfer_arrays"),
+    }
+
+
+def test_package_imports_are_module_level_and_acyclic():
+    # a deferred import inside a function would hide a cycle from this graph
+    graph, deferred = {}, []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        graph[path.stem] = set()
+        for node in ast.walk(tree):
+            imported = {module or "__init__" for module, _ in _package_imports_of(node)}
+            if imported and node not in tree.body:
+                deferred.append((path.stem, sorted(imported)))
+            graph[path.stem] |= imported
+    assert deferred == []
+    graphlib.TopologicalSorter(graph).prepare()  # raises CycleError on a cycle
 
 
 def test_every_public_name_has_a_documented_use():

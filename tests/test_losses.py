@@ -14,7 +14,8 @@ from diffsched import (
     w2_loss,
     weighted_l1_loss,
 )
-from diffsched.losses import LAMBDA_FLOOR, finite_difference_gradient, loss_from_alpha_bar
+from diffsched.losses import LAMBDA_FLOOR, loss_from_alpha_bar
+from diffsched.optimize import finite_difference_gradient
 from diffsched.simulate import DenseGaussian
 
 from conftest import dense_ddpm_moments

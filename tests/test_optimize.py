@@ -7,9 +7,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from diffsched import (
+    EstimationConfig,
     LossKind,
     OptimizeConfig,
     Schedule,
+    SimConfig,
     SpectralModel,
     cosine_schedule,
     kl_loss,
@@ -199,6 +201,33 @@ def test_config_rejects_bad_endpoints_and_tolerance(field, bad):
 def test_config_rejects_bad_integer_fields(field, bad):
     with pytest.raises(ValueError, match=f"^{field} must be an integer"):
         OptimizeConfig(**{"steps": 8, "init": "random", **bad})
+
+
+_VALID_CONFIGS = {
+    OptimizeConfig: {"steps": 8, "init": "random", "init_seed": 3, "max_iter": 5},
+    SimConfig: {"process": "ddim", "samples": 4, "seed": 7, "schedule": cosine_schedule(4)},
+    EstimationConfig: {"window": 4, "stride": 2},
+}
+
+
+@pytest.mark.parametrize(
+    "config, field",
+    [
+        (OptimizeConfig, "steps"),
+        (OptimizeConfig, "init_seed"),
+        (OptimizeConfig, "max_iter"),
+        (SimConfig, "samples"),
+        (SimConfig, "seed"),
+        (EstimationConfig, "window"),
+        (EstimationConfig, "stride"),
+    ],
+)
+def test_library_configs_share_one_integer_rule(config, field):
+    valid = _VALID_CONFIGS[config]
+    for bad in (True, 2.5, np.float64(3.0)):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            config(**{**valid, field: bad})
+    assert getattr(config(**{**valid, field: np.int64(valid[field])}), field) == valid[field]
 
 
 @pytest.mark.parametrize(

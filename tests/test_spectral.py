@@ -96,7 +96,7 @@ def test_gains_agree_with_time_domain_step():
     x = 0.9
     stepped = a * x + b * wiener_denoise(model, ab_cur, np.array([x]))[0]
     ab = np.array([ab_prev, ab_cur])
-    G, M = _step_gains(np.array([lam]), ab, *_step_coefficients(ab, "ddim")[:2])
+    G, M, _ = _step_gains(np.array([lam]), ab, *_step_coefficients(ab, "ddim")[:2])
     assert stepped == pytest.approx(G[0, 0] * x + M[0, 0] * mu, abs=1e-14)
 
 
@@ -227,7 +227,7 @@ def test_step_gains_positive_for_monotone_schedules(seed, S):
     a, b, _ = _step_coefficients(ab, "ddim")
     assert np.all(b >= -1e-15)
     lam = rng.uniform(0.0, 5.0, size=4)
-    G, _ = _step_gains(lam, ab, a, b)
+    G, _, _ = _step_gains(lam, ab, a, b)
     assert np.all(G > 0.0)
 
 
