@@ -35,11 +35,6 @@ __all__ = [
     "format_float",
 ]
 
-_MODEL_FIELDS = {"dim", "eigenvalues", "mean_spectral", "source"}
-_SCHEDULE_FIELDS = {"kind", "steps", "eps0", "epsS", "alpha_bar"}
-_VE_FIELDS = {"steps", "sigma"}
-
-
 def format_float(x: float) -> str:
     """Shortest decimal string that round-trips to the same double."""
     return repr(float(x))
@@ -62,17 +57,11 @@ def atomic_write_bytes(path, data: bytes) -> None:
         raise
 
 
-def _read_fields(path, allowed: set, what: str) -> dict:
-    """The JSON object in ``path``, which must hold exactly the ``allowed`` fields."""
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    unknown = set(data) - allowed
-    if unknown:
-        raise ValueError(f"unknown fields in {what}: {sorted(unknown)}")
-    missing = allowed - set(data)
-    if missing:
-        raise ValueError(f"missing fields in {what}: {sorted(missing)}")
-    return data
+def _refuse_non_finite(path, *arrays) -> None:
+    """Refuse, naming ``path``, to write a NaN or an infinity there: the
+    readers reject them or, in a CSV file, read ``nan`` back as a number."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError(f"{path}: refusing to write a NaN or infinite value")
 
 
 def _integer_field(data: dict, name: str, what: str) -> int:
@@ -119,7 +108,42 @@ def _number_list_field(data: dict, name: str, what: str) -> np.ndarray:
         raise ValueError(f"{what} field {name!r} holds an integer beyond the float range") from None
 
 
+# Each JSON format the package reads: its name in messages, and the reader
+# of each of its fields.  A document holds exactly these fields.
+_MODEL = "spectral model", {
+    "dim": _integer_field, "eigenvalues": _number_list_field,
+    "mean_spectral": _number_list_field, "source": _string_field,
+}
+_SCHEDULE = "schedule", {
+    "kind": _string_field, "steps": _integer_field, "eps0": _number_field,
+    "epsS": _number_field, "alpha_bar": _number_list_field,
+}
+_SIGMA_SCHEDULE = "sigma schedule", {"steps": _integer_field, "sigma": _number_list_field}
+_RAW_SIDECAR = "raw sidecar", {"dim": _integer_field, "count": _integer_field}
+
+
+def _read_fields(path, form: tuple) -> dict:
+    """The fields of the JSON object in ``path``, each read by its reader in
+    ``form``; a document that is not such an object raises ``ValueError``."""
+    what, readers = form
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
+        raise ValueError(f"{path}: not a readable JSON document ({exc})") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: a {what} must be a JSON object, got {json.dumps(data):.40}")
+    unknown = set(data) - set(readers)
+    if unknown:
+        raise ValueError(f"unknown fields in {what}: {sorted(unknown)}")
+    missing = set(readers) - set(data)
+    if missing:
+        raise ValueError(f"missing fields in {what}: {sorted(missing)}")
+    return {name: read(data, name, what) for name, read in readers.items()}
+
+
 def save_model(model: SpectralModel, path) -> None:
+    _refuse_non_finite(path, model.eigenvalues, model.mean_spectral)
     payload = {
         "dim": model.dim,
         "eigenvalues": [float(x) for x in model.eigenvalues],
@@ -130,13 +154,7 @@ def save_model(model: SpectralModel, path) -> None:
 
 
 def load_model(path) -> SpectralModel:
-    data = _read_fields(path, _MODEL_FIELDS, "spectral model")
-    return SpectralModel(
-        dim=_integer_field(data, "dim", "spectral model"),
-        eigenvalues=_number_list_field(data, "eigenvalues", "spectral model"),
-        mean_spectral=_number_list_field(data, "mean_spectral", "spectral model"),
-        source=_string_field(data, "source", "spectral model"),
-    )
+    return SpectralModel(**_read_fields(path, _MODEL))
 
 
 def save_schedule(schedule: Schedule, path) -> None:
@@ -155,14 +173,7 @@ def save_schedule(schedule: Schedule, path) -> None:
 
 
 def load_schedule(path) -> Schedule:
-    data = _read_fields(path, _SCHEDULE_FIELDS, "schedule")
-    return Schedule(
-        kind=_string_field(data, "kind", "schedule"),
-        steps=_integer_field(data, "steps", "schedule"),
-        alpha_bar=_number_list_field(data, "alpha_bar", "schedule"),
-        eps0=_number_field(data, "eps0", "schedule"),
-        epsS=_number_field(data, "epsS", "schedule"),
-    )
+    return Schedule(**_read_fields(path, _SCHEDULE))
 
 
 def save_ve_schedule(ve: VeSchedule, path) -> None:
@@ -174,11 +185,7 @@ def save_ve_schedule(ve: VeSchedule, path) -> None:
 
 
 def load_ve_schedule(path) -> VeSchedule:
-    data = _read_fields(path, _VE_FIELDS, "sigma schedule")
-    return VeSchedule(
-        steps=_integer_field(data, "steps", "sigma schedule"),
-        sigma=_number_list_field(data, "sigma", "sigma schedule"),
-    )
+    return VeSchedule(**_read_fields(path, _SIGMA_SCHEDULE))
 
 
 def save_raw_f64(array: np.ndarray, path) -> None:
@@ -193,6 +200,7 @@ def save_raw_f64(array: np.ndarray, path) -> None:
         count, dim = arr.shape
     else:
         raise ValueError(f"only 1-D or 2-D arrays supported, got shape {arr.shape}")
+    _refuse_non_finite(path, arr)
     atomic_write_bytes(path, arr.tobytes(order="C"))
     atomic_write_text(
         str(path) + ".json", json.dumps({"dim": dim, "count": count}) + "\n"
@@ -201,10 +209,8 @@ def save_raw_f64(array: np.ndarray, path) -> None:
 
 def load_raw_f64(path) -> np.ndarray:
     sidecar = str(path) + ".json"
-    with open(sidecar, encoding="utf-8") as fh:
-        meta = json.load(fh)
-    dim = _integer_field(meta, "dim", "raw sidecar")
-    count = _integer_field(meta, "count", "raw sidecar")
+    meta = _read_fields(sidecar, _RAW_SIDECAR)
+    dim, count = meta["dim"], meta["count"]
     for name, value, least in (("dim", dim, 1), ("count", count, 0)):
         if value < least:
             raise ValueError(
@@ -220,6 +226,7 @@ def load_raw_f64(path) -> np.ndarray:
 
 def save_matrix_csv(matrix: np.ndarray, path) -> None:
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
+    _refuse_non_finite(path, matrix)
     # repr of a Python float is format_float's string, without a call per value.
     lines = [",".join(map(repr, row)) for row in matrix.tolist()]
     atomic_write_text(path, "\n".join(lines) + "\n")

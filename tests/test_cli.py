@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import dataclasses
 import io
 import json
@@ -17,7 +18,14 @@ from hypothesis import strategies as st
 
 import diffsched
 from diffsched.cli import main
-from diffsched.io import load_matrix_csv, load_model, load_schedule, save_schedule
+from diffsched.io import (
+    load_matrix_csv,
+    load_model,
+    load_raw_f64,
+    load_schedule,
+    save_raw_f64,
+    save_schedule,
+)
 from diffsched import (
     OptimizeConfig,
     OptimizeReport,
@@ -141,6 +149,17 @@ def test_optimize_report_counts_objective_and_gradient_evals(tmp_path, model_fil
     assert report["objective_evals"] > 0
     assert report["gradient_evals"] > 0
     assert report["objective_evals"] != report["gradient_evals"]
+
+
+def test_optimize_iteration_limit_reports_its_stop(tmp_path, model_file):
+    out = tmp_path / "opt.json"
+    assert run(["optimize", "--model", model_file, "--steps", "12", "--max-iter", "1",
+                "--out", out]) == 0
+    load_schedule(out).validate()
+    report = json.loads((tmp_path / "opt.json.report.json").read_text())
+    assert report["status_message"] == "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"
+    assert report["converged"] is False
+    assert report["iterations"] == 1
 
 
 def test_optimize_single_step_exits_2(tmp_path, model_file):
@@ -543,6 +562,16 @@ def test_non_integer_count_field_exits_2(tmp_path, capsys, model_file, file, fie
     assert message == f"{what} field {field!r} must be an integer, got {value!r}"
 
 
+def _estimate_or_simulate(command, raw, tmp_path):
+    if command == "estimate":
+        return ["estimate", "--input", raw, "--window", "4",
+                "--out-cov", tmp_path / "c.csv", "--out-model", tmp_path / "m.json"]
+    sched = tmp_path / "s.json"
+    save_schedule(cosine_schedule(4), sched)
+    return ["simulate", "--cov", raw, "--schedule", sched, "--samples", "4",
+            "--out", tmp_path / "o.f64"]
+
+
 @pytest.mark.parametrize("command", ["estimate", "simulate"])
 @pytest.mark.parametrize(
     "meta, doubles, field",
@@ -559,15 +588,7 @@ def test_raw_sidecar_with_bad_counts_exits_2_naming_the_field(
     raw = tmp_path / "x.f64"
     np.zeros(doubles).tofile(raw)
     (tmp_path / "x.f64.json").write_text(json.dumps(meta))
-    if command == "estimate":
-        argv = ["estimate", "--input", raw, "--window", "4",
-                "--out-cov", tmp_path / "c.csv", "--out-model", tmp_path / "m.json"]
-    else:
-        sched = tmp_path / "s.json"
-        save_schedule(cosine_schedule(4), sched)
-        argv = ["simulate", "--cov", raw, "--schedule", sched, "--samples", "4",
-                "--out", tmp_path / "o.f64"]
-    assert run(argv) == 2
+    assert run(_estimate_or_simulate(command, raw, tmp_path)) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1  # no numpy warning before the JSON error
     message = json.loads(err)["error"]["message"]
@@ -624,6 +645,57 @@ def test_mistyped_file_field_exits_2(tmp_path, capsys, model_file, file, field, 
     error = json.loads(capsys.readouterr().err)["error"]
     assert error["type"] == "ValueError"
     assert error["message"] == f"{what} field {field!r} {message}"
+
+
+@pytest.mark.parametrize("command", ["estimate", "simulate"])
+@pytest.mark.parametrize(
+    "sidecar, message",
+    [
+        ('{"count": 4}', "missing fields in raw sidecar: ['dim']"),
+        ('{"dim": 4, "count": 4, "order": "C"}', "unknown fields in raw sidecar: ['order']"),
+        ("[4, 4]", "{sidecar}: a raw sidecar must be a JSON object, got [4, 4]"),
+    ],
+    ids=["no-dim", "extra-field", "list"],
+)
+def test_malformed_raw_sidecar_exits_2(tmp_path, capsys, command, sidecar, message):
+    raw = tmp_path / "x.f64"
+    save_raw_f64(np.eye(4), raw)
+    (tmp_path / "x.f64.json").write_text(sidecar)
+    assert run(_estimate_or_simulate(command, raw, tmp_path)) == 2
+    assert not (tmp_path / "o.f64").exists() and not (tmp_path / "c.csv").exists()
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValueError"
+    assert error["message"] == message.format(sidecar=f"{raw}.json")
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ("5", "a spectral model must be a JSON object, got 5"),
+        ("null", "a spectral model must be a JSON object, got null"),
+        ('[{"a": 1}]', 'a spectral model must be a JSON object, got [{"a": 1}]'),
+        ('{"dim": 4, "eigenvalues": [1.0, 0.', "not a readable JSON document (Expecting"),
+        (b"\xff\xfe{}", "not a readable JSON document ('utf-8' codec can't decode"),
+        ("[" * 100_000 + "]" * 100_000, "not a readable JSON document (maximum recursion depth"),
+    ],
+    ids=["number", "null", "list", "truncated", "not-utf-8", "nested-too-deep"],
+)
+def test_unreadable_model_document_exits_2_naming_the_file(tmp_path, capsys, content, message):
+    model = tmp_path / "model.json"
+    if isinstance(content, bytes):
+        model.write_bytes(content)
+    else:
+        model.write_text(content)
+    out = tmp_path / "o.json"
+    assert run(["optimize", "--model", model, "--steps", "4", "--out", out]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValueError"
+    assert error["message"].startswith(f"{model}: {message}")
 
 
 @pytest.mark.parametrize(
@@ -908,6 +980,115 @@ def test_cli_exits_0_2_or_3_with_a_json_error(command, keep_base, extra):
     if rc != 0:
         error = json.loads(err.getvalue().splitlines()[-1])["error"]
         assert set(error) == {"type", "message"}, argv
+
+
+# --------------------------------------------------------- file contents
+
+# each input file, and the commands that read it
+_FILE_READERS = {
+    "model.json": [
+        ["optimize", "--model", "model.json", "--steps", "4", "--out", "opt.json"],
+        ["dynamics", "--model", "model.json", "--schedule", "sched.json",
+         "--out-relative-error", "rel.csv", "--out-w2", "w2.csv"],
+    ],
+    "sched.json": [
+        ["eval", "--model", "model.json", "--schedules", "sched.json", "--out", "eval.csv"],
+        ["dynamics", "--model", "model.json", "--schedule", "sched.json",
+         "--out-relative-error", "rel.csv", "--out-w2", "w2.csv"],
+    ],
+    "ve.json": [["convert", "--schedule", "ve.json", "--direction", "to-vp", "--out", "vp.json"]],
+    "cov.f64.json": [
+        ["simulate", "--cov", "cov.f64", "--schedule", "sched.json", "--samples", "5",
+         "--out", "x.f64"],
+        ["estimate", "--input", "cov.f64", "--window", "4", "--th", "0",
+         "--out-cov", "c.csv", "--out-model", "m.json"],
+    ],
+}
+_BIG = object()  # written as the literal 1e400, which JSON reads as inf
+_FIELD_VALUES = [True, 2.5, None, "1", "x", 7, {}, [], [[1.0]], float("nan"), _BIG]
+_TOP_LEVELS = [5, None, "x", [], [{"a": 1}]]
+
+
+def _write_inputs():
+    """Valid inputs in the current directory: a d=4 model, a 4-step schedule
+    and its sigma form, and the model's 4 x 4 covariance as raw float64."""
+    dense, model = synthetic_circulant_model(4, 0.1, 0.05)
+    save_model(model, "model.json")
+    save_schedule(cosine_schedule(4), "sched.json")
+    save_ve_schedule(vp_to_ve(cosine_schedule(4)), "ve.json")
+    save_raw_f64(dense.covariance, "cov.f64")
+
+
+def _load_output(name: str) -> None:
+    """Read a file a command wrote through the reader of its format."""
+    if name == "eval.csv":
+        with open(name, newline="") as fh:
+            [float(row["value"]) for row in csv.DictReader(fh)]
+    elif name.endswith(".csv"):
+        load_matrix_csv(name)
+    elif name.endswith((".manifest.json", ".report.json", ".meta.json")):
+        json.loads(Path(name).read_text())
+    elif name.endswith(".f64.json"):
+        load_raw_f64(name[: -len(".json")])
+    elif name.endswith(".f64"):
+        load_raw_f64(name)
+    elif name == "m.json":
+        load_model(name)
+    else:
+        load_schedule(name)
+
+
+@st.composite
+def _edits(draw, data: dict):
+    """One change to the JSON document ``data``, in place: the edited text."""
+    field = draw(st.sampled_from(sorted(data)))
+    kind = draw(st.sampled_from(["value", "item", "drop", "extra", "top", "truncate"]))
+    if kind == "item" and isinstance(data[field], list):
+        data[field][0] = draw(st.sampled_from(_FIELD_VALUES))
+    elif kind in ("value", "item"):
+        data[field] = draw(st.sampled_from(_FIELD_VALUES))
+    elif kind == "drop":
+        del data[field]
+    elif kind == "extra":
+        data["extra"] = 1
+    elif kind == "top":
+        data = draw(st.sampled_from(_TOP_LEVELS + [[data]]))
+    text = json.dumps(data, default=lambda _: "BIG").replace('"BIG"', "1e400")
+    if kind == "truncate":
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+def test_file_content_property_starts_from_files_every_command_reads(tmp_path):
+    with contextlib.chdir(tmp_path), contextlib.redirect_stdout(io.StringIO()):
+        _write_inputs()
+        for argv in [argv for readers in _FILE_READERS.values() for argv in readers]:
+            assert main(argv) == 0, argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), file=st.sampled_from(sorted(_FILE_READERS)))
+def test_changed_input_file_exits_0_or_2_and_leaves_loadable_outputs(data, file):
+    argv = data.draw(st.sampled_from(_FILE_READERS[file]))
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        _write_inputs()
+        inputs = set(os.listdir())
+        Path(file).write_text(data.draw(_edits(json.loads(Path(file).read_text()))))
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            rc = main(argv)
+        assert rc in (0, 2), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if rc == 2:
+            # a warning would be a second line on a terminal's stderr
+            assert not caught, [str(w.message) for w in caught]
+            [line] = err.getvalue().splitlines()
+            assert set(json.loads(line)["error"]) == {"type", "message"}
+        else:
+            for name in sorted(set(os.listdir()) - inputs):
+                _load_output(name)
 
 
 # ------------------------------------------------------------- start-up

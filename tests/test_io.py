@@ -1,8 +1,15 @@
+import dataclasses
 import json
+import re
+import tempfile
 import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from diffsched import Schedule, SpectralModel, cosine_schedule
 from diffsched.io import (
@@ -75,6 +82,17 @@ def test_unknown_fields_rejected(tmp_path):
     with pytest.raises(ValueError, match="missing fields"):
         load_schedule(sched_path)
 
+    # the raw sidecar holds exactly dim and count
+    raw_path = tmp_path / "x.f64"
+    save_raw_f64(np.ones(2), raw_path)
+    sidecar = tmp_path / "x.f64.json"
+    sidecar.write_text(json.dumps({"count": 2}))
+    with pytest.raises(ValueError, match=r"^missing fields in raw sidecar: \['dim'\]$"):
+        load_raw_f64(raw_path)
+    sidecar.write_text(json.dumps({"dim": 1, "count": 2, "dtype": "<f8"}))
+    with pytest.raises(ValueError, match=r"^unknown fields in raw sidecar: \['dtype'\]$"):
+        load_raw_f64(raw_path)
+
 
 def test_integral_float_counts_load(tmp_path):
     # a writer that emits every number as a float (16.0) still loads
@@ -97,6 +115,52 @@ def test_raw_f64_sidecar_rejects_non_integer_counts(tmp_path, value):
     (tmp_path / "x.f64.json").write_text(json.dumps(meta))
     with pytest.raises(ValueError, match="^raw sidecar field 'count' must be an integer"):
         load_raw_f64(path)
+
+
+@pytest.mark.parametrize(
+    "load, what",
+    [
+        (load_model, "spectral model"),
+        (load_schedule, "schedule"),
+        (load_ve_schedule, "sigma schedule"),
+        (load_raw_f64, "raw sidecar"),
+    ],
+)
+def test_every_json_document_must_be_an_object(tmp_path, load, what):
+    path = tmp_path / "x"
+    save_raw_f64(np.ones(2), path)
+    document = tmp_path / "x.json" if load is load_raw_f64 else path
+    name = re.escape(str(document))
+    document.write_text("[1, 2]")
+    with pytest.raises(ValueError, match=rf"^{name}: a {what} must be a JSON object, got \[1, 2"):
+        load(path)
+    document.write_text('{"dim": 1,')
+    with pytest.raises(ValueError, match=f"^{name}: not a readable JSON document "):
+        load(path)
+
+
+def _model_with(value):
+    model = SpectralModel(dim=2, eigenvalues=[1.0, 0.5], mean_spectral=[0.0, 0.1])
+    model.mean_spectral[1] = value  # past the constructor's finiteness check
+    return model
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "name, write",
+    [
+        ("m.csv", lambda value, path: save_matrix_csv([[1.0, value]], path)),
+        ("x.f64", lambda value, path: save_raw_f64(np.array([[1.0], [value]]), path)),
+        ("model.json", lambda value, path: save_model(_model_with(value), path)),
+    ],
+    ids=["matrix-csv", "raw-f64", "model"],
+)
+def test_writers_refuse_non_finite_values(tmp_path, name, write, value):
+    path = tmp_path / name
+    message = f"^{re.escape(str(path))}: refusing to write a NaN or infinite value$"
+    with pytest.raises(ValueError, match=message):
+        write(value, path)
+    assert list(tmp_path.iterdir()) == []  # neither the file, a sidecar nor a temp file
 
 
 def test_save_schedule_writes_only_valid_schedules(tmp_path):
@@ -160,6 +224,82 @@ def test_matrix_csv_bytes_are_format_float_per_element(tmp_path):
     save_matrix_csv(matrix, path)
     expected = "".join(",".join(format_float(x) for x in row) + "\n" for row in matrix)
     assert path.read_bytes() == expected.encode("utf-8")
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@st.composite
+def _models(draw):
+    dim = draw(st.integers(1, 6))
+    eigenvalues = draw(st.lists(st.floats(0.0, allow_infinity=False), min_size=dim, max_size=dim))
+    mean = draw(st.lists(_FINITE, min_size=dim, max_size=dim))
+    return SpectralModel(dim, eigenvalues, mean, draw(st.text(max_size=8)))
+
+
+@st.composite
+def _schedules(draw):
+    # interior levels in any order: save_schedule writes non-monotone ones too
+    steps = draw(st.integers(1, 8))
+    eps0, epsS = draw(st.floats(1e-12, 0.5)), draw(_UNIT)
+    interior = draw(st.lists(_UNIT, min_size=steps - 1, max_size=steps - 1))
+    alpha_bar = [1.0 - eps0, *interior, epsS]
+    return Schedule(draw(st.text(max_size=8)), steps, alpha_bar, eps0, epsS)
+
+
+@st.composite
+def _sigma_schedules(draw):
+    steps = draw(st.integers(1, 8))
+    sigma = sorted(draw(st.lists(st.floats(0.0, allow_infinity=False),
+                                 min_size=steps + 1, max_size=steps + 1)))
+    return VeSchedule(steps, sigma)
+
+
+# format -> (valid values, writer, reader)
+_FORMATS = {
+    "model": (_models(), save_model, load_model),
+    "schedule": (_schedules(), save_schedule, load_schedule),
+    "sigma schedule": (_sigma_schedules(), save_ve_schedule, load_ve_schedule),
+    # a 2-D array of one column is written as, and reads back as, a stream
+    "raw": (
+        arrays(
+            float,
+            st.tuples(st.integers(0, 12)) | st.tuples(st.integers(0, 6), st.integers(2, 5)),
+            elements=_FINITE,
+        ),
+        save_raw_f64,
+        load_raw_f64,
+    ),
+    "matrix": (
+        arrays(float, st.tuples(st.integers(1, 5), st.integers(1, 5)), elements=_FINITE),
+        save_matrix_csv,
+        load_matrix_csv,
+    ),
+}
+
+
+def _exact(value):
+    """``value``'s contents, arrays as their shape and bytes, numbers as their repr."""
+    if isinstance(value, np.ndarray):
+        return value.shape, value.dtype, value.tobytes()
+    if dataclasses.is_dataclass(value):
+        return {name: _exact(field) for name, field in vars(value).items()}
+    return type(value), repr(value)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data(), form=st.sampled_from(sorted(_FORMATS)))
+def test_every_writer_round_trips_through_its_reader(data, form):
+    values, write, read = _FORMATS[form]
+    value = data.draw(values)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, again = Path(tmp) / "a", Path(tmp) / "b"
+        write(value, path)
+        back = read(path)
+        assert _exact(back) == _exact(value)
+        write(back, again)
+        assert again.read_bytes() == path.read_bytes()
 
 
 def test_format_float_shortest_round_trip():

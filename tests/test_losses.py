@@ -78,6 +78,12 @@ def test_w2_matches_generic_oracle_on_random_instances():
         assert abs(w2_loss(model, t) - expected) <= 1e-12
 
 
+def test_loss_rejects_a_transfer_of_another_dimension():
+    model = make_model([4.0, 0.25], [1.0, 2.0])
+    with pytest.raises(ValueError, match="^transfer dimension 3 != model dim 2$"):
+        w2_loss(model, diag_transfer(np.ones(3), np.ones(3)))
+
+
 def test_w2_uses_total_variance_for_stochastic_sampler():
     model = make_model([4.0], [0.0])
     t = diag_transfer([1.0], [1.0], var_extra=np.array([3.0]))

@@ -203,6 +203,11 @@ def test_config_rejects_bad_integer_fields(field, bad):
         OptimizeConfig(**{"steps": 8, "init": "random", **bad})
 
 
+def test_config_rejects_an_unknown_process():
+    with pytest.raises(ValueError, match="^process must be 'ddim' or 'ddpm', got 'x'$"):
+        OptimizeConfig(steps=8, process="x")
+
+
 _VALID_CONFIGS = {
     OptimizeConfig: {"steps": 8, "init": "random", "init_seed": 3, "max_iter": 5},
     SimConfig: {"process": "ddim", "samples": 4, "seed": 7, "schedule": cosine_schedule(4)},
