@@ -116,6 +116,9 @@ def covariance_from_windows(windows: np.ndarray, silence_threshold: float) -> Co
     windows = np.asarray(windows, dtype=float)
     if windows.ndim != 2:
         raise ValueError(f"windows must be 2-D, got shape {windows.shape}")
+    finite = np.isfinite(windows).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"window row {np.argmin(finite)} holds NaN or inf (rows count from 0)")
     loud = np.mean(np.abs(windows), axis=1) >= silence_threshold
     used = int(np.sum(loud))
     rejected = int(len(loud) - used)

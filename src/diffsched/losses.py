@@ -16,6 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .spectral import (
+    LAMBDA_FLOOR,
     SpectralModel,
     Schedule,
     Transfer,
@@ -32,10 +33,6 @@ __all__ = [
     "transfer_loss",
     "loss_gradient",
 ]
-
-# Coordinates with eigenvalue below this floor are kept in the quadratic
-# losses but excluded from KL sums (their log is undefined).
-LAMBDA_FLOOR = 1e-12
 
 
 class LossKind(str, Enum):

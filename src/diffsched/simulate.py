@@ -39,7 +39,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from .spectral import Schedule, _require_finite, _require_integer, _step_coefficients
 
@@ -125,14 +124,8 @@ def _box_muller(u: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _sample_stream_normals(seed: int, index: int, count: int) -> np.ndarray:
-    """Box-Muller normals from the per-sample counter-based stream.
-
-    This is the stream definition; the sampler draws whole chunks of it
-    through ``_chunk_stream_normals``.
-    """
-    gen = Generator(Philox(key=seed, counter=index << 128))
-    u = gen.random(2 * ((count + 1) // 2))
-    return _box_muller(u, np.empty(count))
+    """Sample ``index``'s first ``count`` normals: one row of ``_chunk_stream_normals``."""
+    return _chunk_stream_normals(seed, index, 1, count)[0]
 
 
 def _chunk_stream_normals(
@@ -143,7 +136,7 @@ def _chunk_stream_normals(
     out: np.ndarray | None = None,
     scratch: np.ndarray | None = None,
 ) -> np.ndarray:
-    """``_sample_stream_normals(seed, i, count)`` for ``i`` in ``start..start+rows-1``.
+    """The first ``count`` normals of each sample ``i`` in ``start..start+rows-1``.
 
     One Philox serves the whole chunk.  Before each sample its counter words
     are set to ``i << 128`` with an empty output buffer, the state a fresh
@@ -157,10 +150,10 @@ def _chunk_stream_normals(
         out = np.empty((rows, count))
     if scratch is None:
         scratch = np.empty((rows, 2 * pairs))
-    bits = Philox(key=seed)
+    bits = np.random.Philox(key=seed)
     state = bits.state  # a fresh generator's: buffer_pos 4, nothing buffered
     counter = state["state"]["counter"]
-    gen = Generator(bits)
+    gen = np.random.Generator(bits)
     for r, i in enumerate(range(start, start + rows)):
         counter[2], counter[3] = i & _WORD, i >> 64
         bits.state = state

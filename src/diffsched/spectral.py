@@ -47,7 +47,9 @@ DEFAULT_EPS0 = 1e-4
 DEFAULT_EPSS = 4e-5
 
 ENDPOINT_TOL = 1e-12
-REL_ERR_EPS = 1e-12
+# Below this eigenvalue a coordinate has no relative scale: KL drops it,
+# relative_error_dynamics reports its absolute mismatch, W2 and weighted-L1 keep it.
+LAMBDA_FLOOR = 1e-12
 
 
 def _vector(x, name: str) -> np.ndarray:
@@ -481,13 +483,14 @@ def intermediate_distribution(model: SpectralModel, schedule: Schedule, l: int) 
 def relative_error_dynamics(model: SpectralModel, schedule: Schedule) -> np.ndarray:
     """Per-step, per-coordinate variance mismatch of the deterministic sampler.
 
-    Row ``l`` holds ``|lam_i - var_{l,i}| / (lam_i + eps)`` where
-    ``var_{l,i}`` is the state variance at step ``l``; row 0 is the output.
+    Row ``l`` holds ``|lam_i - var_{l,i}| / lam_i`` where ``var_{l,i}`` is
+    the state variance at step ``l``; row 0 is the output.  A coordinate
+    below :data:`LAMBDA_FLOOR` holds the absolute mismatch ``|lam_i - var_{l,i}|``.
     """
     schedule.validate()
     A, _ = _ddim_trajectory(model.eigenvalues, schedule.alpha_bar)
     lam = model.eigenvalues
-    return np.abs(lam[None, :] - A**2) / (lam[None, :] + REL_ERR_EPS)
+    return np.abs(lam - A**2) / np.where(lam < LAMBDA_FLOOR, 1.0, lam)
 
 
 def w2_dynamics(model: SpectralModel, schedule: Schedule) -> np.ndarray:

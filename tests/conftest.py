@@ -39,6 +39,18 @@ def wiener_denoise(model, alpha_bar: float, v_t) -> np.ndarray:
     return np.divide(num, denom, out=v_t.copy(), where=denom > 0.0)
 
 
+def step_loop(G, M):
+    """Trajectory coefficients ``(A, B)``, shape (S+1, d), one step at a time:
+    ``A[s-1] = G[s-1] A[s]`` and ``B[s-1] = G[s-1] B[s] + M[s-1]`` from
+    ``A[S] = 1``, ``B[S] = 0``."""
+    S = len(G)
+    A, B = np.ones((S + 1,) + G.shape[1:]), np.zeros((S + 1,) + G.shape[1:])
+    for s in range(S, 0, -1):
+        A[s - 1] = G[s - 1] * A[s]
+        B[s - 1] = G[s - 1] * B[s] + M[s - 1]
+    return A, B
+
+
 def dense_ddpm_moments(target, alpha_bar):
     """Exact output mean and covariance of the stochastic sampler.
 

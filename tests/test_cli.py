@@ -37,7 +37,9 @@ from diffsched import (
     synthetic_circulant_model,
 )
 from diffsched.io import save_model, save_ve_schedule
-from diffsched.spectral import vp_to_ve
+from diffsched.spectral import LAMBDA_FLOOR, _step_coefficients, vp_to_ve
+
+from conftest import step_loop
 
 
 @pytest.fixture()
@@ -469,6 +471,30 @@ def test_estimate_non_finite_threshold_exits_2(tmp_path, capsys, th, matrix):
     assert not cov.exists()
     message = json.loads(capsys.readouterr().err)["error"]["message"]
     assert message.startswith("silence_threshold must be finite")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("raw", [False, True], ids=["csv", "f64"])
+def test_estimate_non_finite_window_exits_2_naming_its_row(tmp_path, capsys, raw, value):
+    # The loudness test would read a NaN row as silence, so the row is refused first.
+    rows = [["0.2", "1", "0.3"], ["1", value, "0.5"], [value, "0", "0"]]
+    if raw:
+        source = tmp_path / "w.f64"
+        np.array(rows, dtype=float).tofile(source)
+        (tmp_path / "w.f64.json").write_text(json.dumps({"dim": 3, "count": 3}))
+    else:
+        source = tmp_path / "w.csv"
+        source.write_text("".join(",".join(row) + "\n" for row in rows))
+    cov = tmp_path / "cov.csv"
+    rc = run([
+        "estimate", "--input", source, "--window", "3", "--th", "0",
+        "--out-cov", cov, "--out-model", tmp_path / "model.json",
+    ])
+    assert rc == 2
+    assert not cov.exists()
+    [line] = capsys.readouterr().err.splitlines()
+    message = json.loads(line)["error"]["message"]
+    assert message == "window row 1 holds NaN or inf (rows count from 0)"
 
 
 # ---------------------------------------------------------------- convert
@@ -982,6 +1008,80 @@ def test_cli_exits_0_2_or_3_with_a_json_error(command, keep_base, extra):
         assert set(error) == {"type", "message"}, argv
 
 
+# ------------------------------------------------------- degenerate spectra
+
+# an eigenvalue of exactly 0, below the floor, or anywhere above it
+_EIGENVALUES = st.one_of(
+    st.just(0.0),
+    st.floats(1e-20, LAMBDA_FLOOR, exclude_max=True),
+    st.floats(LAMBDA_FLOOR, 1e10),
+)
+_SPECTRUM_RUNS = [
+    ["dynamics", "--model", "model.json", "--schedule", "sched.json",
+     "--out-relative-error", "rel.csv", "--out-w2", "w2.csv"],
+    ["eval", "--model", "model.json", "--schedules", "sched.json",
+     "--losses", "w2,kl,wl1", "--process", "both", "--out", "eval.csv"],
+    ["bias", "--model", "model.json", "--schedule", "sched.json", "--out", "bias.csv"],
+    ["optimize", "--model", "model.json", "--steps", "6", "--out", "o.json"],
+    ["optimize", "--model", "model.json", "--steps", "6", "--loss", "kl",
+     "--process", "ddpm", "--out", "kl.json"],
+]
+
+
+def _non_finite_values(name: str) -> list:
+    """Every NaN or infinity written in the CSV or JSON file ``name``."""
+    text = Path(name).read_text()
+    if name.endswith(".json"):
+        bad = []
+        json.loads(text, parse_constant=bad.append)
+        return bad
+    values = []
+    for field in text.replace("\n", ",").split(","):
+        try:
+            values.append(float(field))
+        except ValueError:  # a header or a name
+            pass
+    return [v for v in values if not np.isfinite(v)]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(data=st.data(), dim=st.integers(1, 6))
+def test_degenerate_spectra_exit_0_or_2_and_write_finite_values(data, dim):
+    lam = np.array(data.draw(st.lists(_EIGENVALUES, min_size=dim, max_size=dim)))
+    mean = data.draw(st.none() | st.lists(st.floats(-3, 3), min_size=dim, max_size=dim))
+    mean = np.zeros(dim) if mean is None else np.array(mean)
+    model = SpectralModel(dim=dim, eigenvalues=lam, mean_spectral=mean)
+    schedule = cosine_schedule(12)
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp), warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        save_model(model, "model.json")
+        save_schedule(schedule, "sched.json")
+        for argv in _SPECTRUM_RUNS:
+            inputs = set(os.listdir())
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main(argv)
+            assert rc in (0, 2), (argv, err.getvalue())
+            if rc == 2:
+                [line] = err.getvalue().splitlines()
+                assert set(json.loads(line)["error"]) == {"type", "message"}
+                continue
+            for name in sorted(set(os.listdir()) - inputs):
+                assert _non_finite_values(name) == [], (argv, name)
+        rel = load_matrix_csv("rel.csv")
+    # relative above the floor, absolute below it, against the step loop of
+    # the deterministic sampler's per-step gains
+    a, b, _ = _step_coefficients(schedule.alpha_bar, "ddim")
+    x = schedule.alpha_bar[1:, None]
+    G = a[:, None] + (b[:, None] * np.sqrt(x) * lam) / (x * lam + 1.0 - x)
+    A, _ = step_loop(G, np.zeros_like(G))
+    var = A**2
+    assert rel.shape == (13, dim)
+    mismatch = np.where(lam >= LAMBDA_FLOOR, rel * lam, rel)
+    # numerators, not quotients: where lam ~ var the quotient is all cancellation
+    assert np.all(np.abs(mismatch - np.abs(lam - var)) <= 1e-12 * np.maximum(lam, var))
+
+
 # --------------------------------------------------------- file contents
 
 # each input file, and the commands that read it
@@ -1165,6 +1265,24 @@ def test_readme_workflow_runs_with_scipy_blocked(tmp_path):
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == str([0] * len(runs)), out.stderr
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # numpy 2 imports numpy.random on first use, and only a command that
+    # draws uses it; numpy 1.26 imports it with numpy, and then so does the CLI
+    src = str(Path(diffsched.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, numpy\n"
+        "with_numpy = 'numpy.random' in sys.modules\n"
+        "import diffsched.cli\n"
+        "print(with_numpy, 'numpy.random' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    with_numpy, with_cli = out.stdout.split()
+    assert with_cli == with_numpy
 
 
 def test_one_chunk_simulate_leaves_concurrent_futures_unloaded(tmp_path):

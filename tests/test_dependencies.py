@@ -84,6 +84,7 @@ def test_losses_take_only_the_forward_pass_from_spectral():
     # spectral owns the step gains and the reverse sweep through them; the
     # losses see the whole-run arrays and the pullback, never the per-step ones
     assert _package_imports(PACKAGE / "losses.py") == {
+        ("spectral", "LAMBDA_FLOOR"),
         ("spectral", "SpectralModel"),
         ("spectral", "Schedule"),
         ("spectral", "Transfer"),

@@ -33,7 +33,7 @@ from diffsched.simulate import (
     _sample_stream_normals,
     compose_affine,
 )
-from diffsched.spectral import _step_coefficients
+from diffsched.spectral import LAMBDA_FLOOR, _step_coefficients
 
 from conftest import dense_ddpm_moments, random_monotone_alpha_bar, wiener_denoise
 
@@ -462,9 +462,10 @@ def test_relative_error_final_row_definition(benchmark_model):
     schedule = cosine_schedule(20)
     rel = relative_error_dynamics(model, schedule)
     transfer = ddim_transfer(model, schedule)
-    expected = np.abs(model.eigenvalues - transfer.noise_gain**2) / (
-        model.eigenvalues + 1e-12
-    )
+    lam = model.eigenvalues
+    mismatch = np.abs(lam - transfer.noise_gain**2)
+    # relative above the eigenvalue floor, absolute below it (the DC coordinate)
+    expected = np.divide(mismatch, lam, out=mismatch.copy(), where=lam >= LAMBDA_FLOOR)
     np.testing.assert_allclose(rel[0], expected, atol=1e-14)
     assert rel.shape == (21, model.dim)
 

@@ -24,7 +24,7 @@ from diffsched.spectral import (
     _suffix_fold,
 )
 
-from conftest import random_monotone_alpha_bar, wiener_denoise
+from conftest import random_monotone_alpha_bar, step_loop, wiener_denoise
 
 
 def make_schedule(alpha_bar, eps0=1e-4, epsS=4e-5):
@@ -504,18 +504,6 @@ def test_refinement_narrows_distance(benchmark_model):
     coarse = w2_loss(model, ddim_transfer(model, cosine_schedule(10)))
     fine = w2_loss(model, ddim_transfer(model, cosine_schedule(334)))
     assert fine < coarse
-
-
-def step_loop(G, M):
-    """Trajectory coefficients ``(A, B)``, shape (S+1, d), one step at a time:
-    ``A[s-1] = G[s-1] A[s]`` and ``B[s-1] = G[s-1] B[s] + M[s-1]`` from
-    ``A[S] = 1``, ``B[S] = 0``."""
-    S = len(G)
-    A, B = np.ones((S + 1,) + G.shape[1:]), np.zeros((S + 1,) + G.shape[1:])
-    for s in range(S, 0, -1):
-        A[s - 1] = G[s - 1] * A[s]
-        B[s - 1] = G[s - 1] * B[s] + M[s - 1]
-    return A, B
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-3], ids=["gains", "underflowing-gains"])
