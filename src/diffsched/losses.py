@@ -4,9 +4,10 @@ All distances use the total output variance ``noise_gain**2 + var_extra``,
 so the same formulas cover both the deterministic and stochastic samplers.
 Reported squared-distance values are squared (no root) unless callers take
 the root themselves.  Gradients with respect to the schedule are exact and
-come with the loss: ``loss_from_alpha_bar(..., gradient=True)`` hands the
-loss's partials in the output variance and mean gain to the pullback of
-``spectral``'s forward pass, whose reverse sweep gives the gradient.
+come with the loss.  Every forward pass of ``spectral`` returns its pullback
+and every loss its partials in the output variance and mean gain;
+``loss_from_alpha_bar(..., gradient=True)``, the only place the gradient is
+asked for, hands the one to the other, whose reverse sweep gives the gradient.
 """
 
 from __future__ import annotations
@@ -49,19 +50,20 @@ class LossKind(str, Enum):
 
 
 # Each loss of the per-coordinate output variance and mean gain returns its
-# value and, with ``partials=True``, also its partials in both, as
-# ``(value, d_variance, d_mean_gain)``.
+# value and its partials in both, as ``(value, d_variance, d_mean_gain)``.  A
+# zero output variance has no finite slope: W2's and KL's partials there are
+# inf or NaN, silently, and only a gradient evaluation reads them.
 
 
-def _w2(lam, mu, variance, mean_gain, partials=False):
+def _w2(lam, mu, variance, mean_gain):
     sqrt_lam, std = np.sqrt(lam), np.sqrt(variance)
     value = float(np.sum((sqrt_lam - std) ** 2) + np.sum(mu**2 * (mean_gain - 1.0) ** 2))
-    if not partials:
-        return value
-    return value, 1.0 - sqrt_lam / std, 2.0 * mu**2 * (mean_gain - 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d_var = 1.0 - sqrt_lam / std
+    return value, d_var, 2.0 * mu**2 * (mean_gain - 1.0)
 
 
-def _kl(lam, mu, variance, mean_gain, partials=False):
+def _kl(lam, mu, variance, mean_gain):
     keep = lam >= LAMBDA_FLOOR
     if not np.any(keep):
         raise ValueError("all coordinates fall below the eigenvalue floor; KL undefined")
@@ -72,14 +74,14 @@ def _kl(lam, mu, variance, mean_gain, partials=False):
     if not np.any(var <= 0.0):
         ratio = (lam_k + (gain - 1.0) ** 2 * mu_k**2) / var
         value = float(0.5 * np.sum(np.log(var) - np.log(lam_k) - 1.0 + ratio))
-    if not partials:
-        return value
     drift = (mean_gain - 1.0) * mu**2
-    d_var = 0.5 * (1.0 - (lam + (mean_gain - 1.0) * drift) / variance) / variance
-    return value, np.where(keep, d_var, 0.0), np.where(keep, drift / variance, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d_var = 0.5 * (1.0 - (lam + (mean_gain - 1.0) * drift) / variance) / variance
+        d_gain = drift / variance
+    return value, np.where(keep, d_var, 0.0), np.where(keep, d_gain, 0.0)
 
 
-def _weighted_l1(lam, mu, variance, mean_gain, partials=False):
+def _weighted_l1(lam, mu, variance, mean_gain):
     with np.errstate(over="ignore"):  # an overflowing mass is rejected below
         lam_total, mu_total = np.sum(lam), np.sum(mu**2)
     for total, mass in ((lam_total, "sum(eigenvalues)"), (mu_total, "sum(mean_spectral**2)")):
@@ -89,11 +91,10 @@ def _weighted_l1(lam, mu, variance, mean_gain, partials=False):
         raise ValueError("all eigenvalues are zero; weighted-L1 loss undefined")
     weight = lam / lam_total
     value = float(np.sum(weight * np.abs(variance - lam)))
+    d_gain = np.zeros_like(mu)
     if mu_total > 0.0:
         value += float(np.sum(mu**2 / mu_total * (mean_gain - 1.0) ** 2))
-    if not partials:
-        return value
-    d_gain = 2.0 * mu**2 / mu_total * (mean_gain - 1.0) if mu_total > 0.0 else np.zeros_like(mu)
+        d_gain = 2.0 * mu**2 / mu_total * (mean_gain - 1.0)
     return value, weight * np.sign(variance - lam), d_gain
 
 
@@ -109,7 +110,7 @@ def transfer_loss(model: SpectralModel, transfer: Transfer, kind: LossKind) -> f
     _check_dims(model, transfer)
     loss = _LOSSES[LossKind(kind)]
     variance = transfer.output_variance
-    return loss(model.eigenvalues, model.mean_spectral, variance, transfer.mean_gain)
+    return loss(model.eigenvalues, model.mean_spectral, variance, transfer.mean_gain)[0]
 
 
 def w2_loss(model: SpectralModel, transfer: Transfer) -> float:
@@ -160,14 +161,9 @@ def loss_from_alpha_bar(
     loss is the same float either way.
     """
     lam, mu = model.eigenvalues, model.mean_spectral
-    arrays = _transfer_arrays(lam, alpha_bar, process, forward=gradient)
-    noise_gain, mean_gain, var_extra = arrays[:3]
-    variance = noise_gain**2 + var_extra
-    result = _LOSSES[LossKind(kind)](lam, mu, variance, mean_gain, partials=gradient)
-    if not gradient:
-        return result
-    loss, d_var, d_gain = result
-    return loss, arrays[3](d_var, d_gain)
+    noise_gain, mean_gain, var_extra, pullback = _transfer_arrays(lam, alpha_bar, process)
+    loss, d_var, d_gain = _LOSSES[LossKind(kind)](lam, mu, noise_gain**2 + var_extra, mean_gain)
+    return (loss, pullback(d_var, d_gain)) if gradient else loss
 
 
 def loss_gradient(
@@ -185,6 +181,4 @@ def loss_gradient(
     differences toward the exact -4.6e-7.
     """
     schedule.validate()
-    if schedule.steps < 2:
-        return np.zeros(0)
     return loss_from_alpha_bar(model, schedule.alpha_bar, kind, process, gradient=True)[1]

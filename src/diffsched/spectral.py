@@ -227,7 +227,7 @@ def ddim_gains(alpha_bar_prev: float, alpha_bar_cur: float) -> tuple[float, floa
     return float(a[0]), float(b[0])
 
 
-def _step_coefficients(alpha_bar: np.ndarray, process: str, partials: bool = False):
+def _step_coefficients(alpha_bar: np.ndarray, process: str):
     """Per-step sampler coefficients ``(a, b, c2)`` over steps s = 1..S.
 
     Both samplers are members of one family (Song, Meng & Ermon 2021,
@@ -238,10 +238,6 @@ def _step_coefficients(alpha_bar: np.ndarray, process: str, partials: bool = Fal
     sampler has ``r = 1`` and ``c2`` None; the stochastic one the forward
     posterior's ``r = x (1 - p) / (p (1 - x))``, with ``c2`` clamped at zero
     so that a tied or crossed step adds no variance.
-
-    With ``partials=True`` a fourth element holds
-    ``(a_p, a_x, b_p, b_x, c2_p, c2_x)``, the partials in ``p`` and ``x``;
-    those of ``c2`` are zero where its clamp is active (None for ddim).
     """
     p, x = alpha_bar[:-1], alpha_bar[1:]
     one_p, one_x = 1.0 - p, 1.0 - x
@@ -255,10 +251,15 @@ def _step_coefficients(alpha_bar: np.ndarray, process: str, partials: bool = Fal
         c2 = np.maximum(one_p * ((p - x) / den), 0.0)
     else:
         raise ValueError(f"unknown process {process!r}")
-    sqrt_p, sqrt_x = np.sqrt(p), np.sqrt(x)
-    b = sqrt_p - sqrt_x * a
-    if not partials:
-        return a, b, c2
+    return a, np.sqrt(p) - np.sqrt(x) * a, c2
+
+
+def _step_partials(alpha_bar: np.ndarray, a: np.ndarray, c2):
+    """Partials ``(a_p, a_x, b_p, b_x, c2_p, c2_x)`` of :func:`_step_coefficients`'
+    ``(a, b, c2)`` in ``p`` and ``x``; those of ``c2`` are zero where its clamp
+    is active (None for ddim)."""
+    p, x = alpha_bar[:-1], alpha_bar[1:]
+    one_p, one_x = 1.0 - p, 1.0 - x
     if c2 is None:
         a_p = -0.5 * a / one_p
         a_x = 0.5 * a / one_x
@@ -269,9 +270,10 @@ def _step_coefficients(alpha_bar: np.ndarray, process: str, partials: bool = Fal
         unclipped = c2 > 0.0
         c2_p = np.where(unclipped, (x / p**2 - 1.0) / one_x, 0.0)
         c2_x = np.where(unclipped, -(one_p**2) / (p * one_x**2), 0.0)
-    b_p = 0.5 / sqrt_p - sqrt_x * a_p
+    sqrt_x = np.sqrt(x)
+    b_p = 0.5 / np.sqrt(p) - sqrt_x * a_p
     b_x = -0.5 * a / sqrt_x - sqrt_x * a_x
-    return a, b, c2, (a_p, a_x, b_p, b_x, c2_p, c2_x)
+    return a_p, a_x, b_p, b_x, c2_p, c2_x
 
 
 def _step_gains(
@@ -308,20 +310,17 @@ def _accumulate(G: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     return noise_gain, mean_gain, prefix
 
 
-def _transfer_arrays(
-    eigenvalues: np.ndarray, alpha_bar: np.ndarray, process: str, forward: bool = False
-):
-    """(noise_gain, mean_gain, var_extra) from a raw alpha_bar vector.
+def _transfer_arrays(eigenvalues: np.ndarray, alpha_bar: np.ndarray, process: str):
+    """``(noise_gain, mean_gain, var_extra, pullback)`` from a raw alpha_bar vector.
 
     Fast path shared with the loss/optimizer code; does no validation so it
-    can be called on unconstrained optimizer iterates.  With ``forward=True``
-    a fourth element is the pullback ``(d_var, d_gain) -> gradient``: given a
-    loss's partials in the output variance and the mean gain, it returns the
-    gradient with respect to ``alpha_bar[1:-1]`` by :func:`_reverse_sweep`
-    over this pass's arrays.
+    can be called on unconstrained optimizer iterates.  The pullback
+    ``(d_var, d_gain) -> gradient`` takes a loss's partials in the output
+    variance and the mean gain and returns the gradient with respect to
+    ``alpha_bar[1:-1]`` by :func:`_reverse_sweep` over this pass's arrays;
+    it does no work until called.
     """
-    coefficients = _step_coefficients(alpha_bar, process, partials=forward)
-    a, b, c2 = coefficients[:3]
+    a, b, c2 = _step_coefficients(alpha_bar, process)
     G, M, denom = _step_gains(eigenvalues, alpha_bar, a, b)
     noise_gain, mean_gain, prefix = _accumulate(G, M)
     if c2 is None:
@@ -330,18 +329,16 @@ def _transfer_arrays(
     else:
         prefix2 = prefix**2
         var_extra = (prefix2 * c2[:, None]).sum(axis=0)
-    if not forward:
-        return noise_gain, mean_gain, var_extra
     pullback = partial(
         _reverse_sweep,
-        eigenvalues, alpha_bar, coefficients, denom, G, M, noise_gain, prefix, prefix2,
+        eigenvalues, alpha_bar, a, b, c2, denom, G, M, noise_gain, prefix, prefix2,
     )
     return noise_gain, mean_gain, var_extra, pullback
 
 
 def _transfer(model: SpectralModel, schedule: Schedule, process: str) -> Transfer:
     schedule.validate()
-    return Transfer(*_transfer_arrays(model.eigenvalues, schedule.alpha_bar, process))
+    return Transfer(*_transfer_arrays(model.eigenvalues, schedule.alpha_bar, process)[:3])
 
 
 def ddim_transfer(model: SpectralModel, schedule: Schedule) -> Transfer:
@@ -391,7 +388,7 @@ def _suffix_fold(G: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _reverse_sweep(
-    lam, alpha_bar, coefficients, den, G, M, noise_gain, prefix, prefix2, d_var, d_gain
+    lam, alpha_bar, a, b, c2, den, G, M, noise_gain, prefix, prefix2, d_var, d_gain
 ) -> np.ndarray:
     """Gradient with respect to ``alpha_bar[1:-1]`` from a loss's partials
     ``(d_var, d_gain)`` in the output variance and mean gain, reusing the
@@ -403,9 +400,9 @@ def _reverse_sweep(
     sampler's extra variance adds the same fold run on ``(G**2, c**2)``, its
     only branch on the process.  The chain rule then goes through the
     partials of ``(a, b, c**2)`` in the two neighbouring levels
-    ``p = alpha_bar[s-1]`` and ``x = alpha_bar[s]``.
+    ``p = alpha_bar[s-1]`` and ``x = alpha_bar[s]``, from :func:`_step_partials`.
     """
-    _, b, c2, (a_p, a_x, b_p, b_x, c2_p, c2_x) = coefficients
+    a_p, a_x, b_p, b_x, c2_p, c2_x = _step_partials(alpha_bar, a, c2)
     x = alpha_bar[1:]
     sqrt_x, one_x = np.sqrt(x), 1.0 - x
 

@@ -276,6 +276,25 @@ def test_eval_rows(tmp_path, model_file):
     assert all(len(v) == 1 for v in values.values())
 
 
+def test_eval_forms_no_step_partials(tmp_path, model_file, monkeypatch):
+    # eval reports losses only, so no reverse sweep runs
+    import diffsched.spectral as spectral_module
+
+    def refuse(*args):
+        raise AssertionError("step partials formed without a gradient")
+
+    monkeypatch.setattr(spectral_module, "_step_partials", refuse)
+    schedule = tmp_path / "s.json"
+    save_schedule(cosine_schedule(10), schedule)
+    out = tmp_path / "eval.csv"
+    rc = run([
+        "eval", "--model", model_file, "--schedules", schedule,
+        "--losses", "w2,kl,wl1", "--process", "both", "--out", out,
+    ])
+    assert rc == 0
+    assert len(out.read_text().strip().splitlines()) == 1 + 2 * 3
+
+
 def test_compare_shape(tmp_path, model_file):
     out = tmp_path / "compare.csv"
     rc = run([

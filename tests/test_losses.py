@@ -1,20 +1,26 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import diffsched.spectral as spectral_module
 from diffsched import (
     LossKind,
     Schedule,
     SpectralModel,
     Transfer,
     cosine_schedule,
+    ddim_transfer,
+    ddpm_transfer,
     kl_loss,
+    linear_schedule,
     loss_gradient,
     w2_loss,
     weighted_l1_loss,
 )
-from diffsched.losses import LAMBDA_FLOOR, loss_from_alpha_bar
+from diffsched.losses import LAMBDA_FLOOR, loss_from_alpha_bar, transfer_loss
 from diffsched.optimize import finite_difference_gradient
 from diffsched.simulate import DenseGaussian
 
@@ -133,6 +139,19 @@ def test_kl_rejects_all_floored():
     model = make_model([1e-15, 0.0], [0.0, 0.0])
     with pytest.raises(ValueError):
         kl_loss(model, diag_transfer([1.0, 1.0], [1.0, 1.0]))
+
+
+def test_zero_output_variance_gives_finite_or_infinite_losses_without_warnings():
+    # a collapsed output coordinate above the floor: KL is infinite, W2 and
+    # weighted-L1 stay finite, and the losses' slopes there (inf or NaN, read
+    # only by a gradient pass) raise no RuntimeWarning
+    model = make_model([0.0, 1.0, 2.0], [0.0, 0.0, 0.0])
+    t = diag_transfer([0.0, 0.0, 1.0], [1.0, 1.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert kl_loss(model, t) == float("inf")
+        assert w2_loss(model, t) == pytest.approx(1.17157287525381, rel=1e-14)
+        assert weighted_l1_loss(model, t) == 1.0
 
 
 # ------------------------------------------------------------------ wl1
@@ -322,13 +341,37 @@ def _spaced_alpha_bar(rng, S, eps0=1e-4, epsS=4e-5, min_gap=1e-3):
 @pytest.mark.parametrize("process", ["ddim", "ddpm"])
 @pytest.mark.parametrize("kind", list(LossKind))
 def test_gradient_pass_returns_the_loss_only_value(benchmark_model, kind, process):
-    # asking for the gradient must not change the loss by a single bit
+    # asking for the gradient must not change the loss by a single bit; a
+    # one-step schedule has no interior level and so an empty gradient
     _, model = benchmark_model
-    for S in (2, 28, 112):
-        ab = cosine_schedule(S).alpha_bar
+    for schedule in (cosine_schedule(2), cosine_schedule(28), cosine_schedule(112), linear_schedule(1)):
+        ab, S = schedule.alpha_bar, schedule.steps
         loss, grad = loss_from_alpha_bar(model, ab, kind, process, gradient=True)
         assert loss == loss_from_alpha_bar(model, ab, kind, process)
         assert grad.shape == (S - 1,)
+        assert np.array_equal(loss_gradient(model, schedule, kind, process), grad)
+
+
+@pytest.mark.parametrize("process", ["ddim", "ddpm"])
+def test_step_partials_are_formed_only_for_a_gradient(benchmark_model, monkeypatch, process):
+    calls = []
+    real = spectral_module._step_partials
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(spectral_module, "_step_partials", counted)
+    _, model = benchmark_model
+    schedule = cosine_schedule(28)
+    transfer = {"ddim": ddim_transfer, "ddpm": ddpm_transfer}[process](model, schedule)
+    for kind in LossKind:
+        loss_from_alpha_bar(model, schedule.alpha_bar, kind, process)
+        transfer_loss(model, transfer, kind)
+    assert calls == []
+    for kind in LossKind:
+        loss_from_alpha_bar(model, schedule.alpha_bar, kind, process, gradient=True)
+    assert len(calls) == len(LossKind)
 
 
 @pytest.mark.parametrize("kind", [LossKind.WASSERSTEIN2, LossKind.KL])
