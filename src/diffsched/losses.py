@@ -57,7 +57,7 @@ class LossKind(str, Enum):
 
 def _w2(lam, mu, variance, mean_gain):
     sqrt_lam, std = np.sqrt(lam), np.sqrt(variance)
-    value = float(np.sum((sqrt_lam - std) ** 2) + np.sum(mu**2 * (mean_gain - 1.0) ** 2))
+    value = float(((sqrt_lam - std) ** 2).sum() + (mu**2 * (mean_gain - 1.0) ** 2).sum())
     with np.errstate(divide="ignore", invalid="ignore"):
         d_var = 1.0 - sqrt_lam / std
     return value, d_var, 2.0 * mu**2 * (mean_gain - 1.0)

@@ -118,68 +118,81 @@ def _logit(p):
     return np.log(p) - np.log1p(-p)
 
 
-def _projected_gradient_norm(x, g, lower, upper) -> float:
-    """Infinity norm of ``x - clip(x - g, lower, upper)``, formed without
-    rounding: ``g`` itself away from the bounds, zero where ``g`` pushes
-    against one."""
-    projected = np.where(g < 0.0, np.maximum(x - upper, g), np.minimum(x - lower, g))
-    return float(np.max(np.abs(projected)))
-
-
 def _lbfgs(fun, x, lower, upper, ftol, max_iter, on_iteration):
     """Minimize ``fun(x) -> (f, gradient)`` over the box ``[lower, upper]``.
 
     Limited-memory BFGS (Liu & Nocedal, Math. Prog. 1989): the two-loop
-    recursion over the last ``MEMORY`` pairs, scaled by ``s.y / y.y`` and
-    updated only when ``s.y > 0``, with a backtracking Armijo line search.
-    Bounds follow Byrd, Lu, Nocedal & Zhu (SIAM J. Sci. Comput. 1995) in
-    their simplest form: variables the gradient holds at a bound stay out
-    of the quasi-Newton step, direction components leaving an active bound
-    are dropped, and trial points are clipped to the box; infinite bounds
-    give plain L-BFGS.  The stops are a relative reduction of ``f`` of at
-    most ``ftol``, a projected-gradient infinity norm of at most ``GTOL``,
-    and ``max_iter`` iterations.  Only decreasing steps are accepted, so the
-    point returned is the best one evaluated.  ``on_iteration(f)`` is called
-    after each iteration.
+    recursion over the last ``MEMORY`` pairs, run in place and scaled by the
+    newest pair's ``s.y / y.y``; a pair is kept only when ``s.y > 0`` and
+    stores that scale beside its ``1 / s.y``.  The line search backtracks
+    under the Armijo condition.  Bounds follow Byrd, Lu, Nocedal & Zhu (SIAM
+    J. Sci. Comput. 1995) in their simplest form: variables the gradient
+    holds at a bound stay out of the quasi-Newton step, direction components
+    leaving an active bound are dropped, and trial points are clipped to the
+    box.  When neither bound is finite this bookkeeping is skipped: plain
+    L-BFGS, whose projected gradient is the gradient.  The stops are a
+    relative reduction of ``f`` of at most ``ftol``, a projected-gradient
+    infinity norm of at most ``GTOL``, and ``max_iter`` iterations.  Only
+    decreasing steps are accepted, so the point returned is the best one
+    evaluated.  ``on_iteration(f)`` is called after each iteration.
 
     Returns ``(x, projected_gradient_norm, iterations, evaluations,
     message)``; the message starts with "CONVERGENCE" when a stop on
     ``ftol`` or ``GTOL`` fired.
     """
+    bounded = np.any(np.isfinite(lower)) or np.any(np.isfinite(upper))
     f, g = fun(x)
     evaluations, iterations = 1, 0
-    pairs: list[tuple[np.ndarray, np.ndarray, float]] = []  # (s, y, 1/s.y), oldest first
+    # (s, y, 1/s.y, s.y/y.y), oldest first
+    pairs: list[tuple[np.ndarray, np.ndarray, float, float]] = []
 
     def direction():
-        held = ((x <= lower) & (g > 0.0)) | ((x >= upper) & (g < 0.0))
-        q = np.where(held, 0.0, -g)
+        if bounded:
+            held = ((x <= lower) & (g > 0.0)) | ((x >= upper) & (g < 0.0))
+            q = np.where(held, 0.0, -g)
+        else:
+            q = -g
         alphas = []
-        for s, y, rho in reversed(pairs):
+        for s, y, rho, _ in reversed(pairs):
             alphas.append(rho * (s @ q))
-            q = q - alphas[-1] * y
+            q -= alphas[-1] * y
         if pairs:
-            s, y, _ = pairs[-1]
-            q = q * ((s @ y) / (y @ y))
-        for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
-            q = q + (alpha - rho * (y @ q)) * s
-        q[held | ((x >= upper) & (q > 0.0)) | ((x <= lower) & (q < 0.0))] = 0.0
+            q *= pairs[-1][3]
+        for (s, y, rho, _), alpha in zip(pairs, reversed(alphas)):
+            q += (alpha - rho * (y @ q)) * s
+        if bounded:
+            q[held | ((x >= upper) & (q > 0.0)) | ((x <= lower) & (q < 0.0))] = 0.0
         return q
 
-    pg_norm = _projected_gradient_norm(x, g, lower, upper)
+    def projected_gradient_norm():
+        """Infinity norm of ``x - clip(x - g, lower, upper)``, formed without
+        rounding: ``g`` itself away from the bounds, zero where ``g`` pushes
+        against one."""
+        if not bounded:
+            return float(np.abs(g).max())
+        projected = np.where(g < 0.0, np.maximum(x - upper, g), np.minimum(x - lower, g))
+        return float(np.max(np.abs(projected)))
+
+    pg_norm = projected_gradient_norm()
     message = "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL" if pg_norm <= GTOL else None
     while message is None:
         d = direction()
-        if not g @ d < 0.0:  # no descent along the quasi-Newton step: restart
+        slope = g @ d
+        if not slope < 0.0:  # no descent along the quasi-Newton step: restart
             pairs.clear()
             d = direction()
-        slope = g @ d
+            slope = g @ d
         t = 1.0 if pairs else min(1.0, 1.0 / np.linalg.norm(d))
         for _ in range(MAX_TRIALS):
-            x_new = np.clip(x + t * d, lower, upper)
+            x_new = x + t * d
+            if bounded:
+                x_new = np.clip(x_new, lower, upper)
             f_new, g_new = fun(x_new)
             evaluations += 1
-            if f_new < f and f_new <= f + ARMIJO * (g @ (x_new - x)):
-                break
+            if f_new < f:
+                s = x_new - x
+                if f_new <= f + ARMIJO * (g @ s):
+                    break
             # minimizer of the quadratic through f, slope and f_new, kept
             # within [0.1 t, 0.5 t]; a non-finite f_new takes the 0.1 t end
             t_quad = -slope * t * t / (2.0 * (f_new - f - slope * t))
@@ -190,15 +203,16 @@ def _lbfgs(fun, x, lower, upper, ftol, max_iter, on_iteration):
                 continue
             message = "ABNORMAL: NO DECREASE FOUND ALONG THE PROJECTED GRADIENT"
             break
-        s, y = x_new - x, g_new - g
-        if s @ y > 0.0:
-            pairs.append((s, y, 1.0 / (s @ y)))
+        y = g_new - g
+        sy = s @ y
+        if sy > 0.0:
+            pairs.append((s, y, 1.0 / sy, sy / (y @ y)))
             del pairs[:-MEMORY]
         reduction = (f - f_new) / max(abs(f), abs(f_new), 1.0)
         x, f, g = x_new, f_new, g_new
         iterations += 1
         on_iteration(f)
-        pg_norm = _projected_gradient_norm(x, g, lower, upper)
+        pg_norm = projected_gradient_norm()
         if pg_norm <= GTOL:
             message = "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL"
         elif reduction <= ftol:
@@ -347,10 +361,17 @@ def optimize_schedule(
     # starting interior inside the endpoints
     start_levels = _logit(np.clip(_initial_schedule(config), tail, head))
 
+    # one schedule vector and one softmax cotangent per run, rewritten by
+    # every evaluation; the endpoints are set once
+    full = np.empty(S + 1)
+    full[0], full[-1] = head, tail
+    interior = full[1:-1]
+
     if config.mode == "constrained":
         gaps = np.maximum(-np.diff(start_levels), MIN_START_GAP * span)
         x0 = np.log(gaps / gaps.sum())
         lower, upper = -np.inf, np.inf
+        g_w = np.zeros(S)  # g_w[S-1] stays 0: w[S-1] is the last gap, in no level
 
         def parameterise(theta):
             w = np.exp(theta - theta.max())
@@ -359,7 +380,8 @@ def optimize_schedule(
             def pullback(g_levels):
                 # levels[s] = top - span * (w[0] + ... + w[s]): a suffix sum,
                 # then the softmax Jacobian diag(w) - w w^T
-                g_w = np.append(-span * np.cumsum(g_levels[::-1])[::-1], 0.0)
+                np.cumsum(g_levels[::-1], out=g_w[-2::-1])
+                g_w[:-1] *= -span
                 return w * (g_w - w @ g_w)
 
             return top - span * np.cumsum(w[:-1]), pullback
@@ -372,20 +394,26 @@ def optimize_schedule(
             return levels, lambda g_levels: g_levels
 
     def schedule_of(x):
+        """Write the schedule of ``x`` into ``full``; return the pullback."""
         levels, pullback = parameterise(x)
-        # clipping only absorbs rounding at the endpoints
-        interior = np.clip(1.0 / (1.0 + np.exp(-levels)), tail, head)
-        return np.concatenate([[head], interior, [tail]]), pullback
+        np.negative(levels, out=interior)
+        np.exp(interior, out=interior)
+        np.add(interior, 1.0, out=interior)
+        np.divide(1.0, interior, out=interior)
+        # clamping only absorbs rounding at the endpoints
+        np.maximum(interior, tail, out=interior)
+        np.minimum(interior, head, out=interior)
+        return pullback
 
-    f0 = loss_from_alpha_bar(model, schedule_of(x0)[0], config.loss, config.process)
+    schedule_of(x0)
+    f0 = loss_from_alpha_bar(model, full, config.loss, config.process)
     if not (np.isfinite(f0) and f0 > 0.0):
         raise ValueError(f"objective is not finite and positive at the initial schedule ({f0})")
 
     def objective(x):
         # scaled to 1 at the start, so ftol and GTOL are relative
-        full, pullback = schedule_of(x)
+        pullback = schedule_of(x)
         f, g_ab = loss_from_alpha_bar(model, full, config.loss, config.process, gradient=True)
-        interior = full[1:-1]
         return f / f0, pullback(g_ab * interior * (1.0 - interior)) / f0
 
     trace = [f0]
@@ -401,7 +429,8 @@ def optimize_schedule(
     )
     wall = time.perf_counter() - start
 
-    full = schedule_of(x)[0]
+    schedule_of(x)
+    full = full.copy()
     final_loss = loss_from_alpha_bar(model, full, config.loss, config.process)
     schedule = Schedule(
         kind="spectral-optimized", steps=S, alpha_bar=full, eps0=eps0, epsS=epsS

@@ -256,8 +256,9 @@ def _step_coefficients(alpha_bar: np.ndarray, process: str):
 
 def _step_partials(alpha_bar: np.ndarray, a: np.ndarray, c2):
     """Partials ``(a_p, a_x, b_p, b_x, c2_p, c2_x)`` of :func:`_step_coefficients`'
-    ``(a, b, c2)`` in ``p`` and ``x``; those of ``c2`` are zero where its clamp
-    is active (None for ddim)."""
+    ``(a, b, c2)`` in ``p`` and ``x``; those of ``c2`` are zero on a crossed
+    step ``p < x``, where its clamp is active, and a tie ``p = x`` takes them
+    from the monotone side (None for ddim)."""
     p, x = alpha_bar[:-1], alpha_bar[1:]
     one_p, one_x = 1.0 - p, 1.0 - x
     if c2 is None:
@@ -267,9 +268,9 @@ def _step_partials(alpha_bar: np.ndarray, a: np.ndarray, c2):
     else:
         a_p = -a * (1.0 / one_p + 0.5 / p)
         a_x = a * (0.5 / x + 1.0 / one_x)
-        unclipped = c2 > 0.0
-        c2_p = np.where(unclipped, (x / p**2 - 1.0) / one_x, 0.0)
-        c2_x = np.where(unclipped, -(one_p**2) / (p * one_x**2), 0.0)
+        monotone = p >= x
+        c2_p = np.where(monotone, (x / p**2 - 1.0) / one_x, 0.0)
+        c2_x = np.where(monotone, -(one_p**2) / (p * one_x**2), 0.0)
     sqrt_x = np.sqrt(x)
     b_p = 0.5 / np.sqrt(p) - sqrt_x * a_p
     b_x = -0.5 * a / sqrt_x - sqrt_x * a_x
@@ -373,8 +374,9 @@ def _suffix_fold(G: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     side-by-side recurrences share a scan.
     """
     S = len(G)
-    A, B = np.ones((S + 1, G.shape[1])), np.zeros((S + 1, G.shape[1]))
-    g, m = A[:-1], B[:-1]  # A[S] = 1 and B[S] = 0 stay in the last rows
+    A, B = np.empty((S + 1, G.shape[1])), np.empty((S + 1, G.shape[1]))
+    A[S], B[S] = 1.0, 0.0
+    g, m = A[:-1], B[:-1]  # the last rows stay as set
     g[...] = G
     m[...] = M
     tmp = np.empty_like(m)
@@ -410,13 +412,16 @@ def _reverse_sweep(
     # dG = prefix * (2 d_var noise_gain A[1:] + d_gain B[1:]), dM = prefix * d_gain.
     # work[0] becomes dG, work[1:] the products summed over coordinates below.
     work = np.empty((5,) + G.shape)
-    d = G.shape[1]
+    S, d = G.shape
     gains, means = G, M
     if c2 is not None:
         # the mean fold and the extra-variance fold on (G**2, c**2), side by
         # side in one scan
-        gains = np.hstack((G, G**2))
-        means = np.hstack((M, np.broadcast_to(c2[:, None], G.shape)))
+        gains, means = np.empty((2, S, 2 * d))
+        gains[:, :d] = G
+        np.multiply(G, G, out=gains[:, d:])
+        means[:, :d] = M
+        means[:, d:] = c2[:, None]
     A, B = _suffix_fold(gains, means)  # row 0, the whole run, is not needed
     later_gain, mean_part, var_part = A[1:, :d], B[1:, :d], B[1:, d:]
     dG = np.multiply(2.0 * d_var * noise_gain, later_gain, out=work[0])
@@ -501,8 +506,8 @@ def w2_dynamics(model: SpectralModel, schedule: Schedule) -> np.ndarray:
     A, B = _ddim_trajectory(model.eigenvalues, schedule.alpha_bar)
     lam = model.eigenvalues
     mu = model.mean_spectral
-    var_term = np.sum((np.sqrt(lam)[None, :] - np.abs(A)) ** 2, axis=1)
-    mean_term = np.sum(mu[None, :] ** 2 * (B - 1.0) ** 2, axis=1)
+    var_term = ((np.sqrt(lam)[None, :] - np.abs(A)) ** 2).sum(axis=1)
+    mean_term = (mu[None, :] ** 2 * (B - 1.0) ** 2).sum(axis=1)
     return var_term + mean_term
 
 

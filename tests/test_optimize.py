@@ -1,4 +1,8 @@
+import dataclasses
 import re
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +89,39 @@ def test_optimizer_deterministic(benchmark_model):
     first, _ = optimize_schedule(model, config)
     second, _ = optimize_schedule(model, config)
     assert np.array_equal(first.alpha_bar, second.alpha_bar)
+
+
+def _run_fields(schedule, report):
+    """The bytes of a run: schedule and every report field but the wall time."""
+    fields = dataclasses.asdict(report)
+    del fields["wall_time_seconds"]
+    fields["loss_trace"] = report.loss_trace.tobytes()
+    return schedule.alpha_bar.tobytes(), fields
+
+
+def test_concurrent_optimizer_runs_match_sequential_ones(benchmark_model):
+    # Each run owns its schedule and cotangent buffers: two threads running
+    # the same and different configs at once give the sequential bytes.
+    _, model = benchmark_model
+    configs = [OptimizeConfig(steps=28, mode=mode) for mode in ("constrained", "free")]
+    sequential = [_run_fields(*optimize_schedule(model, config)) for config in configs]
+    start = threading.Barrier(2)
+
+    def run(config):
+        start.wait(timeout=60.0)
+        return _run_fields(*optimize_schedule(model, config))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, to expose shared state
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            same = [list(pool.map(run, [config] * 2)) for config in configs]
+            mixed = list(pool.map(run, configs))
+    finally:
+        sys.setswitchinterval(interval)
+    for expected, pair in zip(sequential, same):
+        assert pair == [expected, expected]
+    assert mixed == sequential
 
 
 def test_optimizer_random_inits_agree_with_linear(benchmark_model):
@@ -368,6 +405,31 @@ def test_lbfgs_reaches_a_box_minimum_with_active_bounds(seed):
     assert fun(x)[0] <= oracle.fun * (1 + 1e-9)
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1), ftol=st.sampled_from([0.0, 1e-9]))
+def test_lbfgs_without_bounds_matches_bounds_that_never_bind(n, seed, ftol):
+    # Infinite bounds skip the bound bookkeeping; bounds far outside every
+    # iterate must give the same run, byte for byte.
+    rng = np.random.default_rng(seed)
+    root = rng.normal(size=(n, n))
+    hessian = root @ root.T + rng.uniform(1e-3, 1.0) * np.eye(n)
+    centre = rng.normal(scale=10.0, size=n)
+
+    def fun(x):
+        r = x - centre
+        return r @ hessian @ r, 2.0 * hessian @ r
+
+    x0 = rng.normal(size=n)
+    runs = []
+    for lower, upper in ((-np.inf, np.inf), (np.full(n, -1e300), np.full(n, 1e300))):
+        trace = []
+        x, pg_norm, iterations, evaluations, message = optimize_module._lbfgs(
+            fun, x0.copy(), lower, upper, ftol, 200, trace.append
+        )
+        runs.append((x.tobytes(), repr(pg_norm), iterations, evaluations, message, trace))
+    assert runs[0] == runs[1]
+
+
 def _scipy_lbfgsb(fun, x, lower, upper, ftol, max_iter, on_iteration):
     """scipy's L-BFGS-B in the place of ``_lbfgs``: the same scaled
     objective, start, bounds and stopping constants."""
@@ -483,8 +545,8 @@ def _tied_schedules(draw):
     seed=st.integers(0, 2**32),
     coarse=_tied_schedules(),
 )
-# a tied ddpm level is a kink of c**2: this run stops ABNORMAL at iteration 0
-# with a projected-gradient norm of 9e-4
+# a tied ddpm level is a kink of c**2; its partials, taken from the monotone
+# side, let this run stop on the projected gradient at iteration 0
 @example(
     model=SpectralModel(dim=1, eigenvalues=[0.0], mean_spectral=[1.0]),
     steps=3,
@@ -525,3 +587,21 @@ def test_optimizer_output_properties(model, steps, loss, process, mode, init, se
         assert report.final_loss == pytest.approx(report.loss_trace[-1], rel=1e-15, abs=0.0)
     again, _ = optimize_schedule(model, config)
     assert again.alpha_bar.tobytes() == schedule.alpha_bar.tobytes()
+
+
+def test_tied_ddpm_levels_stop_on_the_projected_gradient():
+    # A tie p = x is the kink of the clamped c**2.  With its partials taken
+    # from the crossed side, where they are zero, no step along the projected
+    # gradient lowers the loss and the run stops ABNORMAL; from the monotone
+    # side the warm start is a stationary point.
+    model = SpectralModel(dim=1, eigenvalues=[0.0], mean_spectral=[1.0])
+    coarse = Schedule(kind="custom", steps=3, alpha_bar=np.array([1.0 - 1e-4, 0.9, 0.9, 4e-5]))
+    config = OptimizeConfig(
+        process="ddpm", steps=3, mode="free", init="warm", init_schedule=coarse
+    )
+    schedule, report = optimize_schedule(model, config)
+    assert report.status_message == "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL"
+    assert report.iterations == 0
+    assert report.projected_gradient_norm <= 1e-15
+    assert report.final_loss == 1.0000250052507478e-4
+    assert schedule.alpha_bar[1] == schedule.alpha_bar[2]
