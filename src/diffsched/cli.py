@@ -33,6 +33,7 @@ from .estimate import (
     synthetic_circulant_model,
 )
 from .io import (
+    _refuse_non_finite,
     atomic_write_text,
     format_float,
     load_model,
@@ -109,6 +110,7 @@ def _loss_rows(model, schedule, label, losses, processes):
 
 
 def _write_loss_csv(rows, path):
+    _refuse_non_finite(path, [row[-1] for row in rows])
     lines = ["steps,schedule,process,loss_kind,value"]
     for steps, label, process, kind, value in rows:
         label = str(label).replace(",", "|")  # keep the CSV split-safe
@@ -238,6 +240,9 @@ def cmd_dynamics(args):
     schedule = load_schedule(args.schedule)
     rel = relative_error_dynamics(model, schedule)
     w2d = w2_dynamics(model, schedule)
+    # both outputs or neither
+    _refuse_non_finite(args.out_relative_error, rel)
+    _refuse_non_finite(args.out_w2, w2d)
     save_matrix_csv(rel, args.out_relative_error)
     save_matrix_csv(w2d.reshape(-1, 1), args.out_w2)
     return [args.model, args.schedule], [args.out_relative_error, args.out_w2], {}
@@ -430,11 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_manifest(args, inputs, outputs, info, wall):
-    manifest_path = args.manifest_out
-    if manifest_path is None and outputs:
-        manifest_path = str(outputs[0]) + ".manifest.json"
-    if manifest_path is None:
-        return
+    manifest_path = args.manifest_out or str(outputs[0]) + ".manifest.json"
     config = {
         k: v
         for k, v in vars(args).items()
@@ -453,6 +454,10 @@ def _write_manifest(args, inputs, outputs, info, wall):
     atomic_write_text(manifest_path, json.dumps(payload, indent=2, default=str) + "\n")
 
 
+# the destinations of every flag that names an output file
+_OUTPUT_FLAGS = ("out", "out_cov", "out_model", "out_relative_error", "out_w2", "manifest_out")
+
+
 def _emit_error(kind: str, message: str) -> None:
     sys.stderr.write(json.dumps({"error": {"type": kind, "message": message}}) + "\n")
 
@@ -460,14 +465,12 @@ def _emit_error(kind: str, message: str) -> None:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv, argparse.Namespace(seed=0, manifest_out=None))
-        manifest = args.manifest_out
-        # checked before the run, so an unusable path leaves no primary output
-        if manifest is not None and (
-            Path(manifest).is_dir() or not Path(manifest).parent.is_dir()
-        ):
-            raise ValueError(
-                f"--manifest-out must name a file in an existing directory, got {manifest!r}"
-            )
+        # checked before the run, so an unusable path leaves no output at all
+        for dest in _OUTPUT_FLAGS:
+            path = getattr(args, dest, None)
+            if path is not None and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+                flag = "--" + dest.replace("_", "-")
+                raise ValueError(f"{flag} must name a file in an existing directory, got {path!r}")
         start = time.perf_counter()
         inputs, outputs, info = args.func(args)
         _write_manifest(args, inputs, outputs, info, time.perf_counter() - start)

@@ -46,7 +46,7 @@ def atomic_write_text(path, text: str) -> None:
 
 def atomic_write_bytes(path, data: bytes) -> None:
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name, suffix=".tmp")
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)

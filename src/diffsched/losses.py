@@ -57,8 +57,9 @@ class LossKind(str, Enum):
 
 def _w2(lam, mu, variance, mean_gain):
     sqrt_lam, std = np.sqrt(lam), np.sqrt(variance)
-    value = float(((sqrt_lam - std) ** 2).sum() + (mu**2 * (mean_gain - 1.0) ** 2).sum())
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a sum past the float range is inf, which the callers refuse
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        value = float(((sqrt_lam - std) ** 2).sum() + (mu**2 * (mean_gain - 1.0) ** 2).sum())
         d_var = 1.0 - sqrt_lam / std
     return value, d_var, 2.0 * mu**2 * (mean_gain - 1.0)
 
@@ -162,7 +163,8 @@ def loss_from_alpha_bar(
     """
     lam, mu = model.eigenvalues, model.mean_spectral
     noise_gain, mean_gain, var_extra, pullback = _transfer_arrays(lam, alpha_bar, process)
-    loss, d_var, d_gain = _LOSSES[LossKind(kind)](lam, mu, noise_gain**2 + var_extra, mean_gain)
+    variance = noise_gain**2 if var_extra is None else noise_gain**2 + var_extra
+    loss, d_var, d_gain = _LOSSES[LossKind(kind)](lam, mu, variance, mean_gain)
     return (loss, pullback(d_var, d_gain)) if gradient else loss
 
 

@@ -118,7 +118,7 @@ def _logit(p):
     return np.log(p) - np.log1p(-p)
 
 
-def _lbfgs(fun, x, lower, upper, ftol, max_iter, on_iteration):
+def _lbfgs(fun, x, lower, upper, ftol, max_iter):
     """Minimize ``fun(x) -> (f, gradient)`` over the box ``[lower, upper]``.
 
     Limited-memory BFGS (Liu & Nocedal, Math. Prog. 1989): the two-loop
@@ -134,15 +134,24 @@ def _lbfgs(fun, x, lower, upper, ftol, max_iter, on_iteration):
     relative reduction of ``f`` of at most ``ftol``, a projected-gradient
     infinity norm of at most ``GTOL``, and ``max_iter`` iterations.  Only
     decreasing steps are accepted, so the point returned is the best one
-    evaluated.  ``on_iteration(f)`` is called after each iteration.
+    evaluated.
 
-    Returns ``(x, projected_gradient_norm, iterations, evaluations,
-    message)``; the message starts with "CONVERGENCE" when a stop on
-    ``ftol`` or ``GTOL`` fired.
+    One way back from a bad direction suffices.  Pairs with ``s.y > 0``
+    make the two-loop matrix ``H`` positive definite and the held variables
+    are masked on both of its sides, so ``d = -Z H Z g`` has ``g.d < 0``
+    (Nocedal & Wright, Numerical Optimization, 2nd ed., sec. 7.2); a
+    component dropped for leaving an active bound has ``g_i d_i >= 0``, so
+    dropping it only lowers ``g.d``.  If rounding or a NaN gradient still
+    gives a step along which no trial lowers ``f``, the memory is cleared
+    and the iteration retried along the projected gradient.
+
+    Returns ``(x, projected_gradient_norm, history, evaluations, message)``:
+    ``history`` holds ``f`` after each iteration; the message starts with
+    "CONVERGENCE" when a stop on ``ftol`` or ``GTOL`` fired.
     """
     bounded = np.any(np.isfinite(lower)) or np.any(np.isfinite(upper))
     f, g = fun(x)
-    evaluations, iterations = 1, 0
+    evaluations, history = 1, []
     # (s, y, 1/s.y, s.y/y.y), oldest first
     pairs: list[tuple[np.ndarray, np.ndarray, float, float]] = []
 
@@ -178,10 +187,6 @@ def _lbfgs(fun, x, lower, upper, ftol, max_iter, on_iteration):
     while message is None:
         d = direction()
         slope = g @ d
-        if not slope < 0.0:  # no descent along the quasi-Newton step: restart
-            pairs.clear()
-            d = direction()
-            slope = g @ d
         t = 1.0 if pairs else min(1.0, 1.0 / np.linalg.norm(d))
         for _ in range(MAX_TRIALS):
             x_new = x + t * d
@@ -210,16 +215,15 @@ def _lbfgs(fun, x, lower, upper, ftol, max_iter, on_iteration):
             del pairs[:-MEMORY]
         reduction = (f - f_new) / max(abs(f), abs(f_new), 1.0)
         x, f, g = x_new, f_new, g_new
-        iterations += 1
-        on_iteration(f)
+        history.append(f)
         pg_norm = projected_gradient_norm()
         if pg_norm <= GTOL:
             message = "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL"
         elif reduction <= ftol:
             message = "CONVERGENCE: RELATIVE REDUCTION OF F <= FTOL"
-        elif iterations >= max_iter:
+        elif len(history) >= max_iter:
             message = "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"
-    return x, pg_norm, iterations, evaluations, message
+    return x, pg_norm, history, evaluations, message
 
 
 def finite_difference_gradient(f, x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -303,7 +307,7 @@ def fit_parametric(schedule: Schedule, family: str) -> tuple[float, float, float
         scaled = lambda x: sum_sq(x) / scale
         fun = lambda x: (scaled(x), finite_difference_gradient(scaled, x, lower, upper))
         # ftol 0: run until the projected gradient vanishes or no step lowers f
-        return _lbfgs(fun, start, lower, upper, 0.0, 1000, lambda f: None)[0]
+        return _lbfgs(fun, start, lower, upper, 0.0, 1000)[0]
 
     starts.sort(key=sum_sq)
     best = min((refine(start) for start in starts[:3]), key=sum_sq)
@@ -416,16 +420,9 @@ def optimize_schedule(
         f, g_ab = loss_from_alpha_bar(model, full, config.loss, config.process, gradient=True)
         return f / f0, pullback(g_ab * interior * (1.0 - interior)) / f0
 
-    trace = [f0]
     start = time.perf_counter()
-    x, pg_norm, iterations, evaluations, message = _lbfgs(
-        objective,
-        x0,
-        lower,
-        upper,
-        config.ftol,
-        config.max_iter,
-        lambda f: trace.append(f0 * f),
+    x, pg_norm, history, evaluations, message = _lbfgs(
+        objective, x0, lower, upper, config.ftol, config.max_iter
     )
     wall = time.perf_counter() - start
 
@@ -438,11 +435,11 @@ def optimize_schedule(
     schedule.validate(require_monotone=(config.mode == "constrained"))
     report = OptimizeReport(
         final_loss=float(final_loss),
-        iterations=iterations,
+        iterations=len(history),
         # the extra objective call is the f0 check before the solver starts
         objective_evals=1 + evaluations,
         gradient_evals=evaluations,
-        loss_trace=np.asarray(trace),
+        loss_trace=f0 * np.array([1.0, *history]),
         converged=message.startswith("CONVERGENCE"),
         status_message=message,
         min_log_snr_gap=float(np.min(-np.diff(_logit(full)))),

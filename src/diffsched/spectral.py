@@ -140,9 +140,9 @@ class Schedule:
                 f"alpha_bar must have length steps+1={self.steps + 1}, got {len(ab)}"
             )
         if abs(ab[0] - (1.0 - self.eps0)) > ENDPOINT_TOL:
-            raise ValueError(f"alpha_bar[0]={ab[0]!r} != 1-eps0={1.0 - self.eps0!r}")
+            raise ValueError(f"alpha_bar[0]={float(ab[0])!r} != 1-eps0={float(1.0 - self.eps0)!r}")
         if abs(ab[-1] - self.epsS) > ENDPOINT_TOL:
-            raise ValueError(f"alpha_bar[S]={ab[-1]!r} != epsS={self.epsS!r}")
+            raise ValueError(f"alpha_bar[S]={float(ab[-1])!r} != epsS={float(self.epsS)!r}")
         if np.any(ab <= 0.0) or np.any(ab >= 1.0):
             raise ValueError("alpha_bar values must lie strictly inside (0, 1)")
         if require_monotone and np.any(np.diff(ab) > 0.0):
@@ -312,7 +312,8 @@ def _accumulate(G: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
 
 
 def _transfer_arrays(eigenvalues: np.ndarray, alpha_bar: np.ndarray, process: str):
-    """``(noise_gain, mean_gain, var_extra, pullback)`` from a raw alpha_bar vector.
+    """``(noise_gain, mean_gain, var_extra, pullback)`` from a raw alpha_bar
+    vector; ``var_extra`` is None for ddim, which adds no variance.
 
     Fast path shared with the loss/optimizer code; does no validation so it
     can be called on unconstrained optimizer iterates.  The pullback
@@ -324,10 +325,8 @@ def _transfer_arrays(eigenvalues: np.ndarray, alpha_bar: np.ndarray, process: st
     a, b, c2 = _step_coefficients(alpha_bar, process)
     G, M, denom = _step_gains(eigenvalues, alpha_bar, a, b)
     noise_gain, mean_gain, prefix = _accumulate(G, M)
-    if c2 is None:
-        prefix2 = None
-        var_extra = np.zeros_like(noise_gain)
-    else:
+    prefix2 = var_extra = None
+    if c2 is not None:
         prefix2 = prefix**2
         var_extra = (prefix2 * c2[:, None]).sum(axis=0)
     pullback = partial(
@@ -339,7 +338,8 @@ def _transfer_arrays(eigenvalues: np.ndarray, alpha_bar: np.ndarray, process: st
 
 def _transfer(model: SpectralModel, schedule: Schedule, process: str) -> Transfer:
     schedule.validate()
-    return Transfer(*_transfer_arrays(model.eigenvalues, schedule.alpha_bar, process)[:3])
+    gain, mean_gain, var_extra, _ = _transfer_arrays(model.eigenvalues, schedule.alpha_bar, process)
+    return Transfer(gain, mean_gain, np.zeros_like(gain) if var_extra is None else var_extra)
 
 
 def ddim_transfer(model: SpectralModel, schedule: Schedule) -> Transfer:
@@ -506,9 +506,10 @@ def w2_dynamics(model: SpectralModel, schedule: Schedule) -> np.ndarray:
     A, B = _ddim_trajectory(model.eigenvalues, schedule.alpha_bar)
     lam = model.eigenvalues
     mu = model.mean_spectral
-    var_term = ((np.sqrt(lam)[None, :] - np.abs(A)) ** 2).sum(axis=1)
-    mean_term = (mu[None, :] ** 2 * (B - 1.0) ** 2).sum(axis=1)
-    return var_term + mean_term
+    with np.errstate(over="ignore"):  # a sum past the float range is inf
+        var_term = ((np.sqrt(lam)[None, :] - np.abs(A)) ** 2).sum(axis=1)
+        mean_term = (mu[None, :] ** 2 * (B - 1.0) ** 2).sum(axis=1)
+        return var_term + mean_term
 
 
 def _check_dims(model: SpectralModel, transfer: Transfer) -> None:

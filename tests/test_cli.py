@@ -779,18 +779,43 @@ def test_manifest_out_override(tmp_path):
     assert payload["config"]["family"] == "linear"
 
 
-@pytest.mark.parametrize("manifest", ["", ".", "missing-dir/m.json"])
-def test_unusable_manifest_out_exits_2_before_the_run(tmp_path, capsys, monkeypatch, manifest):
+# one command per output flag, each with its other outputs named
+_OUTPUT_FLAG_RUNS = {
+    "--out": ["gen", "--family", "linear", "--steps", "10"],
+    "--out-cov": ["estimate", "--input", "tone.wav", "--window", "16", "--out-model", "m.json"],
+    "--out-model": ["estimate", "--input", "tone.wav", "--window", "16", "--out-cov", "c.csv"],
+    "--out-relative-error": [
+        "dynamics", "--model", "model.json", "--schedule", "cosine.json", "--out-w2", "w2.csv",
+    ],
+    "--out-w2": [
+        "dynamics", "--model", "model.json", "--schedule", "cosine.json",
+        "--out-relative-error", "rel.csv",
+    ],
+    "--manifest-out": ["gen", "--family", "linear", "--steps", "10", "--out", "s.json"],
+}
+
+
+@pytest.mark.parametrize(
+    "flag, path",
+    [
+        pytest.param(flag, path, id=path if flag == "--manifest-out" else f"{flag}={path}")
+        for flag in _OUTPUT_FLAG_RUNS
+        for path in ("", ".", "missing-dir/m.json")
+    ],
+)
+def test_unusable_manifest_out_exits_2_before_the_run(tmp_path, capsys, monkeypatch, flag, path):
+    # every output flag, --manifest-out included, is checked before the run
     monkeypatch.chdir(tmp_path)
-    rc = run([
-        "gen", "--family", "linear", "--steps", "10", "--out", "s.json",
-        "--manifest-out", manifest,
-    ])
+    write_tone_wav(tmp_path / "tone.wav")
+    save_model(synthetic_circulant_model(4, 0.1, 0.05)[1], tmp_path / "model.json")
+    save_schedule(cosine_schedule(5), tmp_path / "cosine.json")
+    inputs = sorted(tmp_path.iterdir())
+    rc = run([*_OUTPUT_FLAG_RUNS[flag], flag, path])
     assert rc == 2
-    assert list(tmp_path.iterdir()) == []
+    assert sorted(tmp_path.iterdir()) == inputs
     error = json.loads(capsys.readouterr().err)["error"]
     assert error["type"] == "ValueError"
-    assert error["message"].startswith("--manifest-out must name a file")
+    assert error["message"] == f"{flag} must name a file in an existing directory, got {path!r}"
 
 
 # The README's command-line workflow on small inputs: steps <= 28 and at
@@ -906,6 +931,146 @@ def test_eval_weighted_l1_of_an_overflowing_mass_exits_2(
     assert not out.exists()
     message = json.loads(capsys.readouterr().err)["error"]["message"]
     assert "weighted-L1" in message and mass in message
+
+
+# finite inputs whose W2 sums overflow: eval and compare get an infinite
+# loss, dynamics an infinite distance, optimize an infinite start
+_OVERFLOW_RUNS = {
+    "eval": ["eval", "--model", "m.json", "--schedules", "s.json", "--losses", "w2,kl",
+             "--process", "both", "--out", "out.csv"],
+    "compare": ["compare", "--model", "m.json", "--schedules", "cosine", "linear",
+                "--steps-list", "5,10", "--losses", "w2,kl", "--process", "both",
+                "--out", "out.csv"],
+    "dynamics": ["dynamics", "--model", "m.json", "--schedule", "s.json",
+                 "--out-relative-error", "rel.csv", "--out-w2", "w2.csv"],
+    "optimize": ["optimize", "--model", "m.json", "--steps", "5", "--out", "out.json"],
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", list(_OVERFLOW_RUNS))
+def test_non_finite_result_exits_2_writing_nothing(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    huge = SpectralModel(dim=2, eigenvalues=[1e308, 1e308], mean_spectral=[0.0, 0.0])
+    save_model(huge, "m.json")
+    save_schedule(cosine_schedule(10), "s.json")
+    rc = run(_OVERFLOW_RUNS[command])
+    assert rc == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json", "s.json"]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    error = json.loads(captured.err)["error"]
+    assert error["type"] == "ValueError"
+    if command == "optimize":
+        assert error["message"].startswith("objective is not finite")
+    else:
+        assert error["message"].endswith(": refusing to write a NaN or infinite value")
+
+
+def test_loss_csv_refuses_an_infinite_kl(tmp_path):
+    # a degenerate generated coordinate gives KL inf, which no CSV holds
+    out = tmp_path / "e.csv"
+    rows = [(10, "s.json", "ddim", "wasserstein2", 0.5), (10, "s.json", "ddim", "kl", float("inf"))]
+    with pytest.raises(ValueError, match="refusing to write a NaN or infinite value"):
+        diffsched.cli._write_loss_csv(rows, out)
+    assert not out.exists()
+
+
+def _write_input_files():
+    """Input files each holding one fault that only an operation rejects."""
+    save_model(synthetic_circulant_model(4, 0.1, 0.05)[1], "m.json")
+    good = cosine_schedule(5)
+    save_schedule(good, "s.json")
+    schedule = json.loads(Path("s.json").read_text())
+    for name, edit in [
+        ("short.json", {"alpha_bar": schedule["alpha_bar"][:-1]}),
+        ("end.json", {"alpha_bar": schedule["alpha_bar"][:-1] + [5e-6]}),
+        ("zero.json", {"steps": 0, "alpha_bar": schedule["alpha_bar"][:1]}),
+    ]:
+        Path(name).write_text(json.dumps({**schedule, **edit}))
+    Path("sigma.json").write_text(json.dumps({"steps": 2, "sigma": [-1.0, 0.5, 1.0]}))
+    Path("dim0.json").write_text(
+        json.dumps({"dim": 0, "eigenvalues": [], "mean_spectral": [], "source": ""})
+    )
+    Path("stream.csv").write_text("1.0\n2.0\n3.0\n")
+    Path("cov.csv").write_text("1.0,0.0\n0.0,1.0\n")
+    Path("mean3.csv").write_text("0.0\n0.0\n0.0\n")
+    Path("empty.csv").write_text("")
+    with wave.open("u8.wav", "wb") as wav:
+        wav.setnchannels(1)
+        wav.setsampwidth(1)
+        wav.setframerate(8000)
+        wav.writeframes(bytes(range(256)))
+
+
+_EVAL = ["eval", "--model", "m.json", "--out", "o.csv", "--schedules"]
+_SIMULATE = ["simulate", "--schedule", "s.json", "--samples", "4", "--out", "o.f64"]
+_ESTIMATE = ["estimate", "--out-cov", "o.csv", "--out-model", "o.json", "--input"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(_EVAL + ["short.json"], "alpha_bar must have length steps+1=6, got 5", id="short"),
+        pytest.param(_EVAL + ["end.json"], "alpha_bar[S]=5e-06 != epsS=4e-05", id="endpoint"),
+        pytest.param(_EVAL + ["zero.json"], "steps must be >= 1, got 0", id="zero-steps"),
+        pytest.param(
+            ["convert", "--schedule", "sigma.json", "--direction", "to-vp", "--out", "o.json"],
+            "sigma must be nonnegative",
+            id="negative-sigma",
+        ),
+        pytest.param(
+            ["eval", "--model", "dim0.json", "--schedules", "s.json", "--out", "o.csv"],
+            "dim must be positive, got 0",
+            id="dim-0",
+        ),
+        pytest.param(_SIMULATE + ["--cov", "stream.csv"], "--cov must hold a matrix", id="stream-cov"),
+        pytest.param(
+            _SIMULATE + ["--cov", "cov.csv", "--mean", "mean3.csv"],
+            "covariance shape (2, 2) does not match mean length 3",
+            id="mean-length",
+        ),
+        pytest.param(_ESTIMATE + ["empty.csv"], "empty CSV file: empty.csv", id="empty-csv"),
+        pytest.param(
+            _ESTIMATE + ["u8.wav"],
+            "u8.wav: only 16-bit PCM WAV supported, got sample width 1",
+            id="8-bit-wav",
+        ),
+        pytest.param(
+            ["gen", "--family", "cosine", "--steps", "0", "--out", "o.json"],
+            "S must be >= 1, got 0",
+            id="cosine-0-steps",
+        ),
+        pytest.param(
+            ["gen", "--family", "edm", "--steps", "0", "--out", "o.json"],
+            "S must be >= 1, got 0",
+            id="edm-0-steps",
+        ),
+        pytest.param(
+            ["compare", "--model", "m.json", "--schedules", "foo", "--steps-list", "5",
+             "--out", "o.csv"],
+            "unknown family 'foo'",
+            id="unknown-family",
+        ),
+        pytest.param(
+            ["optimize", "--model", "m.json", "--steps", "5", "--init", "warm:zero.json",
+             "--out", "o.json"],
+            "steps must be >= 1, got 0",
+            id="warm-0-steps",
+        ),
+    ],
+)
+def test_invalid_input_exits_2_naming_it(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    _write_input_files()
+    inputs = sorted(tmp_path.iterdir())
+    assert run(argv) == 2
+    assert sorted(tmp_path.iterdir()) == inputs
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert json.loads(captured.err)["error"] == {"type": "ValueError", "message": message}
 
 
 # ---------------------------------------------------------- usage errors

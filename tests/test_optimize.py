@@ -392,9 +392,7 @@ def test_lbfgs_reaches_a_box_minimum_with_active_bounds(seed):
         return r @ hessian @ r, 2.0 * hessian @ r
 
     x0 = np.full(n, 0.5)
-    x, pg_norm, _, _, message = optimize_module._lbfgs(
-        fun, x0, 0.0, 1.0, 1e-12, 2000, lambda f: None
-    )
+    x, pg_norm, _, _, message = optimize_module._lbfgs(fun, x0, 0.0, 1.0, 1e-12, 2000)
     assert message.startswith("CONVERGENCE")
     g = fun(x)[1]
     assert pg_norm == pytest.approx(np.max(np.abs(x - np.clip(x - g, 0.0, 1.0))), rel=1e-6)
@@ -422,21 +420,67 @@ def test_lbfgs_without_bounds_matches_bounds_that_never_bind(n, seed, ftol):
     x0 = rng.normal(size=n)
     runs = []
     for lower, upper in ((-np.inf, np.inf), (np.full(n, -1e300), np.full(n, 1e300))):
-        trace = []
-        x, pg_norm, iterations, evaluations, message = optimize_module._lbfgs(
-            fun, x0.copy(), lower, upper, ftol, 200, trace.append
+        x, pg_norm, history, evaluations, message = optimize_module._lbfgs(
+            fun, x0.copy(), lower, upper, ftol, 200
         )
-        runs.append((x.tobytes(), repr(pg_norm), iterations, evaluations, message, trace))
+        runs.append((x.tobytes(), repr(pg_norm), history, evaluations, message))
     assert runs[0] == runs[1]
 
 
-def _scipy_lbfgsb(fun, x, lower, upper, ftol, max_iter, on_iteration):
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 10),
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 12),
+    rosenbrock=st.booleans(),
+)
+def test_each_lbfgs_iteration_starts_downhill(n, seed, k, rosenbrock):
+    # Stored pairs with s.y > 0 make the two-loop direction a descent
+    # direction, so no restart is needed: the first point that iteration
+    # k + 1 tries lies downhill of the iterate x_k that iteration k accepted.
+    rng = np.random.default_rng(seed)
+    if rosenbrock:
+        a = rng.uniform(1.0, 100.0)
+
+        def fun(x):
+            bend = x[1:] - x[:-1] ** 2
+            g = np.zeros_like(x)
+            g[:-1] = -4.0 * a * x[:-1] * bend - 2.0 * (1.0 - x[:-1])
+            g[1:] += 2.0 * a * bend
+            return float(np.sum(a * bend**2 + (1.0 - x[:-1]) ** 2)), g
+
+    else:
+        root = rng.normal(size=(n, n))
+        hessian = root @ root.T + rng.uniform(1e-3, 1.0) * np.eye(n)
+        centre = rng.normal(scale=10.0, size=n)
+
+        def fun(x):
+            r = x - centre
+            return r @ hessian @ r, 2.0 * hessian @ r
+
+    x0 = rng.uniform(-1.0, 1.0, n)
+    x_k, _, _, n_k, message = optimize_module._lbfgs(fun, x0, -np.inf, np.inf, 0.0, k)
+    assume(message == "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT")
+    seen = []
+
+    def recorded(x):
+        seen.append(x.copy())
+        return fun(x)
+
+    optimize_module._lbfgs(recorded, x0, -np.inf, np.inf, 0.0, k + 1)
+    assert seen[n_k - 1].tobytes() == x_k.tobytes()
+    assert fun(x_k)[1] @ (seen[n_k] - x_k) < 0.0
+
+
+def _scipy_lbfgsb(fun, x, lower, upper, ftol, max_iter):
     """scipy's L-BFGS-B in the place of ``_lbfgs``: the same scaled
     objective, start, bounds and stopping constants."""
     from scipy.optimize import minimize
 
+    history = []
+
     def callback(intermediate_result):
-        on_iteration(intermediate_result.fun)
+        history.append(intermediate_result.fun)
 
     result = minimize(
         fun,
@@ -447,7 +491,7 @@ def _scipy_lbfgsb(fun, x, lower, upper, ftol, max_iter, on_iteration):
         callback=callback,
         options={"maxiter": max_iter, "ftol": ftol, "gtol": GTOL},
     )
-    return result.x, np.nan, result.nit, result.nfev, str(result.message)
+    return result.x, np.nan, history, result.nfev, str(result.message)
 
 
 def test_solver_matches_scipy_lbfgsb_at_the_design_points(benchmark_model, monkeypatch):
