@@ -118,14 +118,14 @@ def _write_loss_csv(rows, path):
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-# --- subcommand implementations; each returns (inputs, outputs, info) ---
+# --- subcommand implementations; each returns (inputs, info) ---
 
 
 def cmd_gen(args):
     params = _parse_list(args.params, float, "--params") if args.params else []
     schedule = _generate(args.family, args.steps, params, args.eps0, args.epsS)
     save_schedule(schedule, args.out)
-    return [], [args.out], {"kind": schedule.kind}
+    return [], {"kind": schedule.kind}
 
 
 def cmd_optimize(args):
@@ -152,14 +152,10 @@ def cmd_optimize(args):
         model = single_eigenvalue_problem(model, args.eigenvalue_index)
     schedule, report = optimize_schedule(model, config)
     save_schedule(schedule, args.out)
-    report_path = str(args.out) + ".report.json"
     payload = dataclasses.asdict(report)
     payload["loss_trace"] = report.loss_trace.tolist()
-    atomic_write_text(report_path, json.dumps(payload, indent=2) + "\n")
-    return inputs, [args.out, report_path], {
-        "final_loss": report.final_loss,
-        "converged": report.converged,
-    }
+    atomic_write_text(args.out + ".report.json", json.dumps(payload, indent=2) + "\n")
+    return inputs, {"final_loss": report.final_loss, "converged": report.converged}
 
 
 def cmd_eval(args):
@@ -171,7 +167,7 @@ def cmd_eval(args):
         schedule = load_schedule(path)
         rows.extend(_loss_rows(model, schedule, Path(path).name, losses, processes))
     _write_loss_csv(rows, args.out)
-    return [args.model] + list(args.schedules), [args.out], {"rows": len(rows)}
+    return [args.model] + list(args.schedules), {"rows": len(rows)}
 
 
 def cmd_compare(args):
@@ -199,7 +195,7 @@ def cmd_compare(args):
                 label = token
             rows.extend(_loss_rows(model, schedule, label, losses, processes))
     _write_loss_csv(rows, args.out)
-    return [args.model], [args.out], {"rows": len(rows)}
+    return [args.model], {"rows": len(rows)}
 
 
 def _load_target(args) -> DenseGaussian:
@@ -222,6 +218,8 @@ def _load_target(args) -> DenseGaussian:
     mean = np.zeros(cov.shape[0])
     if args.mean:
         mean = np.asarray(read_signal(args.mean), dtype=float).ravel()
+        if len(mean) != len(cov):
+            raise ValueError(f"--mean must hold {len(cov)} values to match --cov, got {len(mean)}")
     return DenseGaussian(mean=mean, covariance=cov)
 
 
@@ -232,7 +230,7 @@ def cmd_simulate(args):
     samples = simulate_reverse(target, cfg)
     save_raw_f64(samples, args.out)
     inputs = [args.schedule] + [p for p in (args.cov, args.mean) if p]
-    return inputs, [args.out, str(args.out) + ".json"], {"samples": args.samples, "seed": args.seed}
+    return inputs, {"samples": args.samples, "seed": args.seed}
 
 
 def cmd_dynamics(args):
@@ -245,7 +243,7 @@ def cmd_dynamics(args):
     _refuse_non_finite(args.out_w2, w2d)
     save_matrix_csv(rel, args.out_relative_error)
     save_matrix_csv(w2d.reshape(-1, 1), args.out_w2)
-    return [args.model, args.schedule], [args.out_relative_error, args.out_w2], {}
+    return [args.model, args.schedule], {}
 
 
 def cmd_bias(args):
@@ -254,7 +252,7 @@ def cmd_bias(args):
     transfer = _transfer(model, schedule, args.process)
     bias, deviation = mean_bias(transfer, model)
     save_matrix_csv(np.column_stack([bias, deviation]), args.out)
-    return [args.model, args.schedule], [args.out], {"max_gain_deviation": float(deviation.max())}
+    return [args.model, args.schedule], {"max_gain_deviation": float(deviation.max())}
 
 
 def cmd_estimate(args):
@@ -266,23 +264,11 @@ def cmd_estimate(args):
         est = sliding_window_covariance(signal, cfg)
     model = spectral_model_from_covariance(est, args.structure)
     save_matrix_csv(est.covariance, args.out_cov)
-    atomic_write_text(
-        str(args.out_cov) + ".meta.json",
-        json.dumps(
-            {
-                "windows_used": est.windows_used,
-                "windows_rejected": est.windows_rejected,
-                "mean": [float(x) for x in est.mean],
-            }
-        )
-        + "\n",
-    )
+    meta = {"windows_used": est.windows_used, "windows_rejected": est.windows_rejected,
+            "mean": est.mean.tolist()}
+    atomic_write_text(args.out_cov + ".meta.json", json.dumps(meta) + "\n")
     save_model(model, args.out_model)
-    return (
-        [args.input],
-        [args.out_cov, str(args.out_cov) + ".meta.json", args.out_model],
-        {"windows_used": est.windows_used, "windows_rejected": est.windows_rejected},
-    )
+    return [args.input], {"windows_used": est.windows_used, "windows_rejected": est.windows_rejected}
 
 
 def cmd_convert(args):
@@ -292,7 +278,7 @@ def cmd_convert(args):
     else:
         ve = load_ve_schedule(args.schedule)
         save_schedule(ve_to_vp(ve), args.out)
-    return [args.schedule], [args.out], {}
+    return [args.schedule], {}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -434,8 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_manifest(args, inputs, outputs, info, wall):
-    manifest_path = args.manifest_out or str(outputs[0]) + ".manifest.json"
+def _write_manifest(path, args, inputs, outputs, info, wall):
     config = {
         k: v
         for k, v in vars(args).items()
@@ -445,17 +430,36 @@ def _write_manifest(args, inputs, outputs, info, wall):
         "command": args.command,
         "config": config,
         "inputs": [str(p) for p in inputs],
-        "outputs": [str(p) for p in outputs],
+        "outputs": outputs,
         "seed": args.seed,
         "tool_version": __version__,
         "wall_time_seconds": wall,
         "info": info,
     }
-    atomic_write_text(manifest_path, json.dumps(payload, indent=2, default=str) + "\n")
+    atomic_write_text(path, json.dumps(payload, indent=2, default=str) + "\n")
 
 
-# the destinations of every flag that names an output file
+# The destinations of every flag that names an output file, a command's
+# primary output first; and per command and flag, the suffixes of the files
+# a run writes from that flag's value ("" for the file it names).
 _OUTPUT_FLAGS = ("out", "out_cov", "out_model", "out_relative_error", "out_w2", "manifest_out")
+_SUFFIXES = {("optimize", "out"): ("", ".report.json"), ("simulate", "out"): ("", ".json"),
+             ("estimate", "out_cov"): ("", ".meta.json")}
+
+
+def _planned_writes(args) -> list[tuple[str, str, str]]:
+    """``(flag, its value, path)`` for every file the run writes, in order,
+    the manifest last; by default it is named after the primary output."""
+    writes = []
+    for dest in _OUTPUT_FLAGS:
+        value = getattr(args, dest, None)
+        if value is not None:
+            flag = "--" + dest.replace("_", "-")
+            writes += [(flag, value, value + s) for s in _SUFFIXES.get((args.command, dest), ("",))]
+    if args.manifest_out is None:
+        flag, value, _ = writes[0]
+        writes.append((flag, value, value + ".manifest.json"))
+    return writes
 
 
 def _emit_error(kind: str, message: str) -> None:
@@ -465,15 +469,18 @@ def _emit_error(kind: str, message: str) -> None:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv, argparse.Namespace(seed=0, manifest_out=None))
+        writes = _planned_writes(args)
         # checked before the run, so an unusable path leaves no output at all
-        for dest in _OUTPUT_FLAGS:
-            path = getattr(args, dest, None)
-            if path is not None and (Path(path).is_dir() or not Path(path).parent.is_dir()):
-                flag = "--" + dest.replace("_", "-")
+        for flag, value, path in writes:
+            if Path(path).is_dir() or not Path(path).parent.is_dir():
+                if path != value:
+                    raise ValueError(f"{flag} {value!r} leads the run to write {path!r}, "
+                                     "which must be a file in an existing directory")
                 raise ValueError(f"{flag} must name a file in an existing directory, got {path!r}")
+        outputs = [path for _, _, path in writes[:-1]]
         start = time.perf_counter()
-        inputs, outputs, info = args.func(args)
-        _write_manifest(args, inputs, outputs, info, time.perf_counter() - start)
+        inputs, info = args.func(args)
+        _write_manifest(writes[-1][2], args, inputs, outputs, info, time.perf_counter() - start)
     except SystemExit as exc:  # --help
         return int(exc.code) if exc.code else 0
     except (ValueError, FileNotFoundError, json.JSONDecodeError, TypeError) as exc:
@@ -482,7 +489,7 @@ def main(argv=None) -> int:
     except Exception as exc:  # numerical/runtime failures
         _emit_error(type(exc).__name__, str(exc))
         return RUNTIME_ERROR
-    summary = {"command": args.command, "outputs": [str(p) for p in outputs], **info}
+    summary = {"command": args.command, "outputs": outputs, **info}
     print(json.dumps(summary, default=str))
     return 0
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simulate import DenseGaussian
+from .simulate import DenseGaussian, empirical_moments
 from .spectral import SpectralModel, _require_integer
 
 __all__ = [
@@ -111,7 +111,8 @@ def circulant_matrix(first_row: np.ndarray) -> np.ndarray:
 
 
 def covariance_from_windows(windows: np.ndarray, silence_threshold: float) -> CovarianceEstimate:
-    """Moments over window rows, dropping rows quieter than the threshold."""
+    """Moments over window rows, dropping rows quieter than the threshold;
+    fewer than two rows left raise ``ValueError``."""
     _check_silence_threshold(silence_threshold)
     windows = np.asarray(windows, dtype=float)
     if windows.ndim != 2:
@@ -121,17 +122,13 @@ def covariance_from_windows(windows: np.ndarray, silence_threshold: float) -> Co
         raise ValueError(f"window row {np.argmin(finite)} holds NaN or inf (rows count from 0)")
     loud = np.mean(np.abs(windows), axis=1) >= silence_threshold
     used = int(np.sum(loud))
-    rejected = int(len(loud) - used)
-    if used == 0:
-        raise ValueError("no window passed the silence threshold")
-    kept = windows[loud]
-    mean = kept.mean(axis=0)
-    centered = kept - mean
-    cov = centered.T @ centered / max(used - 1, 1)
-    cov = 0.5 * (cov + cov.T)
-    return CovarianceEstimate(
-        mean=mean, covariance=cov, windows_used=used, windows_rejected=rejected
-    )
+    if used < 2:
+        raise ValueError(
+            f"need at least 2 windows at or above the silence threshold {silence_threshold!r}, "
+            f"got {used} of {len(loud)}"
+        )
+    moments = empirical_moments(windows[loud])
+    return CovarianceEstimate(moments.mean, moments.covariance, used, len(loud) - used)
 
 
 def sliding_window_covariance(signal: np.ndarray, cfg: EstimationConfig) -> CovarianceEstimate:

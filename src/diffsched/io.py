@@ -1,8 +1,10 @@
 """File formats: model/schedule JSON, CSV, raw float64 arrays, WAV input.
 
-JSON numbers are emitted with Python's shortest round-trip float repr, so
-serialization round-trips bit-exactly.  All writes go through a temp file
-and an atomic rename.
+Each JSON format has one field table, which its reader reads by; the
+model, schedule and sigma schedule writers also write by it (the raw
+sidecar keeps its one-line writer).  JSON numbers are emitted with Python's
+shortest round-trip float repr, so serialization round-trips bit-exactly.
+All writes go through a temp file and an atomic rename.
 """
 
 from __future__ import annotations
@@ -108,8 +110,8 @@ def _number_list_field(data: dict, name: str, what: str) -> np.ndarray:
         raise ValueError(f"{what} field {name!r} holds an integer beyond the float range") from None
 
 
-# Each JSON format the package reads: its name in messages, and the reader
-# of each of its fields.  A document holds exactly these fields.
+# Each JSON format: its name in messages, and the reader of each of its
+# fields.  A document holds exactly these fields, written in this order.
 _MODEL = "spectral model", {
     "dim": _integer_field, "eigenvalues": _number_list_field,
     "mean_spectral": _number_list_field, "source": _string_field,
@@ -142,15 +144,17 @@ def _read_fields(path, form: tuple) -> dict:
     return {name: read(data, name, what) for name, read in readers.items()}
 
 
+def _write_fields(path, obj, form: tuple) -> None:
+    """Write ``obj``'s attribute for each field of ``form``, in the table's
+    order, as an indented JSON object; a numpy array or a numpy scalar that
+    json cannot encode is written as its Python value (``tolist``)."""
+    payload = {name: getattr(obj, name) for name in form[1]}
+    atomic_write_text(path, json.dumps(payload, indent=2, default=lambda v: v.tolist()) + "\n")
+
+
 def save_model(model: SpectralModel, path) -> None:
     _refuse_non_finite(path, model.eigenvalues, model.mean_spectral)
-    payload = {
-        "dim": model.dim,
-        "eigenvalues": [float(x) for x in model.eigenvalues],
-        "mean_spectral": [float(x) for x in model.mean_spectral],
-        "source": model.source,
-    }
-    atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
+    _write_fields(path, model, _MODEL)
 
 
 def load_model(path) -> SpectralModel:
@@ -162,14 +166,7 @@ def save_schedule(schedule: Schedule, path) -> None:
     from non-monotone levels, which free-mode optimization may return) is
     never written."""
     schedule.validate(require_monotone=False)
-    payload = {
-        "kind": schedule.kind,
-        "steps": schedule.steps,
-        "eps0": float(schedule.eps0),
-        "epsS": float(schedule.epsS),
-        "alpha_bar": [float(x) for x in schedule.alpha_bar],
-    }
-    atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
+    _write_fields(path, schedule, _SCHEDULE)
 
 
 def load_schedule(path) -> Schedule:
@@ -180,8 +177,7 @@ def save_ve_schedule(ve: VeSchedule, path) -> None:
     """Write a sigma schedule JSON; what :meth:`VeSchedule.validate` rejects
     is never written."""
     ve.validate()
-    payload = {"steps": ve.steps, "sigma": [float(x) for x in ve.sigma]}
-    atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
+    _write_fields(path, ve, _SIGMA_SCHEDULE)
 
 
 def load_ve_schedule(path) -> VeSchedule:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spectral import DEFAULT_EPS0, DEFAULT_EPSS, Schedule, VeSchedule, ve_to_vp
+from .spectral import DEFAULT_EPS0, DEFAULT_EPSS, Schedule, VeSchedule, _require_integer, ve_to_vp
 
 __all__ = [
     "linear_schedule",
@@ -47,8 +47,7 @@ def linear_schedule(S: int, eps0: float = DEFAULT_EPS0, epsS: float = DEFAULT_EP
     ``beta`` runs over the classic T=1000 range scaled by 1000/S (capped
     below 1), endpoints pinned afterwards.
     """
-    if S < 1:
-        raise ValueError(f"S must be >= 1, got {S}")
+    _require_integer(S, "steps", 1)
     beta = np.minimum(1000.0 / S * np.linspace(_BETA_MIN, _BETA_MAX, S), _BETA_CAP)
     raw = np.concatenate([[1.0], np.cumprod(1.0 - beta)])
     return _pinned_schedule("linear", raw, eps0, epsS)
@@ -107,8 +106,7 @@ def _family_schedule(family, S, s, e, tau, eps0, epsS) -> Schedule:
     """The cosine or sigmoid curve with shape (s, e, tau), endpoints pinned."""
     if tau <= 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
-    if S < 1:
-        raise ValueError(f"S must be >= 1, got {S}")
+    _require_integer(S, "steps", 1)
     raw = _FAMILIES[family](np.linspace(0.0, 1.0, S + 1), s, e, tau)
     return _pinned_schedule(f"{family}({s},{e},{tau})", raw, eps0, epsS)
 
@@ -131,8 +129,7 @@ def edm_schedule(
         raise ValueError(f"rho must be >= 1, got {rho}")
     if not 0.0 < sigma_min < sigma_max:
         raise ValueError(f"require 0 < sigma_min < sigma_max, got {sigma_min}, {sigma_max}")
-    if S < 1:
-        raise ValueError(f"S must be >= 1, got {S}")
+    _require_integer(S, "steps", 1)
     s = np.arange(S + 1)
     sigma = (
         sigma_max ** (1.0 / rho)
@@ -149,8 +146,7 @@ def warm_start_interpolate(schedule: Schedule, S_new: int) -> Schedule:
     a monotone sequence stays monotone, endpoints are re-pinned exactly.
     """
     schedule.validate()
-    if S_new < 1:
-        raise ValueError(f"S_new must be >= 1, got {S_new}")
+    _require_integer(S_new, "steps", 1)
     t_old = np.linspace(0.0, 1.0, schedule.steps + 1)
     t_new = np.linspace(0.0, 1.0, S_new + 1)
     ab = np.interp(t_new, t_old, schedule.alpha_bar)

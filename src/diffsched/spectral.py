@@ -133,8 +133,7 @@ class Schedule:
         ab = self.alpha_bar
         for value, name in ((ab, "alpha_bar"), (self.eps0, "eps0"), (self.epsS, "epsS")):
             _require_finite(value, name)
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
+        _require_integer(self.steps, "steps", 1)
         if len(ab) != self.steps + 1:
             raise ValueError(
                 f"alpha_bar must have length steps+1={self.steps + 1}, got {len(ab)}"

@@ -516,6 +516,25 @@ def test_estimate_non_finite_window_exits_2_naming_its_row(tmp_path, capsys, raw
     assert message == "window row 1 holds NaN or inf (rows count from 0)"
 
 
+def test_estimate_one_loud_window_exits_2(tmp_path, capsys):
+    # one window's moments would be an all-zero covariance and model
+    source = tmp_path / "one.csv"
+    source.write_text("1,2,3\n")
+    rc = run([
+        "estimate", "--input", source, "--window", "3", "--th", "0",
+        "--out-cov", tmp_path / "cov.csv", "--out-model", tmp_path / "model.json",
+    ])
+    assert rc == 2
+    assert list(tmp_path.iterdir()) == [source]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert json.loads(line)["error"] == {
+        "type": "ValueError",
+        "message": "need at least 2 windows at or above the silence threshold 0.0, got 1 of 1",
+    }
+
+
 # ---------------------------------------------------------------- convert
 
 
@@ -795,27 +814,55 @@ _OUTPUT_FLAG_RUNS = {
 }
 
 
+# one command per file a run names after an output flag's file: the command
+# without that flag, the flag, its value, and the file named after it
+_DERIVED_OUTPUT_RUNS = [
+    (_OUTPUT_FLAG_RUNS["--out"], "--out", "s.json", "s.json.manifest.json"),
+    (["optimize", "--model", "model.json", "--steps", "4"], "--out", "o.json", "o.json.report.json"),
+    (
+        ["simulate", "--synthetic", "4,0.1,0.05", "--schedule", "cosine.json", "--samples", "10"],
+        "--out", "x.f64", "x.f64.json",
+    ),
+    (_OUTPUT_FLAG_RUNS["--out-cov"], "--out-cov", "c2.csv", "c2.csv.meta.json"),
+]
+
+
 @pytest.mark.parametrize(
-    "flag, path",
+    "argv, flag, path, derived",
     [
-        pytest.param(flag, path, id=path if flag == "--manifest-out" else f"{flag}={path}")
+        pytest.param(
+            _OUTPUT_FLAG_RUNS[flag], flag, path, None,
+            id=path if flag == "--manifest-out" else f"{flag}={path}",
+        )
         for flag in _OUTPUT_FLAG_RUNS
         for path in ("", ".", "missing-dir/m.json")
-    ],
+    ]
+    + [pytest.param(*case, id=case[-1]) for case in _DERIVED_OUTPUT_RUNS],
 )
-def test_unusable_manifest_out_exits_2_before_the_run(tmp_path, capsys, monkeypatch, flag, path):
-    # every output flag, --manifest-out included, is checked before the run
+def test_unusable_manifest_out_exits_2_before_the_run(
+    tmp_path, capsys, monkeypatch, argv, flag, path, derived
+):
+    # every output flag, --manifest-out included, and every file named after
+    # one (here a directory in its way) is checked before the run
     monkeypatch.chdir(tmp_path)
     write_tone_wav(tmp_path / "tone.wav")
     save_model(synthetic_circulant_model(4, 0.1, 0.05)[1], tmp_path / "model.json")
     save_schedule(cosine_schedule(5), tmp_path / "cosine.json")
+    if derived:
+        (tmp_path / derived).mkdir()
     inputs = sorted(tmp_path.iterdir())
-    rc = run([*_OUTPUT_FLAG_RUNS[flag], flag, path])
+    rc = run([*argv, flag, path])
     assert rc == 2
     assert sorted(tmp_path.iterdir()) == inputs
     error = json.loads(capsys.readouterr().err)["error"]
     assert error["type"] == "ValueError"
-    assert error["message"] == f"{flag} must name a file in an existing directory, got {path!r}"
+    if derived:
+        assert error["message"] == (
+            f"{flag} {path!r} leads the run to write {derived!r}, "
+            "which must be a file in an existing directory"
+        )
+    else:
+        assert error["message"] == f"{flag} must name a file in an existing directory, got {path!r}"
 
 
 # The README's command-line workflow on small inputs: steps <= 28 and at
@@ -1014,7 +1061,9 @@ _ESTIMATE = ["estimate", "--out-cov", "o.csv", "--out-model", "o.json", "--input
     [
         pytest.param(_EVAL + ["short.json"], "alpha_bar must have length steps+1=6, got 5", id="short"),
         pytest.param(_EVAL + ["end.json"], "alpha_bar[S]=5e-06 != epsS=4e-05", id="endpoint"),
-        pytest.param(_EVAL + ["zero.json"], "steps must be >= 1, got 0", id="zero-steps"),
+        pytest.param(
+            _EVAL + ["zero.json"], "steps must be an integer >= 1, got 0", id="zero-steps"
+        ),
         pytest.param(
             ["convert", "--schedule", "sigma.json", "--direction", "to-vp", "--out", "o.json"],
             "sigma must be nonnegative",
@@ -1028,7 +1077,7 @@ _ESTIMATE = ["estimate", "--out-cov", "o.csv", "--out-model", "o.json", "--input
         pytest.param(_SIMULATE + ["--cov", "stream.csv"], "--cov must hold a matrix", id="stream-cov"),
         pytest.param(
             _SIMULATE + ["--cov", "cov.csv", "--mean", "mean3.csv"],
-            "covariance shape (2, 2) does not match mean length 3",
+            "--mean must hold 2 values to match --cov, got 3",
             id="mean-length",
         ),
         pytest.param(_ESTIMATE + ["empty.csv"], "empty CSV file: empty.csv", id="empty-csv"),
@@ -1037,16 +1086,14 @@ _ESTIMATE = ["estimate", "--out-cov", "o.csv", "--out-model", "o.json", "--input
             "u8.wav: only 16-bit PCM WAV supported, got sample width 1",
             id="8-bit-wav",
         ),
-        pytest.param(
-            ["gen", "--family", "cosine", "--steps", "0", "--out", "o.json"],
-            "S must be >= 1, got 0",
-            id="cosine-0-steps",
-        ),
-        pytest.param(
-            ["gen", "--family", "edm", "--steps", "0", "--out", "o.json"],
-            "S must be >= 1, got 0",
-            id="edm-0-steps",
-        ),
+        *[
+            pytest.param(
+                ["gen", "--family", family, "--steps", "0", "--out", "o.json"],
+                "steps must be an integer >= 1, got 0",
+                id=f"{family}-0-steps",
+            )
+            for family in ("linear", "cosine", "sigmoid", "edm")
+        ],
         pytest.param(
             ["compare", "--model", "m.json", "--schedules", "foo", "--steps-list", "5",
              "--out", "o.csv"],
@@ -1056,7 +1103,7 @@ _ESTIMATE = ["estimate", "--out-cov", "o.csv", "--out-model", "o.json", "--input
         pytest.param(
             ["optimize", "--model", "m.json", "--steps", "5", "--init", "warm:zero.json",
              "--out", "o.json"],
-            "steps must be >= 1, got 0",
+            "steps must be an integer >= 1, got 0",
             id="warm-0-steps",
         ),
     ],

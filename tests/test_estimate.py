@@ -108,6 +108,15 @@ def test_window_covariance_recovers_known_gaussian():
     assert np.max(np.abs(est.covariance - cov_true)) <= 0.02
 
 
+@pytest.mark.parametrize("levels, used", [([0.0], 0), ([1.0], 1), ([1.0, 0.1], 1), ([0.1, 0.2], 0)])
+def test_fewer_than_two_loud_windows_rejected(levels, used):
+    # one loud window would give an all-zero covariance, none an empty mean
+    windows = np.outer(levels, [1.0, -2.0, 3.0])
+    message = rf"^need at least 2 windows at or above the silence threshold 0.5, got {used} of "
+    with pytest.raises(ValueError, match=message + f"{len(levels)}$"):
+        covariance_from_windows(windows, silence_threshold=0.5)
+
+
 def test_stream_shorter_than_window_rejected():
     with pytest.raises(ValueError):
         sliding_window_covariance(np.ones(3), EstimationConfig(window=8))

@@ -228,6 +228,9 @@ def test_matrix_csv_bytes_are_format_float_per_element(tmp_path):
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+# the types a count or a scalar field may have: Python's or numpy's
+_INT_TYPES = st.sampled_from([int, np.int64, np.int32, np.uint8])
+_FLOAT_TYPES = st.sampled_from([float, np.float64])
 
 
 @st.composite
@@ -235,7 +238,7 @@ def _models(draw):
     dim = draw(st.integers(1, 6))
     eigenvalues = draw(st.lists(st.floats(0.0, allow_infinity=False), min_size=dim, max_size=dim))
     mean = draw(st.lists(_FINITE, min_size=dim, max_size=dim))
-    return SpectralModel(dim, eigenvalues, mean, draw(st.text(max_size=8)))
+    return SpectralModel(draw(_INT_TYPES)(dim), eigenvalues, mean, draw(st.text(max_size=8)))
 
 
 @st.composite
@@ -245,7 +248,8 @@ def _schedules(draw):
     eps0, epsS = draw(st.floats(1e-12, 0.5)), draw(_UNIT)
     interior = draw(st.lists(_UNIT, min_size=steps - 1, max_size=steps - 1))
     alpha_bar = [1.0 - eps0, *interior, epsS]
-    return Schedule(draw(st.text(max_size=8)), steps, alpha_bar, eps0, epsS)
+    eps0, epsS = draw(_FLOAT_TYPES)(eps0), draw(_FLOAT_TYPES)(epsS)
+    return Schedule(draw(st.text(max_size=8)), draw(_INT_TYPES)(steps), alpha_bar, eps0, epsS)
 
 
 @st.composite
@@ -253,7 +257,7 @@ def _sigma_schedules(draw):
     steps = draw(st.integers(1, 8))
     sigma = sorted(draw(st.lists(st.floats(0.0, allow_infinity=False),
                                  min_size=steps + 1, max_size=steps + 1)))
-    return VeSchedule(steps, sigma)
+    return VeSchedule(draw(_INT_TYPES)(steps), sigma)
 
 
 # format -> (valid values, writer, reader)
@@ -280,7 +284,10 @@ _FORMATS = {
 
 
 def _exact(value):
-    """``value``'s contents, arrays as their shape and bytes, numbers as their repr."""
+    """``value``'s contents, arrays as their shape and bytes, numbers as their
+    repr; a numpy scalar is written, and read back, as its Python value."""
+    if isinstance(value, np.generic):
+        value = value.item()
     if isinstance(value, np.ndarray):
         return value.shape, value.dtype, value.tobytes()
     if dataclasses.is_dataclass(value):
