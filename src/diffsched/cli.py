@@ -33,6 +33,7 @@ from .estimate import (
     synthetic_circulant_model,
 )
 from .io import (
+    _SIDECAR,
     _refuse_non_finite,
     atomic_write_text,
     format_float,
@@ -152,10 +153,14 @@ def cmd_optimize(args):
         model = single_eigenvalue_problem(model, args.eigenvalue_index)
     schedule, report = optimize_schedule(model, config)
     save_schedule(schedule, args.out)
+    report_path = str(args.out) + _REPORT
     payload = dataclasses.asdict(report)
     payload["loss_trace"] = report.loss_trace.tolist()
-    atomic_write_text(args.out + ".report.json", json.dumps(payload, indent=2) + "\n")
-    return inputs, {"final_loss": report.final_loss, "converged": report.converged}
+    atomic_write_text(report_path, json.dumps(payload, indent=2) + "\n")
+    return inputs, {
+        "final_loss": report.final_loss,
+        "converged": report.converged,
+    }
 
 
 def cmd_eval(args):
@@ -264,11 +269,22 @@ def cmd_estimate(args):
         est = sliding_window_covariance(signal, cfg)
     model = spectral_model_from_covariance(est, args.structure)
     save_matrix_csv(est.covariance, args.out_cov)
-    meta = {"windows_used": est.windows_used, "windows_rejected": est.windows_rejected,
-            "mean": est.mean.tolist()}
-    atomic_write_text(args.out_cov + ".meta.json", json.dumps(meta) + "\n")
+    atomic_write_text(
+        str(args.out_cov) + _META,
+        json.dumps(
+            {
+                "windows_used": est.windows_used,
+                "windows_rejected": est.windows_rejected,
+                "mean": [float(x) for x in est.mean],
+            }
+        )
+        + "\n",
+    )
     save_model(model, args.out_model)
-    return [args.input], {"windows_used": est.windows_used, "windows_rejected": est.windows_rejected}
+    return (
+        [args.input],
+        {"windows_used": est.windows_used, "windows_rejected": est.windows_rejected},
+    )
 
 
 def cmd_convert(args):
@@ -441,10 +457,12 @@ def _write_manifest(path, args, inputs, outputs, info, wall):
 
 # The destinations of every flag that names an output file, a command's
 # primary output first; and per command and flag, the suffixes of the files
-# a run writes from that flag's value ("" for the file it names).
+# a run writes from that flag's value ("" for the file it names).  The
+# commands write the files named after their outputs by these same suffixes.
+_REPORT, _META = ".report.json", ".meta.json"
 _OUTPUT_FLAGS = ("out", "out_cov", "out_model", "out_relative_error", "out_w2", "manifest_out")
-_SUFFIXES = {("optimize", "out"): ("", ".report.json"), ("simulate", "out"): ("", ".json"),
-             ("estimate", "out_cov"): ("", ".meta.json")}
+_SUFFIXES = {("optimize", "out"): ("", _REPORT), ("simulate", "out"): ("", _SIDECAR),
+             ("estimate", "out_cov"): ("", _META)}
 
 
 def _planned_writes(args) -> list[tuple[str, str, str]]:

@@ -146,10 +146,13 @@ def _read_fields(path, form: tuple) -> dict:
 
 def _write_fields(path, obj, form: tuple) -> None:
     """Write ``obj``'s attribute for each field of ``form``, in the table's
-    order, as an indented JSON object; a numpy array or a numpy scalar that
-    json cannot encode is written as its Python value (``tolist``)."""
+    order, as an indented JSON object; a numpy array or scalar is written as
+    its Python value, and ``json`` refuses any other type it cannot encode."""
     payload = {name: getattr(obj, name) for name in form[1]}
-    atomic_write_text(path, json.dumps(payload, indent=2, default=lambda v: v.tolist()) + "\n")
+    for name, value in payload.items():
+        if isinstance(value, (np.ndarray, np.generic)):
+            payload[name] = value.tolist()
+    atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
 def save_model(model: SpectralModel, path) -> None:
@@ -184,6 +187,10 @@ def load_ve_schedule(path) -> VeSchedule:
     return VeSchedule(**_read_fields(path, _SIGMA_SCHEDULE))
 
 
+# a raw file's sidecar is named after it, with this suffix
+_SIDECAR = ".json"
+
+
 def save_raw_f64(array: np.ndarray, path) -> None:
     """Raw little-endian float64 dump plus a {dim, count} JSON sidecar.
 
@@ -199,12 +206,12 @@ def save_raw_f64(array: np.ndarray, path) -> None:
     _refuse_non_finite(path, arr)
     atomic_write_bytes(path, arr.tobytes(order="C"))
     atomic_write_text(
-        str(path) + ".json", json.dumps({"dim": dim, "count": count}) + "\n"
+        str(path) + _SIDECAR, json.dumps({"dim": dim, "count": count}) + "\n"
     )
 
 
 def load_raw_f64(path) -> np.ndarray:
-    sidecar = str(path) + ".json"
+    sidecar = str(path) + _SIDECAR
     meta = _read_fields(sidecar, _RAW_SIDECAR)
     dim, count = meta["dim"], meta["count"]
     for name, value, least in (("dim", dim, 1), ("count", count, 0)):

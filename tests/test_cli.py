@@ -907,7 +907,8 @@ def test_manifests_reproduce_their_runs(tmp_path, monkeypatch, capsys):
     # The README's claim: a deterministic command is reproduced bit-exactly
     # from its manifest.  Every command is re-run, in order, from the argv
     # its manifest rebuilds, in a directory that holds only the WAV; every
-    # output but the optimizer report (wall times) must keep its bytes.
+    # output but the optimizer report (wall times) must keep its bytes.  A
+    # manifest lists exactly the files its run created, beside itself.
     first, second = tmp_path / "first", tmp_path / "second"
     manifests = []
     for directory in (first, second):
@@ -915,9 +916,12 @@ def test_manifests_reproduce_their_runs(tmp_path, monkeypatch, capsys):
         write_tone_wav(directory / "tone.wav")
     monkeypatch.chdir(first)
     for command in SMALL_WORKFLOW:
+        before = set(os.listdir())
         assert run(command.split()) == 0, command
         outputs = json.loads(capsys.readouterr().out)["outputs"]
-        manifests.append(json.loads(Path(outputs[0] + ".manifest.json").read_text()))
+        manifest_path = outputs[0] + ".manifest.json"
+        assert set(os.listdir()) - before == {*outputs, manifest_path}, command
+        manifests.append(json.loads(Path(manifest_path).read_text()))
     monkeypatch.chdir(second)
     for manifest in manifests:
         assert run(argv_from_manifest(manifest)) == 0, manifest["config"]

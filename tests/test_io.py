@@ -283,11 +283,17 @@ _FORMATS = {
 }
 
 
+def _as_written(value):
+    """``value`` with each numpy scalar field as the Python value a writer
+    writes for it."""
+    if not dataclasses.is_dataclass(value):
+        return value
+    scalars = {k: v.item() for k, v in vars(value).items() if isinstance(v, np.generic)}
+    return dataclasses.replace(value, **scalars)
+
+
 def _exact(value):
-    """``value``'s contents, arrays as their shape and bytes, numbers as their
-    repr; a numpy scalar is written, and read back, as its Python value."""
-    if isinstance(value, np.generic):
-        value = value.item()
+    """``value``'s contents, arrays as their shape and bytes, numbers as their repr."""
     if isinstance(value, np.ndarray):
         return value.shape, value.dtype, value.tobytes()
     if dataclasses.is_dataclass(value):
@@ -304,7 +310,7 @@ def test_every_writer_round_trips_through_its_reader(data, form):
         path, again = Path(tmp) / "a", Path(tmp) / "b"
         write(value, path)
         back = read(path)
-        assert _exact(back) == _exact(value)
+        assert _exact(back) == _exact(_as_written(value))
         write(back, again)
         assert again.read_bytes() == path.read_bytes()
 
