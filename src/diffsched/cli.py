@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import re
 import sys
 import time
 from pathlib import Path
@@ -298,7 +299,15 @@ def cmd_convert(args):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises usage errors into ``main``'s JSON error path instead of exiting."""
+    """Raises usage errors into ``main``'s JSON error path instead of exiting.
+
+    Any value that starts with a minus sign and a digit is a value, not a
+    flag, so ``--params -3,3,1`` parses; no flag of this CLI looks like that.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         raise ValueError(f"{self.prog}: {message}")
@@ -489,12 +498,18 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv, argparse.Namespace(seed=0, manifest_out=None))
         writes = _planned_writes(args)
         # checked before the run, so an unusable path leaves no output at all
+        written = {}
         for flag, value, path in writes:
             if Path(path).is_dir() or not Path(path).parent.is_dir():
                 if path != value:
                     raise ValueError(f"{flag} {value!r} leads the run to write {path!r}, "
                                      "which must be a file in an existing directory")
                 raise ValueError(f"{flag} must name a file in an existing directory, got {path!r}")
+            resolved = Path(path).resolve()
+            if resolved in written:
+                raise ValueError(f"{written[resolved]} and {flag} {value!r} "
+                                 f"both lead the run to write {path!r}")
+            written[resolved] = f"{flag} {value!r}"
         outputs = [path for _, _, path in writes[:-1]]
         start = time.perf_counter()
         inputs, info = args.func(args)

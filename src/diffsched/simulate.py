@@ -13,10 +13,10 @@ re-implementation can match distributionally.
 Both samplers are one affine map of a sample's draws ``[x_S, z, ...]`` (the
 initial state, then ddpm's step noises): the Gaussian steps compose exactly,
 so the dense per-step maps are folded once per run into ``x_0 = draws @ M +
-offset``.  The fold takes the steps one at a time from ``_dense_steps``, so
-it holds one step's ``d x d`` gain, never all S of them.  ddim's ``M`` is
-``compose_affine``'s map transposed; ddpm's stacks one ``d x d`` block per
-draw, so its bytes differ from a per-step loop by rounding only.
+offset``.  One fold, ``compose_affine``, serves both: it takes the steps
+one at a time from ``_dense_steps``, so it holds one step's ``d x d`` gain,
+never all S of them, and ``M`` is its map transposed, one ``d x d`` block
+per draw.  Each sampler's bytes differ from a per-step loop by rounding only.
 
 Samples are drawn in chunks of a fixed number of rows.  Each chunk sets one
 Philox's counter to each sample's ``i << 128`` in turn; Box-Muller then runs
@@ -194,63 +194,46 @@ def _dense_steps(
         yield gain, b[s] * (1.0 - ab_s) * wiener_offset
 
 
-def compose_affine(target: DenseGaussian, schedule: Schedule) -> tuple[np.ndarray, np.ndarray]:
-    """Fold all deterministic steps into one map: ``x0 = T x_S + offset``.
-
-    The steps are folded in the order they run, ``s = S-1, ..., 0``, each
-    gain multiplying from the left: this association fixes ddim's bytes.
-    """
-    schedule.validate()
-    _check_psd(target.covariance)
-    a, b, _ = _step_coefficients(schedule.alpha_bar, "ddim")
-    T = np.eye(target.dim)
-    offset = np.zeros(target.dim)
-    for gain, off in _dense_steps(target, schedule.alpha_bar, a, b, reversed(range(len(a)))):
-        T = gain @ T
-        offset = gain @ offset + off
-    return T, offset
-
-
-def _folded_map(target: DenseGaussian, schedule: Schedule, process: str):
-    """The whole sampler as ``x_0 = draws @ M + offset`` for one draw row.
+def compose_affine(
+    target: DenseGaussian, schedule: Schedule, process: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """The whole sampler as ``x_0 = T @ draws + offset`` for one draw vector.
 
     ``draws`` is the initial state ``x_S``, then one noise per ddpm step in
     the order the steps run: step ``s`` maps state ``s + 1`` to ``s``, for
-    ``s = S-1, ..., 0``, and its noise is block ``S - s``.  With
-    ``P_s = W_0 ... W_{s-1}``, ddpm's ``M`` stacks ``P_S^T`` for ``x_S`` and
-    ``c_s P_s^T`` for the noise of step ``s``, and ``offset = sum_s P_s o_s``.
-    ddim's ``M`` is ``compose_affine``'s ``T`` transposed.  Validates both
-    inputs.
+    ``s = S-1, ..., 0``, and its noise is block ``S - s``.  The fold runs
+    from the clean end: with ``P_0 = I`` and ``P_{s+1} = P_s W_s``, ``T``'s
+    first block is ``P_S``, the noise of step ``s`` has block ``c_s P_s``,
+    and ``offset = sum_s P_s o_s``.  ddim has no noise, so its ``T`` is
+    ``d x d``.  Validates both inputs.
     """
-    if process == "ddim":
-        T, offset = compose_affine(target, schedule)
-        return T.T, offset
     schedule.validate()
     _check_psd(target.covariance)
-    a, b, c2 = _step_coefficients(schedule.alpha_bar, "ddpm")
-    c = np.sqrt(c2)
+    a, b, c2 = _step_coefficients(schedule.alpha_bar, process)
     d, S = target.dim, len(a)
-    M = np.empty(((S + 1) * d, d))
+    T = np.empty((d, d if c2 is None else (S + 1) * d))
     prefix = np.eye(d)
     offset = np.zeros(d)
     for s, (gain, off) in enumerate(_dense_steps(target, schedule.alpha_bar, a, b, range(S))):
         offset += prefix @ off
-        M[(S - s) * d : (S - s + 1) * d] = c[s] * prefix.T
+        if c2 is not None:
+            T[:, (S - s) * d : (S - s + 1) * d] = np.sqrt(c2[s]) * prefix
         prefix = prefix @ gain
-    M[:d] = prefix.T
-    return M, offset
+    T[:, :d] = prefix
+    return T, offset
 
 
 def simulate_reverse(target: DenseGaussian, cfg: SimConfig) -> np.ndarray:
     """Draw ``cfg.samples`` outputs of the reverse process, shape (n, d).
 
     Both samplers fold all steps into one precomputed affine map of a
-    sample's draws (``_folded_map``), applied as one matrix product per
+    sample's draws (``compose_affine``), applied as one matrix product per
     chunk of samples.  Sample ``i`` depends only on ``(seed, i)``.
     """
     d = target.dim
     n = cfg.samples
-    M, offset = _folded_map(target, cfg.schedule, cfg.process)
+    T, offset = compose_affine(target, cfg.schedule, cfg.process)
+    M = T.T
     per_sample = M.shape[0]  # initial state, then one z per noisy step
     rows = max(1, _CHUNK_NORMALS // per_sample)
     starts = range(0, n, rows)

@@ -51,17 +51,20 @@ def step_loop(G, M):
     return A, B
 
 
-def dense_ddpm_moments(target, alpha_bar):
-    """Exact output mean and covariance of the stochastic sampler.
+def dense_ddpm_moments(target, alpha_bar, process):
+    """Exact output mean and covariance of the sampler.
 
     Pushes the moments of ``x_S ~ N(0, I)`` through the dense per-step maps,
-    ``m <- W m + o`` and ``C <- W C W^T + c^2 I``; never uses the eigenbasis.
+    ``m <- W m + o`` and ``C <- W C W^T + c^2 I`` (no ``c^2`` term for
+    ddim); never uses the eigenbasis.
     """
-    a, b, c2 = _step_coefficients(alpha_bar, "ddpm")
-    steps = reversed(range(len(a)))
+    a, b, c2 = _step_coefficients(alpha_bar, process)
+    steps = range(len(a) - 1, -1, -1)
     eye = np.eye(target.dim)
     mean, cov = np.zeros(target.dim), eye
-    for (W, o), c2_s in zip(_dense_steps(target, alpha_bar, a, b, steps), c2[::-1]):
+    for s, (W, o) in zip(steps, _dense_steps(target, alpha_bar, a, b, steps)):
         mean = W @ mean + o
-        cov = W @ cov @ W.T + c2_s * eye
+        cov = W @ cov @ W.T
+        if c2 is not None:
+            cov += c2[s] * eye
     return mean, cov

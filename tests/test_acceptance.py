@@ -119,7 +119,7 @@ def test_criterion_02_dense_time_equivalence():
         # ddpm: exact dense moments against the stochastic transfer
         target = DenseGaussian(mean=mean, covariance=covariance)
         ddpm = ddpm_transfer(model, schedule)
-        out_mean, out_cov = dense_ddpm_moments(target, ab)
+        out_mean, out_cov = dense_ddpm_moments(target, ab, "ddpm")
         conjugated = eigvecs.T @ out_cov @ eigvecs
         worst = max(worst, float(np.max(np.abs(np.diag(conjugated) - ddpm.output_variance))))
         worst = max(worst, float(np.max(np.abs(conjugated - np.diag(np.diag(conjugated))))))

@@ -33,6 +33,7 @@ from diffsched import (
     cosine_schedule,
     edm_schedule,
     optimize_schedule,
+    sigmoid_schedule,
     single_eigenvalue_problem,
     synthetic_circulant_model,
 )
@@ -116,6 +117,42 @@ def test_gen_too_many_params_exits_2(tmp_path, capsys):
     assert not out.exists()
     message = json.loads(capsys.readouterr().err)["error"]["message"]
     assert message.startswith("edm takes at most 3 parameters")
+
+
+def test_gen_params_may_start_with_a_minus_sign(tmp_path, monkeypatch, capsys):
+    # a value such as -3,3,1 is not a flag, so the run replays from its manifest
+    monkeypatch.chdir(tmp_path)
+    expected = tmp_path / "expected.json"
+    save_schedule(sigmoid_schedule(8, -3.0, 3.0, 1.0), expected)
+    assert run(["gen", "--family", "sigmoid", "--params", "-3,3,1", "--steps", "8",
+                "--out", "s.json"]) == 0
+    assert Path("s.json").read_bytes() == expected.read_bytes()
+    argv = argv_from_manifest(json.loads(Path("s.json.manifest.json").read_text()))
+    Path("s.json").unlink()
+    assert run(argv) == 0
+    assert Path("s.json").read_bytes() == expected.read_bytes()
+
+
+def test_gen_saturating_sigmoid_exits_0_warning_nothing(tmp_path, capsys):
+    out, expected = tmp_path / "s.json", tmp_path / "expected.json"
+    save_schedule(sigmoid_schedule(8, -3.0, 3.0, 1e-3), expected)
+    assert run(["gen", "--family", "sigmoid", "--params=-3,3,1e-3", "--steps", "8",
+                "--out", out]) == 0
+    assert out.read_bytes() == expected.read_bytes()
+    assert capsys.readouterr().err == ""
+
+
+def test_gen_flat_cosine_exits_2_with_one_json_line(tmp_path, capsys):
+    out = tmp_path / "c.json"
+    assert run(["gen", "--family", "cosine", "--params", "0,1,1e-300", "--steps", "8",
+                "--out", out]) == 2
+    assert sorted(tmp_path.iterdir()) == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert json.loads(captured.err)["error"] == {
+        "type": "ValueError", "message": "alpha_bar must be finite (no NaN or inf)"
+    }
 
 
 def test_gen_invalid_params_exits_2(tmp_path, capsys):
@@ -826,6 +863,44 @@ _DERIVED_OUTPUT_RUNS = [
     (_OUTPUT_FLAG_RUNS["--out-cov"], "--out-cov", "c2.csv", "c2.csv.meta.json"),
 ]
 
+# one command per pair of output flags that lead a run to write one file: the
+# command with the first flag, the second flag and its value, and the message
+_SHARED_OUTPUT_RUNS = [
+    (
+        _OUTPUT_FLAG_RUNS["--manifest-out"], "--manifest-out", "s.json",
+        "--out 's.json' and --manifest-out 's.json' both lead the run to write 's.json'",
+    ),
+    (
+        _OUTPUT_FLAG_RUNS["--manifest-out"], "--manifest-out", "./s.json",
+        "--out 's.json' and --manifest-out './s.json' both lead the run to write './s.json'",
+    ),
+    (
+        _DERIVED_OUTPUT_RUNS[1][0] + ["--out", "o.json"], "--manifest-out", "o.json.report.json",
+        "--out 'o.json' and --manifest-out 'o.json.report.json' "
+        "both lead the run to write 'o.json.report.json'",
+    ),
+    (
+        _DERIVED_OUTPUT_RUNS[2][0] + ["--out", "x.f64"], "--manifest-out", "x.f64.json",
+        "--out 'x.f64' and --manifest-out 'x.f64.json' both lead the run to write 'x.f64.json'",
+    ),
+    (
+        _OUTPUT_FLAG_RUNS["--out-model"], "--out-model", "c.csv",
+        "--out-cov 'c.csv' and --out-model 'c.csv' both lead the run to write 'c.csv'",
+    ),
+    (
+        _OUTPUT_FLAG_RUNS["--out-w2"], "--out-w2", "rel.csv",
+        "--out-relative-error 'rel.csv' and --out-w2 'rel.csv' "
+        "both lead the run to write 'rel.csv'",
+    ),
+]
+
+
+def _write_output_run_inputs(directory):
+    """The files the runs of ``_OUTPUT_FLAG_RUNS`` and the lists after it read."""
+    write_tone_wav(directory / "tone.wav")
+    save_model(synthetic_circulant_model(4, 0.1, 0.05)[1], directory / "model.json")
+    save_schedule(cosine_schedule(5), directory / "cosine.json")
+
 
 @pytest.mark.parametrize(
     "argv, flag, path, derived",
@@ -845,9 +920,7 @@ def test_unusable_manifest_out_exits_2_before_the_run(
     # every output flag, --manifest-out included, and every file named after
     # one (here a directory in its way) is checked before the run
     monkeypatch.chdir(tmp_path)
-    write_tone_wav(tmp_path / "tone.wav")
-    save_model(synthetic_circulant_model(4, 0.1, 0.05)[1], tmp_path / "model.json")
-    save_schedule(cosine_schedule(5), tmp_path / "cosine.json")
+    _write_output_run_inputs(tmp_path)
     if derived:
         (tmp_path / derived).mkdir()
     inputs = sorted(tmp_path.iterdir())
@@ -863,6 +936,23 @@ def test_unusable_manifest_out_exits_2_before_the_run(
         )
     else:
         assert error["message"] == f"{flag} must name a file in an existing directory, got {path!r}"
+
+
+@pytest.mark.parametrize(
+    "argv, flag, path, message", [pytest.param(*case, id=case[2]) for case in _SHARED_OUTPUT_RUNS]
+)
+def test_outputs_naming_one_file_exit_2_before_the_run(
+    tmp_path, capsys, monkeypatch, argv, flag, path, message
+):
+    # a file written twice would keep only the last of its two outputs
+    monkeypatch.chdir(tmp_path)
+    _write_output_run_inputs(tmp_path)
+    inputs = sorted(tmp_path.iterdir())
+    assert run([*argv, flag, path]) == 2
+    assert sorted(tmp_path.iterdir()) == inputs
+    captured = capsys.readouterr()
+    assert len(captured.err.splitlines()) == 1
+    assert json.loads(captured.err)["error"] == {"type": "ValueError", "message": message}
 
 
 # The README's command-line workflow on small inputs: steps <= 28 and at

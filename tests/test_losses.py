@@ -388,7 +388,7 @@ def test_exact_ddpm_gradient_matches_dense_moment_oracle(seed, kind):
     ab = _spaced_alpha_bar(rng, S)
 
     def dense_loss(interior):
-        mean, cov = dense_ddpm_moments(target, np.concatenate([ab[:1], interior, ab[-1:]]))
+        mean, cov = dense_ddpm_moments(target, np.concatenate([ab[:1], interior, ab[-1:]]), "ddpm")
         out_mean, out_var = eigvecs.T @ mean, np.einsum("ik,ij,jk->k", eigvecs, cov, eigvecs)
         if kind is LossKind.KL:
             return kl_oracle(model.mean_spectral, model.eigenvalues, out_mean, out_var)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -132,6 +134,24 @@ def test_sigmoid_rejects_bad_params():
         sigmoid_schedule(10, 3, -3, 1)
     with pytest.raises(ValueError):
         sigmoid_schedule(10, -3, 3, -1)
+
+
+def test_saturating_sigmoid_is_its_step_limit_without_a_warning():
+    # exp overflows on half the grid; the curve's limit there, 0, is right
+    eps0, epsS = 1e-4, 4e-5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ab = sigmoid_schedule(8, -3, 3, 1e-3, eps0, epsS).alpha_bar
+    limit = np.array([1.0, 1.0, 1.0, 1.0, 0.5, 0.0, 0.0, 0.0, 0.0])
+    np.testing.assert_allclose(ab, epsS + limit * (1.0 - eps0 - epsS), rtol=1e-15, atol=0)
+
+
+def test_flat_cosine_curve_is_refused_without_a_warning():
+    # tau = 1e-300 flattens the curve to 0/0: refused as not finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="alpha_bar must be finite"):
+            cosine_schedule(8, 0, 1, 1e-300)
 
 
 # ---------------------------------------------------------------- edm

@@ -155,18 +155,20 @@ def test_chunk_stream_into_buffers_matches_returning_form(seed, start, rows, cou
     assert out.tobytes() == _chunk_stream_normals(seed, start, rows, count).tobytes()
 
 
-def _reference_simulate(target, cfg):
+def _reference_simulate(target, cfg, folded=False):
     # The sampler as one serial loop that allocates as it goes and draws each
     # sample from its own stream: the reference for the threaded, in-place one.
+    # It runs the dense steps one at a time, or with ``folded`` applies
+    # ``compose_affine``'s map to the whole draw row.
     d, n = target.dim, cfg.samples
-    if cfg.process == "ddim":
-        maps, noise = [compose_affine(target, cfg.schedule)], []
-    else:
-        ab = cfg.schedule.alpha_bar
-        a, b, c2 = _step_coefficients(ab, "ddpm")
-        maps = list(_dense_steps(target, ab, a, b, reversed(range(len(a)))))
-        noise = np.sqrt(c2)[::-1]
+    ab = cfg.schedule.alpha_bar
+    a, b, c2 = _step_coefficients(ab, cfg.process)
+    noise = [] if c2 is None else np.sqrt(c2)[::-1]
     per_sample = d * (1 + len(noise))
+    if folded:
+        maps, noise = [compose_affine(target, cfg.schedule, cfg.process)], []
+    else:
+        maps = list(_dense_steps(target, ab, a, b, reversed(range(len(a)))))
     rows = simulate._CHUNK_NORMALS // per_sample
     out = np.empty((n, d))
     for start in range(0, n, rows):
@@ -174,7 +176,7 @@ def _reference_simulate(target, cfg):
         draws = np.zeros((rows, per_sample))
         for r in range(m):
             draws[r] = _box_muller_loop(cfg.seed, start + r, per_sample)
-        x = draws[:, :d]
+        x = draws[:, : maps[0][0].shape[1]]  # x_S, or every draw for the folded map
         for k, (gain, off) in enumerate(maps):
             x = x @ gain.T + off
             if k < len(noise):
@@ -234,13 +236,11 @@ def test_worker_count_does_not_change_bytes(benchmark_model, monkeypatch, proces
         assert on_caller == (workers == 1) and threads, workers
     assert runs == runs[:1] * 3  # the same bytes at every worker count
 
-    # ddim's folded map is the reference's; ddpm's sums its steps in another
-    # order, so it may differ by rounding only.
-    reference = _reference_simulate(target, cfg)
-    if process == "ddim":
-        assert runs[0] == reference.tobytes()
-    else:
-        assert_within_rounding(got, reference)
+    # The bytes are those of the folded map applied serially; the fold sums
+    # the steps in another order than a per-step loop, so it may differ from
+    # one by rounding only.
+    assert runs[0] == _reference_simulate(target, cfg, folded=True).tobytes()
+    assert_within_rounding(got, _reference_simulate(target, cfg))
 
 
 @settings(max_examples=40, deadline=None)
@@ -249,25 +249,28 @@ def test_worker_count_does_not_change_bytes(benchmark_model, monkeypatch, proces
     d=st.integers(1, 8),
     rank=st.integers(1, 8),
     S=st.integers(1, 40),
+    process=st.sampled_from(["ddim", "ddpm"]),
 )
-def test_folded_ddpm_matches_per_step_loop(seed, d, rank, S):
+def test_folded_ddpm_matches_per_step_loop(seed, d, rank, S, process):
+    # Both samplers run the one fold; each is checked against the steps.
     rng = np.random.default_rng(seed)
     raw = rng.normal(size=(d, min(rank, d)))
     target = DenseGaussian(mean=rng.normal(size=d), covariance=raw @ raw.T / d)
-    cfg = SimConfig("ddpm", 5, seed, make_schedule(random_monotone_alpha_bar(rng, S)))
+    cfg = SimConfig(process, 5, seed, make_schedule(random_monotone_alpha_bar(rng, S)))
     assert_within_rounding(simulate_reverse(target, cfg), _reference_simulate(target, cfg))
 
 
 @pytest.mark.parametrize("even", [True, False], ids=["d50", "d7"])
 def test_folded_ddpm_map_has_the_per_step_moments(benchmark_model, even):
     # The draws are independent standard normals, so the folded map's output
-    # has mean ``offset`` and covariance ``M^T M``: no samples needed.
+    # has mean ``offset`` and covariance ``T T^T``: no samples needed.
     target = benchmark_model[0] if even else odd_dense_target()
     schedule = cosine_schedule(112)
-    M, offset = simulate._folded_map(target, schedule, "ddpm")
-    mean, cov = dense_ddpm_moments(target, schedule.alpha_bar)
-    np.testing.assert_allclose(offset, mean, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(M.T @ M, cov, rtol=0, atol=1e-12)
+    for process in ("ddim", "ddpm"):
+        T, offset = compose_affine(target, schedule, process)
+        mean, cov = dense_ddpm_moments(target, schedule.alpha_bar, process)
+        np.testing.assert_allclose(offset, mean, rtol=0, atol=1e-12, err_msg=process)
+        np.testing.assert_allclose(T @ T.T, cov, rtol=0, atol=1e-12, err_msg=process)
 
 
 def test_worker_error_reaches_the_caller(benchmark_model, monkeypatch):
@@ -301,7 +304,7 @@ def test_dense_ddpm_moments_match_closed_form(seed, d, rank, S):
     raw = rng.normal(size=(d, min(rank, d)))
     target = DenseGaussian(mean=rng.normal(size=d), covariance=raw @ raw.T / d)
     ab = random_monotone_alpha_bar(rng, S)
-    mean, cov = dense_ddpm_moments(target, ab)
+    mean, cov = dense_ddpm_moments(target, ab, "ddpm")
 
     eigvals, eigvecs = np.linalg.eigh(target.covariance)
     model = SpectralModel(
@@ -405,7 +408,7 @@ def test_moments_standard_normal_monte_carlo():
 def test_folded_map_diagonalizes_in_fourier_basis(benchmark_model):
     dense, model = benchmark_model
     schedule = linear_schedule(24)
-    T, offset = compose_affine(dense, schedule)
+    T, offset = compose_affine(dense, schedule, "ddim")
     d = dense.dim
     F = np.fft.fft(np.eye(d)) / np.sqrt(d)
     conjugated = F @ T @ F.conj().T
@@ -417,20 +420,21 @@ def test_folded_map_diagonalizes_in_fourier_basis(benchmark_model):
 
 
 def test_compose_affine_holds_one_step_map_at_a_time():
-    # The fold takes the S dense steps one at a time: its peak memory is a
-    # few d x d matrices, not the S gains (200 of them here).
+    # The fold takes the S dense steps one at a time: its peak memory is its
+    # map plus a few d x d matrices, not the S gains (200 of them here).
     import tracemalloc
 
     d = 64
     target = odd_dense_target(d)
     schedule = cosine_schedule(200)
-    tracemalloc.start()
-    try:
-        compose_affine(target, schedule)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * d * d * 8
+    for process in ("ddim", "ddpm"):
+        tracemalloc.start()
+        try:
+            T, _ = compose_affine(target, schedule, process)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < T.nbytes + 15 * d * d * 8, process  # ddim's T is one d x d
 
 
 @pytest.mark.parametrize("l", [0, 1, 9, 23, 24])
