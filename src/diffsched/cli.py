@@ -83,7 +83,11 @@ def _parse_list(text: str, convert, name: str) -> list:
 _FAMILIES = {"linear": 0, "cosine": 3, "sigmoid": 3, "edm": 3}
 
 
-def _generate(family: str, steps: int, params: list[float], eps0: float, epsS: float) -> Schedule:
+def _generate(
+    family: str, steps: int, params: list[float], eps0: float, epsS: float, source: str
+) -> Schedule:
+    """The ``family`` schedule; an error that ``params`` cause names ``source``,
+    the flag or token they came from."""
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     max_params = _FAMILIES[family]
@@ -92,7 +96,13 @@ def _generate(family: str, steps: int, params: list[float], eps0: float, epsS: f
     # looked up in this module's namespace at call time, so that a wrapper
     # on ``diffsched.cli.<family>_schedule`` sees the call
     generator = globals()[f"{family}_schedule"]
-    return generator(steps, *params, eps0=eps0, epsS=epsS)
+    try:
+        return generator(steps, *params, eps0=eps0, epsS=epsS)
+    except ValueError as exc:
+        if not params:
+            raise
+        generator(steps, eps0=eps0, epsS=epsS)  # raises if the fault is not in params
+        raise ValueError(f"{source}: {exc}") from None
 
 
 def _transfer(model: SpectralModel, schedule: Schedule, process: str):
@@ -125,7 +135,7 @@ def _write_loss_csv(rows, path):
 
 def cmd_gen(args):
     params = _parse_list(args.params, float, "--params") if args.params else []
-    schedule = _generate(args.family, args.steps, params, args.eps0, args.epsS)
+    schedule = _generate(args.family, args.steps, params, args.eps0, args.epsS, "--params")
     save_schedule(schedule, args.out)
     return [], {"kind": schedule.kind}
 
@@ -196,8 +206,9 @@ def cmd_compare(args):
                 label = "spectral"
             else:
                 family, _, text = token.partition(":")
-                params = _parse_list(text, float, f"--schedules token {token!r}") if text else []
-                schedule = _generate(family, steps, params, args.eps0, args.epsS)
+                source = f"--schedules token {token!r}"
+                params = _parse_list(text, float, source) if text else []
+                schedule = _generate(family, steps, params, args.eps0, args.epsS, source)
                 label = token
             rows.extend(_loss_rows(model, schedule, label, losses, processes))
     _write_loss_csv(rows, args.out)

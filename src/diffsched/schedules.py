@@ -107,10 +107,12 @@ def _family_schedule(family, S, s, e, tau, eps0, epsS) -> Schedule:
     if tau <= 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
     _require_integer(S, "steps", 1)
-    # A saturating curve overflows to its limit, which is right; a curve that
-    # is not finite is refused when the schedule is validated.
+    # A saturating curve overflows to its limit, which is right; a flat one
+    # normalizes to 0/0.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         raw = _FAMILIES[family](np.linspace(0.0, 1.0, S + 1), s, e, tau)
+    if not np.all(np.isfinite(raw)):
+        raise ValueError(f"{family} curve is flat or not finite at (s, e, tau) = ({s}, {e}, {tau})")
     return _pinned_schedule(f"{family}({s},{e},{tau})", raw, eps0, epsS)
 
 

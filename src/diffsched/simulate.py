@@ -10,32 +10,28 @@ stream derived from ``(seed, i)`` (Philox keyed by the seed, counter offset
 of uniforms (``u1`` mapped from [0,1) to (0,1]), which an oracle
 re-implementation can match distributionally.
 
-Both samplers are one affine map of a sample's draws ``[x_S, z, ...]`` (the
-initial state, then ddpm's step noises): the Gaussian steps compose exactly,
-so the dense per-step maps are folded once per run into ``x_0 = draws @ M +
-offset``.  One fold, ``compose_affine``, serves both: it takes the steps
-one at a time from ``_dense_steps``, so it holds one step's ``d x d`` gain,
-never all S of them, and ``M`` is its map transposed, one ``d x d`` block
-per draw.  Each sampler's bytes differ from a per-step loop by rounding only.
+Both samplers are affine in Gaussian draws, so their output is Gaussian.
+``compose_affine`` folds the dense per-step maps, taken one at a time from
+``_dense_steps``, into one ``d x d`` factor ``F`` and an offset, and a
+sample is ``x_0 = F z + offset`` with ``z`` the first ``d`` normals of its
+stream.  For ddim, ``F`` is the composed map itself, and its bytes differ
+from a per-step loop by rounding only.  For ddpm, ``F F^T`` is the output
+covariance of the per-step process, noise included, so the samples have its
+exact law without drawing its per-step noise path.
 
-Samples are drawn in chunks of a fixed number of rows.  Each chunk sets one
-Philox's counter to each sample's ``i << 128`` in turn; Box-Muller then runs
-over the whole chunk, in place in the chunk's draw buffer, and one matrix
-product maps it.  The last chunk is padded with zero rows, so every sample
-passes through the same matrix-product shapes at the same row position and
-its bytes depend only on ``(seed, i)``, not on the sample count.
-
-Chunks are therefore independent, and a run of several chunks splits them
-statically over up to one thread per usable CPU: worker ``w`` takes every
-``workers``-th chunk from chunk ``w``, in buffers the calling thread
-allocates.  The Philox fills, Box-Muller and the matrix products run in numpy
-with the interpreter lock released; the per-row Python loop that sets the
-Philox counter does not.  The bytes do not depend on the thread count.
+Samples are drawn in chunks of a fixed number of rows, one after another on
+the calling thread.  Each chunk sets one Philox's counter to each sample's
+``i << 128`` in turn; Box-Muller then runs over the whole chunk, in place in
+the chunk's draw buffer, and one matrix product maps it.  The last chunk is
+padded with zero rows, so every sample passes through the same
+matrix-product shapes at the same row position and its bytes depend only on
+``(seed, i)``, not on the sample count.  The product's inner dimension is
+``d``: ddpm's bytes at ``d = 7`` and ``d = 50`` are the same under one and
+two BLAS threads (a test checks this), while ddim's at ``d = 200`` are not.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,9 +48,9 @@ __all__ = [
 SYMMETRY_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 
-# Normals drawn per chunk: rows per chunk = this // normals per sample.  Fewer
-# leave ddpm (d*(S+1) normals per sample) too few rows for efficient matrix
-# products; many more spill the Box-Muller temporaries out of cache.
+# Normals drawn per chunk, d per sample: rows per chunk = this // d.  Fewer
+# make small matrix products; many more spill the Box-Muller temporaries out
+# of cache.
 _CHUNK_NORMALS = 2**18
 _WORD = 2**64 - 1  # mask of one of Philox's four 64-bit counter words
 
@@ -161,14 +157,6 @@ def _chunk_stream_normals(
     return _box_muller(scratch, out)
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _check_psd(covariance: np.ndarray) -> None:
     eigs = np.linalg.eigvalsh(covariance)
     if eigs[0] < EIGENVALUE_FLOOR:
@@ -197,75 +185,61 @@ def _dense_steps(
 def compose_affine(
     target: DenseGaussian, schedule: Schedule, process: str
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The whole sampler as ``x_0 = T @ draws + offset`` for one draw vector.
+    """The whole sampler as ``x_0 = F @ z + offset``, ``z`` of ``d`` normals.
 
-    ``draws`` is the initial state ``x_S``, then one noise per ddpm step in
-    the order the steps run: step ``s`` maps state ``s + 1`` to ``s``, for
-    ``s = S-1, ..., 0``, and its noise is block ``S - s``.  The fold runs
-    from the clean end: with ``P_0 = I`` and ``P_{s+1} = P_s W_s``, ``T``'s
-    first block is ``P_S``, the noise of step ``s`` has block ``c_s P_s``,
-    and ``offset = sum_s P_s o_s``.  ddim has no noise, so its ``T`` is
-    ``d x d``.  Validates both inputs.
+    Step ``s`` maps state ``s + 1`` to ``s``, for ``s = S-1, ..., 0``.  The
+    fold runs from the clean end: with ``P_0 = I`` and ``P_{s+1} = P_s W_s``,
+    ``x_0 = P_S x_S + sum_s c_s P_s z_s + offset`` with ``offset = sum_s P_s
+    o_s``.  ddim has no noise, so ``F = P_S``.  ddpm's output is Gaussian with
+    covariance ``C = P_S P_S^T + sum_s c_s^2 P_s P_s^T``, and ``F`` is one
+    ``d x d`` factor with ``F F^T = C``: the same law as the per-step noise
+    path, from ``d`` draws instead of ``(S + 1) d``.
+
+    ``F`` is folded by QR: a running upper-triangular ``R`` with ``R^T R``
+    the noise covariance so far is replaced at each step by the R of
+    ``[R; c_s P_s^T]``, and last by that of ``[R; P_S^T]``; ``F = R^T``.  QR
+    never forms ``C``, so it does not square ``C``'s condition number, and it
+    needs no rule for a singular ``C``, where Cholesky of ``C`` would fail.
+    Validates both inputs.
     """
     schedule.validate()
     _check_psd(target.covariance)
     a, b, c2 = _step_coefficients(schedule.alpha_bar, process)
     d, S = target.dim, len(a)
-    T = np.empty((d, d if c2 is None else (S + 1) * d))
     prefix = np.eye(d)
     offset = np.zeros(d)
+    R = np.zeros((0, d))
     for s, (gain, off) in enumerate(_dense_steps(target, schedule.alpha_bar, a, b, range(S))):
         offset += prefix @ off
         if c2 is not None:
-            T[:, (S - s) * d : (S - s + 1) * d] = np.sqrt(c2[s]) * prefix
+            R = np.linalg.qr(np.vstack([R, np.sqrt(c2[s]) * prefix.T]), mode="r")
         prefix = prefix @ gain
-    T[:, :d] = prefix
-    return T, offset
+    if c2 is None:
+        return prefix, offset
+    return np.linalg.qr(np.vstack([R, prefix.T]), mode="r").T, offset
 
 
 def simulate_reverse(target: DenseGaussian, cfg: SimConfig) -> np.ndarray:
     """Draw ``cfg.samples`` outputs of the reverse process, shape (n, d).
 
-    Both samplers fold all steps into one precomputed affine map of a
-    sample's draws (``compose_affine``), applied as one matrix product per
-    chunk of samples.  Sample ``i`` depends only on ``(seed, i)``.
+    Both samplers fold all steps into one ``d x d`` factor and an offset
+    (``compose_affine``), applied to each sample's first ``d`` normals as one
+    matrix product per chunk of samples.  Sample ``i`` depends only on
+    ``(seed, i)``.
     """
     d = target.dim
     n = cfg.samples
-    T, offset = compose_affine(target, cfg.schedule, cfg.process)
-    M = T.T
-    per_sample = M.shape[0]  # initial state, then one z per noisy step
-    rows = max(1, _CHUNK_NORMALS // per_sample)
-    starts = range(0, n, rows)
-    workers = min(len(starts), _usable_cpus())
+    F, offset = compose_affine(target, cfg.schedule, cfg.process)
+    rows = max(1, _CHUNK_NORMALS // d)
     out = np.empty((n, d))
-    # Each worker's buffers come from the calling thread, so worker threads
-    # allocate nothing large (freed memory would stay in per-thread arenas).
-    buffers = [
-        (
-            np.empty((rows, per_sample)),
-            np.empty((rows, 2 * ((per_sample + 1) // 2))),
-            np.empty((rows, d)),
-        )
-        for _ in range(workers)
-    ]
-
-    def run(w: int) -> None:
-        draws, scratch, tmp = buffers[w]
-        for start in starts[w::workers]:
-            m = min(rows, n - start)
-            _chunk_stream_normals(cfg.seed, start, m, per_sample, draws[:m], scratch[:m])
-            draws[m:] = 0.0
-            np.matmul(draws, M, out=tmp)
-            np.add(tmp[:m], offset, out=out[start : start + m])
-
-    if workers == 1:
-        run(0)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(run, range(workers)))
+    draws, tmp = np.empty((rows, d)), np.empty((rows, d))
+    scratch = np.empty((rows, 2 * ((d + 1) // 2)))
+    for start in range(0, n, rows):
+        m = min(rows, n - start)
+        _chunk_stream_normals(cfg.seed, start, m, d, draws[:m], scratch[:m])
+        draws[m:] = 0.0
+        np.matmul(draws, F.T, out=tmp)
+        np.add(tmp[:m], offset, out=out[start : start + m])
     return out
 
 

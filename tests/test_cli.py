@@ -151,7 +151,8 @@ def test_gen_flat_cosine_exits_2_with_one_json_line(tmp_path, capsys):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert json.loads(captured.err)["error"] == {
-        "type": "ValueError", "message": "alpha_bar must be finite (no NaN or inf)"
+        "type": "ValueError",
+        "message": "--params: cosine curve is flat or not finite at (s, e, tau) = (0.0, 1.0, 1e-300)",
     }
 
 
@@ -1199,6 +1200,25 @@ _ESTIMATE = ["estimate", "--out-cov", "o.csv", "--out-model", "o.json", "--input
              "--out", "o.json"],
             "steps must be an integer >= 1, got 0",
             id="warm-0-steps",
+        ),
+        pytest.param(
+            ["gen", "--family", "cosine", "--params", "0,1,1e-300", "--steps", "8",
+             "--out", "o.json"],
+            "--params: cosine curve is flat or not finite at (s, e, tau) = (0.0, 1.0, 1e-300)",
+            id="flat-cosine",
+        ),
+        pytest.param(
+            ["gen", "--family", "sigmoid", "--params", "0,1,1e300", "--steps", "8",
+             "--out", "o.json"],
+            "--params: sigmoid curve is flat or not finite at (s, e, tau) = (0.0, 1.0, 1e+300)",
+            id="flat-sigmoid",
+        ),
+        pytest.param(
+            ["compare", "--model", "m.json", "--schedules", "cosine:0,1,1e-300",
+             "--steps-list", "8", "--out", "o.csv"],
+            "--schedules token 'cosine:0,1,1e-300': cosine curve is flat or not finite at "
+            "(s, e, tau) = (0.0, 1.0, 1e-300)",
+            id="flat-cosine-token",
         ),
     ],
 )

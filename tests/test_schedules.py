@@ -147,10 +147,10 @@ def test_saturating_sigmoid_is_its_step_limit_without_a_warning():
 
 
 def test_flat_cosine_curve_is_refused_without_a_warning():
-    # tau = 1e-300 flattens the curve to 0/0: refused as not finite
+    # tau = 1e-300 flattens the curve to 0/0: refused as flat
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="alpha_bar must be finite"):
+        with pytest.raises(ValueError, match="^cosine curve is flat or not finite"):
             cosine_schedule(8, 0, 1, 1e-300)
 
 

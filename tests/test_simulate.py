@@ -1,5 +1,7 @@
+import os
+import subprocess
 import sys
-import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,8 +132,7 @@ def test_dense_sample_depends_only_on_index(benchmark_model, process):
     # sample count, or rounding makes earlier samples depend on it.
     dense, _ = benchmark_model
     schedule = cosine_schedule(12)
-    per_sample = dense.dim * (1 if process == "ddim" else schedule.steps + 1)
-    rows = simulate._CHUNK_NORMALS // per_sample
+    rows = simulate._CHUNK_NORMALS // dense.dim  # d normals per sample
     for few, many in [(3, 10), (4100, 5000), (rows - 1, rows + 1), (rows + 1, 2 * rows + 3)]:
         a = simulate_reverse(dense, SimConfig(process, few, 17, schedule))
         b = simulate_reverse(dense, SimConfig(process, many, 17, schedule))
@@ -155,39 +156,21 @@ def test_chunk_stream_into_buffers_matches_returning_form(seed, start, rows, cou
     assert out.tobytes() == _chunk_stream_normals(seed, start, rows, count).tobytes()
 
 
-def _reference_simulate(target, cfg, folded=False):
-    # The sampler as one serial loop that allocates as it goes and draws each
-    # sample from its own stream: the reference for the threaded, in-place one.
-    # It runs the dense steps one at a time, or with ``folded`` applies
-    # ``compose_affine``'s map to the whole draw row.
-    d, n = target.dim, cfg.samples
+def _reference_simulate(target, cfg):
+    # ddim as one serial loop over the dense steps, one at a time, that draws
+    # each sample from its own stream: the reference for the folded sampler.
     ab = cfg.schedule.alpha_bar
     a, b, c2 = _step_coefficients(ab, cfg.process)
-    noise = [] if c2 is None else np.sqrt(c2)[::-1]
-    per_sample = d * (1 + len(noise))
-    if folded:
-        maps, noise = [compose_affine(target, cfg.schedule, cfg.process)], []
-    else:
-        maps = list(_dense_steps(target, ab, a, b, reversed(range(len(a)))))
-    rows = simulate._CHUNK_NORMALS // per_sample
-    out = np.empty((n, d))
-    for start in range(0, n, rows):
-        m = min(rows, n - start)
-        draws = np.zeros((rows, per_sample))
-        for r in range(m):
-            draws[r] = _box_muller_loop(cfg.seed, start + r, per_sample)
-        x = draws[:, : maps[0][0].shape[1]]  # x_S, or every draw for the folded map
-        for k, (gain, off) in enumerate(maps):
-            x = x @ gain.T + off
-            if k < len(noise):
-                x += noise[k] * draws[:, d * (k + 1) : d * (k + 2)]
-        out[start : start + m] = x[:m]
-    return out
+    assert c2 is None  # ddpm's samples follow its law, not its noise path
+    x = np.stack([_box_muller_loop(cfg.seed, i, target.dim) for i in range(cfg.samples)])
+    for gain, off in _dense_steps(target, ab, a, b, reversed(range(len(a)))):
+        x = x @ gain.T + off
+    return x
 
 
 def assert_within_rounding(got, reference):
-    # The gate on a folded sampler that sums in another order than the
-    # per-step reference.
+    # The gate on a fold that sums in another order than its per-step
+    # reference.
     assert np.max(np.abs(got - reference)) <= 1e-12 * np.max(np.abs(reference))
 
 
@@ -199,48 +182,40 @@ def odd_dense_target(d=7):
 
 @pytest.mark.parametrize("process", ["ddim", "ddpm"])
 @pytest.mark.parametrize("even", [True, False], ids=["d50", "d7"])
-def test_worker_count_does_not_change_bytes(benchmark_model, monkeypatch, process, even):
+def test_chunk_count_does_not_change_bytes(benchmark_model, monkeypatch, process, even):
     # d=50 runs at the real chunk size; d=7 at a small one, so that it also
     # spans several chunks quickly.
     target = benchmark_model[0] if even else odd_dense_target()
     if not even:
         monkeypatch.setattr(simulate, "_CHUNK_NORMALS", 2**10)
-    schedule = cosine_schedule(12)
-    per_sample = target.dim * (1 if process == "ddim" else schedule.steps + 1)
-    rows = simulate._CHUNK_NORMALS // per_sample
+    d, schedule = target.dim, cosine_schedule(12)
+    rows = simulate._CHUNK_NORMALS // d
     cfg = SimConfig(process, 3 * rows + rows // 3 + 1, 29, schedule)  # 4 chunks, last partial
-    runs = []
-
+    starts = []
     chunk_stream = simulate._chunk_stream_normals
-    for workers in (1, 2, 3):
-        threads, starts = set(), []
 
-        def traced(seed, start, *args, **kwargs):
-            threads.add(threading.get_ident())
-            starts.append(start)
-            return chunk_stream(seed, start, *args, **kwargs)
+    def traced(seed, start, *args, **kwargs):
+        starts.append(start)
+        return chunk_stream(seed, start, *args, **kwargs)
 
-        monkeypatch.setattr(simulate, "_usable_cpus", lambda: workers)
-        monkeypatch.setattr(simulate, "_chunk_stream_normals", traced)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads often, to expose shared state
-        try:
-            got = simulate_reverse(target, cfg)
-        finally:
-            sys.setswitchinterval(interval)
-        runs.append(got.tobytes())
-        assert sorted(starts) == [0, rows, 2 * rows, 3 * rows], workers  # each chunk once
-        # Several workers run every chunk on pool threads; the pool may hand
-        # two workers' tasks to one thread if the first finishes early.
-        on_caller = threading.get_ident() in threads
-        assert on_caller == (workers == 1) and threads, workers
-    assert runs == runs[:1] * 3  # the same bytes at every worker count
+    monkeypatch.setattr(simulate, "_chunk_stream_normals", traced)
+    several = simulate_reverse(target, cfg)
+    assert starts == [0, rows, 2 * rows, 3 * rows]  # each chunk once, in order
+    monkeypatch.setattr(simulate, "_CHUNK_NORMALS", cfg.samples * d)
+    starts.clear()
+    one = simulate_reverse(target, cfg)
+    assert starts == [0]
+    assert one.tobytes() == several.tobytes()
 
-    # The bytes are those of the folded map applied serially; the fold sums
-    # the steps in another order than a per-step loop, so it may differ from
-    # one by rounding only.
-    assert runs[0] == _reference_simulate(target, cfg, folded=True).tobytes()
-    assert_within_rounding(got, _reference_simulate(target, cfg))
+    # The bytes are those of the factor applied serially to each sample's
+    # own first d normals.  The reference stacks them into one product: a
+    # one-row product goes through a matrix-vector kernel that sums in
+    # another order.
+    F, offset = compose_affine(target, schedule, process)
+    draws = np.stack([_sample_stream_normals(cfg.seed, i, d) for i in range(cfg.samples)])
+    assert several.tobytes() == (draws @ F.T + offset).tobytes()
+    if process == "ddim":
+        assert_within_rounding(several, _reference_simulate(target, cfg))
 
 
 @settings(max_examples=40, deadline=None)
@@ -250,14 +225,25 @@ def test_worker_count_does_not_change_bytes(benchmark_model, monkeypatch, proces
     rank=st.integers(1, 8),
     S=st.integers(1, 40),
     process=st.sampled_from(["ddim", "ddpm"]),
+    tie=st.integers(0, 40),
 )
-def test_folded_ddpm_matches_per_step_loop(seed, d, rank, S, process):
-    # Both samplers run the one fold; each is checked against the steps.
+def test_folded_ddpm_matches_per_step_loop(seed, d, rank, S, process, tie):
+    # Both samplers run the one fold.  ddim is checked against the steps;
+    # ddpm, which draws no per-step noise, by the law of its output.
     rng = np.random.default_rng(seed)
     raw = rng.normal(size=(d, min(rank, d)))
     target = DenseGaussian(mean=rng.normal(size=d), covariance=raw @ raw.T / d)
-    cfg = SimConfig(process, 5, seed, make_schedule(random_monotone_alpha_bar(rng, S)))
-    assert_within_rounding(simulate_reverse(target, cfg), _reference_simulate(target, cfg))
+    ab = random_monotone_alpha_bar(rng, S)
+    if tie < S - 1:
+        ab[tie + 1] = ab[tie]  # a tied step; tie = 0 ties the first one
+    cfg = SimConfig(process, 5, seed, make_schedule(ab))
+    if process == "ddim":
+        assert_within_rounding(simulate_reverse(target, cfg), _reference_simulate(target, cfg))
+    else:
+        F, offset = compose_affine(target, cfg.schedule, process)
+        mean, cov = dense_ddpm_moments(target, ab, process)
+        assert_within_rounding(F @ F.T, cov)
+        assert_within_rounding(offset, mean)
 
 
 @pytest.mark.parametrize("even", [True, False], ids=["d50", "d7"])
@@ -273,16 +259,37 @@ def test_folded_ddpm_map_has_the_per_step_moments(benchmark_model, even):
         np.testing.assert_allclose(T @ T.T, cov, rtol=0, atol=1e-12, err_msg=process)
 
 
-def test_worker_error_reaches_the_caller(benchmark_model, monkeypatch):
-    dense, _ = benchmark_model
+_BLAS_PROBE = """
+import hashlib, sys
+import numpy as np
+from diffsched import DenseGaussian, SimConfig, cosine_schedule, simulate_reverse
+target = DenseGaussian(mean=np.load(sys.argv[1]), covariance=np.load(sys.argv[2]))
+out = simulate_reverse(target, SimConfig("ddpm", 3000, 7, cosine_schedule(112)))
+print(hashlib.sha256(out.tobytes()).hexdigest())
+"""
 
-    def broken(*args, **kwargs):
-        raise RuntimeError("chunk failed")
 
-    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(simulate, "_chunk_stream_normals", broken)
-    with pytest.raises(RuntimeError, match="chunk failed"):
-        simulate_reverse(dense, SimConfig("ddpm", 2000, 3, cosine_schedule(12)))
+@pytest.mark.parametrize("even", [True, False], ids=["d50", "d7"])
+def test_ddpm_bytes_do_not_depend_on_blas_threads(benchmark_model, tmp_path, even):
+    # At these d, ddpm's fold and its chunk product (inner dimension d) sum
+    # in the same order under one and two BLAS threads.
+    target = benchmark_model[0] if even else odd_dense_target()
+    np.save(tmp_path / "mean.npy", target.mean)
+    np.save(tmp_path / "cov.npy", target.covariance)
+    src = str(Path(simulate.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(
+            os.environ,
+            OPENBLAS_NUM_THREADS=threads,
+            PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", _BLAS_PROBE, tmp_path / "mean.npy", tmp_path / "cov.npy"],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        digests.append(out.stdout.strip())
+    assert digests[0] == digests[1]
 
 
 def test_box_muller_stream_moments():
@@ -435,6 +442,25 @@ def test_compose_affine_holds_one_step_map_at_a_time():
         finally:
             tracemalloc.stop()
         assert peak < T.nbytes + 15 * d * d * 8, process  # ddim's T is one d x d
+
+
+@pytest.mark.parametrize("S", [20, 400])
+def test_ddpm_sampler_memory_does_not_grow_with_steps(S):
+    # ddpm draws d normals per sample through one d x d factor: its peak is
+    # the output, the chunk's three buffers and a few d x d matrices, under
+    # one bound at 20 steps and at 400.
+    import tracemalloc
+
+    d = 64
+    target = odd_dense_target(d)
+    rows = simulate._CHUNK_NORMALS // d
+    tracemalloc.start()
+    try:
+        out = simulate_reverse(target, SimConfig("ddpm", 1000, 3, cosine_schedule(S)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < out.nbytes + 3 * rows * d * 8 + 16 * d * d * 8
 
 
 @pytest.mark.parametrize("l", [0, 1, 9, 23, 24])
