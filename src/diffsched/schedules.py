@@ -12,7 +12,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spectral import DEFAULT_EPS0, DEFAULT_EPSS, Schedule, VeSchedule, _require_integer, ve_to_vp
+from .spectral import (
+    DEFAULT_EPS0,
+    DEFAULT_EPSS,
+    Schedule,
+    VeSchedule,
+    _require_finite,
+    _require_integer,
+    ve_to_vp,
+)
 
 __all__ = [
     "linear_schedule",
@@ -130,6 +138,10 @@ def edm_schedule(
     ``sigma_min`` with exponent rho, mapped through ``alpha_bar = 1 / (1 +
     sigma**2)`` and pinned to the endpoints.
     """
+    # before any power: an infinite base or exponent warns, and NaN passes
+    # every comparison below
+    for value, name in ((rho, "rho"), (sigma_min, "sigma_min"), (sigma_max, "sigma_max")):
+        _require_finite(value, name)
     if rho < 1.0:
         raise ValueError(f"rho must be >= 1, got {rho}")
     if not 0.0 < sigma_min < sigma_max:

@@ -4,30 +4,34 @@ This is the independent oracle for the closed-form spectral results: it runs
 the sampler as dense affine steps on the original coordinates and never
 touches the eigenbasis shortcut.
 
-Reproducibility: sample ``i`` is generated from its own counter-based RNG
-stream derived from ``(seed, i)`` (Philox keyed by the seed, counter offset
-``i << 128``).  Standard normals come from the Box-Muller transform on pairs
-of uniforms (``u1`` mapped from [0,1) to (0,1]), which an oracle
-re-implementation can match distributionally.
+Reproducibility: samples are drawn in blocks of ``_STREAM_ROWS = 64``
+consecutive indices, and block ``b = i // 64`` has its own counter-based RNG
+stream: Philox keyed by the seed, counter offset ``b << 128``.  Standard
+normals come from numpy's ``Generator.standard_normal`` on that stream, and
+fill the block's rows in order, ``d`` per sample: sample ``i`` is row
+``i % 64``.  A stream's first normals do not depend on how many are drawn,
+so sample ``i`` depends only on ``(seed, i)`` and ``d``.  The Philox bits
+are fixed by the algorithm; the normal sampler's stream follows numpy's
+NEP 19 policy, as ``Generator.random``'s does.
 
 Both samplers are affine in Gaussian draws, so their output is Gaussian.
 ``compose_affine`` folds the dense per-step maps, taken one at a time from
 ``_dense_steps``, into one ``d x d`` factor ``F`` and an offset, and a
-sample is ``x_0 = F z + offset`` with ``z`` the first ``d`` normals of its
-stream.  For ddim, ``F`` is the composed map itself, and its bytes differ
-from a per-step loop by rounding only.  For ddpm, ``F F^T`` is the output
+sample is ``x_0 = F z + offset`` with ``z`` its row of ``d`` normals.  For
+ddim, ``F`` is the composed map itself, and its bytes differ from a
+per-step loop by rounding only.  For ddpm, ``F F^T`` is the output
 covariance of the per-step process, noise included, so the samples have its
 exact law without drawing its per-step noise path.
 
-Samples are drawn in chunks of a fixed number of rows, one after another on
-the calling thread.  Each chunk sets one Philox's counter to each sample's
-``i << 128`` in turn; Box-Muller then runs over the whole chunk, in place in
-the chunk's draw buffer, and one matrix product maps it.  The last chunk is
-padded with zero rows, so every sample passes through the same
-matrix-product shapes at the same row position and its bytes depend only on
-``(seed, i)``, not on the sample count.  The product's inner dimension is
-``d``: ddpm's bytes at ``d = 7`` and ``d = 50`` are the same under one and
-two BLAS threads (a test checks this), while ddim's at ``d = 200`` are not.
+Samples are drawn in chunks of a whole number of blocks, one after another
+on the calling thread.  Each chunk resets one Philox's counter to each
+block's ``b << 128`` in turn and draws the block's normals into the chunk's
+draw buffer, and one matrix product maps it.  The last chunk draws only its
+own rows and is padded with zero rows, so every sample passes through the
+same matrix-product shapes at the same row position and its bytes do not
+depend on the sample count.  The product's inner dimension is ``d``: ddpm's
+bytes at ``d = 7`` and ``d = 50`` are the same under one and two BLAS
+threads (a test checks this), while ddim's at ``d = 200`` are not.
 """
 
 from __future__ import annotations
@@ -48,11 +52,16 @@ __all__ = [
 SYMMETRY_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 
-# Normals drawn per chunk, d per sample: rows per chunk = this // d.  Fewer
-# make small matrix products; many more spill the Box-Muller temporaries out
-# of cache.
+# Normals drawn per chunk, d per sample: a chunk is about this // d rows.
+# Fewer make small matrix products; many more spill the chunk out of cache.
 _CHUNK_NORMALS = 2**18
+_STREAM_ROWS = 64  # consecutive samples that share one Philox stream
 _WORD = 2**64 - 1  # mask of one of Philox's four 64-bit counter words
+
+
+def _chunk_rows(d: int) -> int:
+    """Rows per chunk at ``d`` normals a row: a whole number of stream blocks."""
+    return max(_STREAM_ROWS, (_CHUNK_NORMALS // d) // _STREAM_ROWS * _STREAM_ROWS)
 
 
 @dataclass
@@ -97,64 +106,41 @@ class SimConfig:
         _require_integer(self.seed, "seed", 0, bits=128)
 
 
-def _box_muller(u: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Interleaved Box-Muller normals written into ``out``.
-
-    ``u`` holds the ``u1`` half then the ``u2`` half of the uniform pairs
-    along its last axis and is overwritten: ``u1`` becomes the radius and
-    ``u2`` the angle.  An odd ``out`` width drops the last sine.
-    """
-    pairs = u.shape[-1] // 2
-    radius, angle = u[..., :pairs], u[..., pairs:]
-    np.subtract(1.0, radius, out=radius)
-    np.log(radius, out=radius)
-    radius *= -2.0
-    np.sqrt(radius, out=radius)
-    angle *= 2.0 * np.pi
-    sines = out.shape[-1] - pairs
-    np.cos(angle, out=out[..., 0::2])
-    np.sin(angle[..., :sines], out=out[..., 1::2])
-    out[..., 0::2] *= radius
-    out[..., 1::2] *= radius[..., :sines]
-    return out
-
-
 def _sample_stream_normals(seed: int, index: int, count: int) -> np.ndarray:
-    """Sample ``index``'s first ``count`` normals: one row of ``_chunk_stream_normals``."""
+    """Sample ``index``'s ``count`` normals: one row of ``_chunk_stream_normals``."""
     return _chunk_stream_normals(seed, index, 1, count)[0]
 
 
 def _chunk_stream_normals(
-    seed: int,
-    start: int,
-    rows: int,
-    count: int,
-    out: np.ndarray | None = None,
-    scratch: np.ndarray | None = None,
+    seed: int, start: int, rows: int, count: int, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """The first ``count`` normals of each sample ``i`` in ``start..start+rows-1``.
+    """The ``count`` normals of each sample ``i`` in ``start..start+rows-1``.
 
-    One Philox serves the whole chunk.  Before each sample its counter words
-    are set to ``i << 128`` with an empty output buffer, the state a fresh
-    ``Philox(key=seed, counter=i << 128)`` starts in.  The normals go into
-    ``out`` (shape ``(rows, count)``) and the uniforms into ``scratch``
-    (shape ``(rows, 2 * pairs)``); either is allocated when not given.
+    Block ``b``'s stream fills its 64 rows of ``count`` in order, so a
+    sample's normals depend on ``count``.  One Philox serves the whole
+    chunk.  Before each block its counter words are set to ``b << 128`` with
+    an empty output buffer, the state a fresh ``Philox(key=seed, counter=b
+    << 128)`` starts in, and the block's rows are drawn in one call; rows of
+    a block before ``start`` are drawn and dropped.  The normals go into
+    ``out`` (shape ``(rows, count)``, C order), allocated when not given.
     Returns ``out``.
     """
-    pairs = (count + 1) // 2
     if out is None:
         out = np.empty((rows, count))
-    if scratch is None:
-        scratch = np.empty((rows, 2 * pairs))
     bits = np.random.Philox(key=seed)
     state = bits.state  # a fresh generator's: buffer_pos 4, nothing buffered
     counter = state["state"]["counter"]
     gen = np.random.Generator(bits)
-    for r, i in enumerate(range(start, start + rows)):
-        counter[2], counter[3] = i & _WORD, i >> 64
+    stop = start + rows
+    for block in range(start // _STREAM_ROWS, -(-stop // _STREAM_ROWS)):
+        first = block * _STREAM_ROWS
+        lo, hi = max(start, first), min(stop, first + _STREAM_ROWS)
+        counter[2], counter[3] = block & _WORD, block >> 64
         bits.state = state
-        gen.random(out=scratch[r])
-    return _box_muller(scratch, out)
+        if lo > first:
+            gen.standard_normal((lo - first) * count)
+        gen.standard_normal(out=out[lo - start : hi - start])
+    return out
 
 
 def _check_psd(covariance: np.ndarray) -> None:
@@ -223,20 +209,19 @@ def simulate_reverse(target: DenseGaussian, cfg: SimConfig) -> np.ndarray:
     """Draw ``cfg.samples`` outputs of the reverse process, shape (n, d).
 
     Both samplers fold all steps into one ``d x d`` factor and an offset
-    (``compose_affine``), applied to each sample's first ``d`` normals as one
+    (``compose_affine``), applied to each sample's ``d`` normals as one
     matrix product per chunk of samples.  Sample ``i`` depends only on
-    ``(seed, i)``.
+    ``(seed, i)`` and ``d``.
     """
     d = target.dim
     n = cfg.samples
     F, offset = compose_affine(target, cfg.schedule, cfg.process)
-    rows = max(1, _CHUNK_NORMALS // d)
+    rows = _chunk_rows(d)
     out = np.empty((n, d))
     draws, tmp = np.empty((rows, d)), np.empty((rows, d))
-    scratch = np.empty((rows, 2 * ((d + 1) // 2)))
     for start in range(0, n, rows):
         m = min(rows, n - start)
-        _chunk_stream_normals(cfg.seed, start, m, d, draws[:m], scratch[:m])
+        _chunk_stream_normals(cfg.seed, start, m, d, draws[:m])
         draws[m:] = 0.0
         np.matmul(draws, F.T, out=tmp)
         np.add(tmp[:m], offset, out=out[start : start + m])

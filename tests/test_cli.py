@@ -1220,6 +1220,24 @@ _ESTIMATE = ["estimate", "--out-cov", "o.csv", "--out-model", "o.json", "--input
             "(s, e, tau) = (0.0, 1.0, 1e-300)",
             id="flat-cosine-token",
         ),
+        pytest.param(
+            ["gen", "--family", "edm", "--params", "7,0.002,inf", "--steps", "8",
+             "--out", "o.json"],
+            "--params: sigma_max must be finite (no NaN or inf)",
+            id="edm-inf-sigma",
+        ),
+        pytest.param(
+            ["gen", "--family", "edm", "--params", "inf,0.002,80", "--steps", "8",
+             "--out", "o.json"],
+            "--params: rho must be finite (no NaN or inf)",
+            id="edm-inf-rho",
+        ),
+        pytest.param(
+            ["gen", "--family", "edm", "--params", "nan,0.002,80", "--steps", "8",
+             "--out", "o.json"],
+            "--params: rho must be finite (no NaN or inf)",
+            id="edm-nan-rho",
+        ),
     ],
 )
 def test_invalid_input_exits_2_naming_it(tmp_path, capsys, monkeypatch, argv, message):

@@ -188,6 +188,14 @@ def test_edm_rejects_bad_params():
         edm_schedule(10, sigma_min=2.0, sigma_max=1.0)
 
 
+@pytest.mark.parametrize("field", ["rho", "sigma_min", "sigma_max"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_edm_rejects_non_finite_params_naming_them(field, value):
+    # Refused before any power is taken: tier-1 makes a RuntimeWarning an error.
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        edm_schedule(10, **{field: value})
+
+
 # ---------------------------------------------------------- interpolation
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 
@@ -88,30 +88,33 @@ def test_sample_depends_only_on_seed_and_index():
     np.testing.assert_array_equal(many[:3], few)
 
 
-def _box_muller_loop(seed, index, count):
-    # The stream definition, written out per sample as the reference.
-    gen = Generator(Philox(key=seed, counter=index << 128))
-    pairs = (count + 1) // 2
-    u1 = 1.0 - gen.random(pairs)
-    u2 = gen.random(pairs)
-    radius = np.sqrt(-2.0 * np.log(u1))
-    z = np.empty(2 * pairs)
-    z[0::2] = radius * np.cos(2.0 * np.pi * u2)
-    z[1::2] = radius * np.sin(2.0 * np.pi * u2)
-    return z[:count]
+def _reference_normals(seed, start, rows, count):
+    # The stream definition written out as the reference: every block of 64
+    # samples drawn whole from a fresh Philox at counter ``b << 128``, and
+    # samples ``start .. start+rows-1`` cut from them.
+    first, last = start // 64, (start + rows - 1) // 64
+    blocks = [
+        Generator(Philox(key=seed, counter=b << 128)).standard_normal((64, count))
+        for b in range(first, last + 1)
+    ]
+    offset = start - 64 * first
+    return np.concatenate(blocks)[offset : offset + rows]
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    seed=st.integers(0, 2**64 - 1),
-    start=st.integers(0, 2**40),
-    rows=st.integers(1, 8),
-    count=st.integers(1, 300),
+    seed=st.integers(0, 2**128 - 1),
+    start=st.integers(0, 2**72),
+    rows=st.integers(1, 140),
+    count=st.integers(1, 100),
 )
+@example(seed=2**128 - 1, start=64 * 2**64 - 3, rows=70, count=5)  # block 2**64 - 1 to 2**64
+@example(seed=2**128 - 1, start=64 * 2**70 + 63, rows=2, count=1)
+@example(seed=0, start=0, rows=65, count=51)
 def test_chunk_stream_matches_per_sample_streams(seed, start, rows, count):
     chunk = _chunk_stream_normals(seed, start, rows, count)
     per_sample = np.stack([_sample_stream_normals(seed, start + r, count) for r in range(rows)])
-    reference = np.stack([_box_muller_loop(seed, start + r, count) for r in range(rows)])
+    reference = _reference_normals(seed, start, rows, count)
     assert chunk.shape == (rows, count)
     assert chunk.tobytes() == per_sample.tobytes()
     assert per_sample.tobytes() == reference.tobytes()
@@ -132,8 +135,9 @@ def test_dense_sample_depends_only_on_index(benchmark_model, process):
     # sample count, or rounding makes earlier samples depend on it.
     dense, _ = benchmark_model
     schedule = cosine_schedule(12)
-    rows = simulate._CHUNK_NORMALS // dense.dim  # d normals per sample
-    for few, many in [(3, 10), (4100, 5000), (rows - 1, rows + 1), (rows + 1, 2 * rows + 3)]:
+    rows = simulate._chunk_rows(dense.dim)
+    cases = [(3, 10), (63, 65), (4100, 5000), (rows - 1, rows + 1), (rows + 1, 2 * rows + 3)]
+    for few, many in cases:
         a = simulate_reverse(dense, SimConfig(process, few, 17, schedule))
         b = simulate_reverse(dense, SimConfig(process, many, 17, schedule))
         assert a.tobytes() == b[:few].tobytes(), (few, many)
@@ -143,15 +147,12 @@ def test_dense_sample_depends_only_on_index(benchmark_model, process):
 @given(
     seed=st.integers(0, 2**64 - 1),
     start=st.integers(0, 2**40),
-    rows=st.integers(1, 6),
+    rows=st.integers(1, 140),
     count=st.integers(1, 120),
 )
 def test_chunk_stream_into_buffers_matches_returning_form(seed, start, rows, count):
-    # Odd and even counts: an odd count drops the last sine of each row.
-    pairs = (count + 1) // 2
     out = np.full((rows, count), np.nan)
-    scratch = np.full((rows, 2 * pairs), np.nan)
-    written = _chunk_stream_normals(seed, start, rows, count, out=out, scratch=scratch)
+    written = _chunk_stream_normals(seed, start, rows, count, out=out)
     assert written is out
     assert out.tobytes() == _chunk_stream_normals(seed, start, rows, count).tobytes()
 
@@ -162,7 +163,7 @@ def _reference_simulate(target, cfg):
     ab = cfg.schedule.alpha_bar
     a, b, c2 = _step_coefficients(ab, cfg.process)
     assert c2 is None  # ddpm's samples follow its law, not its noise path
-    x = np.stack([_box_muller_loop(cfg.seed, i, target.dim) for i in range(cfg.samples)])
+    x = _reference_normals(cfg.seed, 0, cfg.samples, target.dim)
     for gain, off in _dense_steps(target, ab, a, b, reversed(range(len(a)))):
         x = x @ gain.T + off
     return x
@@ -189,7 +190,7 @@ def test_chunk_count_does_not_change_bytes(benchmark_model, monkeypatch, process
     if not even:
         monkeypatch.setattr(simulate, "_CHUNK_NORMALS", 2**10)
     d, schedule = target.dim, cosine_schedule(12)
-    rows = simulate._CHUNK_NORMALS // d
+    rows = simulate._chunk_rows(d)
     cfg = SimConfig(process, 3 * rows + rows // 3 + 1, 29, schedule)  # 4 chunks, last partial
     starts = []
     chunk_stream = simulate._chunk_stream_normals
@@ -201,18 +202,18 @@ def test_chunk_count_does_not_change_bytes(benchmark_model, monkeypatch, process
     monkeypatch.setattr(simulate, "_chunk_stream_normals", traced)
     several = simulate_reverse(target, cfg)
     assert starts == [0, rows, 2 * rows, 3 * rows]  # each chunk once, in order
-    monkeypatch.setattr(simulate, "_CHUNK_NORMALS", cfg.samples * d)
+    monkeypatch.setattr(simulate, "_CHUNK_NORMALS", (cfg.samples + simulate._STREAM_ROWS) * d)
     starts.clear()
     one = simulate_reverse(target, cfg)
     assert starts == [0]
     assert one.tobytes() == several.tobytes()
 
-    # The bytes are those of the factor applied serially to each sample's
-    # own first d normals.  The reference stacks them into one product: a
-    # one-row product goes through a matrix-vector kernel that sums in
-    # another order.
+    # The bytes are those of the factor applied to each sample's d normals,
+    # cut from whole blocks of the stream.  The reference maps them in one
+    # product: a one-row product goes through a matrix-vector kernel that
+    # sums in another order.
     F, offset = compose_affine(target, schedule, process)
-    draws = np.stack([_sample_stream_normals(cfg.seed, i, d) for i in range(cfg.samples)])
+    draws = _reference_normals(cfg.seed, 0, cfg.samples, d)
     assert several.tobytes() == (draws @ F.T + offset).tobytes()
     if process == "ddim":
         assert_within_rounding(several, _reference_simulate(target, cfg))
@@ -292,7 +293,7 @@ def test_ddpm_bytes_do_not_depend_on_blas_threads(benchmark_model, tmp_path, eve
     assert digests[0] == digests[1]
 
 
-def test_box_muller_stream_moments():
+def test_stream_moments():
     z = np.concatenate([_sample_stream_normals(0, i, 100) for i in range(200)])
     assert abs(z.mean()) < 0.02
     assert abs(z.std() - 1.0) < 0.02
@@ -447,20 +448,20 @@ def test_compose_affine_holds_one_step_map_at_a_time():
 @pytest.mark.parametrize("S", [20, 400])
 def test_ddpm_sampler_memory_does_not_grow_with_steps(S):
     # ddpm draws d normals per sample through one d x d factor: its peak is
-    # the output, the chunk's three buffers and a few d x d matrices, under
-    # one bound at 20 steps and at 400.
+    # the output, the chunk's two buffers and a few d x d matrices, under one
+    # bound at 20 steps and at 400.
     import tracemalloc
 
     d = 64
     target = odd_dense_target(d)
-    rows = simulate._CHUNK_NORMALS // d
+    rows = simulate._chunk_rows(d)
     tracemalloc.start()
     try:
         out = simulate_reverse(target, SimConfig("ddpm", 1000, 3, cosine_schedule(S)))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < out.nbytes + 3 * rows * d * 8 + 16 * d * d * 8
+    assert peak < out.nbytes + 2 * rows * d * 8 + 16 * d * d * 8
 
 
 @pytest.mark.parametrize("l", [0, 1, 9, 23, 24])
