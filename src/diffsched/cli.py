@@ -51,7 +51,7 @@ from .io import (
 from .losses import LossKind, transfer_loss
 from .optimize import OptimizeConfig, optimize_schedule, single_eigenvalue_problem
 from .schedules import cosine_schedule, edm_schedule, linear_schedule, sigmoid_schedule
-from .simulate import DenseGaussian, SimConfig, simulate_reverse
+from .simulate import DenseGaussian, SimConfig, blas_pinned, simulate_reverse
 from .spectral import (
     DEFAULT_EPS0,
     DEFAULT_EPSS,
@@ -247,7 +247,7 @@ def cmd_simulate(args):
     samples = simulate_reverse(target, cfg)
     save_raw_f64(samples, args.out)
     inputs = [args.schedule] + [p for p in (args.cov, args.mean) if p]
-    return inputs, {"samples": args.samples, "seed": args.seed}
+    return inputs, {"samples": args.samples, "seed": args.seed, "blas_pinned": blas_pinned()}
 
 
 def cmd_dynamics(args):

@@ -230,8 +230,12 @@ def load_raw_f64(path) -> np.ndarray:
 def save_matrix_csv(matrix: np.ndarray, path) -> None:
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     _refuse_non_finite(path, matrix)
-    # repr of a Python float is format_float's string, without a call per value.
-    lines = [",".join(map(repr, row)) for row in matrix.tolist()]
+    # repr of a Python float is format_float's string.  Each distinct double
+    # is formatted once (structured matrices repeat few values); the int64
+    # view keeps 0.0 and -0.0 apart.
+    bits, inverse = np.unique(matrix.view(np.int64), return_inverse=True)
+    text = np.array([repr(x) for x in bits.view(np.float64).tolist()], dtype=object)
+    lines = [",".join(row) for row in text[inverse.reshape(matrix.shape)].tolist()]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -23,19 +23,36 @@ per-step loop by rounding only.  For ddpm, ``F F^T`` is the output
 covariance of the per-step process, noise included, so the samples have its
 exact law without drawing its per-step noise path.
 
-Samples are drawn in chunks of a whole number of blocks, one after another
-on the calling thread.  Each chunk resets one Philox's counter to each
-block's ``b << 128`` in turn and draws the block's normals into the chunk's
-draw buffer, and one matrix product maps it.  The last chunk draws only its
-own rows and is padded with zero rows, so every sample passes through the
-same matrix-product shapes at the same row position and its bytes do not
-depend on the sample count.  The product's inner dimension is ``d``: ddpm's
-bytes at ``d = 7`` and ``d = 50`` are the same under one and two BLAS
-threads (a test checks this), while ddim's at ``d = 200`` are not.
+Samples are drawn in chunks of a whole number of blocks.  ``simulate_reverse``
+starts one helper thread that draws every chunk's normals straight into the
+output array, in order, while the calling thread runs ``compose_affine``;
+both release the interpreter lock in numpy's RNG and LAPACK calls.  Each
+chunk resets one Philox's counter to each block's ``b << 128`` in turn and
+draws the block's normals into the chunk's rows.  After the join the calling
+thread maps each chunk in place with one ``(rows, d) @ (d, d)`` product.  The
+last chunk draws only its own rows and is mapped through a copy padded with
+zero rows, so every sample passes through the same matrix-product shapes at
+the same row position and its bytes do not depend on the sample count.  A
+fold error stops the helper before its next chunk, and an error the helper
+meets is raised in the caller; either way the helper is joined first.
+
+For the whole call numpy's bundled OpenBLAS runs on one thread: its thread
+count is set to 1 through ``ctypes`` and restored afterwards, under one lock,
+so concurrent calls take turns.  That keeps an idle BLAS worker from
+spinning on a CPU the helper needs, and makes the bytes independent of the
+BLAS thread count (tests check ddpm at ``d = 7`` and ``d = 50`` and ddim at
+``d = 200`` under one and two threads).  The count is process-wide, so other
+threads' BLAS calls run on one thread meanwhile, and a large-``d`` fold loses
+the threads it had.  Where the wheel's OpenBLAS exports no thread-count
+symbol, the same code runs unpinned (``blas_pinned`` says which), and large-``d``
+bytes may then depend on the BLAS thread count.
 """
 
 from __future__ import annotations
 
+import functools
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +74,13 @@ EIGENVALUE_FLOOR = -1e-10
 _CHUNK_NORMALS = 2**18
 _STREAM_ROWS = 64  # consecutive samples that share one Philox stream
 _WORD = 2**64 - 1  # mask of one of Philox's four 64-bit counter words
+
+# numpy >= 2 wheels, then numpy 1.26 wheels: (get, set) of the thread count.
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+)
+_BLAS_LOCK = threading.Lock()
 
 
 def _chunk_rows(d: int) -> int:
@@ -205,26 +229,116 @@ def compose_affine(
     return np.linalg.qr(np.vstack([R, prefix.T]), mode="r").T, offset
 
 
+@functools.cache
+def _blas_thread_api():
+    """``(get, set)`` of the OpenBLAS bundled in numpy's wheel, or ``None``.
+
+    Looked up once, in the wheel's library directories only (``numpy.libs``
+    beside the package, ``numpy/.dylibs``), under the names numpy >= 2
+    (``scipy_openblas_*``) and numpy 1.26 (``openblas_*``) export.
+    """
+    import ctypes
+    from pathlib import Path
+
+    package = Path(np.__file__).parent
+    for directory in (package.parent / "numpy.libs", package / ".dylibs"):
+        for path in sorted(directory.glob("*openblas*")):
+            try:
+                lib = ctypes.CDLL(str(path))
+            except OSError:
+                continue
+            for get_name, set_name in _BLAS_THREAD_SYMBOLS:
+                if hasattr(lib, get_name) and hasattr(lib, set_name):
+                    get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    return get, set_
+    return None
+
+
+def blas_pinned() -> bool:
+    """Whether ``simulate_reverse`` runs numpy's OpenBLAS on one thread here."""
+    return _blas_thread_api() is not None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body on one OpenBLAS thread, then restore the previous count.
+
+    The count is process-wide: one lock spans the save and the restore, so
+    concurrent callers take turns.  Without the symbols the body runs as is.
+    """
+    api = _blas_thread_api()
+    if api is None:
+        yield
+        return
+    get, set_ = api
+    with _BLAS_LOCK:
+        before = get()
+        set_(1)
+        try:
+            yield
+        finally:
+            set_(before)
+
+
+def _draw_chunks(seed, out, rows, stop, errors) -> None:
+    """Helper thread: each chunk's normals into its rows of ``out``, in order.
+
+    Checks ``stop`` before each chunk; an error goes to ``errors``.
+    """
+    try:
+        for start in range(0, len(out), rows):
+            if stop.is_set():
+                return
+            chunk = out[start : start + rows]
+            _chunk_stream_normals(seed, start, len(chunk), out.shape[1], chunk)
+    except BaseException as exc:  # handed to the calling thread, which re-raises it
+        errors.append(exc)
+
+
 def simulate_reverse(target: DenseGaussian, cfg: SimConfig) -> np.ndarray:
     """Draw ``cfg.samples`` outputs of the reverse process, shape (n, d).
 
     Both samplers fold all steps into one ``d x d`` factor and an offset
     (``compose_affine``), applied to each sample's ``d`` normals as one
-    matrix product per chunk of samples.  Sample ``i`` depends only on
-    ``(seed, i)`` and ``d``.
+    matrix product per chunk of samples.  A helper thread draws the normals
+    into the output while this thread folds; the call runs numpy's OpenBLAS
+    on one thread where it can (``blas_pinned``).  Sample ``i`` depends only
+    on ``(seed, i)`` and ``d``.
     """
     d = target.dim
     n = cfg.samples
-    F, offset = compose_affine(target, cfg.schedule, cfg.process)
     rows = _chunk_rows(d)
     out = np.empty((n, d))
-    draws, tmp = np.empty((rows, d)), np.empty((rows, d))
-    for start in range(0, n, rows):
-        m = min(rows, n - start)
-        _chunk_stream_normals(cfg.seed, start, m, d, draws[:m])
-        draws[m:] = 0.0
-        np.matmul(draws, F.T, out=tmp)
-        np.add(tmp[:m], offset, out=out[start : start + m])
+    stop, errors = threading.Event(), []
+    with _one_blas_thread():
+        helper = threading.Thread(
+            target=_draw_chunks, args=(cfg.seed, out, rows, stop, errors), name="diffsched-draws"
+        )
+        helper.start()
+        try:
+            F, offset = compose_affine(target, cfg.schedule, cfg.process)
+        except BaseException:
+            stop.set()
+            raise
+        finally:
+            helper.join()
+        if errors:
+            raise errors[0]
+        # Every chunk is mapped at the full (rows, d) shape: the last one is
+        # copied into a zero-padded buffer, so each sample's bytes do not
+        # depend on the sample count.
+        tmp = np.empty((rows, d))
+        for start in range(0, n, rows):
+            chunk = out[start : start + rows]
+            m = len(chunk)
+            if m < rows:
+                padded = np.zeros((rows, d))
+                padded[:m] = chunk
+                chunk = padded
+            np.matmul(chunk, F.T, out=tmp)
+            np.add(tmp[:m], offset, out=out[start : start + m])
     return out
 
 

@@ -388,6 +388,25 @@ def test_simulate_default_seed_is_zero_and_recorded(tmp_path):
     assert (tmp_path / "default.f64").read_bytes() == (tmp_path / "zero.f64").read_bytes()
 
 
+def test_simulate_records_whether_blas_was_pinned(tmp_path, monkeypatch, capsys):
+    # Without numpy's OpenBLAS thread symbols the run goes unpinned, says so,
+    # and at this d its bytes are those of a pinned run.
+    from diffsched import simulate
+
+    sched = tmp_path / "s.json"
+    save_schedule(cosine_schedule(6), sched)
+    base = ["simulate", "--synthetic", "8,0.1,0.05", "--schedule", sched, "--samples", "200"]
+    for name, pinned in (("found", simulate.blas_pinned()), ("absent", False)):
+        if name == "absent":
+            monkeypatch.setattr(simulate, "_blas_thread_api", lambda: None)
+        capsys.readouterr()
+        assert run([*base, "--out", tmp_path / f"{name}.f64"]) == 0
+        summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        manifest = json.loads((tmp_path / f"{name}.f64.manifest.json").read_text())
+        assert summary["blas_pinned"] is manifest["info"]["blas_pinned"] is pinned, name
+    assert (tmp_path / "found.f64").read_bytes() == (tmp_path / "absent.f64").read_bytes()
+
+
 def test_simulate_requires_target(tmp_path):
     sched = tmp_path / "s.json"
     save_schedule(cosine_schedule(6), sched)

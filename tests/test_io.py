@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from diffsched import Schedule, SpectralModel, cosine_schedule
+from diffsched import Schedule, SpectralModel, cosine_schedule, synthetic_circulant_model
 from diffsched.io import (
     format_float,
     load_matrix_csv,
@@ -223,6 +223,32 @@ def test_matrix_csv_bytes_are_format_float_per_element(tmp_path):
     path = tmp_path / "matrix.csv"
     save_matrix_csv(matrix, path)
     expected = "".join(",".join(format_float(x) for x in row) + "\n" for row in matrix)
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+def _csv_matrices():
+    rng = np.random.default_rng(5)
+    raw = rng.normal(size=(40, 40))
+    distinct = rng.normal(size=(30, 40))
+    return {
+        "circulant": synthetic_circulant_model(60, 0.1, 0.05)[0].covariance,
+        "symmetric": raw + raw.T,
+        "all-distinct": distinct,
+        "transposed": distinct.T,
+        "signed-zero": np.array([[0.0, -0.0, 1.0], [-0.0, 0.0, -1.0]]),
+        "1x1": np.array([[-2.5]]),
+        "single-column": rng.normal(size=(17, 1)).round(1),
+    }
+
+
+@pytest.mark.parametrize("name", list(_csv_matrices()))
+def test_matrix_csv_bytes_are_repr_per_element(tmp_path, name):
+    # save_matrix_csv formats each distinct double once; the bytes are those
+    # of formatting every element.
+    matrix = _csv_matrices()[name]
+    path = tmp_path / "matrix.csv"
+    save_matrix_csv(matrix, path)
+    expected = "".join(",".join(map(repr, row)) + "\n" for row in matrix.tolist())
     assert path.read_bytes() == expected.encode("utf-8")
 
 

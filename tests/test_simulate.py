@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from diffsched import (
     optimize_schedule,
     relative_error_dynamics,
     simulate_reverse,
+    synthetic_circulant_model,
     w2_dynamics,
     w2_loss,
 )
@@ -265,16 +267,26 @@ import hashlib, sys
 import numpy as np
 from diffsched import DenseGaussian, SimConfig, cosine_schedule, simulate_reverse
 target = DenseGaussian(mean=np.load(sys.argv[1]), covariance=np.load(sys.argv[2]))
-out = simulate_reverse(target, SimConfig("ddpm", 3000, 7, cosine_schedule(112)))
+process, steps = sys.argv[3], int(sys.argv[4])
+out = simulate_reverse(target, SimConfig(process, 3000, 7, cosine_schedule(steps)))
 print(hashlib.sha256(out.tobytes()).hexdigest())
 """
 
 
-@pytest.mark.parametrize("even", [True, False], ids=["d50", "d7"])
-def test_ddpm_bytes_do_not_depend_on_blas_threads(benchmark_model, tmp_path, even):
-    # At these d, ddpm's fold and its chunk product (inner dimension d) sum
-    # in the same order under one and two BLAS threads.
-    target = benchmark_model[0] if even else odd_dense_target()
+@pytest.mark.parametrize(
+    "d, process, steps", [(50, "ddpm", 112), (7, "ddpm", 112), (200, "ddim", 28)],
+    ids=["ddpm-d50", "ddpm-d7", "ddim-d200"],
+)
+def test_sampler_bytes_do_not_depend_on_blas_threads(tmp_path, d, process, steps):
+    # At d <= 50, ddpm's fold and its chunk product (inner dimension d) sum
+    # in the same order under one and two BLAS threads.  At d = 200 ddim's
+    # do not, and only the one-thread pin makes the bytes agree.
+    if d == 200 and not simulate.blas_pinned():
+        pytest.skip(
+            "numpy's OpenBLAS exports none of "
+            + ", ".join(name for pair in simulate._BLAS_THREAD_SYMBOLS for name in pair)
+        )
+    target = odd_dense_target() if d == 7 else synthetic_circulant_model(d, 0.1, 0.05)[0]
     np.save(tmp_path / "mean.npy", target.mean)
     np.save(tmp_path / "cov.npy", target.covariance)
     src = str(Path(simulate.__file__).resolve().parents[1])
@@ -286,11 +298,92 @@ def test_ddpm_bytes_do_not_depend_on_blas_threads(benchmark_model, tmp_path, eve
             PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
         )
         out = subprocess.run(
-            [sys.executable, "-c", _BLAS_PROBE, tmp_path / "mean.npy", tmp_path / "cov.npy"],
+            [sys.executable, "-c", _BLAS_PROBE, tmp_path / "mean.npy", tmp_path / "cov.npy",
+             process, str(steps)],
             env=env, capture_output=True, text=True, check=True,
         )
         digests.append(out.stdout.strip())
     assert digests[0] == digests[1]
+
+
+@pytest.fixture
+def no_thread_left():
+    """Asserts that the test leaves no thread alive and the BLAS count as found.
+
+    The count is set to 2 first, so a restore to a fixed 1 would show.
+    """
+    api = simulate._blas_thread_api()
+    if api is not None:
+        before = api[0]()
+        api[1](2)
+        expected = api[0]()
+    threads = threading.active_count()
+    yield
+    assert threading.active_count() == threads
+    if api is not None:
+        try:
+            assert api[0]() == expected
+        finally:
+            api[1](before)
+
+
+def test_fold_error_stops_the_draws(monkeypatch, no_thread_left):
+    bad = DenseGaussian(mean=np.zeros(2), covariance=np.array([[1.0, 2.0], [2.0, 1.0]]))
+    cfg = SimConfig("ddim", 2_000_000, 0, cosine_schedule(4))
+    chunks = -(-cfg.samples // simulate._chunk_rows(2))
+    calls = []
+    chunk_stream = simulate._chunk_stream_normals
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return chunk_stream(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "_chunk_stream_normals", counted)
+    with pytest.raises(ValueError, match="not PSD"):
+        simulate_reverse(bad, cfg)
+    assert len(calls) < chunks / 2, (len(calls), chunks)
+
+
+def test_draw_error_reaches_the_caller(benchmark_model, monkeypatch, no_thread_left):
+    target = benchmark_model[0]
+    rows = simulate._chunk_rows(target.dim)
+    chunk_stream = simulate._chunk_stream_normals
+
+    def second_fails(seed, start, *args, **kwargs):
+        if start == rows:
+            raise RuntimeError("draw failed at the second chunk")
+        return chunk_stream(seed, start, *args, **kwargs)
+
+    monkeypatch.setattr(simulate, "_chunk_stream_normals", second_fails)
+    with pytest.raises(RuntimeError, match="second chunk"):
+        simulate_reverse(target, SimConfig("ddim", 3 * rows, 0, cosine_schedule(12)))
+
+
+def test_concurrent_calls_give_the_serial_bytes(benchmark_model, no_thread_left):
+    # More callers than two cores, switching often: each call
+    # keeps its bytes, and the fixture checks the BLAS count they restore.
+    target = benchmark_model[0]
+    cfgs = [SimConfig(p, 3000, seed, cosine_schedule(28))
+            for p, seed in (("ddim", 11), ("ddpm", 11), ("ddim", 12))]
+    serial = [simulate_reverse(target, cfg).tobytes() for cfg in cfgs]
+    start, got = threading.Barrier(len(cfgs)), [None] * len(cfgs)
+
+    def call(k):
+        start.wait(timeout=30)
+        got[k] = simulate_reverse(target, cfgs[k]).tobytes()
+
+    callers = [threading.Thread(target=call, args=(k,)) for k in range(len(cfgs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+            assert not caller.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == serial
 
 
 def test_stream_moments():
