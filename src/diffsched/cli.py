@@ -161,7 +161,10 @@ def cmd_optimize(args):
         ftol=args.ftol,
     )
     if args.eigenvalue_index is not None:
-        model = single_eigenvalue_problem(model, args.eigenvalue_index)
+        try:
+            model = single_eigenvalue_problem(model, args.eigenvalue_index)
+        except ValueError as exc:
+            raise ValueError(f"--eigenvalue-index: {exc}") from None
     schedule, report = optimize_schedule(model, config)
     save_schedule(schedule, args.out)
     report_path = str(args.out) + _REPORT
@@ -216,7 +219,9 @@ def cmd_compare(args):
 
 
 def _load_target(args) -> DenseGaussian:
-    if args.synthetic:
+    if args.mean is not None and args.cov is None:
+        raise ValueError("--mean needs --cov: the --synthetic target has its own mean")
+    if args.synthetic is not None:
         values = _parse_list(args.synthetic, float, "--synthetic")
         if len(values) != 3 or not np.all(np.isfinite(values)):
             raise ValueError(
@@ -227,8 +232,6 @@ def _load_target(args) -> DenseGaussian:
             raise ValueError(f"--synthetic d must be an integer, got {d}")
         dense, _ = synthetic_circulant_model(int(d), l, mu)
         return dense
-    if not args.cov:
-        raise ValueError("either --synthetic or --cov is required")
     cov = np.asarray(read_signal(args.cov), dtype=float)
     if cov.ndim != 2:
         raise ValueError("--cov must hold a matrix")
@@ -414,9 +417,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare)
 
     p = add_parser("simulate", help="time-domain Monte Carlo of the reverse process")
-    p.add_argument("--synthetic", default=None, help="d,l,mu synthetic circulant target")
-    p.add_argument("--cov", default=None, help="covariance file (CSV or raw f64)")
-    p.add_argument("--mean", default=None, help="mean vector file")
+    target = p.add_mutually_exclusive_group(required=True)
+    target.add_argument("--synthetic", default=None, help="d,l,mu synthetic circulant target")
+    target.add_argument("--cov", default=None, help="covariance file (CSV or raw f64)")
+    p.add_argument("--mean", default=None, help="mean vector file (with --cov)")
     p.add_argument("--schedule", required=True)
     p.add_argument("--process", default="ddim", choices=["ddim", "ddpm"])
     p.add_argument("--samples", type=int, required=True)
@@ -527,7 +531,7 @@ def main(argv=None) -> int:
         _write_manifest(writes[-1][2], args, inputs, outputs, info, time.perf_counter() - start)
     except SystemExit as exc:  # --help
         return int(exc.code) if exc.code else 0
-    except (ValueError, FileNotFoundError, json.JSONDecodeError, TypeError) as exc:
+    except (ValueError, FileNotFoundError, IsADirectoryError, NotADirectoryError, TypeError) as exc:
         _emit_error(type(exc).__name__, str(exc))
         return USAGE_ERROR
     except Exception as exc:  # numerical/runtime failures

@@ -58,15 +58,12 @@ class EstimationConfig:
 
 
 @dataclass
-class CovarianceEstimate:
-    mean: np.ndarray
-    covariance: np.ndarray
+class CovarianceEstimate(DenseGaussian):
+    """Moments of the windows kept, checked as any dense Gaussian, with the
+    counts of windows kept and dropped as silence."""
+
     windows_used: int
     windows_rejected: int
-
-    def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=float)
-        self.covariance = np.asarray(self.covariance, dtype=float)
 
 
 def synthetic_circulant_model(
@@ -182,9 +179,9 @@ def circulant_projection(toeplitz_row: np.ndarray) -> np.ndarray:
 
 
 def spectral_model_from_covariance(
-    est: CovarianceEstimate, structure: str = "symmetric"
+    est: DenseGaussian, structure: str = "symmetric"
 ) -> SpectralModel:
-    """Diagonalize a covariance estimate into a spectral target.
+    """Diagonalize a dense Gaussian, such as a covariance estimate, into a spectral target.
 
     ``symmetric`` eigendecomposes the dense matrix (eigenvalues sorted
     descending, mean projected onto the eigenbasis).  ``circulant`` averages
@@ -194,8 +191,6 @@ def spectral_model_from_covariance(
     eigenvalues are clamped to zero.
     """
     cov = est.covariance
-    if not np.all(np.isfinite(cov)) or not np.all(np.isfinite(est.mean)):
-        raise ValueError("covariance estimate contains non-finite entries")
     d = cov.shape[0]
     if structure == "symmetric":
         eigvals, eigvecs = np.linalg.eigh(0.5 * (cov + cov.T))
@@ -224,15 +219,15 @@ def spectral_model_from_covariance(
 def pca_truncate(est, d_reduced: int) -> SpectralModel:
     """Keep the ``d_reduced`` largest-variance coordinates of a model.
 
-    Accepts either a :class:`CovarianceEstimate` (diagonalized via the
+    Accepts either a :class:`DenseGaussian` (diagonalized via the
     symmetric path first) or a :class:`SpectralModel`.
     """
-    if isinstance(est, CovarianceEstimate):
+    if isinstance(est, DenseGaussian):
         model = spectral_model_from_covariance(est, "symmetric")
     elif isinstance(est, SpectralModel):
         model = est
     else:
-        raise TypeError(f"expected CovarianceEstimate or SpectralModel, got {type(est)!r}")
+        raise TypeError(f"expected DenseGaussian or SpectralModel, got {type(est)!r}")
     if not 1 <= d_reduced <= model.dim:
         raise ValueError(f"d_reduced must be in [1, {model.dim}], got {d_reduced}")
     order = np.argsort(model.eigenvalues)[::-1][:d_reduced]

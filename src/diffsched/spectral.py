@@ -26,7 +26,6 @@ __all__ = [
     "SpectralModel",
     "Schedule",
     "Transfer",
-    "GaussianDiag",
     "VeSchedule",
     "ddim_gains",
     "ddim_transfer",
@@ -171,20 +170,6 @@ class Transfer:
     def output_variance(self) -> np.ndarray:
         """Total output variance per coordinate."""
         return self.noise_gain**2 + self.var_extra
-
-
-@dataclass
-class GaussianDiag:
-    """Diagonal Gaussian: per-coordinate mean and variance."""
-
-    mean: np.ndarray
-    variance: np.ndarray
-
-    def __post_init__(self):
-        self.mean = _vector(self.mean, "mean")
-        self.variance = _vector(self.variance, "variance")
-        if np.any(self.variance < 0):
-            raise ValueError("variance must be nonnegative")
 
 
 @dataclass
@@ -468,17 +453,20 @@ def _ddim_trajectory(eigenvalues: np.ndarray, alpha_bar: np.ndarray):
     return _suffix_fold(G, M)
 
 
-def intermediate_distribution(model: SpectralModel, schedule: Schedule, l: int) -> GaussianDiag:
+def intermediate_distribution(model: SpectralModel, schedule: Schedule, l: int) -> SpectralModel:
     """Distribution of the deterministic sampler's state at step index ``l``.
 
     ``l = S`` is the initial noise (mean 0, unit variance); ``l = 0``
-    reproduces the output distribution of :func:`ddim_transfer`.
+    reproduces the output distribution of :func:`ddim_transfer`.  The state
+    is a model in the same eigenbasis, ``source`` ``<model.source>#step<l>``;
+    a variance past the float range fails its ``eigenvalues`` check.
     """
     schedule.validate()
     if not 0 <= l <= schedule.steps:
         raise ValueError(f"step index l={l} out of range [0, {schedule.steps}]")
     A, B = _ddim_trajectory(model.eigenvalues, schedule.alpha_bar)
-    return GaussianDiag(mean=B[l] * model.mean_spectral, variance=A[l] ** 2)
+    source = f"{model.source}#step{l}"
+    return SpectralModel(model.dim, A[l] ** 2, B[l] * model.mean_spectral, source)
 
 
 def relative_error_dynamics(model: SpectralModel, schedule: Schedule) -> np.ndarray:

@@ -469,6 +469,40 @@ def test_simulate_seed_outside_philox_key_exits_2(tmp_path, capsys, seed):
     assert json.loads(capsys.readouterr().err)["error"]["message"].startswith("seed must be")
 
 
+@pytest.mark.parametrize(
+    "target, flags",
+    [
+        (["--synthetic", "2,0.1,0.05", "--cov", "cov.csv"], ["--synthetic", "--cov"]),
+        (["--synthetic", "2,0.1,0.05", "--mean", "mean.csv"], ["--mean", "--cov"]),
+        (["--mean", "mean.csv"], ["--synthetic", "--cov"]),
+        ([], ["--synthetic", "--cov"]),
+    ],
+    ids=["synthetic-and-cov", "synthetic-and-mean", "mean-alone", "none"],
+)
+def test_simulate_takes_one_target(tmp_path, capsys, monkeypatch, target, flags):
+    # the synthetic target has its own covariance and mean, so a file that
+    # would go unread is refused rather than listed as an input
+    monkeypatch.chdir(tmp_path)
+    save_schedule(cosine_schedule(6), "s.json")
+    Path("cov.csv").write_text("1.0,0.0\n0.0,1.0\n")
+    Path("mean.csv").write_text("0.5\n0.0\n")
+    inputs = sorted(tmp_path.iterdir())
+    argv = ["simulate", *target, "--schedule", "s.json", "--samples", "4", "--out", "o.f64"]
+    assert run(argv) == 2
+    assert sorted(tmp_path.iterdir()) == inputs
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    message = json.loads(captured.err)["error"]["message"]
+    assert all(flag in message for flag in flags), message
+
+    argv = ["simulate", "--cov", "cov.csv", "--mean", "mean.csv", "--schedule", "s.json",
+            "--samples", "4", "--out", "o.f64"]
+    assert run(argv) == 0
+    manifest = json.loads(Path("o.f64.manifest.json").read_text())
+    assert manifest["inputs"] == ["s.json", "cov.csv", "mean.csv"]
+
+
 @pytest.mark.parametrize("before", [True, False])
 def test_global_flags_before_or_after_subcommand(tmp_path, before):
     out = tmp_path / "s.json"
@@ -1257,6 +1291,15 @@ _ESTIMATE = ["estimate", "--out-cov", "o.csv", "--out-model", "o.json", "--input
             "--params: rho must be finite (no NaN or inf)",
             id="edm-nan-rho",
         ),
+        *[
+            pytest.param(
+                ["optimize", "--model", "m.json", "--steps", "5", f"--eigenvalue-index={index}",
+                 "--out", "o.json"],
+                f"--eigenvalue-index: index {index} out of range for dim 4",
+                id=f"eigenvalue-index-{index}",
+            )
+            for index in (99, -1)
+        ],
     ],
 )
 def test_invalid_input_exits_2_naming_it(tmp_path, capsys, monkeypatch, argv, message):
@@ -1269,6 +1312,31 @@ def test_invalid_input_exits_2_naming_it(tmp_path, capsys, monkeypatch, argv, me
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert json.loads(captured.err)["error"] == {"type": "ValueError", "message": message}
+
+
+@pytest.mark.parametrize("path", ["adir", "m.json/x"], ids=["directory", "under-a-file"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--schedules", "s.json", "--out", "o.csv", "--model"],
+        ["bias", "--model", "m.json", "--out", "o.csv", "--schedule"],
+        _ESTIMATE,
+        _SIMULATE + ["--cov"],
+    ],
+    ids=["model", "schedule", "input", "cov"],
+)
+def test_input_that_is_no_file_exits_2(tmp_path, capsys, monkeypatch, argv, path):
+    # a missing input is a usage error, and so is one that is not a readable file
+    monkeypatch.chdir(tmp_path)
+    _write_input_files()
+    Path("adir").mkdir()
+    inputs = sorted(tmp_path.iterdir())
+    assert run(argv + [path]) == 2
+    assert sorted(tmp_path.iterdir()) == inputs
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert json.loads(captured.err)["error"]["type"] in ("IsADirectoryError", "NotADirectoryError")
 
 
 # ---------------------------------------------------------- usage errors

@@ -1,7 +1,8 @@
 """The package imports exactly the third-party modules it declares, its
 modules import each other without cycles, its dense oracle stays out of the
 eigenbasis, its losses take only the forward pass from ``spectral``, and
-every public name it exports has a documented use."""
+every public name it exports has a documented use.  A Gaussian has two
+types, one per view."""
 
 import ast
 import graphlib
@@ -123,3 +124,36 @@ def test_every_public_name_has_a_documented_use():
     ]
     unused = [name for name in public if not re.search(rf"\b{re.escape(name)}\b", text)]
     assert public and unused == []
+
+
+_GAUSSIAN_FIELDS = {"mean", "covariance", "variance", "eigenvalues", "mean_spectral"}
+
+
+def _is_dataclass_decorator(node: ast.expr) -> bool:
+    """``@dataclass``, ``@dataclasses.dataclass`` or either called with options."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return (isinstance(node, ast.Name) and node.id == "dataclass") or (
+        isinstance(node, ast.Attribute) and node.attr == "dataclass"
+    )
+
+
+def test_a_gaussian_has_two_types_one_per_view():
+    # SpectralModel holds a Gaussian in the eigenbasis of its covariance,
+    # DenseGaussian in the original coordinates; a state or an estimate is
+    # one of the two (or a subclass adding no moment), never a third container
+    holders = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and any(
+                map(_is_dataclass_decorator, node.decorator_list)
+            ):
+                holders.update(
+                    node.name
+                    for item in node.body
+                    if isinstance(item, ast.AnnAssign)
+                    and isinstance(item.target, ast.Name)
+                    and item.target.id in _GAUSSIAN_FIELDS
+                )
+    assert holders == {"SpectralModel", "DenseGaussian"}

@@ -399,6 +399,55 @@ def test_exact_ddpm_gradient_matches_dense_moment_oracle(seed, kind):
     assert np.linalg.norm(g - fd) <= 1e-6 * np.linalg.norm(fd)
 
 
+COMPLEX_STEP = 1e-30
+
+
+@pytest.mark.parametrize("schedule", ["cosine", "spaced"])
+@pytest.mark.parametrize("rank", ["full", "deficient"])
+@pytest.mark.parametrize("kind", [LossKind.WASSERSTEIN2, LossKind.KL])
+@pytest.mark.parametrize("process", ["ddim", "ddpm"])
+def test_exact_gradient_matches_complex_step_oracle(process, kind, rank, schedule):
+    # The loss recomputed from the eigenbasis-free dense moment recursion and
+    # the generic Gaussian formulas, differentiated by a complex step: with
+    # no subtraction of nearby values it is exact to rounding (Squire &
+    # Trapp, SIAM Review 40(1), 1998; Martins, Sturdza & Alonso, ACM TOMS
+    # 29(3), 2003), so the gate is 1e-10 relative where central differences
+    # allow 1e-6.  Weighted-L1 (an |.|) and exact ties (the c2 clamp) have no
+    # complex extension and stay on finite differences.
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        d, S = int(rng.integers(2, 9)), int(rng.integers(3, 40))
+        lam = rng.uniform(0.05, 5.0, d)
+        if rank == "deficient":
+            lam[rng.permutation(d)[: int(rng.integers(1, d))]] = 0.0
+        basis = np.linalg.qr(rng.normal(size=(d, d)))[0]
+        covariance = (basis * lam) @ basis.T
+        covariance = 0.5 * (covariance + covariance.T)
+        target = DenseGaussian(mean=rng.normal(size=d), covariance=covariance)
+        model = SpectralModel(dim=d, eigenvalues=lam, mean_spectral=basis.T @ target.mean)
+        ab = cosine_schedule(S).alpha_bar if schedule == "cosine" else _spaced_alpha_bar(rng, S)
+        kept = lam >= LAMBDA_FLOOR
+
+        def dense_loss(alpha_bar):
+            mean, cov = dense_ddpm_moments(target, alpha_bar, process)
+            out_mean = basis.T @ mean - model.mean_spectral
+            out_var = np.einsum("ik,ij,jk->k", basis, cov, basis)
+            if kind is LossKind.KL:
+                ratio = lam[kept] / out_var[kept]
+                return 0.5 * np.sum(
+                    ratio - 1.0 - np.log(ratio) + out_mean[kept] ** 2 / out_var[kept]
+                )
+            return np.sum(out_mean**2) + np.sum((np.sqrt(out_var) - np.sqrt(lam)) ** 2)
+
+        oracle = np.empty(S - 1)
+        for i in range(S - 1):
+            stepped = ab.astype(complex)
+            stepped[i + 1] += COMPLEX_STEP * 1j
+            oracle[i] = dense_loss(stepped).imag / COMPLEX_STEP
+        g = loss_from_alpha_bar(model, ab, kind, process, gradient=True)[1]
+        assert np.linalg.norm(g - oracle) <= 1e-10 * np.linalg.norm(oracle), (d, S)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10_000))
 def test_exact_gradient_matches_secant_on_random_problems(seed):

@@ -573,9 +573,9 @@ def test_dense_steps_match_intermediate_distribution(benchmark_model, l):
     F = np.fft.fft(np.eye(dense.dim)) / np.sqrt(dense.dim)
     covariance = F @ (T @ T.T) @ F.conj().T
     expected = intermediate_distribution(model, schedule, l)
-    np.testing.assert_allclose(np.diag(covariance).real, expected.variance, atol=1e-10)
+    np.testing.assert_allclose(np.diag(covariance).real, expected.eigenvalues, atol=1e-10)
     np.testing.assert_allclose(covariance - np.diag(np.diag(covariance)), 0.0, atol=1e-10)
-    np.testing.assert_allclose(F @ offset, expected.mean, atol=1e-10)
+    np.testing.assert_allclose(F @ offset, expected.mean_spectral, atol=1e-10)
 
 
 # -------------------------------------------------------------- dynamics

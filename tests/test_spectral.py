@@ -17,7 +17,6 @@ from diffsched import (
     vp_to_ve,
 )
 from diffsched.spectral import (
-    GaussianDiag,
     VeSchedule,
     _step_coefficients,
     _step_gains,
@@ -308,13 +307,13 @@ def test_intermediate_endpoints(benchmark_model):
     _, model = benchmark_model
     schedule = cosine_schedule(16)
     top = intermediate_distribution(model, schedule, 16)
-    np.testing.assert_array_equal(top.mean, np.zeros(model.dim))
-    np.testing.assert_array_equal(top.variance, np.ones(model.dim))
+    np.testing.assert_array_equal(top.mean_spectral, np.zeros(model.dim))
+    np.testing.assert_array_equal(top.eigenvalues, np.ones(model.dim))
 
     bottom = intermediate_distribution(model, schedule, 0)
     t = ddim_transfer(model, schedule)
-    np.testing.assert_allclose(bottom.variance, t.noise_gain**2, atol=1e-14)
-    np.testing.assert_allclose(bottom.mean, t.mean_gain * model.mean_spectral, atol=1e-14)
+    np.testing.assert_allclose(bottom.eigenvalues, t.noise_gain**2, atol=1e-14)
+    np.testing.assert_allclose(bottom.mean_spectral, t.mean_gain * model.mean_spectral, atol=1e-14)
 
 
 def test_intermediate_single_step(benchmark_model):
@@ -326,8 +325,8 @@ def test_intermediate_single_step(benchmark_model):
     G = a + b * np.sqrt(ab[16]) * lam / (ab[16] * lam + 1 - ab[16])
     M = b * (1 - ab[16]) / (ab[16] * lam + 1 - ab[16])
     got = intermediate_distribution(model, schedule, 15)
-    np.testing.assert_allclose(got.variance, G**2, rtol=1e-12)
-    np.testing.assert_allclose(got.mean, M * model.mean_spectral, rtol=1e-12)
+    np.testing.assert_allclose(got.eigenvalues, G**2, rtol=1e-12)
+    np.testing.assert_allclose(got.mean_spectral, M * model.mean_spectral, rtol=1e-12)
 
 
 def test_intermediate_rejects_out_of_range(benchmark_model):
@@ -489,11 +488,6 @@ def test_model_rejects_non_finite(field, bad):
     values[field][1] = bad
     with pytest.raises(ValueError, match=f"^{field} must be finite"):
         SpectralModel(dim=2, **values)
-
-
-def test_gaussian_diag_rejects_negative_variance():
-    with pytest.raises(ValueError):
-        GaussianDiag(mean=np.zeros(1), variance=np.array([-1.0]))
 
 
 def test_refinement_narrows_distance(benchmark_model):
