@@ -197,23 +197,20 @@ def cmd_compare(args):
     rows = []
     for steps in steps_list:
         for token in args.schedules:
-            if token == "spectral":
-                config = OptimizeConfig(
-                    loss=LossKind.from_cli_name(args.opt_loss),
-                    process=args.opt_process,
-                    steps=steps,
-                    eps0=args.eps0,
-                    epsS=args.epsS,
-                )
-                schedule, _ = optimize_schedule(model, config)
-                label = "spectral"
-            else:
+            if token != "spectral":
                 family, _, text = token.partition(":")
                 source = f"--schedules token {token!r}"
                 params = _parse_list(text, float, source) if text else []
                 schedule = _generate(family, steps, params, args.eps0, args.epsS, source)
-                label = token
-            rows.extend(_loss_rows(model, schedule, label, losses, processes))
+                rows.extend(_loss_rows(model, schedule, token, losses, processes))
+                continue
+            # each spectral row reports the optimum of its own loss and sampler
+            for process in processes:
+                for loss in losses:
+                    config = OptimizeConfig(loss=loss, process=process, steps=steps,
+                                            eps0=args.eps0, epsS=args.epsS)
+                    schedule, _ = optimize_schedule(model, config)
+                    rows.extend(_loss_rows(model, schedule, token, [loss], [process]))
     _write_loss_csv(rows, args.out)
     return [args.model], {"rows": len(rows)}
 
@@ -221,6 +218,9 @@ def cmd_compare(args):
 def _load_target(args) -> DenseGaussian:
     if args.mean is not None and args.cov is None:
         raise ValueError("--mean needs --cov: the --synthetic target has its own mean")
+    for flag, path in (("--cov", args.cov), ("--mean", args.mean)):
+        if path == "":
+            raise ValueError(f"{flag} must name a file, got ''")
     if args.synthetic is not None:
         values = _parse_list(args.synthetic, float, "--synthetic")
         if len(values) != 3 or not np.all(np.isfinite(values)):
@@ -236,7 +236,7 @@ def _load_target(args) -> DenseGaussian:
     if cov.ndim != 2:
         raise ValueError("--cov must hold a matrix")
     mean = np.zeros(cov.shape[0])
-    if args.mean:
+    if args.mean is not None:
         mean = np.asarray(read_signal(args.mean), dtype=float).ravel()
         if len(mean) != len(cov):
             raise ValueError(f"--mean must hold {len(cov)} values to match --cov, got {len(mean)}")
@@ -249,7 +249,7 @@ def cmd_simulate(args):
     cfg = SimConfig(process=args.process, samples=args.samples, seed=args.seed, schedule=schedule)
     samples = simulate_reverse(target, cfg)
     save_raw_f64(samples, args.out)
-    inputs = [args.schedule] + [p for p in (args.cov, args.mean) if p]
+    inputs = [args.schedule] + [p for p in (args.cov, args.mean) if p is not None]
     return inputs, {"samples": args.samples, "seed": args.seed, "blas_pinned": blas_pinned()}
 
 
@@ -263,7 +263,8 @@ def cmd_dynamics(args):
     _refuse_non_finite(args.out_w2, w2d)
     save_matrix_csv(rel, args.out_relative_error)
     save_matrix_csv(w2d.reshape(-1, 1), args.out_w2)
-    return [args.model, args.schedule], {}
+    # the trajectory is DDIM's whatever sampler the schedule was made for
+    return [args.model, args.schedule], {"process": "ddim"}
 
 
 def cmd_bias(args):
@@ -276,11 +277,12 @@ def cmd_bias(args):
 
 
 def cmd_estimate(args):
+    # checked for every input shape, though sample rows are windows already
+    cfg = EstimationConfig(window=args.window, stride=args.stride, silence_threshold=args.th)
     signal = read_signal(args.input)
     if signal.ndim == 2:
-        est = covariance_from_windows(signal, args.th)
+        est = covariance_from_windows(signal, cfg.silence_threshold)
     else:
-        cfg = EstimationConfig(window=args.window, stride=args.stride, silence_threshold=args.th)
         est = sliding_window_covariance(signal, cfg)
     model = spectral_model_from_covariance(est, args.structure)
     save_matrix_csv(est.covariance, args.out_cov)
@@ -404,13 +406,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--schedules",
         nargs="+",
         required=True,
-        help="family[:params] tokens or 'spectral' (optimized per step count)",
+        help="family[:params] tokens or 'spectral', the optimum of each row's loss and "
+        "sampler at each step count",
     )
     p.add_argument("--steps-list", required=True)
     p.add_argument("--losses", default="w2")
     p.add_argument("--process", default="ddim", choices=["ddim", "ddpm", "both"])
-    p.add_argument("--opt-loss", default="w2", choices=["w2", "kl", "wl1"])
-    p.add_argument("--opt-process", default="ddim", choices=["ddim", "ddpm"])
     p.add_argument("--eps0", type=float, default=DEFAULT_EPS0)
     p.add_argument("--epsS", type=float, default=DEFAULT_EPSS)
     p.add_argument("--out", required=True)

@@ -359,6 +359,31 @@ def test_compare_ddim_vs_ddpm_columns(tmp_path, model_file):
     assert by_process["ddim"] <= by_process["ddpm"]
 
 
+def test_compare_spectral_rows_are_each_rows_optimum(tmp_path, model_file):
+    # Each spectral row holds, to the bit, eval's value of the schedule that
+    # optimize finds for that row's loss and sampler; a heuristic's rows do
+    # not depend on whether spectral is asked for.
+    base = ["compare", "--model", model_file, "--steps-list", "6", "--losses", "w2,kl",
+            "--process", "both"]
+    both, alone = tmp_path / "both.csv", tmp_path / "alone.csv"
+    assert run([*base, "--schedules", "cosine", "spectral", "--out", both]) == 0
+    assert run([*base, "--schedules", "cosine", "--out", alone]) == 0
+    lines = both.read_text().splitlines()
+    assert [line for line in lines if ",spectral," not in line] == alone.read_text().splitlines()
+    spectral = [line.split(",") for line in lines if ",spectral," in line]
+    assert [(row[2], row[3]) for row in spectral] == [
+        (process, kind) for process in ("ddim", "ddpm") for kind in ("wasserstein2", "kl")
+    ]
+    for _, _, process, kind, value in spectral:
+        loss = {"wasserstein2": "w2", "kl": "kl"}[kind]
+        schedule, out = tmp_path / f"{loss}-{process}.json", tmp_path / f"{loss}-{process}.csv"
+        assert run(["optimize", "--model", model_file, "--loss", loss, "--process", process,
+                    "--steps", "6", "--out", schedule]) == 0
+        assert run(["eval", "--model", model_file, "--schedules", schedule, "--losses", loss,
+                    "--process", process, "--out", out]) == 0
+        assert out.read_text().splitlines()[1].split(",")[4] == value, (process, kind)
+
+
 # -------------------------------------------------------------- simulate
 
 
@@ -516,7 +541,7 @@ def test_global_flags_before_or_after_subcommand(tmp_path, before):
 # ---------------------------------------------- dynamics / bias / estimate
 
 
-def test_dynamics_outputs(tmp_path, model_file):
+def test_dynamics_outputs(tmp_path, model_file, capsys):
     sched = tmp_path / "s.json"
     save_schedule(cosine_schedule(10), sched)
     rel = tmp_path / "rel.csv"
@@ -528,6 +553,10 @@ def test_dynamics_outputs(tmp_path, model_file):
     assert rc == 0
     assert load_matrix_csv(rel).shape == (11, 16)
     assert load_matrix_csv(w2).shape == (11, 1)
+    # the trajectory is DDIM's, and the run says so
+    manifest = json.loads(Path(f"{rel}.manifest.json").read_text())
+    assert manifest["info"] == {"process": "ddim"}
+    assert json.loads(capsys.readouterr().out)["process"] == "ddim"
 
 
 def test_bias_output(tmp_path, model_file):
@@ -1229,6 +1258,28 @@ _ESTIMATE = ["estimate", "--out-cov", "o.csv", "--out-model", "o.json", "--input
             id="mean-length",
         ),
         pytest.param(_ESTIMATE + ["empty.csv"], "empty CSV file: empty.csv", id="empty-csv"),
+        pytest.param(
+            _SIMULATE + ["--cov", "cov.csv", "--mean", ""], "--mean must name a file, got ''",
+            id="empty-mean",
+        ),
+        pytest.param(_SIMULATE + ["--cov", ""], "--cov must name a file, got ''", id="empty-cov"),
+        pytest.param(
+            _ESTIMATE + ["cov.csv", "--window", "-5"], "window must be an integer >= 2, got -5",
+            id="rows-negative-window",
+        ),
+        pytest.param(
+            _ESTIMATE + ["cov.csv", "--stride", "0"], "stride must be an integer >= 1, got 0",
+            id="rows-zero-stride",
+        ),
+        *[
+            pytest.param(
+                ["compare", "--model", "m.json", "--schedules", "spectral", "--steps-list", "5",
+                 "--out", "o.csv", flag, value],
+                f"diffsched: unrecognized arguments: {flag} {value}",
+                id=f"deleted-{flag[2:]}",
+            )
+            for flag, value in (("--opt-loss", "kl"), ("--opt-process", "ddpm"))
+        ],
         pytest.param(
             _ESTIMATE + ["u8.wav"],
             "u8.wav: only 16-bit PCM WAV supported, got sample width 1",

@@ -1,9 +1,10 @@
 """The package imports exactly the third-party modules it declares, its
 modules import each other without cycles, its dense oracle stays out of the
 eigenbasis, its losses take only the forward pass from ``spectral``, and
-every public name it exports has a documented use.  A Gaussian has two
-types, one per view."""
+every public name it exports and every flag its CLI defines has a documented
+use.  A Gaussian has two types, one per view."""
 
+import argparse
 import ast
 import graphlib
 import re
@@ -13,6 +14,7 @@ import types
 from pathlib import Path
 
 import diffsched
+from diffsched.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "diffsched"
@@ -124,6 +126,27 @@ def test_every_public_name_has_a_documented_use():
     ]
     unused = [name for name in public if not re.search(rf"\b{re.escape(name)}\b", text)]
     assert public and unused == []
+
+
+def _option_strings(parser: argparse.ArgumentParser) -> set[str]:
+    """Every option string of ``parser`` and of its subcommands' parsers."""
+    options = set()
+    for action in parser._actions:
+        options.update(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                options |= _option_strings(sub)
+    return options
+
+
+def test_every_cli_flag_has_a_documented_use():
+    # A flag stays only if the README shows what it is for
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    flags = _option_strings(build_parser()) - {"-h", "--help"}
+    undocumented = sorted(
+        flag for flag in flags if not re.search(rf"{re.escape(flag)}(?![\w-])", readme)
+    )
+    assert flags and undocumented == []
 
 
 _GAUSSIAN_FIELDS = {"mean", "covariance", "variance", "eigenvalues", "mean_spectral"}
