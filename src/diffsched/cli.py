@@ -48,13 +48,14 @@ from .io import (
     save_schedule,
     save_ve_schedule,
 )
-from .losses import LossKind, transfer_loss
+from .losses import _CLI_NAMES, LossKind, transfer_loss
 from .optimize import OptimizeConfig, optimize_schedule, single_eigenvalue_problem
 from .schedules import cosine_schedule, edm_schedule, linear_schedule, sigmoid_schedule
 from .simulate import DenseGaussian, SimConfig, blas_pinned, simulate_reverse
 from .spectral import (
     DEFAULT_EPS0,
     DEFAULT_EPSS,
+    PROCESSES,
     Schedule,
     SpectralModel,
     ddim_transfer,
@@ -145,6 +146,8 @@ def cmd_optimize(args):
     inputs, init, init_schedule = [args.model], args.init, None
     if init.startswith("warm:"):
         init, path = init.split(":", 1)
+        if not path:
+            raise ValueError(f"--init must name a file after 'warm:', got {args.init!r}")
         init_schedule = load_schedule(path)
         inputs.append(path)
     config = OptimizeConfig(
@@ -167,10 +170,9 @@ def cmd_optimize(args):
             raise ValueError(f"--eigenvalue-index: {exc}") from None
     schedule, report = optimize_schedule(model, config)
     save_schedule(schedule, args.out)
-    report_path = str(args.out) + _REPORT
     payload = dataclasses.asdict(report)
     payload["loss_trace"] = report.loss_trace.tolist()
-    atomic_write_text(report_path, json.dumps(payload, indent=2) + "\n")
+    atomic_write_text(str(args.out) + _REPORT, json.dumps(payload, indent=2) + "\n")
     return inputs, {
         "final_loss": report.final_loss,
         "converged": report.converged,
@@ -180,7 +182,7 @@ def cmd_optimize(args):
 def cmd_eval(args):
     model = load_model(args.model)
     losses = _parse_list(args.losses, LossKind.from_cli_name, "--losses")
-    processes = ["ddim", "ddpm"] if args.process == "both" else [args.process]
+    processes = PROCESSES if args.process == "both" else (args.process,)
     rows = []
     for path in args.schedules:
         schedule = load_schedule(path)
@@ -192,8 +194,11 @@ def cmd_eval(args):
 def cmd_compare(args):
     model = load_model(args.model)
     losses = _parse_list(args.losses, LossKind.from_cli_name, "--losses")
-    processes = ["ddim", "ddpm"] if args.process == "both" else [args.process]
+    processes = PROCESSES if args.process == "both" else (args.process,)
     steps_list = _parse_list(args.steps_list, int, "--steps-list")
+    least = 2 if "spectral" in args.schedules else 1  # the optimizer takes two steps or more
+    if min(steps_list) < least:
+        raise ValueError(f"--steps-list counts must be >= {least}, got {min(steps_list)}")
     rows = []
     for steps in steps_list:
         for token in args.schedules:
@@ -286,31 +291,18 @@ def cmd_estimate(args):
         est = sliding_window_covariance(signal, cfg)
     model = spectral_model_from_covariance(est, args.structure)
     save_matrix_csv(est.covariance, args.out_cov)
-    atomic_write_text(
-        str(args.out_cov) + _META,
-        json.dumps(
-            {
-                "windows_used": est.windows_used,
-                "windows_rejected": est.windows_rejected,
-                "mean": [float(x) for x in est.mean],
-            }
-        )
-        + "\n",
-    )
+    info = {"windows_used": est.windows_used, "windows_rejected": est.windows_rejected}
+    meta = json.dumps({**info, "mean": [float(x) for x in est.mean]})
+    atomic_write_text(str(args.out_cov) + _META, meta + "\n")
     save_model(model, args.out_model)
-    return (
-        [args.input],
-        {"windows_used": est.windows_used, "windows_rejected": est.windows_rejected},
-    )
+    return [args.input], info
 
 
 def cmd_convert(args):
     if args.direction == "to-ve":
-        schedule = load_schedule(args.schedule)
-        save_ve_schedule(vp_to_ve(schedule), args.out)
+        save_ve_schedule(vp_to_ve(load_schedule(args.schedule)), args.out)
     else:
-        ve = load_ve_schedule(args.schedule)
-        save_schedule(ve_to_vp(ve), args.out)
+        save_schedule(ve_to_vp(load_ve_schedule(args.schedule)), args.out)
     return [args.schedule], {}
 
 
@@ -329,11 +321,11 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
-def _global_flags() -> argparse.ArgumentParser:
-    # As a parent with SUPPRESS defaults these flags may appear either before
-    # or after the subcommand without the subparser clobbering parsed values.
-    # The parsers share these action objects, so their defaults come from
-    # the namespace ``main`` passes in, never from ``set_defaults``.
+def build_parser() -> argparse.ArgumentParser:
+    # Each flag that several parsers take is declared once, in a parent parser
+    # whose action objects they share, so its default is set here and never by
+    # ``set_defaults``.  The global flags' SUPPRESS defaults let them come before
+    # or after the subcommand; ``main`` passes their defaults in.
     common = _Parser(add_help=False)
     common.add_argument(
         "--seed",
@@ -341,14 +333,24 @@ def _global_flags() -> argparse.ArgumentParser:
         default=argparse.SUPPRESS,
         help="the run's RNG seed: simulate's stream key, optimize's random init (default 0)",
     )
-    common.add_argument(
-        "--manifest-out", default=argparse.SUPPRESS, help="explicit manifest path"
-    )
-    return common
+    common.add_argument("--manifest-out", default=argparse.SUPPRESS, help="explicit manifest path")
+    model = _Parser(add_help=False)
+    model.add_argument("--model", required=True)
+    schedule = _Parser(add_help=False)
+    schedule.add_argument("--schedule", required=True)
+    process = _Parser(add_help=False)
+    process.add_argument("--process", default="ddim", choices=list(PROCESSES))
+    losses = _Parser(add_help=False)  # a loss table over one or both samplers
+    losses.add_argument("--losses", default="w2")
+    losses.add_argument("--process", default="ddim", choices=[*PROCESSES, "both"])
+    endpoints = _Parser(add_help=False)
+    endpoints.add_argument("--eps0", type=float, default=DEFAULT_EPS0)
+    endpoints.add_argument("--epsS", type=float, default=DEFAULT_EPSS)
+    steps = _Parser(add_help=False)
+    steps.add_argument("--steps", type=int, required=True)
+    out = _Parser(add_help=False)
+    out.add_argument("--out", required=True)
 
-
-def build_parser() -> argparse.ArgumentParser:
-    common = _global_flags()
     parser = _Parser(
         prog="diffsched",
         description="Spectral transfer analysis and noise-schedule optimization "
@@ -357,27 +359,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
+    def add_parser(name, func, *parents, **kwargs):
+        p = sub.add_parser(name, parents=[common, *parents], **kwargs)
+        p.set_defaults(func=func)
+        return p
 
-    p = add_parser("gen", help="generate a heuristic schedule")
+    p = add_parser("gen", cmd_gen, steps, endpoints, out, help="generate a heuristic schedule")
     p.add_argument("--family", required=True, choices=list(_FAMILIES))
-    p.add_argument("--steps", type=int, required=True)
     p.add_argument(
         "--params",
         default=None,
         help="comma-separated family parameters; omitted trailing ones take their defaults",
     )
-    p.add_argument("--eps0", type=float, default=DEFAULT_EPS0)
-    p.add_argument("--epsS", type=float, default=DEFAULT_EPSS)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gen)
 
-    p = add_parser("optimize", help="optimize a schedule for a spectral model")
-    p.add_argument("--model", required=True)
-    p.add_argument("--loss", default="w2", choices=["w2", "kl", "wl1"])
-    p.add_argument("--process", default="ddim", choices=["ddim", "ddpm"])
-    p.add_argument("--steps", type=int, required=True)
+    p = add_parser("optimize", cmd_optimize, model, process, endpoints, steps, out,
+                   help="optimize a schedule for a spectral model",
+                   description="The schedule goes to --out, its run report to <out>.report.json.")
+    p.add_argument("--loss", default="w2", choices=list(_CLI_NAMES))
     p.add_argument("--mode", default="constrained", choices=["constrained", "free"])
     p.add_argument(
         "--init",
@@ -387,21 +385,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iter", type=int, default=OptimizeConfig.max_iter)
     p.add_argument("--ftol", type=float, default=OptimizeConfig.ftol)
     p.add_argument("--eigenvalue-index", type=int, default=None)
-    p.add_argument("--eps0", type=float, default=DEFAULT_EPS0)
-    p.add_argument("--epsS", type=float, default=DEFAULT_EPSS)
-    p.add_argument("--out", required=True, help="schedule JSON; the report is <out>.report.json")
-    p.set_defaults(func=cmd_optimize)
 
-    p = add_parser("eval", help="evaluate schedule files against a model")
-    p.add_argument("--model", required=True)
+    p = add_parser("eval", cmd_eval, model, losses, out,
+                   help="evaluate schedule files against a model")
     p.add_argument("--schedules", nargs="+", required=True)
-    p.add_argument("--losses", default="w2")
-    p.add_argument("--process", default="ddim", choices=["ddim", "ddpm", "both"])
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_eval)
 
-    p = add_parser("compare", help="compare schedule families over step counts")
-    p.add_argument("--model", required=True)
+    p = add_parser("compare", cmd_compare, model, losses, endpoints, out,
+                   help="compare schedule families over step counts")
     p.add_argument(
         "--schedules",
         nargs="+",
@@ -410,39 +400,25 @@ def build_parser() -> argparse.ArgumentParser:
         "sampler at each step count",
     )
     p.add_argument("--steps-list", required=True)
-    p.add_argument("--losses", default="w2")
-    p.add_argument("--process", default="ddim", choices=["ddim", "ddpm", "both"])
-    p.add_argument("--eps0", type=float, default=DEFAULT_EPS0)
-    p.add_argument("--epsS", type=float, default=DEFAULT_EPSS)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_compare)
 
-    p = add_parser("simulate", help="time-domain Monte Carlo of the reverse process")
+    p = add_parser("simulate", cmd_simulate, schedule, process, out,
+                   help="time-domain Monte Carlo of the reverse process",
+                   description="The samples go to --out as raw f64, their sidecar to <out>.json.")
     target = p.add_mutually_exclusive_group(required=True)
     target.add_argument("--synthetic", default=None, help="d,l,mu synthetic circulant target")
     target.add_argument("--cov", default=None, help="covariance file (CSV or raw f64)")
     p.add_argument("--mean", default=None, help="mean vector file (with --cov)")
-    p.add_argument("--schedule", required=True)
-    p.add_argument("--process", default="ddim", choices=["ddim", "ddpm"])
     p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--out", required=True, help="raw f64 output (sidecar added)")
-    p.set_defaults(func=cmd_simulate)
 
-    p = add_parser("dynamics", help="per-step error and distance trajectories")
-    p.add_argument("--model", required=True)
-    p.add_argument("--schedule", required=True)
+    p = add_parser("dynamics", cmd_dynamics, model, schedule,
+                   help="per-step error and distance trajectories")
     p.add_argument("--out-relative-error", required=True)
     p.add_argument("--out-w2", required=True)
-    p.set_defaults(func=cmd_dynamics)
 
-    p = add_parser("bias", help="mean drift of the generated distribution")
-    p.add_argument("--model", required=True)
-    p.add_argument("--schedule", required=True)
-    p.add_argument("--process", default="ddim", choices=["ddim", "ddpm"])
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_bias)
+    add_parser("bias", cmd_bias, model, schedule, process, out,
+               help="mean drift of the generated distribution")
 
-    p = add_parser("estimate", help="covariance + spectral model from a signal")
+    p = add_parser("estimate", cmd_estimate, help="covariance + spectral model from a signal")
     p.add_argument("--input", required=True, help="WAV, CSV, or raw f64 input")
     p.add_argument("--window", type=int, default=400)
     p.add_argument("--stride", type=int, default=None)
@@ -450,13 +426,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--structure", default="circulant", choices=["circulant", "symmetric"])
     p.add_argument("--out-cov", required=True)
     p.add_argument("--out-model", required=True)
-    p.set_defaults(func=cmd_estimate)
 
-    p = add_parser("convert", help="convert between retention and sigma forms")
-    p.add_argument("--schedule", required=True)
+    p = add_parser("convert", cmd_convert, schedule, out,
+                   help="convert between retention and sigma forms")
     p.add_argument("--direction", required=True, choices=["to-ve", "to-vp"])
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_convert)
 
     return parser
 

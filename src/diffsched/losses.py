@@ -43,10 +43,12 @@ class LossKind(str, Enum):
 
     @classmethod
     def from_cli_name(cls, name: str) -> "LossKind":
-        table = {"w2": cls.WASSERSTEIN2, "kl": cls.KL, "wl1": cls.WEIGHTED_L1}
-        if name not in table:
-            raise ValueError(f"unknown loss {name!r}; expected one of {sorted(table)}")
-        return table[name]
+        if name not in _CLI_NAMES:
+            raise ValueError(f"unknown loss {name!r}; expected one of {sorted(_CLI_NAMES)}")
+        return _CLI_NAMES[name]
+
+
+_CLI_NAMES = {"w2": LossKind.WASSERSTEIN2, "kl": LossKind.KL, "wl1": LossKind.WEIGHTED_L1}
 
 
 # Each loss of the per-coordinate output variance and mean gain returns its

@@ -24,7 +24,15 @@ import numpy as np
 
 from .losses import LossKind, loss_from_alpha_bar
 from .schedules import _FAMILIES, cosine_schedule, warm_start_interpolate
-from .spectral import DEFAULT_EPS0, DEFAULT_EPSS, Schedule, SpectralModel, _require_integer
+from .spectral import (
+    DEFAULT_EPS0,
+    DEFAULT_EPSS,
+    Schedule,
+    SpectralModel,
+    _require_endpoints,
+    _require_integer,
+    _require_process,
+)
 
 __all__ = [
     "OptimizeConfig",
@@ -71,18 +79,12 @@ class OptimizeConfig:
 
     def __post_init__(self):
         self.loss = LossKind(self.loss)
-        for name in ("ftol", "eps0", "epsS"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
-        if self.eps0 + self.epsS >= 1.0:
-            raise ValueError(
-                f"eps0 + epsS must be < 1, got eps0={self.eps0}, epsS={self.epsS}"
-            )
+        if not (np.isfinite(self.ftol) and self.ftol > 0.0):
+            raise ValueError(f"ftol must be finite and positive, got {self.ftol}")
+        _require_endpoints(self.eps0, self.epsS)
         for name, least in (("steps", 2), ("init_seed", 0), ("max_iter", 1)):
             _require_integer(getattr(self, name), name, least)
-        if self.process not in ("ddim", "ddpm"):
-            raise ValueError(f"process must be 'ddim' or 'ddpm', got {self.process!r}")
+        _require_process(self.process)
         if self.mode not in ("constrained", "free"):
             raise ValueError(f"mode must be 'constrained' or 'free', got {self.mode!r}")
         if self.init not in ("linear", "cosine", "random", "warm"):
@@ -339,8 +341,7 @@ def _initial_schedule(config: OptimizeConfig) -> np.ndarray:
         rng = np.random.default_rng(config.init_seed)
         interior = np.sort(rng.uniform(epsS, 1.0 - eps0, S - 1))[::-1]
         return np.concatenate([[1.0 - eps0], interior, [epsS]])
-    resampled = warm_start_interpolate(config.init_schedule, S)
-    ab = resampled.alpha_bar.copy()
+    ab = warm_start_interpolate(config.init_schedule, S).alpha_bar
     ab[0] = 1.0 - eps0
     ab[-1] = epsS
     return ab

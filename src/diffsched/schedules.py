@@ -17,6 +17,7 @@ from .spectral import (
     DEFAULT_EPSS,
     Schedule,
     VeSchedule,
+    _require_endpoints,
     _require_finite,
     _require_integer,
     ve_to_vp,
@@ -40,6 +41,7 @@ _BETA_CAP = 0.999
 
 def _pinned_schedule(kind: str, raw: np.ndarray, eps0: float, epsS: float) -> Schedule:
     """A decreasing curve affinely mapped onto [epsS, 1 - eps0], validated."""
+    _require_endpoints(eps0, epsS)
     lo, hi = raw[-1], raw[0]
     if hi <= lo:
         raise ValueError("raw schedule must be decreasing to pin endpoints")

@@ -57,7 +57,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Schedule, _require_finite, _require_integer, _step_coefficients
+from .spectral import (
+    Schedule,
+    _require_finite,
+    _require_integer,
+    _require_process,
+    _step_coefficients,
+)
 
 __all__ = [
     "DenseGaussian",
@@ -124,8 +130,7 @@ class SimConfig:
     schedule: Schedule
 
     def __post_init__(self):
-        if self.process not in ("ddim", "ddpm"):
-            raise ValueError(f"process must be 'ddim' or 'ddpm', got {self.process!r}")
+        _require_process(self.process)
         _require_integer(self.samples, "samples", 1)
         _require_integer(self.seed, "seed", 0, bits=128)
 

@@ -44,6 +44,8 @@ __all__ = [
 # (almost clean) and ends at 4e-5 (almost pure noise).
 DEFAULT_EPS0 = 1e-4
 DEFAULT_EPSS = 4e-5
+# The two samplers, both members of DDIM's family (``_step_coefficients``).
+PROCESSES = ("ddim", "ddpm")
 
 ENDPOINT_TOL = 1e-12
 # Below this eigenvalue a coordinate has no relative scale: KL drops it,
@@ -70,6 +72,20 @@ def _require_integer(value, name: str, least: int, bits: int | None = None) -> N
     if not (integer and least <= value and (bits is None or value < 2**bits)):
         bound = f">= {least}" if bits is None else f"in [{least}, 2**{bits})"
         raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+
+
+def _require_process(process) -> None:
+    if process not in PROCESSES:
+        raise ValueError(f"process must be {' or '.join(map(repr, PROCESSES))}, got {process!r}")
+
+
+def _require_endpoints(eps0, epsS) -> None:
+    """Reject endpoints unless both are finite and positive and sum below 1."""
+    for value, name in ((eps0, "eps0"), (epsS, "epsS")):
+        if not (np.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
+    if eps0 + epsS >= 1.0:
+        raise ValueError(f"eps0 + epsS must be < 1, got eps0={eps0}, epsS={epsS}")
 
 
 @dataclass
@@ -223,18 +239,17 @@ def _step_coefficients(alpha_bar: np.ndarray, process: str):
     posterior's ``r = x (1 - p) / (p (1 - x))``, with ``c2`` clamped at zero
     so that a tied or crossed step adds no variance.
     """
+    _require_process(process)
     p, x = alpha_bar[:-1], alpha_bar[1:]
     one_p, one_x = 1.0 - p, 1.0 - x
     a = np.sqrt(one_p) / np.sqrt(one_x)
     if process == "ddim":
         c2 = None
-    elif process == "ddpm":
+    else:
         # r and 1 - r as quotients of products: no cancellation in 1 - r
         den = p * one_x
         a *= np.sqrt(x * one_p / den)
         c2 = np.maximum(one_p * ((p - x) / den), 0.0)
-    else:
-        raise ValueError(f"unknown process {process!r}")
     return a, np.sqrt(p) - np.sqrt(x) * a, c2
 
 

@@ -1344,6 +1344,45 @@ _ESTIMATE = ["estimate", "--out-cov", "o.csv", "--out-model", "o.json", "--input
         ),
         *[
             pytest.param(
+                ["gen", "--family", "linear", "--steps", "5", *flags, "--out", "o.json"],
+                message,
+                id=f"gen-{name}",
+            )
+            for name, flags, message in (
+                ("nan-eps0", ["--eps0", "nan"], "eps0 must be finite and positive, got nan"),
+                ("zero-eps0", ["--eps0", "0"], "eps0 must be finite and positive, got 0.0"),
+                ("epsS-1.5", ["--epsS", "1.5"],
+                 "eps0 + epsS must be < 1, got eps0=0.0001, epsS=1.5"),
+                ("endpoints-cross", ["--eps0", "0.5", "--epsS", "0.6"],
+                 "eps0 + epsS must be < 1, got eps0=0.5, epsS=0.6"),
+            )
+        ],
+        pytest.param(
+            ["compare", "--model", "m.json", "--schedules", "linear", "--steps-list", "5",
+             "--eps0", "0.5", "--epsS", "0.6", "--out", "o.csv"],
+            "eps0 + epsS must be < 1, got eps0=0.5, epsS=0.6",
+            id="compare-endpoints-cross",
+        ),
+        pytest.param(
+            ["optimize", "--model", "m.json", "--steps", "5", "--init", "warm:", "--out", "o.json"],
+            "--init must name a file after 'warm:', got 'warm:'",
+            id="warm-empty-path",
+        ),
+        *[
+            pytest.param(
+                ["compare", "--model", "m.json", "--schedules", *tokens, "--steps-list", counts,
+                 "--out", "o.csv"],
+                f"--steps-list counts must be >= {least}, got {got}",
+                id=f"steps-list-{counts}-{tokens[-1]}",
+            )
+            for tokens, counts, least, got in (
+                (["spectral"], "1", 2, 1),
+                (["linear", "spectral"], "28,1", 2, 1),
+                (["linear"], "4,0", 1, 0),
+            )
+        ],
+        *[
+            pytest.param(
                 ["optimize", "--model", "m.json", "--steps", "5", f"--eigenvalue-index={index}",
                  "--out", "o.json"],
                 f"--eigenvalue-index: index {index} out of range for dim 4",
@@ -1443,11 +1482,45 @@ def test_malformed_comma_list_exits_2_naming_its_flag(
     assert name in error["message"]
 
 
-def test_help_exits_0(capsys):
-    assert run(["optimize", "--help"]) == 0
+# The flags each subcommand takes from the parsers it shares them with
+_SHARED_FLAGS = {
+    "gen": ["--steps", "--eps0", "--epsS", "--out"],
+    "optimize": ["--model", "--process", "--eps0", "--epsS", "--steps", "--out"],
+    "eval": ["--model", "--losses", "--process", "--out"],
+    "compare": ["--model", "--losses", "--process", "--eps0", "--epsS", "--out"],
+    "simulate": ["--schedule", "--process", "--out"],
+    "dynamics": ["--model", "--schedule"],
+    "bias": ["--model", "--schedule", "--process", "--out"],
+    "estimate": [],
+    "convert": ["--schedule", "--out"],
+}
+
+
+@pytest.mark.parametrize("command", list(_SHARED_FLAGS))
+def test_help_exits_0(capsys, command):
+    assert run([command, "--help"]) == 0
     captured = capsys.readouterr()
-    assert "--eigenvalue-index" in captured.out
+    flags = _SHARED_FLAGS[command]
+    for flag in ["--seed", "--manifest-out", *flags]:
+        assert flag in captured.out.split(), flag
+    if "--process" in flags:
+        both = ",both" if command in ("eval", "compare") else ""
+        assert f"--process {{ddim,ddpm{both}}}" in captured.out
+    if command == "optimize":
+        assert "--eigenvalue-index" in captured.out
     assert captured.err == ""
+
+
+def test_compare_checks_steps_list_before_any_optimization(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _write_input_files()
+    runs = []
+    monkeypatch.setattr("diffsched.cli.optimize_schedule", lambda *args: runs.append(args))
+    argv = ["compare", "--model", "m.json", "--schedules", "spectral", "--steps-list", "28,1",
+            "--out", "o.csv"]
+    assert run(argv) == 2
+    assert runs == []
+    assert "--steps-list" in json.loads(capsys.readouterr().err)["error"]["message"]
 
 
 # Every subcommand's flags and some of the values they take, plus values no

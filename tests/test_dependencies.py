@@ -2,7 +2,8 @@
 modules import each other without cycles, its dense oracle stays out of the
 eigenbasis, its losses take only the forward pass from ``spectral``, and
 every public name it exports and every flag its CLI defines has a documented
-use.  A Gaussian has two types, one per view."""
+use.  A Gaussian has two types, one per view, and the sampler and loss names
+each have one owner."""
 
 import argparse
 import ast
@@ -73,12 +74,13 @@ def _package_imports(path: Path) -> set[tuple[str, str]]:
 
 def test_dense_oracle_takes_only_the_step_kernel_from_spectral():
     # simulate checks the eigenbasis closed forms, so it may share the scalar
-    # step coefficients and the schedule type with them, but nothing that
-    # works in the eigenbasis
+    # step coefficients, the schedule type and the input checks with them,
+    # but nothing that works in the eigenbasis
     assert _package_imports(PACKAGE / "simulate.py") == {
         ("spectral", "Schedule"),
         ("spectral", "_require_finite"),
         ("spectral", "_require_integer"),
+        ("spectral", "_require_process"),
         ("spectral", "_step_coefficients"),
     }
 
@@ -180,3 +182,29 @@ def test_a_gaussian_has_two_types_one_per_view():
                     and item.target.id in _GAUSSIAN_FIELDS
                 )
     assert holders == {"SpectralModel", "DenseGaussian"}
+
+
+# Each set of names is spelled as a collection in its owner module alone:
+# the samplers in ``spectral.PROCESSES``, the CLI's loss names in
+# ``losses._CLI_NAMES``; every other module reads them from there.
+_NAME_OWNERS = [({"ddim", "ddpm"}, "spectral.py"), ({"w2", "kl", "wl1"}, "losses.py")]
+
+
+def test_sampler_and_loss_names_have_one_owner():
+    spelled = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.List, ast.Tuple, ast.Set)):
+                items = node.elts
+            elif isinstance(node, ast.Dict):
+                items = node.keys
+            else:
+                continue
+            strings = {item.value for item in items if isinstance(item, ast.Constant)}
+            spelled += [
+                (path.name, node.lineno)
+                for names, owner in _NAME_OWNERS
+                if names <= strings and path.name != owner
+            ]
+    assert spelled == []
