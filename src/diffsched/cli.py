@@ -27,6 +27,7 @@ import numpy as np
 
 from . import __version__
 from .estimate import (
+    STRUCTURES,
     EstimationConfig,
     covariance_from_windows,
     sliding_window_covariance,
@@ -49,7 +50,7 @@ from .io import (
     save_ve_schedule,
 )
 from .losses import _CLI_NAMES, LossKind, transfer_loss
-from .optimize import OptimizeConfig, optimize_schedule, single_eigenvalue_problem
+from .optimize import INITS, MODES, OptimizeConfig, optimize_schedule, single_eigenvalue_problem
 from .schedules import cosine_schedule, edm_schedule, linear_schedule, sigmoid_schedule
 from .simulate import DenseGaussian, SimConfig, blas_pinned, simulate_reverse
 from .spectral import (
@@ -376,11 +377,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="optimize a schedule for a spectral model",
                    description="The schedule goes to --out, its run report to <out>.report.json.")
     p.add_argument("--loss", default="w2", choices=list(_CLI_NAMES))
-    p.add_argument("--mode", default="constrained", choices=["constrained", "free"])
+    p.add_argument("--mode", default=OptimizeConfig.mode, choices=list(MODES))
     p.add_argument(
         "--init",
-        default="linear",
-        help="linear | cosine | random (seeded by --seed) | warm:SCHEDULE.json",
+        default=OptimizeConfig.init,
+        help=" | ".join(INITS[:-1]) + f" | {INITS[-1]}:SCHEDULE.json; random is seeded by --seed",
     )
     p.add_argument("--max-iter", type=int, default=OptimizeConfig.max_iter)
     p.add_argument("--ftol", type=float, default=OptimizeConfig.ftol)
@@ -423,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=int, default=400)
     p.add_argument("--stride", type=int, default=None)
     p.add_argument("--th", type=float, default=0.05, help="silence threshold")
-    p.add_argument("--structure", default="circulant", choices=["circulant", "symmetric"])
+    p.add_argument("--structure", default="circulant", choices=list(STRUCTURES))
     p.add_argument("--out-cov", required=True)
     p.add_argument("--out-model", required=True)
 

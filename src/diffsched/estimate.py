@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simulate import DenseGaussian, empirical_moments
+from .simulate import DenseGaussian, _sample_moments
 from .spectral import SpectralModel, _require_integer
 
 __all__ = [
@@ -28,6 +28,10 @@ __all__ = [
     "spectral_model_from_covariance",
     "pca_truncate",
 ]
+
+
+# How ``spectral_model_from_covariance`` diagonalizes an estimate.
+STRUCTURES = ("circulant", "symmetric")
 
 
 def _check_silence_threshold(value: float) -> None:
@@ -124,8 +128,7 @@ def covariance_from_windows(windows: np.ndarray, silence_threshold: float) -> Co
             f"need at least 2 windows at or above the silence threshold {silence_threshold!r}, "
             f"got {used} of {len(loud)}"
         )
-    moments = empirical_moments(windows[loud])
-    return CovarianceEstimate(moments.mean, moments.covariance, used, len(loud) - used)
+    return CovarianceEstimate(*_sample_moments(windows[loud]), used, len(loud) - used)
 
 
 def sliding_window_covariance(signal: np.ndarray, cfg: EstimationConfig) -> CovarianceEstimate:
@@ -206,7 +209,8 @@ def spectral_model_from_covariance(
         mean_spectral[0] = est.mean.mean() * np.sqrt(d)
         source = "estimated-circulant"
     else:
-        raise ValueError(f"structure must be 'circulant' or 'symmetric', got {structure!r}")
+        choices = " or ".join(map(repr, STRUCTURES))
+        raise ValueError(f"structure must be {choices}, got {structure!r}")
     if not np.all(np.isfinite(eigvals)):
         raise ValueError("eigendecomposition produced non-finite eigenvalues")
     negatives = int(np.sum(eigvals < 0.0))

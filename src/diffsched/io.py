@@ -165,10 +165,9 @@ def load_model(path) -> SpectralModel:
 
 
 def save_schedule(schedule: Schedule, path) -> None:
-    """Write a schedule JSON; what :meth:`Schedule.validate` rejects (apart
-    from non-monotone levels, which free-mode optimization may return) is
-    never written."""
-    schedule.validate(require_monotone=False)
+    """Write a schedule JSON; what :meth:`Schedule.validate` rejects, such as
+    a schedule whose fields were changed since it was made, is never written."""
+    schedule.validate()
     _write_fields(path, schedule, _SCHEDULE)
 
 

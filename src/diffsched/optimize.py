@@ -42,6 +42,10 @@ __all__ = [
     "fit_parametric",
 ]
 
+# The optimizer's parameterisations and starting schedules (``OptimizeConfig``).
+MODES = ("constrained", "free")
+INITS = ("linear", "cosine", "random", "warm")
+
 # The optimizer's projected-gradient stop (infinity norm), on the loss scaled
 # to 1 at the start.
 GTOL = 1e-8
@@ -85,9 +89,9 @@ class OptimizeConfig:
         for name, least in (("steps", 2), ("init_seed", 0), ("max_iter", 1)):
             _require_integer(getattr(self, name), name, least)
         _require_process(self.process)
-        if self.mode not in ("constrained", "free"):
-            raise ValueError(f"mode must be 'constrained' or 'free', got {self.mode!r}")
-        if self.init not in ("linear", "cosine", "random", "warm"):
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be {' or '.join(map(repr, MODES))}, got {self.mode!r}")
+        if self.init not in INITS:
             raise ValueError(f"unknown init {self.init!r}")
         if self.init == "warm" and self.init_schedule is None:
             raise ValueError("init='warm' requires init_schedule")
@@ -274,7 +278,6 @@ def fit_parametric(schedule: Schedule, family: str) -> tuple[float, float, float
     ``schedules.sigmoid_schedule``).
     Equal curves have many parameters, so compare fits by their residuals.
     """
-    schedule.validate()
     if family not in _FAMILIES:
         raise ValueError(f"family must be one of {sorted(_FAMILIES)}, got {family!r}")
     t = np.linspace(0.0, 1.0, schedule.steps + 1)
@@ -433,7 +436,6 @@ def optimize_schedule(
     schedule = Schedule(
         kind="spectral-optimized", steps=S, alpha_bar=full, eps0=eps0, epsS=epsS
     )
-    schedule.validate(require_monotone=(config.mode == "constrained"))
     report = OptimizeReport(
         final_loss=float(final_loss),
         iterations=len(history),

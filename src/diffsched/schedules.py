@@ -40,7 +40,7 @@ _BETA_CAP = 0.999
 
 
 def _pinned_schedule(kind: str, raw: np.ndarray, eps0: float, epsS: float) -> Schedule:
-    """A decreasing curve affinely mapped onto [epsS, 1 - eps0], validated."""
+    """A decreasing curve affinely mapped onto [epsS, 1 - eps0]."""
     _require_endpoints(eps0, epsS)
     lo, hi = raw[-1], raw[0]
     if hi <= lo:
@@ -48,7 +48,7 @@ def _pinned_schedule(kind: str, raw: np.ndarray, eps0: float, epsS: float) -> Sc
     ab = epsS + (raw - lo) * (1.0 - eps0 - epsS) / (hi - lo)
     ab[0] = 1.0 - eps0
     ab[-1] = epsS
-    return Schedule(kind=kind, steps=len(ab) - 1, alpha_bar=ab, eps0=eps0, epsS=epsS).validate()
+    return Schedule(kind=kind, steps=len(ab) - 1, alpha_bar=ab, eps0=eps0, epsS=epsS)
 
 
 def linear_schedule(S: int, eps0: float = DEFAULT_EPS0, epsS: float = DEFAULT_EPSS) -> Schedule:
@@ -161,10 +161,10 @@ def edm_schedule(
 def warm_start_interpolate(schedule: Schedule, S_new: int) -> Schedule:
     """Resample a schedule to a new step count by linear interpolation.
 
-    Interpolates ``alpha_bar`` over normalized time; linear interpolation of
-    a monotone sequence stays monotone, endpoints are re-pinned exactly.
+    Interpolates ``alpha_bar`` over normalized time and re-pins the
+    endpoints exactly.  Linear interpolation keeps a monotone schedule
+    monotone; crossed levels stay crossed.
     """
-    schedule.validate()
     _require_integer(S_new, "steps", 1)
     t_old = np.linspace(0.0, 1.0, schedule.steps + 1)
     t_new = np.linspace(0.0, 1.0, S_new + 1)
@@ -177,4 +177,4 @@ def warm_start_interpolate(schedule: Schedule, S_new: int) -> Schedule:
         alpha_bar=ab,
         eps0=schedule.eps0,
         epsS=schedule.epsS,
-    ).validate()
+    )

@@ -215,9 +215,8 @@ def compose_affine(
     ``[R; c_s P_s^T]``, and last by that of ``[R; P_S^T]``; ``F = R^T``.  QR
     never forms ``C``, so it does not square ``C``'s condition number, and it
     needs no rule for a singular ``C``, where Cholesky of ``C`` would fail.
-    Validates both inputs.
+    Refuses a covariance that is not positive semidefinite.
     """
-    schedule.validate()
     _check_psd(target.covariance)
     a, b, c2 = _step_coefficients(schedule.alpha_bar, process)
     d, S = target.dim, len(a)
@@ -349,6 +348,12 @@ def simulate_reverse(target: DenseGaussian, cfg: SimConfig) -> np.ndarray:
 
 def empirical_moments(samples: np.ndarray) -> DenseGaussian:
     """Sample mean and unbiased (n-1 divisor) covariance of sample rows."""
+    return DenseGaussian(*_sample_moments(samples))
+
+
+def _sample_moments(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(mean, covariance)`` of :func:`empirical_moments`, for a caller that
+    builds its own checked Gaussian from them."""
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2:
         raise ValueError(f"samples must be 2-D (n, d), got shape {samples.shape}")
@@ -359,4 +364,4 @@ def empirical_moments(samples: np.ndarray) -> DenseGaussian:
     centered = samples - mean
     cov = centered.T @ centered / (n - 1)
     cov = 0.5 * (cov + cov.T)
-    return DenseGaussian(mean=mean, covariance=cov)
+    return mean, cov

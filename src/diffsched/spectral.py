@@ -80,10 +80,13 @@ def _require_process(process) -> None:
 
 
 def _require_endpoints(eps0, epsS) -> None:
-    """Reject endpoints unless both are finite and positive and sum below 1."""
+    """Reject endpoints unless both are finite and positive, sum below 1 and
+    ``1 - eps0`` does not round to 1."""
     for value, name in ((eps0, "eps0"), (epsS, "epsS")):
         if not (np.isfinite(value) and value > 0.0):
             raise ValueError(f"{name} must be finite and positive, got {value}")
+    if 1.0 - eps0 == 1.0:
+        raise ValueError(f"eps0 must be large enough that 1 - eps0 < 1 in floats, got {eps0}")
     if eps0 + epsS >= 1.0:
         raise ValueError(f"eps0 + epsS must be < 1, got eps0={eps0}, epsS={epsS}")
 
@@ -127,12 +130,12 @@ class SpectralModel:
 
 @dataclass
 class Schedule:
-    """Monotone noise schedule ``alpha_bar[0..S]`` with pinned endpoints.
+    """Noise schedule ``alpha_bar[0..S]``, checked on construction.
 
-    ``alpha_bar[0] = 1 - eps0`` and ``alpha_bar[S] = epsS``.  Construction
-    does not validate so that intermediate (e.g. unconstrained-optimizer)
-    iterates can be carried around; call :meth:`validate` before handing a
-    schedule to an operation that requires a proper one.
+    ``alpha_bar[0] = 1 - eps0``, ``alpha_bar[S] = epsS`` and every level lies
+    strictly inside (0, 1).  Interior levels may cross, as free-mode
+    optimization may leave them; the transfers and the dense oracle hold for
+    any such levels, and only :func:`vp_to_ve` needs them nonincreasing.
     """
 
     kind: str
@@ -143,8 +146,10 @@ class Schedule:
 
     def __post_init__(self):
         self.alpha_bar = _vector(self.alpha_bar, "alpha_bar")
+        self.validate()
 
-    def validate(self, require_monotone: bool = True) -> "Schedule":
+    def validate(self) -> "Schedule":
+        """Check the fields as construction does; return ``self``."""
         ab = self.alpha_bar
         for value, name in ((ab, "alpha_bar"), (self.eps0, "eps0"), (self.epsS, "epsS")):
             _require_finite(value, name)
@@ -159,8 +164,6 @@ class Schedule:
             raise ValueError(f"alpha_bar[S]={float(ab[-1])!r} != epsS={float(self.epsS)!r}")
         if np.any(ab <= 0.0) or np.any(ab >= 1.0):
             raise ValueError("alpha_bar values must lie strictly inside (0, 1)")
-        if require_monotone and np.any(np.diff(ab) > 0.0):
-            raise ValueError("alpha_bar must be nonincreasing")
         return self
 
 
@@ -190,15 +193,19 @@ class Transfer:
 
 @dataclass
 class VeSchedule:
-    """Noise schedule in exploding-variance form: nondecreasing sigma[0..S]."""
+    """Noise schedule in exploding-variance form: nondecreasing sigma[0..S],
+    checked on construction."""
 
     steps: int
     sigma: np.ndarray
 
     def __post_init__(self):
         self.sigma = _vector(self.sigma, "sigma")
+        self.validate()
 
     def validate(self) -> "VeSchedule":
+        """Check the fields as construction does; return ``self``."""
+        _require_integer(self.steps, "steps", 1)
         if len(self.sigma) != self.steps + 1:
             raise ValueError(
                 f"sigma must have length steps+1={self.steps + 1}, got {len(self.sigma)}"
@@ -336,7 +343,6 @@ def _transfer_arrays(eigenvalues: np.ndarray, alpha_bar: np.ndarray, process: st
 
 
 def _transfer(model: SpectralModel, schedule: Schedule, process: str) -> Transfer:
-    schedule.validate()
     gain, mean_gain, var_extra, _ = _transfer_arrays(model.eigenvalues, schedule.alpha_bar, process)
     return Transfer(gain, mean_gain, np.zeros_like(gain) if var_extra is None else var_extra)
 
@@ -476,7 +482,6 @@ def intermediate_distribution(model: SpectralModel, schedule: Schedule, l: int) 
     is a model in the same eigenbasis, ``source`` ``<model.source>#step<l>``;
     a variance past the float range fails its ``eigenvalues`` check.
     """
-    schedule.validate()
     if not 0 <= l <= schedule.steps:
         raise ValueError(f"step index l={l} out of range [0, {schedule.steps}]")
     A, B = _ddim_trajectory(model.eigenvalues, schedule.alpha_bar)
@@ -491,7 +496,6 @@ def relative_error_dynamics(model: SpectralModel, schedule: Schedule) -> np.ndar
     the state variance at step ``l``; row 0 is the output.  A coordinate
     below :data:`LAMBDA_FLOOR` holds the absolute mismatch ``|lam_i - var_{l,i}|``.
     """
-    schedule.validate()
     A, _ = _ddim_trajectory(model.eigenvalues, schedule.alpha_bar)
     lam = model.eigenvalues
     return np.abs(lam - A**2) / np.where(lam < LAMBDA_FLOOR, 1.0, lam)
@@ -504,7 +508,6 @@ def w2_dynamics(model: SpectralModel, schedule: Schedule) -> np.ndarray:
     entry ``S`` is the distance from the initial unit Gaussian, entry 0
     equals the terminal loss.
     """
-    schedule.validate()
     A, B = _ddim_trajectory(model.eigenvalues, schedule.alpha_bar)
     lam = model.eigenvalues
     mu = model.mean_spectral
@@ -537,11 +540,13 @@ def vp_to_ve(schedule: Schedule) -> VeSchedule:
     """Convert a retention schedule to exploding-variance form.
 
     ``sigma = sqrt((1 - alpha_bar) / alpha_bar)``; the noisiest retention
-    level maps to the largest sigma.
+    level maps to the largest sigma.  A sigma schedule is nondecreasing, so
+    levels that cross are refused.
     """
-    ab = schedule.validate().alpha_bar  # validate() keeps alpha_bar inside (0, 1)
-    sigma = np.sqrt((1.0 - ab) / ab)
-    return VeSchedule(steps=schedule.steps, sigma=sigma).validate()
+    ab = schedule.alpha_bar  # a Schedule keeps alpha_bar inside (0, 1)
+    if np.any(np.diff(ab) > 0.0):
+        raise ValueError("alpha_bar must be nonincreasing to convert to sigma form")
+    return VeSchedule(steps=schedule.steps, sigma=np.sqrt((1.0 - ab) / ab))
 
 
 def ve_to_vp(ve: VeSchedule) -> Schedule:
@@ -551,7 +556,6 @@ def ve_to_vp(ve: VeSchedule) -> Schedule:
     ``alpha_bar`` rounds to 1 (such as 0) or so large that it rounds to 0 is
     rejected.
     """
-    ve.validate()
     with np.errstate(over="ignore"):  # sigma**2 = inf gives alpha_bar = 0, rejected below
         ab = 1.0 / (1.0 + ve.sigma**2)
     bad = np.flatnonzero((ab <= 0.0) | (ab >= 1.0))

@@ -289,6 +289,41 @@ def test_optimize_warm_start(tmp_path, model_file):
     load_schedule(warm).validate()
 
 
+def test_free_mode_crossed_schedule_is_read_by_every_command(tmp_path, capsys, monkeypatch):
+    # Free mode may leave the levels crossed.  Every command that reads a
+    # schedule takes the file it wrote, and eval reproduces the reported
+    # loss, bar the conversion to sigma form, which needs ordered levels.
+    monkeypatch.chdir(tmp_path)
+    model = SpectralModel(dim=2, eigenvalues=[1.194710282207005, 2.681497210709634],
+                          mean_spectral=[0.0, 0.3589016726101455])
+    save_model(model, "m.json")
+    Path("c.csv").write_text("1.0,0.5\n0.5,2.0\n")
+    assert run(["--seed", "36", "optimize", "--model", "m.json", "--steps", "8", "--process",
+                "ddpm", "--mode", "free", "--init", "random", "--out", "o.json"]) == 0
+    assert np.any(np.diff(load_schedule("o.json").alpha_bar) > 0.0)
+    for argv in (
+        ["eval", "--model", "m.json", "--schedules", "o.json", "--process", "ddpm",
+         "--out", "e.csv"],
+        ["bias", "--model", "m.json", "--schedule", "o.json", "--process", "ddpm",
+         "--out", "b.csv"],
+        ["dynamics", "--model", "m.json", "--schedule", "o.json",
+         "--out-relative-error", "r.csv", "--out-w2", "w.csv"],
+        ["simulate", "--schedule", "o.json", "--process", "ddpm", "--cov", "c.csv",
+         "--samples", "4", "--out", "s.f64"],
+        ["optimize", "--model", "m.json", "--steps", "8", "--process", "ddpm", "--mode", "free",
+         "--init", "warm:o.json", "--out", "warm.json"],
+    ):
+        assert run(argv) == 0, argv[0]
+    report = json.loads(Path("o.json.report.json").read_text())
+    row = Path("e.csv").read_text().splitlines()[1]
+    assert row == f"8,o.json,ddpm,wasserstein2,{report['final_loss']!r}"
+    capsys.readouterr()
+    files = sorted(tmp_path.iterdir())
+    assert run(["convert", "--schedule", "o.json", "--direction", "to-ve", "--out", "v.json"]) == 2
+    assert sorted(tmp_path.iterdir()) == files
+    assert json.loads(capsys.readouterr().err)["error"]["message"].startswith("alpha_bar ")
+
+
 # ----------------------------------------------------------- eval/compare
 
 
@@ -1202,7 +1237,7 @@ def test_loss_csv_refuses_an_infinite_kl(tmp_path):
 
 
 def _write_input_files():
-    """Input files each holding one fault that only an operation rejects."""
+    """Input files each holding one fault, and the inputs they go with."""
     save_model(synthetic_circulant_model(4, 0.1, 0.05)[1], "m.json")
     good = cosine_schedule(5)
     save_schedule(good, "s.json")
@@ -1214,6 +1249,7 @@ def _write_input_files():
     ]:
         Path(name).write_text(json.dumps({**schedule, **edit}))
     Path("sigma.json").write_text(json.dumps({"steps": 2, "sigma": [-1.0, 0.5, 1.0]}))
+    Path("sigma-steps.json").write_text(json.dumps({"steps": -1, "sigma": []}))
     Path("dim0.json").write_text(
         json.dumps({"dim": 0, "eigenvalues": [], "mean_spectral": [], "source": ""})
     )
@@ -1245,6 +1281,11 @@ _ESTIMATE = ["estimate", "--out-cov", "o.csv", "--out-model", "o.json", "--input
             ["convert", "--schedule", "sigma.json", "--direction", "to-vp", "--out", "o.json"],
             "sigma must be nonnegative",
             id="negative-sigma",
+        ),
+        pytest.param(
+            ["convert", "--schedule", "sigma-steps.json", "--direction", "to-vp", "--out", "o.json"],
+            "steps must be an integer >= 1, got -1",
+            id="negative-sigma-steps",
         ),
         pytest.param(
             ["eval", "--model", "dim0.json", "--schedules", "s.json", "--out", "o.csv"],
@@ -1355,8 +1396,15 @@ _ESTIMATE = ["estimate", "--out-cov", "o.csv", "--out-model", "o.json", "--input
                  "eps0 + epsS must be < 1, got eps0=0.0001, epsS=1.5"),
                 ("endpoints-cross", ["--eps0", "0.5", "--epsS", "0.6"],
                  "eps0 + epsS must be < 1, got eps0=0.5, epsS=0.6"),
+                ("eps0-rounds-away", ["--eps0", "1e-20"],
+                 "eps0 must be large enough that 1 - eps0 < 1 in floats, got 1e-20"),
             )
         ],
+        pytest.param(
+            ["optimize", "--model", "m.json", "--steps", "5", "--eps0", "1e-20", "--out", "o.json"],
+            "eps0 must be large enough that 1 - eps0 < 1 in floats, got 1e-20",
+            id="optimize-eps0-rounds-away",
+        ),
         pytest.param(
             ["compare", "--model", "m.json", "--schedules", "linear", "--steps-list", "5",
              "--eps0", "0.5", "--epsS", "0.6", "--out", "o.csv"],

@@ -2,8 +2,9 @@
 modules import each other without cycles, its dense oracle stays out of the
 eigenbasis, its losses take only the forward pass from ``spectral``, and
 every public name it exports and every flag its CLI defines has a documented
-use.  A Gaussian has two types, one per view, and the sampler and loss names
-each have one owner."""
+use.  A Gaussian has two types, one per view, the sampler, loss and other
+choice names each have one owner, and a schedule is checked where it is made
+and where it is written."""
 
 import argparse
 import ast
@@ -186,8 +187,16 @@ def test_a_gaussian_has_two_types_one_per_view():
 
 # Each set of names is spelled as a collection in its owner module alone:
 # the samplers in ``spectral.PROCESSES``, the CLI's loss names in
-# ``losses._CLI_NAMES``; every other module reads them from there.
-_NAME_OWNERS = [({"ddim", "ddpm"}, "spectral.py"), ({"w2", "kl", "wl1"}, "losses.py")]
+# ``losses._CLI_NAMES``, the optimizer's modes and inits in
+# ``optimize.MODES`` and ``optimize.INITS``, the estimate structures in
+# ``estimate.STRUCTURES``; every other module reads them from there.
+_NAME_OWNERS = [
+    ({"ddim", "ddpm"}, "spectral.py"),
+    ({"w2", "kl", "wl1"}, "losses.py"),
+    ({"constrained", "free"}, "optimize.py"),
+    ({"linear", "cosine", "random", "warm"}, "optimize.py"),
+    ({"circulant", "symmetric"}, "estimate.py"),
+]
 
 
 def test_sampler_and_loss_names_have_one_owner():
@@ -208,3 +217,37 @@ def test_sampler_and_loss_names_have_one_owner():
                 if names <= strings and path.name != owner
             ]
     assert spelled == []
+
+
+def _validate_calls(node: ast.AST, scope: str) -> list[str]:
+    """The scope, ``Class.method`` or ``function``, of each ``.validate(``
+    call under ``node``."""
+    calls = []
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = f"{scope}.{child.name}" if scope else child.name
+        elif (
+            isinstance(child, ast.Call)
+            and isinstance(child.func, ast.Attribute)
+            and child.func.attr == "validate"
+        ):
+            calls.append(scope)
+        calls += _validate_calls(child, inner)
+    return calls
+
+
+def test_schedules_are_checked_where_made_and_where_written():
+    # A schedule checks itself on construction, so no operation checks it
+    # again; only the writers re-check, against fields changed since
+    calls = sorted(
+        f"{path.name}:{scope}"
+        for path in PACKAGE.glob("*.py")
+        for scope in _validate_calls(ast.parse(path.read_text(encoding="utf-8")), "")
+    )
+    assert calls == [
+        "io.py:save_schedule",
+        "io.py:save_ve_schedule",
+        "spectral.py:Schedule.__post_init__",
+        "spectral.py:VeSchedule.__post_init__",
+    ]

@@ -3,8 +3,10 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from diffsched import (
+    DenseGaussian,
     EstimationConfig,
     circulant_projection,
+    empirical_moments,
     pca_truncate,
     sliding_window_covariance,
     spectral_model_from_covariance,
@@ -77,6 +79,23 @@ def test_window_counts_add_up():
     total = len(range(0, len(signal) - cfg.window + 1, cfg.stride))
     assert est.windows_used + est.windows_rejected == total
     assert est.windows_rejected > 0
+
+
+def test_each_estimate_is_checked_once(monkeypatch):
+    # the estimate is the one checked Gaussian built from the loud windows,
+    # with the bytes of their empirical moments
+    rng = np.random.default_rng(5)
+    windows = rng.normal(size=(40, 6))
+    expected = empirical_moments(windows)
+    checks = []
+    check = DenseGaussian.__post_init__
+    monkeypatch.setattr(DenseGaussian, "__post_init__", lambda g: checks.append(check(g)))
+    est = covariance_from_windows(windows, silence_threshold=0.0)
+    assert isinstance(est, CovarianceEstimate) and len(checks) == 1
+    assert est.mean.tobytes() == expected.mean.tobytes()
+    assert est.covariance.tobytes() == expected.covariance.tobytes()
+    sliding_window_covariance(windows.ravel(), EstimationConfig(window=6))
+    assert len(checks) == 2
 
 
 @pytest.mark.parametrize("window, stride", [(400, 400), (400, 150), (8, 4), (50, 1)])

@@ -165,7 +165,11 @@ def test_writers_refuse_non_finite_values(tmp_path, name, write, value):
 
 def test_save_schedule_writes_only_valid_schedules(tmp_path):
     path = tmp_path / "s.json"
-    bad = Schedule(kind="custom", steps=2, alpha_bar=np.array([1.0, 0.5, 4e-5]), eps0=0.0)
+    with pytest.raises(ValueError, match="strictly inside"):
+        Schedule(kind="custom", steps=2, alpha_bar=np.array([1.0, 0.5, 4e-5]), eps0=0.0)
+    # a schedule changed after it was made is checked again on writing
+    bad = Schedule(kind="custom", steps=2, alpha_bar=np.array([1 - 1e-4, 0.5, 4e-5]))
+    bad.alpha_bar[0], bad.eps0 = 1.0, 0.0
     with pytest.raises(ValueError, match="strictly inside"):
         save_schedule(bad, path)
     assert not path.exists()

@@ -615,7 +615,8 @@ def test_optimizer_output_properties(model, steps, loss, process, mode, init, se
         init_schedule=coarse,
     )
     schedule, report = optimize_schedule(model, config)
-    schedule.validate(require_monotone=(mode == "constrained"))
+    if mode == "constrained":  # monotone by construction
+        assert np.all(np.diff(schedule.alpha_bar) <= 0)
     assert schedule.alpha_bar[0] == 1.0 - config.eps0
     assert schedule.alpha_bar[-1] == config.epsS
     assert report.final_loss <= report.loss_trace[0]

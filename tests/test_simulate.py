@@ -398,13 +398,18 @@ def test_stream_moments():
     d=st.integers(1, 8),
     rank=st.integers(1, 8),
     S=st.integers(2, 29),
+    cross=st.integers(0, 29),
 )
-def test_dense_ddpm_moments_match_closed_form(seed, d, rank, S):
-    # Random non-circulant PSD targets, rank-deficient ones included.
+@example(seed=0, d=8, rank=8, S=8, cross=2)
+def test_dense_ddpm_moments_match_closed_form(seed, d, rank, S, cross):
+    # Random non-circulant PSD targets, rank-deficient ones included; a
+    # crossed step, as free-mode optimization may leave, adds no variance.
     rng = np.random.default_rng(seed)
     raw = rng.normal(size=(d, min(rank, d)))
     target = DenseGaussian(mean=rng.normal(size=d), covariance=raw @ raw.T / d)
     ab = random_monotone_alpha_bar(rng, S)
+    if cross < S - 2:  # swap two interior levels; cross = 0 swaps the first two
+        ab[cross + 1], ab[cross + 2] = ab[cross + 2], ab[cross + 1]
     mean, cov = dense_ddpm_moments(target, ab, "ddpm")
 
     eigvals, eigvecs = np.linalg.eigh(target.covariance)

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diffsched import (
+    DenseGaussian,
     Schedule,
     SpectralModel,
     cosine_schedule,
@@ -23,7 +24,7 @@ from diffsched.spectral import (
     _suffix_fold,
 )
 
-from conftest import random_monotone_alpha_bar, step_loop, wiener_denoise
+from conftest import dense_ddpm_moments, random_monotone_alpha_bar, step_loop, wiener_denoise
 
 
 def make_schedule(alpha_bar, eps0=1e-4, epsS=4e-5):
@@ -230,11 +231,17 @@ def test_step_gains_positive_for_monotone_schedules(seed, S):
     assert np.all(G > 0.0)
 
 
-def test_transfer_rejects_invalid_schedule():
-    model = SpectralModel(dim=1, eigenvalues=[1.0], mean_spectral=[0.0])
-    bad = make_schedule([1 - 1e-4, 0.2, 0.5, 4e-5])  # not monotone
-    with pytest.raises(ValueError):
-        ddim_transfer(model, bad)
+def test_transfer_accepts_crossed_schedule():
+    # crossed levels, as free-mode optimization may return, have a transfer:
+    # the moments of the dense steps, a crossed ddpm step adding no variance
+    model = SpectralModel(dim=1, eigenvalues=[1.5], mean_spectral=[0.4])
+    target = DenseGaussian(mean=np.array([0.4]), covariance=np.array([[1.5]]))
+    crossed = make_schedule([1 - 1e-4, 0.2, 0.5, 4e-5])
+    for process, transfer in (("ddim", ddim_transfer), ("ddpm", ddpm_transfer)):
+        t = transfer(model, crossed)
+        mean, cov = dense_ddpm_moments(target, crossed.alpha_bar, process)
+        np.testing.assert_allclose(t.output_variance, np.diag(cov), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(t.mean_gain * 0.4, mean, rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------- ddpm
@@ -399,18 +406,18 @@ def test_round_trip_is_identity(schedule):
 
 
 def test_ve_rejects_infinite_sigma():
-    ve = VeSchedule(steps=1, sigma=np.array([0.0, np.inf]))
     with pytest.raises(ValueError):
-        ve_to_vp(ve)
+        ve_to_vp(VeSchedule(steps=1, sigma=np.array([0.0, np.inf])))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_ve_rejects_non_finite_sigma(bad):
-    ve = VeSchedule(steps=2, sigma=np.array([0.01, bad, 80.0]))
+    with pytest.raises(ValueError, match="^sigma must be finite"):
+        VeSchedule(steps=2, sigma=np.array([0.01, bad, 80.0]))
+    ve = VeSchedule(steps=2, sigma=np.array([0.01, 0.5, 80.0]))
+    ve.sigma[1] = bad
     with pytest.raises(ValueError, match="^sigma must be finite"):
         ve.validate()
-    with pytest.raises(ValueError, match="^sigma must be finite"):
-        ve_to_vp(ve)
 
 
 @pytest.mark.parametrize(
@@ -460,25 +467,28 @@ def test_model_validation():
 
 def test_schedule_validation():
     with pytest.raises(ValueError):
-        make_schedule([0.9, 4e-5]).validate()  # endpoint mismatch
+        make_schedule([0.9, 4e-5])  # endpoint mismatch
     with pytest.raises(ValueError):
-        make_schedule([1 - 1e-4, 1.5, 4e-5]).validate()  # out of (0,1)
-    with pytest.raises(ValueError):
-        make_schedule([1 - 1e-4, 0.2, 0.8, 4e-5]).validate()  # not monotone
-    # non-monotone passes when monotonicity is not required
-    make_schedule([1 - 1e-4, 0.2, 0.8, 4e-5]).validate(require_monotone=False)
+        make_schedule([1 - 1e-4, 1.5, 4e-5])  # out of (0,1)
+    # interior levels may cross, as free-mode optimization may leave them
+    crossed = make_schedule([1 - 1e-4, 0.2, 0.8, 4e-5])
+    assert crossed.validate() is crossed
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("field", ["alpha_bar", "eps0", "epsS"])
 def test_schedule_rejects_non_finite(field, bad):
-    schedule = make_schedule([1 - 1e-4, 0.5, 4e-5])
+    fields = {"alpha_bar": [1 - 1e-4, 0.5, 4e-5], "eps0": 1e-4, "epsS": 4e-5}
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        make_schedule(**{**fields, field: [1 - 1e-4, bad, 4e-5] if field == "alpha_bar" else bad})
+    # a field changed after construction is caught by validate()
+    schedule = make_schedule(**fields)
     if field == "alpha_bar":
         schedule.alpha_bar[1] = bad
     else:
         setattr(schedule, field, bad)
     with pytest.raises(ValueError, match=f"^{field} must be finite"):
-        schedule.validate(require_monotone=False)
+        schedule.validate()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
