@@ -9,7 +9,6 @@ from .spectral import (
     Schedule,
     SpectralModel,
     Transfer,
-    ddim_gains,
     ddim_transfer,
     ddpm_transfer,
     intermediate_distribution,

@@ -27,7 +27,6 @@ from .spectral import (
 
 __all__ = [
     "LossKind",
-    "LAMBDA_FLOOR",
     "w2_loss",
     "kl_loss",
     "weighted_l1_loss",

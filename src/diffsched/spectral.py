@@ -27,7 +27,6 @@ __all__ = [
     "Schedule",
     "Transfer",
     "VeSchedule",
-    "ddim_gains",
     "ddim_transfer",
     "ddpm_transfer",
     "intermediate_distribution",
@@ -115,8 +114,7 @@ class SpectralModel:
     def __post_init__(self):
         self.eigenvalues = _vector(self.eigenvalues, "eigenvalues")
         self.mean_spectral = _vector(self.mean_spectral, "mean_spectral")
-        if self.dim <= 0:
-            raise ValueError(f"dim must be positive, got {self.dim}")
+        _require_integer(self.dim, "dim", 1)
         if len(self.eigenvalues) != self.dim or len(self.mean_spectral) != self.dim:
             raise ValueError(
                 "dim mismatch: dim=%d, eigenvalues=%d, mean_spectral=%d"
@@ -173,7 +171,8 @@ class Transfer:
 
     ``v_out = noise_gain * v_in + mean_gain * mean_spectral`` where
     ``v_in ~ N(0, I)``; the stochastic sampler adds ``var_extra`` to the
-    output variance (zero for the deterministic one).
+    output variance (zero for the deterministic one).  The three vectors
+    have one length, checked on construction.
     """
 
     noise_gain: np.ndarray
@@ -184,6 +183,10 @@ class Transfer:
         self.noise_gain = _vector(self.noise_gain, "noise_gain")
         self.mean_gain = _vector(self.mean_gain, "mean_gain")
         self.var_extra = _vector(self.var_extra, "var_extra")
+        for name in ("mean_gain", "var_extra"):
+            got, want = len(getattr(self, name)), len(self.noise_gain)
+            if got != want:
+                raise ValueError(f"{name} must have length {want}, that of noise_gain, got {got}")
 
     @property
     def output_variance(self) -> np.ndarray:
@@ -216,22 +219,6 @@ class VeSchedule:
         if np.any(np.diff(self.sigma) < 0):
             raise ValueError("sigma must be nondecreasing")
         return self
-
-
-def ddim_gains(alpha_bar_prev: float, alpha_bar_cur: float) -> tuple[float, float]:
-    """Per-step deterministic-sampler coefficients ``(a_s, b_s)``.
-
-    ``a_s`` multiplies the current state, ``b_s`` the denoised estimate:
-    ``x_{s-1} = a_s x_s + b_s x0_hat``.
-    """
-    if not 0.0 < alpha_bar_cur < 1.0 or not 0.0 < alpha_bar_prev < 1.0:
-        raise ValueError("alpha_bar values must lie in (0, 1)")
-    if alpha_bar_cur > alpha_bar_prev:
-        raise ValueError(
-            f"ordering violated: alpha_bar_cur={alpha_bar_cur} > alpha_bar_prev={alpha_bar_prev}"
-        )
-    a, b, _ = _step_coefficients(np.array([alpha_bar_prev, alpha_bar_cur]), "ddim")
-    return float(a[0]), float(b[0])
 
 
 def _step_coefficients(alpha_bar: np.ndarray, process: str):
@@ -482,7 +469,8 @@ def intermediate_distribution(model: SpectralModel, schedule: Schedule, l: int) 
     is a model in the same eigenbasis, ``source`` ``<model.source>#step<l>``;
     a variance past the float range fails its ``eigenvalues`` check.
     """
-    if not 0 <= l <= schedule.steps:
+    _require_integer(l, "l", 0)
+    if l > schedule.steps:
         raise ValueError(f"step index l={l} out of range [0, {schedule.steps}]")
     A, B = _ddim_trajectory(model.eigenvalues, schedule.alpha_bar)
     source = f"{model.source}#step{l}"

@@ -51,6 +51,23 @@ def step_loop(G, M):
     return A, B
 
 
+def dense_affine_oracle(covariance, mean, alpha_bar):
+    """The deterministic sampler's whole-run map ``(T, offset)``, folding its
+    reverse steps as dense matrices; never uses the eigenbasis."""
+    a, b, _ = _step_coefficients(alpha_bar, "ddim")
+    d = covariance.shape[0]
+    T = np.eye(d)
+    offset = np.zeros(d)
+    for s in range(len(alpha_bar) - 1, 0, -1):
+        ab = alpha_bar[s]
+        shifted = ab * covariance + (1 - ab) * np.eye(d)
+        W = a[s - 1] * np.eye(d) + b[s - 1] * np.sqrt(ab) * np.linalg.solve(shifted, covariance)
+        o = b[s - 1] * (1 - ab) * np.linalg.solve(shifted, mean)
+        T = W @ T
+        offset = W @ offset + o
+    return T, offset
+
+
 def dense_ddpm_moments(target, alpha_bar, process):
     """Exact output mean and covariance of the sampler.
 

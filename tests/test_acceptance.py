@@ -16,7 +16,6 @@ from diffsched import (
     SpectralModel,
     circulant_projection,
     cosine_schedule,
-    ddim_gains,
     ddim_transfer,
     ddpm_transfer,
     edm_schedule,
@@ -35,8 +34,9 @@ from diffsched import (
     warm_start_interpolate,
 )
 from diffsched.losses import loss_from_alpha_bar
+from diffsched.spectral import _step_coefficients
 
-from conftest import dense_ddpm_moments, random_monotone_alpha_bar
+from conftest import dense_affine_oracle, dense_ddpm_moments, random_monotone_alpha_bar
 
 STEP_COUNTS = (10, 28, 60, 112)
 
@@ -100,14 +100,7 @@ def test_criterion_02_dense_time_equivalence():
         schedule = Schedule(kind="custom", steps=len(ab) - 1, alpha_bar=ab)
         transfer = ddim_transfer(model, schedule)
 
-        T = np.eye(d)
-        offset = np.zeros(d)
-        for s in range(len(ab) - 1, 0, -1):
-            a, b = ddim_gains(ab[s - 1], ab[s])
-            shifted = ab[s] * covariance + (1 - ab[s]) * np.eye(d)
-            W = a * np.eye(d) + b * np.sqrt(ab[s]) * np.linalg.solve(shifted, covariance)
-            T = W @ T
-            offset = W @ offset + b * (1 - ab[s]) * np.linalg.solve(shifted, mean)
+        T, offset = dense_affine_oracle(covariance, mean, ab)
         conjugated = eigvecs.T @ T @ eigvecs
         worst = max(worst, float(np.max(np.abs(np.diag(conjugated) - transfer.noise_gain))))
         worst = max(worst, float(np.max(np.abs(conjugated - np.diag(np.diag(conjugated))))))
@@ -264,8 +257,9 @@ def test_criterion_09_vp_ve_consistency(benchmark_model):
         worst_rt = max(worst_rt, float(np.max(np.abs(back.alpha_bar - schedule.alpha_bar))))
         ab = schedule.alpha_bar
         sigma = np.sqrt((1 - ab) / ab)
+        a_steps, b_steps, _ = _step_coefficients(ab, "ddim")
         for s in range(1, schedule.steps + 1):
-            a, b = ddim_gains(ab[s - 1], ab[s])
+            a, b = a_steps[s - 1], b_steps[s - 1]
             Gvp = a + b * np.sqrt(ab[s]) * lam / (ab[s] * lam + 1 - ab[s])
             Mvp = b * (1 - ab[s]) / (ab[s] * lam + 1 - ab[s])
             av = sigma[s - 1] / sigma[s]

@@ -1289,7 +1289,7 @@ _ESTIMATE = ["estimate", "--out-cov", "o.csv", "--out-model", "o.json", "--input
         ),
         pytest.param(
             ["eval", "--model", "dim0.json", "--schedules", "s.json", "--out", "o.csv"],
-            "dim must be positive, got 0",
+            "dim must be an integer >= 1, got 0",
             id="dim-0",
         ),
         pytest.param(_SIMULATE + ["--cov", "stream.csv"], "--cov must hold a matrix", id="stream-cov"),

@@ -2,9 +2,9 @@
 modules import each other without cycles, its dense oracle stays out of the
 eigenbasis, its losses take only the forward pass from ``spectral``, and
 every public name it exports and every flag its CLI defines has a documented
-use.  A Gaussian has two types, one per view, the sampler, loss and other
-choice names each have one owner, and a schedule is checked where it is made
-and where it is written."""
+use; a module's ``__all__`` lists only names it defines.  A Gaussian has two
+types, one per view, the sampler, loss and other choice names each have one
+owner, and a schedule is checked where it is made and where it is written."""
 
 import argparse
 import ast
@@ -129,6 +129,36 @@ def test_every_public_name_has_a_documented_use():
     ]
     unused = [name for name in public if not re.search(rf"\b{re.escape(name)}\b", text)]
     assert public and unused == []
+
+
+def _defined_names(tree: ast.Module) -> set[str]:
+    """Names a module binds at its top level by ``def``, ``class`` or
+    assignment; what it imports is not among them."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def test_all_lists_only_names_the_module_defines():
+    # A name is exported from its home module alone; a re-export in another
+    # module's __all__ gives the name a second home
+    listed, reexported = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        defined = _defined_names(module)
+        for node in module.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                names = ast.literal_eval(node.value)
+                listed += names
+                reexported += [f"{path.stem}.{name}" for name in names if name not in defined]
+    assert listed and reexported == []
 
 
 def _option_strings(parser: argparse.ArgumentParser) -> set[str]:

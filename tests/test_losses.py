@@ -20,9 +20,10 @@ from diffsched import (
     w2_loss,
     weighted_l1_loss,
 )
-from diffsched.losses import LAMBDA_FLOOR, loss_from_alpha_bar, transfer_loss
+from diffsched.losses import loss_from_alpha_bar, transfer_loss
 from diffsched.optimize import finite_difference_gradient
 from diffsched.simulate import DenseGaussian
+from diffsched.spectral import LAMBDA_FLOOR
 
 from conftest import dense_ddpm_moments
 

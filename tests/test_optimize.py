@@ -26,8 +26,9 @@ from diffsched import (
     ddim_transfer,
 )
 from diffsched import optimize as optimize_module
-from diffsched.losses import LAMBDA_FLOOR, loss_from_alpha_bar
+from diffsched.losses import loss_from_alpha_bar
 from diffsched.optimize import GTOL
+from diffsched.spectral import LAMBDA_FLOOR
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -249,6 +250,7 @@ _VALID_CONFIGS = {
     OptimizeConfig: {"steps": 8, "init": "random", "init_seed": 3, "max_iter": 5},
     SimConfig: {"process": "ddim", "samples": 4, "seed": 7, "schedule": cosine_schedule(4)},
     EstimationConfig: {"window": 4, "stride": 2},
+    SpectralModel: {"dim": 2, "eigenvalues": [1.0, 0.5], "mean_spectral": [0.0, 0.0]},
 }
 
 
@@ -262,6 +264,7 @@ _VALID_CONFIGS = {
         (SimConfig, "seed"),
         (EstimationConfig, "window"),
         (EstimationConfig, "stride"),
+        (SpectralModel, "dim"),
     ],
 )
 def test_library_configs_share_one_integer_rule(config, field):

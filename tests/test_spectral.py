@@ -7,8 +7,8 @@ from diffsched import (
     DenseGaussian,
     Schedule,
     SpectralModel,
+    Transfer,
     cosine_schedule,
-    ddim_gains,
     ddim_transfer,
     ddpm_transfer,
     intermediate_distribution,
@@ -24,7 +24,13 @@ from diffsched.spectral import (
     _suffix_fold,
 )
 
-from conftest import dense_ddpm_moments, random_monotone_alpha_bar, step_loop, wiener_denoise
+from conftest import (
+    dense_affine_oracle,
+    dense_ddpm_moments,
+    random_monotone_alpha_bar,
+    step_loop,
+    wiener_denoise,
+)
 
 
 def make_schedule(alpha_bar, eps0=1e-4, epsS=4e-5):
@@ -75,13 +81,13 @@ def test_wiener_rejects_bad_inputs():
 
 
 def test_gains_identity_step():
-    a, b = ddim_gains(0.6, 0.6)
+    (a,), (b,), _ = _step_coefficients(np.array([0.6, 0.6]), "ddim")
     assert a == pytest.approx(1.0, abs=1e-15)
     assert b == pytest.approx(0.0, abs=1e-15)
 
 
 def test_gains_known_pair():
-    a, b = ddim_gains(0.75, 0.25)
+    (a,), (b,), _ = _step_coefficients(np.array([0.75, 0.25]), "ddim")
     assert a == pytest.approx(0.5773502691896258, abs=1e-12)
     assert b == pytest.approx(0.5773502691896258, abs=1e-12)
 
@@ -91,26 +97,18 @@ def test_gains_agree_with_time_domain_step():
     # a_s x + b_s wiener(x).
     lam, mu = 1.7, 0.3
     model = SpectralModel(dim=1, eigenvalues=[lam], mean_spectral=[mu])
-    ab_prev, ab_cur = 0.75, 0.25
-    a, b = ddim_gains(ab_prev, ab_cur)
+    ab = np.array([0.75, 0.25])
+    a, b, _ = _step_coefficients(ab, "ddim")
     x = 0.9
-    stepped = a * x + b * wiener_denoise(model, ab_cur, np.array([x]))[0]
-    ab = np.array([ab_prev, ab_cur])
-    G, M, _ = _step_gains(np.array([lam]), ab, *_step_coefficients(ab, "ddim")[:2])
+    stepped = a[0] * x + b[0] * wiener_denoise(model, ab[1], np.array([x]))[0]
+    G, M, _ = _step_gains(np.array([lam]), ab, a, b)
     assert stepped == pytest.approx(G[0, 0] * x + M[0, 0] * mu, abs=1e-14)
 
 
 def test_gains_noise_floor_limit():
-    a, b = ddim_gains(0.5, 1e-14)
+    (a,), (b,), _ = _step_coefficients(np.array([0.5, 1e-14]), "ddim")
     assert a == pytest.approx(np.sqrt(0.5), rel=1e-7)
     assert b == pytest.approx(np.sqrt(0.5), rel=1e-6)
-
-
-def test_gains_reject_bad_ordering():
-    with pytest.raises(ValueError):
-        ddim_gains(0.25, 0.75)
-    with pytest.raises(ValueError):
-        ddim_gains(1.0, 0.5)
 
 
 def _textbook_ddpm_abc(alpha_bar):
@@ -165,7 +163,7 @@ def test_single_step_transfer_by_hand():
     lam = np.array([2.0, 0.1])
     model = SpectralModel(dim=2, eigenvalues=lam, mean_spectral=[1.0, 1.0])
     schedule = make_schedule([1 - eps0, epsS])
-    a, b = ddim_gains(1 - eps0, epsS)
+    (a,), (b,), _ = _step_coefficients(schedule.alpha_bar, "ddim")
     expected_gain = a + b * np.sqrt(epsS) * lam / (epsS * lam + 1 - epsS)
     expected_mean = b * (1 - epsS) / (epsS * lam + 1 - epsS)
     t = ddim_transfer(model, schedule)
@@ -179,22 +177,6 @@ def test_fine_cosine_converges_to_identity():
     t = ddim_transfer(model, cosine_schedule(1000))
     np.testing.assert_allclose(t.noise_gain, 1.0, rtol=0.01)
     np.testing.assert_allclose(t.mean_gain, 1.0, rtol=0.01)
-
-
-def dense_affine_oracle(covariance, mean, alpha_bar):
-    """Fold the reverse steps as dense matrices (no eigenbasis shortcut)."""
-    d = covariance.shape[0]
-    T = np.eye(d)
-    offset = np.zeros(d)
-    for s in range(len(alpha_bar) - 1, 0, -1):
-        ab = alpha_bar[s]
-        a, b = ddim_gains(alpha_bar[s - 1], ab)
-        shifted = ab * covariance + (1 - ab) * np.eye(d)
-        W = a * np.eye(d) + b * np.sqrt(ab) * np.linalg.solve(shifted, covariance)
-        o = b * (1 - ab) * np.linalg.solve(shifted, mean)
-        T = W @ T
-        offset = W @ offset + o
-    return T, offset
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -327,7 +309,7 @@ def test_intermediate_single_step(benchmark_model):
     _, model = benchmark_model
     schedule = cosine_schedule(16)
     ab = schedule.alpha_bar
-    a, b = ddim_gains(ab[15], ab[16])
+    (a,), (b,), _ = _step_coefficients(ab[15:], "ddim")
     lam = model.eigenvalues
     G = a + b * np.sqrt(ab[16]) * lam / (ab[16] * lam + 1 - ab[16])
     M = b * (1 - ab[16]) / (ab[16] * lam + 1 - ab[16])
@@ -338,8 +320,14 @@ def test_intermediate_single_step(benchmark_model):
 
 def test_intermediate_rejects_out_of_range(benchmark_model):
     _, model = benchmark_model
-    with pytest.raises(ValueError):
-        intermediate_distribution(model, cosine_schedule(16), 17)
+    schedule = cosine_schedule(16)
+    with pytest.raises(ValueError, match=r"^step index l=17 out of range \[0, 16\]$"):
+        intermediate_distribution(model, schedule, 17)
+    for bad in (-1, True, 2.5):
+        with pytest.raises(ValueError, match=r"^l must be an integer >= 0, got "):
+            intermediate_distribution(model, schedule, bad)
+    got = intermediate_distribution(model, schedule, np.int64(15)).eigenvalues
+    assert got.tobytes() == intermediate_distribution(model, schedule, 15).eigenvalues.tobytes()
 
 
 # ---------------------------------------------------------------- bias
@@ -443,8 +431,9 @@ def test_vp_ve_gain_relation_full_schedule(benchmark_model):
     ab = schedule.alpha_bar
     sigma = np.sqrt((1 - ab) / ab)
     lam = model.eigenvalues
+    a_steps, b_steps, _ = _step_coefficients(ab, "ddim")
     for s in range(1, 25):
-        a, b = ddim_gains(ab[s - 1], ab[s])
+        a, b = a_steps[s - 1], b_steps[s - 1]
         Gvp = a + b * np.sqrt(ab[s]) * lam / (ab[s] * lam + 1 - ab[s])
         Mvp = b * (1 - ab[s]) / (ab[s] * lam + 1 - ab[s])
         av = sigma[s - 1] / sigma[s]
@@ -463,6 +452,19 @@ def test_model_validation():
         SpectralModel(dim=2, eigenvalues=[1.0], mean_spectral=[0.0, 0.0])
     with pytest.raises(ValueError):
         SpectralModel(dim=1, eigenvalues=[-1.0], mean_spectral=[0.0])
+
+
+@pytest.mark.parametrize(
+    "field, vectors",
+    [
+        ("mean_gain", ([1.0, 1.0, 1.0], [0.5], [0.0, 0.0, 0.0])),
+        ("var_extra", ([1.0, 1.0], [0.5, 0.5], [0.0, 0.0, 0.0])),
+    ],
+)
+def test_transfer_rejects_vectors_of_unequal_length(field, vectors):
+    # a shorter gain would broadcast over every coordinate in the losses
+    with pytest.raises(ValueError, match=rf"^{field} must have length {len(vectors[0])}, "):
+        Transfer(*vectors)
 
 
 def test_schedule_validation():
