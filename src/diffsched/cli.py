@@ -144,12 +144,12 @@ def cmd_gen(args):
 
 def cmd_optimize(args):
     model = load_model(args.model)
-    inputs, init, init_schedule = [args.model], args.init, None
+    inputs, init = [args.model], args.init
     if init.startswith("warm:"):
-        init, path = init.split(":", 1)
+        path = init.removeprefix("warm:")
         if not path:
             raise ValueError(f"--init must name a file after 'warm:', got {args.init!r}")
-        init_schedule = load_schedule(path)
+        init = load_schedule(path)
         inputs.append(path)
     config = OptimizeConfig(
         loss=LossKind.from_cli_name(args.loss),
@@ -160,7 +160,6 @@ def cmd_optimize(args):
         mode=args.mode,
         init=init,
         init_seed=args.seed,
-        init_schedule=init_schedule,
         max_iter=args.max_iter,
         ftol=args.ftol,
     )
@@ -239,6 +238,8 @@ def _load_target(args) -> DenseGaussian:
         dense, _ = synthetic_circulant_model(int(d), l, mu)
         return dense
     cov = np.asarray(read_signal(args.cov), dtype=float)
+    if cov.size == 1:  # read_signal gives a one-column file as a 1-D stream
+        cov = cov.reshape(1, 1)
     if cov.ndim != 2:
         raise ValueError("--cov must hold a matrix")
     mean = np.zeros(cov.shape[0])
@@ -381,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--init",
         default=OptimizeConfig.init,
-        help=" | ".join(INITS[:-1]) + f" | {INITS[-1]}:SCHEDULE.json; random is seeded by --seed",
+        help=" | ".join(INITS) + " | warm:SCHEDULE.json; random is seeded by --seed",
     )
     p.add_argument("--max-iter", type=int, default=OptimizeConfig.max_iter)
     p.add_argument("--ftol", type=float, default=OptimizeConfig.ftol)

@@ -82,10 +82,11 @@ def synthetic_circulant_model(
     magnitudes of the ramp row, and the constant mean projects onto the DC
     coordinate alone (value ``mu_const * sqrt(d)``).
     """
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
-    if l <= 0:
-        raise ValueError(f"l must be positive, got {l}")
+    _require_integer(d, "d", 2)
+    if not (np.isfinite(l) and l > 0):
+        raise ValueError(f"l must be finite and positive, got {l!r}")
+    if not np.isfinite(mu_const):
+        raise ValueError(f"mu_const must be finite, got {mu_const!r}")
     row = np.linspace(-l, l, d)
     A = circulant_matrix(row)
     covariance = A.T @ A
@@ -220,18 +221,15 @@ def spectral_model_from_covariance(
     return SpectralModel(dim=d, eigenvalues=eigvals, mean_spectral=mean_spectral, source=source)
 
 
-def pca_truncate(est, d_reduced: int) -> SpectralModel:
-    """Keep the ``d_reduced`` largest-variance coordinates of a model.
+def pca_truncate(model: SpectralModel, d_reduced: int) -> SpectralModel:
+    """Keep the ``d_reduced`` largest-variance coordinates of a spectral model.
 
-    Accepts either a :class:`DenseGaussian` (diagonalized via the
-    symmetric path first) or a :class:`SpectralModel`.
+    A dense Gaussian is diagonalized first, by
+    :func:`spectral_model_from_covariance` with the structure that suits it.
     """
-    if isinstance(est, DenseGaussian):
-        model = spectral_model_from_covariance(est, "symmetric")
-    elif isinstance(est, SpectralModel):
-        model = est
-    else:
-        raise TypeError(f"expected DenseGaussian or SpectralModel, got {type(est)!r}")
+    if not isinstance(model, SpectralModel):
+        raise TypeError(f"expected a SpectralModel, got {type(model)!r}")
+    _require_integer(d_reduced, "d_reduced", None)
     if not 1 <= d_reduced <= model.dim:
         raise ValueError(f"d_reduced must be in [1, {model.dim}], got {d_reduced}")
     order = np.argsort(model.eigenvalues)[::-1][:d_reduced]

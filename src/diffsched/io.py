@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-import tempfile
 import wave
 from pathlib import Path
 
@@ -47,8 +46,18 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def atomic_write_bytes(path, data: bytes) -> None:
+    """Write ``data`` to a fresh temp file beside ``path``, then rename it
+    over ``path``.  The temp file is created exclusively, so a file or link
+    planted under its name is never written through, and with mode 0o666,
+    so the umask sets the result's permissions as it does for ``open``."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    while True:
+        tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)

@@ -42,9 +42,9 @@ __all__ = [
     "fit_parametric",
 ]
 
-# The optimizer's parameterisations and starting schedules (``OptimizeConfig``).
+# The optimizer's parameterisations and named starting schedules (``OptimizeConfig``).
 MODES = ("constrained", "free")
-INITS = ("linear", "cosine", "random", "warm")
+INITS = ("linear", "cosine", "random")
 
 # The optimizer's projected-gradient stop (infinity norm), on the loss scaled
 # to 1 at the start.
@@ -63,9 +63,9 @@ MAX_TRIALS = 20
 class OptimizeConfig:
     """Settings for one schedule-optimization run.
 
-    ``init`` selects the starting schedule: "linear", "cosine",
-    "random" (uniform values sorted decreasing, seeded by ``init_seed``) or
-    "warm" (resampled from ``init_schedule``).  ``ftol`` is the optimizer's
+    ``init`` is the starting schedule: "linear", "cosine", "random" (uniform
+    values sorted decreasing, seeded by ``init_seed``) or a :class:`Schedule`
+    to warm start from, resampled to ``steps``.  ``ftol`` is the optimizer's
     relative-reduction stop on the loss divided by its starting value.
     """
 
@@ -75,9 +75,8 @@ class OptimizeConfig:
     eps0: float = DEFAULT_EPS0
     epsS: float = DEFAULT_EPSS
     mode: str = "constrained"
-    init: str = "linear"
+    init: str | Schedule = "linear"
     init_seed: int = 0
-    init_schedule: Schedule | None = None
     max_iter: int = 2000
     ftol: float = 1e-9
 
@@ -91,10 +90,8 @@ class OptimizeConfig:
         _require_process(self.process)
         if self.mode not in MODES:
             raise ValueError(f"mode must be {' or '.join(map(repr, MODES))}, got {self.mode!r}")
-        if self.init not in INITS:
+        if not isinstance(self.init, Schedule) and self.init not in INITS:
             raise ValueError(f"unknown init {self.init!r}")
-        if self.init == "warm" and self.init_schedule is None:
-            raise ValueError("init='warm' requires init_schedule")
 
 
 @dataclass
@@ -322,6 +319,7 @@ def fit_parametric(schedule: Schedule, family: str) -> tuple[float, float, float
 
 def single_eigenvalue_problem(model: SpectralModel, index: int) -> SpectralModel:
     """Copy of the model keeping only one eigenvalue, with a centered mean."""
+    _require_integer(index, "index", None)
     if not 0 <= index < model.dim:
         raise ValueError(f"index {index} out of range for dim {model.dim}")
     lam = np.zeros(model.dim)
@@ -344,7 +342,7 @@ def _initial_schedule(config: OptimizeConfig) -> np.ndarray:
         rng = np.random.default_rng(config.init_seed)
         interior = np.sort(rng.uniform(epsS, 1.0 - eps0, S - 1))[::-1]
         return np.concatenate([[1.0 - eps0], interior, [epsS]])
-    ab = warm_start_interpolate(config.init_schedule, S).alpha_bar
+    ab = warm_start_interpolate(config.init, S).alpha_bar
     ab[0] = 1.0 - eps0
     ab[-1] = epsS
     return ab

@@ -64,13 +64,15 @@ def _require_finite(value, name: str) -> None:
         raise ValueError(f"{name} must be finite (no NaN or inf)")
 
 
-def _require_integer(value, name: str, least: int, bits: int | None = None) -> None:
+def _require_integer(value, name: str, least: int | None, bits: int | None = None) -> None:
     """Reject ``value`` unless it is an int or numpy integer, not a bool, of
-    at least ``least`` and, when ``bits`` is given, below ``2**bits``."""
+    at least ``least`` and, when ``bits`` is given, below ``2**bits``.  A
+    caller that words its own range check passes ``least=None``."""
     integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    if not (integer and least <= value and (bits is None or value < 2**bits)):
-        bound = f">= {least}" if bits is None else f"in [{least}, 2**{bits})"
-        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+    if not (integer and (least is None or least <= value) and (bits is None or value < 2**bits)):
+        bound = f" >= {least}" if bits is None else f" in [{least}, 2**{bits})"
+        bound = "" if least is None else bound
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
 
 
 def _require_process(process) -> None:

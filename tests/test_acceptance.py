@@ -314,9 +314,7 @@ def test_criterion_12_warm_start_saves_evaluations(benchmark_model, w2_optimized
     coarse_schedule, _ = w2_optimized[10]
     warm_schedule, warm = optimize_schedule(
         model,
-        OptimizeConfig(
-            loss=LossKind.WASSERSTEIN2, steps=50, init="warm", init_schedule=coarse_schedule
-        ),
+        OptimizeConfig(loss=LossKind.WASSERSTEIN2, steps=50, init=coarse_schedule),
     )
     _, cold = optimize_schedule(model, OptimizeConfig(loss=LossKind.WASSERSTEIN2, steps=50))
     within = abs(warm.final_loss - cold.final_loss) <= 0.01 * abs(cold.final_loss)

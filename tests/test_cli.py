@@ -27,17 +27,21 @@ from diffsched.io import (
     save_schedule,
 )
 from diffsched import (
+    DenseGaussian,
     OptimizeConfig,
     OptimizeReport,
+    SimConfig,
     SpectralModel,
     cosine_schedule,
     edm_schedule,
     optimize_schedule,
     sigmoid_schedule,
+    simulate_reverse,
     single_eigenvalue_problem,
     synthetic_circulant_model,
 )
 from diffsched.io import save_model, save_ve_schedule
+from diffsched.simulate import _chunk_rows
 from diffsched.spectral import LAMBDA_FLOOR, _step_coefficients, vp_to_ve
 
 from conftest import step_loop
@@ -513,6 +517,24 @@ def test_simulate_non_finite_target_exits_2(tmp_path, capsys, field):
     assert json.loads(capsys.readouterr().err)["error"]["message"].startswith(
         f"{field} must be finite"
     )
+
+
+def test_simulate_reads_a_one_value_cov_as_a_1x1_matrix(tmp_path):
+    # a one-column file reads as a stream; one value is still a covariance
+    sched = tmp_path / "s.json"
+    save_schedule(cosine_schedule(6), sched)
+    (tmp_path / "cov.csv").write_text("2.0\n")
+    save_raw_f64(np.array([2.0]), tmp_path / "cov.f64")
+    cfg = SimConfig(process="ddpm", samples=5, seed=3, schedule=cosine_schedule(6))
+    expected = simulate_reverse(DenseGaussian([0.0], [[2.0]]), cfg).astype("<f8").tobytes()
+    for cov in ("cov.csv", "cov.f64"):
+        out = tmp_path / f"{cov}.out.f64"
+        rc = run([
+            "--seed", "3", "simulate", "--cov", tmp_path / cov, "--schedule", sched,
+            "--process", "ddpm", "--samples", "5", "--out", out,
+        ])
+        assert rc == 0
+        assert out.read_bytes() == expected
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**128)])
@@ -1907,24 +1929,29 @@ def test_cli_import_leaves_numpy_random_unloaded():
     assert with_cli == with_numpy
 
 
-def test_one_chunk_simulate_leaves_concurrent_futures_unloaded(tmp_path):
-    # Only a multi-chunk simulation imports the thread pool.
+def test_simulate_leaves_concurrent_futures_unloaded(tmp_path):
+    # The sampler draws its normals on one plain helper thread, so neither a
+    # one-chunk run nor one of more chunks (past _chunk_rows(8) samples)
+    # imports the thread pool of concurrent.futures.
     sched = tmp_path / "s.json"
     save_schedule(cosine_schedule(10), sched)
     src = str(Path(diffsched.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    argv = [
-        "simulate", "--synthetic", "8,0.1,0.05", "--schedule", str(sched),
-        "--process", "ddpm", "--samples", "100", "--out", str(tmp_path / "x.f64"),
+    samples = (100, _chunk_rows(8) + 100)
+    runs = [
+        ["simulate", "--synthetic", "8,0.1,0.05", "--schedule", str(sched), "--process", "ddpm",
+         "--samples", str(n), "--out", str(tmp_path / f"x{n}.f64")]
+        for n in samples
     ]
     code = (
         "import sys, diffsched.cli\n"
         "loaded = 'concurrent.futures' in sys.modules\n"
-        f"rc = diffsched.cli.main({argv!r})\n"
-        "print(loaded, rc, 'concurrent.futures' in sys.modules)\n"
+        f"rcs = [diffsched.cli.main(argv) for argv in {runs!r}]\n"
+        "print(loaded, rcs, 'concurrent.futures' in sys.modules)\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.splitlines()[-1] == "False 0 False"
-    assert (tmp_path / "x.f64").exists()
+    assert out.stdout.splitlines()[-1] == "False [0, 0] False"
+    for n in samples:
+        assert (tmp_path / f"x{n}.f64").stat().st_size == n * 8 * 8

@@ -224,7 +224,7 @@ _NAME_OWNERS = [
     ({"ddim", "ddpm"}, "spectral.py"),
     ({"w2", "kl", "wl1"}, "losses.py"),
     ({"constrained", "free"}, "optimize.py"),
-    ({"linear", "cosine", "random", "warm"}, "optimize.py"),
+    ({"linear", "cosine", "random"}, "optimize.py"),
     ({"circulant", "symmetric"}, "estimate.py"),
 ]
 

@@ -40,10 +40,21 @@ def test_synthetic_eigenvalues_match_dense_eigensolver(benchmark_model):
 
 
 def test_synthetic_rejects_bad_params():
-    with pytest.raises(ValueError):
-        synthetic_circulant_model(1, 0.1, 0.0)
-    with pytest.raises(ValueError):
-        synthetic_circulant_model(8, 0.0, 0.0)
+    # each argument is checked, by name, before any arithmetic
+    for args, message in (
+        ((1, 0.1, 0.0), "d must be an integer >= 2, got 1"),
+        ((2.5, 0.1, 0.0), "d must be an integer >= 2, got 2.5"),
+        ((True, 0.1, 0.0), "d must be an integer >= 2, got True"),
+        ((8, 0.0, 0.0), "l must be finite and positive, got 0.0"),
+        ((8, np.inf, 0.0), "l must be finite and positive, got inf"),
+        ((8, np.nan, 0.0), "l must be finite and positive, got nan"),
+        ((8, 0.1, np.inf), "mu_const must be finite, got inf"),
+        ((8, 0.1, np.nan), "mu_const must be finite, got nan"),
+    ):
+        with pytest.raises(ValueError) as info:
+            synthetic_circulant_model(*args)
+        assert str(info.value) == message
+    assert synthetic_circulant_model(np.int64(8), 0.1, 0.0)[1].dim == 8
 
 
 # -------------------------------------------------------------- windows
@@ -312,17 +323,23 @@ def test_pca_keep_one():
         windows_used=1,
         windows_rejected=0,
     )
-    reduced = pca_truncate(est, 1)
+    reduced = pca_truncate(spectral_model_from_covariance(est, "symmetric"), 1)
     assert reduced.dim == 1
     assert reduced.eigenvalues[0] == pytest.approx(3.0)
     assert abs(reduced.mean_spectral[0]) == pytest.approx(7.0)
 
 
 def test_pca_rejects_bad_dimension(benchmark_model):
-    _, model = benchmark_model
+    dense, model = benchmark_model
     with pytest.raises(ValueError):
         pca_truncate(model, 0)
     with pytest.raises(ValueError):
         pca_truncate(model, model.dim + 1)
-    with pytest.raises(TypeError):
-        pca_truncate(np.eye(3), 2)
+    for bad in (2.5, True):
+        with pytest.raises(ValueError, match=f"^d_reduced must be an integer, got {bad}$"):
+            pca_truncate(model, bad)
+    assert pca_truncate(model, np.int64(2)).dim == 2
+    # a dense Gaussian is diagonalized by spectral_model_from_covariance first
+    for other in (np.eye(3), dense):
+        with pytest.raises(TypeError):
+            pca_truncate(other, 2)

@@ -1,6 +1,8 @@
 import dataclasses
 import json
+import os
 import re
+import stat
 import tempfile
 import wave
 from pathlib import Path
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from diffsched import Schedule, SpectralModel, cosine_schedule, synthetic_circulant_model
+from diffsched.cli import main
 from diffsched.io import (
     format_float,
     load_matrix_csv,
@@ -161,6 +164,33 @@ def test_writers_refuse_non_finite_values(tmp_path, name, write, value):
     with pytest.raises(ValueError, match=message):
         write(value, path)
     assert list(tmp_path.iterdir()) == []  # neither the file, a sidecar nor a temp file
+
+
+def test_written_files_take_their_mode_from_the_umask(tmp_path):
+    # each writer's file gets the permissions a fresh ``open`` would give it
+    model = synthetic_circulant_model(4, 0.1, 0.05)[1]
+    for umask in (0o022, 0o077):
+        folder = tmp_path / f"{umask:o}"
+        folder.mkdir()
+        previous = os.umask(umask)
+        try:
+            (folder / "reference").open("x").close()
+            save_model(model, folder / "model.json")
+            save_schedule(cosine_schedule(4), folder / "schedule.json")
+            save_ve_schedule(VeSchedule(steps=1, sigma=np.array([0.5, 2.0])), folder / "ve.json")
+            save_raw_f64(np.ones((2, 3)), folder / "x.f64")
+            save_matrix_csv(np.eye(2), folder / "m.csv")
+            argv = ["optimize", "--model", str(folder / "model.json"), "--steps", "4",
+                    "--out", str(folder / "opt.json")]
+            assert main(argv) == 0
+        finally:
+            os.umask(previous)
+        modes = {path.name: stat.S_IMODE(path.stat().st_mode) for path in folder.iterdir()}
+        assert sorted(modes) == [
+            "m.csv", "model.json", "opt.json", "opt.json.manifest.json", "opt.json.report.json",
+            "reference", "schedule.json", "ve.json", "x.f64", "x.f64.json",
+        ]
+        assert modes == dict.fromkeys(modes, modes["reference"])
 
 
 def test_save_schedule_writes_only_valid_schedules(tmp_path):

@@ -43,6 +43,10 @@ def test_single_eigenvalue_zeroes_the_rest():
     np.testing.assert_array_equal(sub.mean_spectral, np.zeros(3))
     with pytest.raises(ValueError):
         single_eigenvalue_problem(model, 3)
+    for bad in (2.5, True):
+        with pytest.raises(ValueError, match=f"^index must be an integer, got {bad}$"):
+            single_eigenvalue_problem(model, bad)
+    assert single_eigenvalue_problem(model, np.int64(2)).source.endswith("#eigenvalue2")
 
 
 def test_single_eigenvalue_kl_uses_floor_rule():
@@ -150,7 +154,8 @@ def test_optimizer_beats_every_offered_init(benchmark_model):
 
 
 def test_warm_init_requires_schedule():
-    with pytest.raises(ValueError):
+    # a warm start is given as the Schedule itself; "warm" names no init
+    with pytest.raises(ValueError, match="^unknown init 'warm'$"):
         OptimizeConfig(steps=8, init="warm")
 
 
@@ -613,9 +618,8 @@ def test_optimizer_output_properties(model, steps, loss, process, mode, init, se
         process=process,
         steps=steps,
         mode=mode,
-        init=init,
+        init=coarse if init == "warm" else init,
         init_seed=seed,
-        init_schedule=coarse,
     )
     schedule, report = optimize_schedule(model, config)
     if mode == "constrained":  # monotone by construction
@@ -644,9 +648,7 @@ def test_tied_ddpm_levels_stop_on_the_projected_gradient():
     # side the warm start is a stationary point.
     model = SpectralModel(dim=1, eigenvalues=[0.0], mean_spectral=[1.0])
     coarse = Schedule(kind="custom", steps=3, alpha_bar=np.array([1.0 - 1e-4, 0.9, 0.9, 4e-5]))
-    config = OptimizeConfig(
-        process="ddpm", steps=3, mode="free", init="warm", init_schedule=coarse
-    )
+    config = OptimizeConfig(process="ddpm", steps=3, mode="free", init=coarse)
     schedule, report = optimize_schedule(model, config)
     assert report.status_message == "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL"
     assert report.iterations == 0
