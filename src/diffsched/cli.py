@@ -424,7 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="WAV, CSV, or raw f64 input")
     p.add_argument("--window", type=int, default=400)
     p.add_argument("--stride", type=int, default=None)
-    p.add_argument("--th", type=float, default=0.05, help="silence threshold")
+    p.add_argument("--th", type=float, default=EstimationConfig.silence_threshold,
+                   help="silence threshold")
     p.add_argument("--structure", default="circulant", choices=list(STRUCTURES))
     p.add_argument("--out-cov", required=True)
     p.add_argument("--out-model", required=True)

@@ -1,9 +1,10 @@
 """Building spectral targets from data or synthetic constructions.
 
 Covers the synthetic circulant benchmark model, sliding-window covariance
-estimation from sample streams with silence rejection, projection of
-near-Toeplitz estimates onto circulant structure, eigendecomposition into a
-spectral model, and principal-component truncation.
+estimation from sample streams with silence rejection, the spectral model of
+an estimate (an eigendecomposition, or circulant eigenvalues read as the DFT
+of the covariance's cyclic-diagonal means: the averaged periodogram), and
+principal-component truncation.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ __all__ = [
     "synthetic_circulant_model",
     "sliding_window_covariance",
     "covariance_from_windows",
-    "toeplitz_average",
     "circulant_projection",
     "circulant_matrix",
     "spectral_model_from_covariance",
@@ -143,28 +143,6 @@ def sliding_window_covariance(signal: np.ndarray, cfg: EstimationConfig) -> Cova
     return covariance_from_windows(windows, cfg.silence_threshold)
 
 
-def toeplitz_average(covariance: np.ndarray) -> np.ndarray:
-    """First row of the Frobenius-nearest symmetric Toeplitz matrix.
-
-    Entry ``k`` is the mean of the k-th diagonal (super- and sub-diagonal
-    pooled, which coincide for symmetric input).
-    """
-    cov = np.asarray(covariance, dtype=float)
-    n = cov.shape[0]
-    if cov.shape != (n, n):
-        raise ValueError(f"covariance must be square, got {cov.shape}")
-    if np.max(np.abs(cov - cov.T)) > 1e-10 * max(1.0, np.max(np.abs(cov))):
-        raise ValueError("covariance must be symmetric")
-    row = np.empty(n)
-    for k in range(n):
-        upper = np.diagonal(cov, k)
-        if k == 0:
-            row[k] = upper.mean()
-        else:
-            row[k] = np.concatenate([upper, np.diagonal(cov, -k)]).mean()
-    return row
-
-
 def circulant_projection(toeplitz_row: np.ndarray) -> np.ndarray:
     """First row of the circulant matrix closest to a symmetric Toeplitz one.
 
@@ -182,17 +160,16 @@ def circulant_projection(toeplitz_row: np.ndarray) -> np.ndarray:
     return out
 
 
-def spectral_model_from_covariance(
-    est: DenseGaussian, structure: str = "symmetric"
-) -> SpectralModel:
+def spectral_model_from_covariance(est: DenseGaussian, structure: str) -> SpectralModel:
     """Diagonalize a dense Gaussian, such as a covariance estimate, into a spectral target.
 
     ``symmetric`` eigendecomposes the dense matrix (eigenvalues sorted
-    descending, mean projected onto the eigenbasis).  ``circulant`` averages
-    onto Toeplitz form, projects to circulant and reads eigenvalues off the
-    DFT of the first row, keeping frequency order; the mean reduces to its
-    stationary (constant) part on the DC coordinate.  Negative estimated
-    eigenvalues are clamped to zero.
+    descending, mean projected onto the eigenbasis).  ``circulant`` takes
+    the eigenvalues, in frequency order, as the DFT of the cyclic-diagonal
+    means ``r[k] = mean_i C[i, (i + k) mod d]``, the averaged periodogram;
+    for a symmetric ``C``, ``r`` is the :func:`circulant_projection` of its
+    Toeplitz average.  The mean reduces to its stationary (constant) part
+    on the DC coordinate.  Negative estimated eigenvalues are clamped to zero.
     """
     cov = est.covariance
     d = cov.shape[0]
@@ -204,8 +181,11 @@ def spectral_model_from_covariance(
         mean_spectral = eigvecs.T @ est.mean
         source = "estimated-symmetric"
     elif structure == "circulant":
-        circ_row = circulant_projection(toeplitz_average(cov))
-        eigvals = np.fft.fft(circ_row).real
+        # row i of [C C], read from column i on, is C[i, (i + k) mod d]; in
+        # the flattened pair it starts at i (2d + 1)
+        doubled = np.concatenate((cov, cov), axis=1).ravel()
+        cyclic = np.lib.stride_tricks.sliding_window_view(doubled, d)[:: 2 * d + 1]
+        eigvals = np.fft.fft(cyclic.mean(axis=0)).real
         mean_spectral = np.zeros(d)
         mean_spectral[0] = est.mean.mean() * np.sqrt(d)
         source = "estimated-circulant"

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from diffsched import synthetic_circulant_model
+from diffsched import LossKind, synthetic_circulant_model
 from diffsched.simulate import _dense_steps
-from diffsched.spectral import _step_coefficients
+from diffsched.spectral import LAMBDA_FLOOR, _step_coefficients
 
 
 @pytest.fixture(scope="session")
@@ -85,3 +85,33 @@ def dense_ddpm_moments(target, alpha_bar, process):
         if c2 is not None:
             cov += c2[s] * eye
     return mean, cov
+
+
+def generic_loss(target, basis, eigenvalues, alpha_bar, kind, process):
+    """W2 or KL from ``target`` to the sampler's output, by the generic
+    Gaussian formulas on :func:`dense_ddpm_moments` read in the target's
+    eigenbasis ``basis``; ``alpha_bar`` may be complex (a complex step)."""
+    mean, cov = dense_ddpm_moments(target, alpha_bar, process)
+    out_mean = basis.T @ mean - basis.T @ target.mean
+    out_var = np.einsum("ik,ij,jk->k", basis, cov, basis)
+    if kind is LossKind.KL:
+        kept = eigenvalues >= LAMBDA_FLOOR
+        ratio = eigenvalues[kept] / out_var[kept]
+        return 0.5 * np.sum(ratio - 1.0 - np.log(ratio) + out_mean[kept] ** 2 / out_var[kept])
+    return np.sum(out_mean**2) + np.sum((np.sqrt(out_var) - np.sqrt(eigenvalues)) ** 2)
+
+
+def toeplitz_average(covariance):
+    """First row of the Frobenius-nearest symmetric Toeplitz matrix, one lag
+    at a time: entry ``k`` is the mean of the k-th diagonal, super- and
+    sub-diagonal pooled.  With :func:`diffsched.estimate.circulant_projection`
+    it is the two-stage oracle for the circulant model's one-read route."""
+    cov = np.asarray(covariance, dtype=float)
+    row = np.empty(len(cov))
+    for k in range(len(cov)):
+        upper = np.diagonal(cov, k)
+        if k == 0:
+            row[k] = upper.mean()
+        else:
+            row[k] = np.concatenate([upper, np.diagonal(cov, -k)]).mean()
+    return row

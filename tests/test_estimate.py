@@ -1,5 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import minimize_scalar
 
 from diffsched import (
@@ -16,8 +21,9 @@ from diffsched.estimate import (
     CovarianceEstimate,
     circulant_matrix,
     covariance_from_windows,
-    toeplitz_average,
 )
+
+from conftest import toeplitz_average
 
 
 # ------------------------------------------------------- synthetic model
@@ -186,11 +192,6 @@ def test_toeplitz_average_is_frobenius_projection():
     np.testing.assert_allclose(toeplitz_average(sym), oracle, atol=1e-12)
 
 
-def test_toeplitz_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        toeplitz_average(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-
 # ------------------------------------------------- circulant projection
 
 
@@ -245,6 +246,68 @@ def test_projection_reconstruction_diagonalizes():
     fft_eigs = np.sort(np.fft.fft(circ_row).real)
     dense_eigs = np.sort(np.linalg.eigvalsh(C))
     np.testing.assert_allclose(fft_eigs, dense_eigs, atol=1e-10)
+
+
+# ------------------------------------------- circulant eigenvalues, one read
+
+
+def circulant_eigenvalues(cov):
+    """The circulant model's eigenvalues before the clamp at zero.
+
+    The route is linear and negating every entry of ``C`` negates every
+    rounded sum, so the clamped eigenvalues of ``C`` and ``-C`` are the
+    positive and negative parts of the same values.
+    """
+    d = len(cov)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        plus, minus = (
+            spectral_model_from_covariance(DenseGaussian(np.zeros(d), sign * cov), "circulant")
+            for sign in (1.0, -1.0)
+        )
+    return plus.eigenvalues - minus.eigenvalues
+
+
+@pytest.mark.parametrize("definite", [True, False])
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 51, 400])
+def test_circulant_eigenvalues_match_toeplitz_projection_oracle(d, definite):
+    # The cyclic-diagonal means are the circulant projection of the Toeplitz
+    # average; the two-stage oracle sums each lag in another order, so the
+    # gate is rounding-sized: 1e-14 of the largest |eigenvalue|.
+    rng = np.random.default_rng(d)
+    raw = rng.normal(size=(d, d)) * 10.0 ** rng.uniform(-2, 2, size=d)
+    if definite:
+        cov = raw @ raw.T
+    else:  # trace -d, so some eigenvalue is negative (at d = 1, the only one)
+        sym = 0.5 * (raw + raw.T)
+        cov = sym - (np.trace(sym) / d + 1.0) * np.eye(d)
+    oracle = np.fft.fft(circulant_projection(toeplitz_average(cov))).real
+    got = circulant_eigenvalues(cov)
+    assert np.max(np.abs(got - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+    if definite:  # a PSD covariance has a nonnegative averaged periodogram
+        assert np.all(oracle >= -1e-14 * np.max(oracle))
+    else:
+        assert np.min(oracle) < 0.0
+
+
+@st.composite
+def symmetric_matrices(draw):
+    d = draw(st.integers(1, 24))
+    entries = st.floats(-1e3, 1e3, allow_subnormal=False)
+    raw = draw(arrays(float, (d, d), elements=entries))
+    return 0.5 * (raw + raw.T)
+
+
+@settings(max_examples=80, deadline=None)
+@given(symmetric_matrices(), st.integers(0, 23))
+def test_circulant_eigenvalues_sum_to_trace_and_ignore_cyclic_shifts(cov, shift):
+    # Both hold exactly for the cyclic-diagonal means; rounding moves each
+    # sum by a few ulps of the entries summed, within 1e-13 of sum |C_ij|.
+    eigenvalues = circulant_eigenvalues(cov)
+    gate = 1e-13 * np.abs(cov).sum()
+    assert abs(eigenvalues.sum() - np.trace(cov)) <= gate
+    shifted = np.roll(cov, shift, axis=(0, 1))  # P C P^T for the cyclic shift P
+    assert np.max(np.abs(circulant_eigenvalues(shifted) - eigenvalues)) <= gate
 
 
 # ---------------------------------------------------- model construction

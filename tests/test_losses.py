@@ -23,9 +23,8 @@ from diffsched import (
 from diffsched.losses import loss_from_alpha_bar, transfer_loss
 from diffsched.optimize import finite_difference_gradient
 from diffsched.simulate import DenseGaussian
-from diffsched.spectral import LAMBDA_FLOOR
 
-from conftest import dense_ddpm_moments
+from conftest import dense_ddpm_moments, generic_loss
 
 
 def diag_transfer(noise_gain, mean_gain, var_extra=None):
@@ -427,24 +426,13 @@ def test_exact_gradient_matches_complex_step_oracle(process, kind, rank, schedul
         target = DenseGaussian(mean=rng.normal(size=d), covariance=covariance)
         model = SpectralModel(dim=d, eigenvalues=lam, mean_spectral=basis.T @ target.mean)
         ab = cosine_schedule(S).alpha_bar if schedule == "cosine" else _spaced_alpha_bar(rng, S)
-        kept = lam >= LAMBDA_FLOOR
-
-        def dense_loss(alpha_bar):
-            mean, cov = dense_ddpm_moments(target, alpha_bar, process)
-            out_mean = basis.T @ mean - model.mean_spectral
-            out_var = np.einsum("ik,ij,jk->k", basis, cov, basis)
-            if kind is LossKind.KL:
-                ratio = lam[kept] / out_var[kept]
-                return 0.5 * np.sum(
-                    ratio - 1.0 - np.log(ratio) + out_mean[kept] ** 2 / out_var[kept]
-                )
-            return np.sum(out_mean**2) + np.sum((np.sqrt(out_var) - np.sqrt(lam)) ** 2)
 
         oracle = np.empty(S - 1)
         for i in range(S - 1):
             stepped = ab.astype(complex)
             stepped[i + 1] += COMPLEX_STEP * 1j
-            oracle[i] = dense_loss(stepped).imag / COMPLEX_STEP
+            loss = generic_loss(target, basis, lam, stepped, kind, process)
+            oracle[i] = loss.imag / COMPLEX_STEP
         g = loss_from_alpha_bar(model, ab, kind, process, gradient=True)[1]
         assert np.linalg.norm(g - oracle) <= 1e-10 * np.linalg.norm(oracle), (d, S)
 

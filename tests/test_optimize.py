@@ -11,6 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from diffsched import (
+    DenseGaussian,
     EstimationConfig,
     LossKind,
     OptimizeConfig,
@@ -27,8 +28,10 @@ from diffsched import (
 )
 from diffsched import optimize as optimize_module
 from diffsched.losses import loss_from_alpha_bar
-from diffsched.optimize import GTOL
+from diffsched.optimize import GTOL, MODES
 from diffsched.spectral import LAMBDA_FLOOR
+
+from conftest import generic_loss
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -377,6 +380,71 @@ def test_report_projected_gradient_norm(benchmark_model, mode):
         f0 = loss_from_alpha_bar(model, np.linspace(ab[0], ab[-1], 11), config.loss)
         g = loss_from_alpha_bar(model, ab, config.loss, gradient=True)[1] * interior * (1 - interior)
         assert report.projected_gradient_norm == pytest.approx(np.max(np.abs(g)) / f0, rel=1e-6)
+
+
+COMPLEX_STEP = 1e-30
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("kind", [LossKind.WASSERSTEIN2, LossKind.KL])
+@pytest.mark.parametrize("process", ["ddim", "ddpm"])
+def test_objective_gradient_matches_complex_step_through_the_parameterisation(
+    monkeypatch, process, kind, mode
+):
+    # The gradient the solver is handed (the loss's gradient pulled back
+    # through the schedule's parameterisation, over f0) against a complex
+    # step through a test-side copy of each parameterisation: softmax gaps
+    # between the endpoints' log-SNR levels, or free levels.  The copy feeds
+    # the eigenbasis-free dense moments and the generic W2/KL formulas, so
+    # the gate is the loss oracle's 1e-10 relative.
+    rng = np.random.default_rng(7)
+
+    def displaced(x):
+        # any theta, or levels moved by less than a quarter of their
+        # smallest gap, so none cross
+        if mode == "constrained":
+            return x + rng.normal(scale=0.5, size=x.shape)
+        return x + 0.25 * np.min(-np.diff(x)) * rng.uniform(-1.0, 1.0, x.shape)
+
+    captured = []
+
+    def capture(fun, x, lower, upper, ftol, max_iter):
+        # the objective writes into buffers of the run, so it is evaluated
+        # here, at the start and at a point off it
+        captured.extend((p, fun(p)[1]) for p in (x.copy(), displaced(x)))
+        return x, 0.0, [], 0, "CONVERGENCE: captured"
+
+    monkeypatch.setattr(optimize_module, "_lbfgs", capture)
+    for _ in range(2):
+        d, S = int(rng.integers(2, 7)), int(rng.integers(3, 16))
+        lam = rng.uniform(0.05, 5.0, d)
+        basis = np.linalg.qr(rng.normal(size=(d, d)))[0]
+        covariance = (basis * lam) @ basis.T
+        target = DenseGaussian(mean=rng.normal(size=d), covariance=0.5 * (covariance + covariance.T))
+        model = SpectralModel(dim=d, eigenvalues=lam, mean_spectral=basis.T @ target.mean)
+        config = OptimizeConfig(loss=kind, process=process, steps=S, mode=mode, init="cosine")
+        optimize_schedule(model, config)
+        head, tail = 1.0 - config.eps0, config.epsS
+        top, bottom = np.log(head / (1.0 - head)), np.log(tail / (1.0 - tail))
+
+        def loss_of(x):
+            if mode == "constrained":
+                w = np.exp(x - x.real.max())
+                levels = top - (top - bottom) * np.cumsum(w[:-1] / w.sum())
+            else:
+                levels = x
+            ab = np.concatenate([[head], 1.0 / (1.0 + np.exp(-levels)), [tail]])
+            return generic_loss(target, basis, lam, ab, kind, process)
+
+        f0 = loss_of(captured[0][0])
+        for x, g in captured:
+            oracle = np.empty(len(x))
+            for i in range(len(x)):
+                stepped = x.astype(complex)
+                stepped[i] += COMPLEX_STEP * 1j
+                oracle[i] = loss_of(stepped).imag / COMPLEX_STEP / f0
+            assert np.linalg.norm(g - oracle) <= 1e-10 * np.linalg.norm(oracle), (d, S)
+        captured.clear()
 
 
 # ------------------------------------------ the solver against scipy's L-BFGS-B
