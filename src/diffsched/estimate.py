@@ -32,6 +32,9 @@ __all__ = [
 
 # How ``spectral_model_from_covariance`` diagonalizes an estimate.
 STRUCTURES = ("circulant", "symmetric")
+# A negative eigenvalue within this many ``d * eps`` of the largest
+# |eigenvalue| is taken as rounding: clamped to zero without a warning.
+_ROUNDING_SLACK = 4
 
 
 def _check_silence_threshold(value: float) -> None:
@@ -169,7 +172,9 @@ def spectral_model_from_covariance(est: DenseGaussian, structure: str) -> Spectr
     means ``r[k] = mean_i C[i, (i + k) mod d]``, the averaged periodogram;
     for a symmetric ``C``, ``r`` is the :func:`circulant_projection` of its
     Toeplitz average.  The mean reduces to its stationary (constant) part
-    on the DC coordinate.  Negative estimated eigenvalues are clamped to zero.
+    on the DC coordinate.  Negative estimated eigenvalues are clamped to
+    zero, with a warning only when one lies beyond rounding (below
+    ``-_ROUNDING_SLACK * d * eps`` times the largest |eigenvalue|).
     """
     cov = est.covariance
     d = cov.shape[0]
@@ -196,7 +201,9 @@ def spectral_model_from_covariance(est: DenseGaussian, structure: str) -> Spectr
         raise ValueError("eigendecomposition produced non-finite eigenvalues")
     negatives = int(np.sum(eigvals < 0.0))
     if negatives:
-        warnings.warn(f"clamped {negatives} negative eigenvalue(s) to zero", stacklevel=2)
+        rounding = _ROUNDING_SLACK * d * np.finfo(float).eps * np.max(np.abs(eigvals))
+        if eigvals.min() < -rounding:
+            warnings.warn(f"clamped {negatives} negative eigenvalue(s) to zero", stacklevel=2)
         eigvals = np.clip(eigvals, 0.0, None)
     return SpectralModel(dim=d, eigenvalues=eigvals, mean_spectral=mean_spectral, source=source)
 

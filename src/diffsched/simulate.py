@@ -17,24 +17,31 @@ NEP 19 policy, as ``Generator.random``'s does.
 Both samplers are affine in Gaussian draws, so their output is Gaussian.
 ``compose_affine`` folds the dense per-step maps, taken one at a time from
 ``_dense_steps``, into one ``d x d`` factor ``F`` and an offset, and a
-sample is ``x_0 = F z + offset`` with ``z`` its row of ``d`` normals.  For
+sample is ``x_0 = F z + offset`` with ``z`` its row of ``d`` normals.  Each
+step's gain and offset come from one LU solve against ``[C | mean]``.  For
 ddim, ``F`` is the composed map itself, and its bytes differ from a
 per-step loop by rounding only.  For ddpm, ``F F^T`` is the output
 covariance of the per-step process, noise included, so the samples have its
-exact law without drawing its per-step noise path.
+exact law without drawing its per-step noise path; ``F`` is folded by one
+QR per three steps over a preallocated stack.
 
-Samples are drawn in chunks of a whole number of blocks.  ``simulate_reverse``
-starts one helper thread that draws every chunk's normals straight into the
-output array, in order, while the calling thread runs ``compose_affine``;
-both release the interpreter lock in numpy's RNG and LAPACK calls.  Each
-chunk resets one Philox's counter to each block's ``b << 128`` in turn and
-draws the block's normals into the chunk's rows.  After the join the calling
-thread maps each chunk in place with one ``(rows, d) @ (d, d)`` product.  The
-last chunk draws only its own rows and is mapped through a copy padded with
-zero rows, so every sample passes through the same matrix-product shapes at
-the same row position and its bytes do not depend on the sample count.  A
-fold error stops the helper before its next chunk, and an error the helper
-meets is raised in the caller; either way the helper is joined first.
+Samples are drawn in chunks of a whole number of blocks.  Chunk indices
+come from one shared counter, and each chunk has an event that marks it
+drawn.  ``simulate_reverse`` starts one helper thread that claims chunks
+and draws their normals straight into the output array while the calling
+thread runs ``compose_affine``; both release the interpreter lock in
+numpy's RNG and LAPACK calls.  Once ``F`` is ready, the calling thread maps
+the chunks in order, each in place with one ``(rows, d) @ (d, d)`` product
+as soon as it is drawn.  While the next chunk is not drawn yet, it claims
+and draws an unclaimed chunk itself rather than wait, and it blocks only
+once every chunk is claimed.  Each chunk resets one Philox's counter to each
+block's ``b << 128`` in turn and draws the block's normals into the chunk's
+rows, so the bytes do not depend on which thread drew it.  The last chunk
+draws only its own rows and is mapped through a copy padded with zero rows,
+so every sample passes through the same matrix-product shapes at the same
+row position and its bytes do not depend on the sample count.  A fold
+error stops further claims, and a draw error, in either thread, stops them
+too and is raised in the caller; either way the helper is joined first.
 
 For the whole call numpy's bundled OpenBLAS runs on one thread: its thread
 count is set to 1 through ``ctypes`` and restored afterwards, under one lock,
@@ -80,6 +87,10 @@ EIGENVALUE_FLOOR = -1e-10
 _CHUNK_NORMALS = 2**18
 _STREAM_ROWS = 64  # consecutive samples that share one Philox stream
 _WORD = 2**64 - 1  # mask of one of Philox's four 64-bit counter words
+# ddpm's fold runs one QR per this many steps.  More steps per QR make the
+# stack larger: at d = 64, S = 200 the fold peaks near 15.5 d^2 doubles with
+# 3 and 17.5 with 4, over the memory bound its test sets.
+_QR_BLOCK = 3
 
 # numpy >= 2 wheels, then numpy 1.26 wheels: (get, set) of the thread count.
 _BLAS_THREAD_SYMBOLS = (
@@ -187,14 +198,15 @@ def _dense_steps(
     ``a`` and ``b`` are ``_step_coefficients``'.  One step at a time, so a
     fold over the steps never holds more than one of them.
     """
-    eye = np.eye(target.dim)
+    d = target.dim
+    eye = np.eye(d)
+    rhs = np.column_stack([target.covariance, target.mean])  # one LU solves both
     for s in order:
         ab_s = alpha_bar[s + 1]
         shifted = ab_s * target.covariance + (1.0 - ab_s) * eye
-        wiener_gain = np.linalg.solve(shifted, target.covariance)
-        wiener_offset = np.linalg.solve(shifted, target.mean)
-        gain = a[s] * eye + b[s] * np.sqrt(ab_s) * wiener_gain
-        yield gain, b[s] * (1.0 - ab_s) * wiener_offset
+        wiener = np.linalg.solve(shifted, rhs)
+        gain = a[s] * eye + b[s] * np.sqrt(ab_s) * wiener[:, :d]
+        yield gain, b[s] * (1.0 - ab_s) * wiener[:, d]
 
 
 def compose_affine(
@@ -211,26 +223,37 @@ def compose_affine(
     path, from ``d`` draws instead of ``(S + 1) d``.
 
     ``F`` is folded by QR: a running upper-triangular ``R`` with ``R^T R``
-    the noise covariance so far is replaced at each step by the R of
-    ``[R; c_s P_s^T]``, and last by that of ``[R; P_S^T]``; ``F = R^T``.  QR
-    never forms ``C``, so it does not square ``C``'s condition number, and it
-    needs no rule for a singular ``C``, where Cholesky of ``C`` would fail.
-    Refuses a covariance that is not positive semidefinite.
+    the noise covariance so far.  Each step's rows ``c_s P_s^T`` are written
+    below ``R`` into one preallocated stack of ``_QR_BLOCK + 1`` blocks of
+    ``d`` rows, and whenever the stack is full ``R`` is replaced by its R:
+    after the first time, once every ``_QR_BLOCK`` steps.  The last QR is
+    that of ``[R; pending rows; P_S^T]``, and ``F = R^T``.  QR never forms
+    ``C``, so it does not square ``C``'s condition number, and it needs no
+    rule for a singular ``C``, where Cholesky of ``C`` would fail.  Refuses a
+    covariance that is not positive semidefinite.
     """
     _check_psd(target.covariance)
     a, b, c2 = _step_coefficients(schedule.alpha_bar, process)
     d, S = target.dim, len(a)
     prefix = np.eye(d)
     offset = np.zeros(d)
-    R = np.zeros((0, d))
+    if c2 is not None:
+        # [R; _QR_BLOCK steps' rows]; before the first QR, steps' rows only.
+        stack = np.empty(((_QR_BLOCK + 1) * d, d))
+        top = 0
     for s, (gain, off) in enumerate(_dense_steps(target, schedule.alpha_bar, a, b, range(S))):
         offset += prefix @ off
         if c2 is not None:
-            R = np.linalg.qr(np.vstack([R, np.sqrt(c2[s]) * prefix.T]), mode="r")
+            np.multiply(np.sqrt(c2[s]), prefix.T, out=stack[top : top + d])
+            top += d
+            if top == len(stack):
+                stack[:d] = np.linalg.qr(stack[:top], mode="r")
+                top = d
         prefix = prefix @ gain
     if c2 is None:
         return prefix, offset
-    return np.linalg.qr(np.vstack([R, prefix.T]), mode="r").T, offset
+    stack[top : top + d] = prefix.T
+    return np.linalg.qr(stack[: top + d], mode="r").T, offset
 
 
 @functools.cache
@@ -286,19 +309,53 @@ def _one_blas_thread():
             set_(before)
 
 
-def _draw_chunks(seed, out, rows, stop, errors) -> None:
-    """Helper thread: each chunk's normals into its rows of ``out``, in order.
+class _Draws:
+    """The chunks of ``out``, each drawn by whichever thread claims it first.
 
-    Checks ``stop`` before each chunk; an error goes to ``errors``.
+    Claims come from one counter under a lock, and chunk ``k``'s event is set
+    once its draw has ended, failed or not.  A draw error is kept in
+    ``errors`` and stops every later claim; ``stop`` does the same for the
+    calling thread.  A caller that maps in order and stops at the first error
+    thus only waits on chunks that were claimed.
     """
-    try:
-        for start in range(0, len(out), rows):
-            if stop.is_set():
-                return
-            chunk = out[start : start + rows]
-            _chunk_stream_normals(seed, start, len(chunk), out.shape[1], chunk)
-    except BaseException as exc:  # handed to the calling thread, which re-raises it
-        errors.append(exc)
+
+    def __init__(self, seed: int, out: np.ndarray, rows: int):
+        self.seed, self.out, self.rows = seed, out, rows
+        self.drawn = [threading.Event() for _ in range(0, len(out), rows)]
+        self.stop = threading.Event()
+        self.errors: list[BaseException] = []
+        self._claimed = 0
+        self._lock = threading.Lock()
+
+    def draw_next(self) -> bool:
+        """Claim and draw the next unclaimed chunk; ``False`` once none is left."""
+        with self._lock:
+            k = self._claimed
+            if k == len(self.drawn) or self.stop.is_set():
+                return False
+            self._claimed += 1
+        try:
+            start = k * self.rows
+            chunk = self.out[start : start + self.rows]
+            _chunk_stream_normals(self.seed, start, len(chunk), self.out.shape[1], chunk)
+        except BaseException as exc:  # raised in the calling thread after the join
+            self.errors.append(exc)
+            self.stop.set()
+            return False
+        finally:
+            self.drawn[k].set()
+        return True
+
+    def draw_all(self) -> None:
+        """The helper thread: claim and draw chunks until none is left."""
+        while self.draw_next():
+            pass
+
+    def wait(self, k: int) -> None:
+        """Until chunk ``k`` is drawn, drawing unclaimed chunks meanwhile."""
+        while not self.drawn[k].is_set() and self.draw_next():
+            pass
+        self.drawn[k].wait()
 
 
 def simulate_reverse(target: DenseGaussian, cfg: SimConfig) -> np.ndarray:
@@ -306,43 +363,43 @@ def simulate_reverse(target: DenseGaussian, cfg: SimConfig) -> np.ndarray:
 
     Both samplers fold all steps into one ``d x d`` factor and an offset
     (``compose_affine``), applied to each sample's ``d`` normals as one
-    matrix product per chunk of samples.  A helper thread draws the normals
-    into the output while this thread folds; the call runs numpy's OpenBLAS
-    on one thread where it can (``blas_pinned``).  Sample ``i`` depends only
-    on ``(seed, i)`` and ``d``.
+    matrix product per chunk of samples.  A helper thread draws chunks of
+    normals into the output while this thread folds; then this thread maps
+    the chunks in order, drawing unclaimed ones itself rather than wait.  The
+    call runs numpy's OpenBLAS on one thread where it can (``blas_pinned``).
+    Sample ``i`` depends only on ``(seed, i)`` and ``d``.
     """
     d = target.dim
     n = cfg.samples
     rows = _chunk_rows(d)
     out = np.empty((n, d))
-    stop, errors = threading.Event(), []
+    draws = _Draws(cfg.seed, out, rows)
     with _one_blas_thread():
-        helper = threading.Thread(
-            target=_draw_chunks, args=(cfg.seed, out, rows, stop, errors), name="diffsched-draws"
-        )
+        helper = threading.Thread(target=draws.draw_all, name="diffsched-draws")
         helper.start()
         try:
             F, offset = compose_affine(target, cfg.schedule, cfg.process)
-        except BaseException:
-            stop.set()
-            raise
+            # Every chunk is mapped at the full (rows, d) shape: the last one
+            # is copied into a zero-padded buffer, so each sample's bytes do
+            # not depend on the sample count.
+            tmp = np.empty((rows, d))
+            for k, start in enumerate(range(0, n, rows)):
+                draws.wait(k)
+                if draws.errors:
+                    break
+                chunk = out[start : start + rows]
+                m = len(chunk)
+                if m < rows:
+                    padded = np.zeros((rows, d))
+                    padded[:m] = chunk
+                    chunk = padded
+                np.matmul(chunk, F.T, out=tmp)
+                np.add(tmp[:m], offset, out=out[start : start + m])
         finally:
+            draws.stop.set()
             helper.join()
-        if errors:
-            raise errors[0]
-        # Every chunk is mapped at the full (rows, d) shape: the last one is
-        # copied into a zero-padded buffer, so each sample's bytes do not
-        # depend on the sample count.
-        tmp = np.empty((rows, d))
-        for start in range(0, n, rows):
-            chunk = out[start : start + rows]
-            m = len(chunk)
-            if m < rows:
-                padded = np.zeros((rows, d))
-                padded[:m] = chunk
-                chunk = padded
-            np.matmul(chunk, F.T, out=tmp)
-            np.add(tmp[:m], offset, out=out[start : start + m])
+    if draws.errors:
+        raise draws.errors[0]
     return out
 
 

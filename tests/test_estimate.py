@@ -18,6 +18,7 @@ from diffsched import (
     synthetic_circulant_model,
 )
 from diffsched.estimate import (
+    STRUCTURES,
     CovarianceEstimate,
     circulant_matrix,
     covariance_from_windows,
@@ -364,6 +365,18 @@ def test_negative_eigenvalues_clamped_with_warning():
     )
     with pytest.warns(UserWarning, match="clamped"):
         model = spectral_model_from_covariance(est, "symmetric")
+    assert np.all(model.eigenvalues >= 0)
+
+
+@pytest.mark.parametrize("structure", STRUCTURES)
+@pytest.mark.parametrize("d", [7, 50, 400])
+def test_rounding_level_negatives_clamped_without_warning(d, structure):
+    # The synthetic target's DC eigenvalue is exactly zero and rounds either
+    # way; a negative at rounding level is clamped in silence.
+    dense, _ = synthetic_circulant_model(d, 0.1, 0.05)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = spectral_model_from_covariance(dense, structure)
     assert np.all(model.eigenvalues >= 0)
 
 

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -203,7 +204,7 @@ def test_chunk_count_does_not_change_bytes(benchmark_model, monkeypatch, process
 
     monkeypatch.setattr(simulate, "_chunk_stream_normals", traced)
     several = simulate_reverse(target, cfg)
-    assert starts == [0, rows, 2 * rows, 3 * rows]  # each chunk once, in order
+    assert sorted(starts) == [0, rows, 2 * rows, 3 * rows]  # each chunk once, by either thread
     monkeypatch.setattr(simulate, "_CHUNK_NORMALS", (cfg.samples + simulate._STREAM_ROWS) * d)
     starts.clear()
     one = simulate_reverse(target, cfg)
@@ -356,6 +357,57 @@ def test_draw_error_reaches_the_caller(benchmark_model, monkeypatch, no_thread_l
 
     monkeypatch.setattr(simulate, "_chunk_stream_normals", second_fails)
     with pytest.raises(RuntimeError, match="second chunk"):
+        simulate_reverse(target, SimConfig("ddim", 3 * rows, 0, cosine_schedule(12)))
+
+
+def _slow_helper(monkeypatch, seconds, drawn_by, fail_in_caller=False):
+    # Delays only the helper's draws, so the calling thread claims the rest.
+    chunk_stream = simulate._chunk_stream_normals
+
+    def draw(seed, start, *args, **kwargs):
+        name = threading.current_thread().name
+        if name == "diffsched-draws":
+            time.sleep(seconds)
+        elif fail_in_caller:
+            raise RuntimeError(f"draw failed at {start} in the calling thread")
+        drawn_by.append((start, name))
+        return chunk_stream(seed, start, *args, **kwargs)
+
+    monkeypatch.setattr(simulate, "_chunk_stream_normals", draw)
+
+
+@pytest.mark.parametrize("process", ["ddim", "ddpm"])
+@pytest.mark.parametrize("even", [True, False], ids=["d50", "d7"])
+def test_calling_thread_shares_the_draws(
+    benchmark_model, monkeypatch, no_thread_left, process, even
+):
+    target = benchmark_model[0] if even else odd_dense_target()
+    if not even:
+        monkeypatch.setattr(simulate, "_CHUNK_NORMALS", 2**10)
+    d, schedule = target.dim, cosine_schedule(12)
+    rows = simulate._chunk_rows(d)
+    cfg = SimConfig(process, 3 * rows + rows // 3 + 1, 29, schedule)  # 4 chunks, last partial
+    drawn_by = []
+    _slow_helper(monkeypatch, 0.2, drawn_by)
+    shared = simulate_reverse(target, cfg)
+    assert sorted(start for start, _ in drawn_by) == [0, rows, 2 * rows, 3 * rows]
+    assert any(name != "diffsched-draws" for _, name in drawn_by), drawn_by
+
+    monkeypatch.setattr(simulate, "_CHUNK_NORMALS", (cfg.samples + simulate._STREAM_ROWS) * d)
+    assert simulate_reverse(target, cfg).tobytes() == shared.tobytes()
+    F, offset = compose_affine(target, schedule, process)
+    draws = _reference_normals(cfg.seed, 0, cfg.samples, d)
+    assert shared.tobytes() == (draws @ F.T + offset).tobytes()
+
+
+def test_draw_error_in_the_calling_thread_reaches_the_caller(
+    benchmark_model, monkeypatch, no_thread_left
+):
+    target = benchmark_model[0]
+    rows = simulate._chunk_rows(target.dim)
+    drawn_by = []
+    _slow_helper(monkeypatch, 0.2, drawn_by, fail_in_caller=True)
+    with pytest.raises(RuntimeError, match="in the calling thread"):
         simulate_reverse(target, SimConfig("ddim", 3 * rows, 0, cosine_schedule(12)))
 
 
