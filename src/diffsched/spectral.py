@@ -272,38 +272,37 @@ def _step_partials(alpha_bar: np.ndarray, a: np.ndarray, c2):
     return a_p, a_x, b_p, b_x, c2_p, c2_x
 
 
-def _step_gains(
-    eigenvalues: np.ndarray, alpha_bar: np.ndarray, a: np.ndarray, b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-step diagonal gains ``(G, M, denom)``, each of shape (S, d).
+def _step_gains(eigenvalues: np.ndarray, alpha_bar: np.ndarray, a: np.ndarray):
+    """Per-step state gains ``G`` and ``inv_den = 1 / den``, each of shape (S, d).
 
-    ``G[s-1]`` multiplies the state, ``M[s-1]`` the spectral mean:
-    ``v_{s-1} = G v_s + M mean_spectral``, with ``G = a + b sqrt(x) lam / denom``
-    and ``M = b (1 - x) / denom`` at ``x = alpha_bar[s]``.  ``denom = x lam +
-    1 - x`` is the variance of the noisy state at each step's input level.
+    ``G[s-1]`` multiplies the state, ``v_{s-1} = G v_s + M mean_spectral``, at
+    ``x = alpha_bar[s]`` and ``p = alpha_bar[s-1]``; ``den = x lam + 1 - x`` is
+    the variance of the noisy state at the step's input level.  ``G = a + b
+    sqrt(x) lam / den`` is formed as ``(sqrt(p) sqrt(x) lam + a (1 - x)) /
+    den``, a sum of nonnegative terms, so a crossed step (``b < 0``) cancels
+    nothing and ``G >= 0`` on any levels.  The mean gain ``M = b (1 - x) /
+    den`` is never formed: in DDIM's family ``G sqrt(x) + M = a sqrt(x) + b =
+    sqrt(p)``, each step keeping the clean-mean path.
     """
     ab_cur = alpha_bar[1:, None]
-    denom = ab_cur * eigenvalues[None, :]
-    denom += 1.0 - ab_cur
-    G = (b * np.sqrt(alpha_bar[1:]))[:, None] * eigenvalues[None, :]
-    G /= denom
-    G += a[:, None]
-    M = (b * (1.0 - alpha_bar[1:]))[:, None] / denom
-    return G, M, denom
+    inv_den = ab_cur * eigenvalues[None, :]
+    inv_den += 1.0 - ab_cur
+    np.reciprocal(inv_den, out=inv_den)
+    root = np.sqrt(alpha_bar)
+    G = (root[:-1] * root[1:])[:, None] * eigenvalues[None, :]
+    G += (a * (1.0 - alpha_bar[1:]))[:, None]
+    G *= inv_den
+    return G, inv_den
 
 
-def _accumulate(G: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fold per-step gains left-to-right into whole-run coefficients.
-
-    Returns ``(noise_gain, mean_gain, prefix)`` where ``prefix[i-1]`` is the
-    exclusive product of G over steps 1..i-1 (used for variance accumulation).
-    """
-    prefix = np.empty_like(G)
-    prefix[0] = 1.0
-    np.cumprod(G[:-1], axis=0, out=prefix[1:])
-    noise_gain = prefix[-1] * G[-1]
-    mean_gain = (prefix * M).sum(axis=0)
-    return noise_gain, mean_gain, prefix
+def _suffix_products(G: np.ndarray) -> np.ndarray:
+    """``A[l]``, the product of ``G[l:]``, shape (S+1, d) with ``A[S] = 1``:
+    one reversed cumulative product, row ``l`` the state coefficient at step
+    ``l`` and row 0 the whole run's noise gain."""
+    A = np.empty((len(G) + 1, G.shape[1]))
+    A[-1] = 1.0
+    np.cumprod(G[::-1], axis=0, out=A[-2::-1])
+    return A
 
 
 def _transfer_arrays(eigenvalues: np.ndarray, alpha_bar: np.ndarray, process: str):
@@ -311,22 +310,29 @@ def _transfer_arrays(eigenvalues: np.ndarray, alpha_bar: np.ndarray, process: st
     vector; ``var_extra`` is None for ddim, which adds no variance.
 
     Fast path shared with the loss/optimizer code; does no validation so it
-    can be called on unconstrained optimizer iterates.  The pullback
-    ``(d_var, d_gain) -> gradient`` takes a loss's partials in the output
-    variance and the mean gain and returns the gradient with respect to
-    ``alpha_bar[1:-1]`` by :func:`_reverse_sweep` over this pass's arrays;
+    can be called on unconstrained optimizer iterates.  Only the state gains
+    are folded: each step maps the clean-mean path ``sqrt(alpha_bar) *
+    mean_spectral`` onto itself (:func:`_step_gains`), which telescopes to
+    ``mean_gain = sqrt(alpha_bar[0]) - sqrt(alpha_bar[S]) * noise_gain``.  The
+    pullback ``(d_var, d_gain) -> gradient`` takes a loss's partials in the
+    output variance and the mean gain and returns the gradient with respect
+    to ``alpha_bar[1:-1]`` by :func:`_reverse_sweep` over this pass's arrays;
     it does no work until called.
     """
     a, b, c2 = _step_coefficients(alpha_bar, process)
-    G, M, denom = _step_gains(eigenvalues, alpha_bar, a, b)
-    noise_gain, mean_gain, prefix = _accumulate(G, M)
+    G, inv_den = _step_gains(eigenvalues, alpha_bar, a)
+    # prefix[i] is the product of G over the steps before i
+    prefix = np.empty_like(G)
+    prefix[0] = 1.0
+    np.cumprod(G[:-1], axis=0, out=prefix[1:])
+    noise_gain = prefix[-1] * G[-1]
+    mean_gain = np.sqrt(alpha_bar[0]) - np.sqrt(alpha_bar[-1]) * noise_gain
     prefix2 = var_extra = None
     if c2 is not None:
         prefix2 = prefix**2
         var_extra = (prefix2 * c2[:, None]).sum(axis=0)
     pullback = partial(
-        _reverse_sweep,
-        eigenvalues, alpha_bar, a, b, c2, denom, G, M, noise_gain, prefix, prefix2,
+        _reverse_sweep, eigenvalues, alpha_bar, a, b, c2, inv_den, G, noise_gain, prefix, prefix2
     )
     return noise_gain, mean_gain, var_extra, pullback
 
@@ -354,18 +360,16 @@ def ddpm_transfer(model: SpectralModel, schedule: Schedule) -> Transfer:
 
 
 def _suffix_fold(G: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """State/mean coefficients of every intermediate step, shape (S+1, d).
+    """Coefficients ``(A, B)`` of the affine recurrence ``v_{s-1} = G[s-1] *
+    v_s + M[s-1]`` at every step, shape (S+1, d): ``v_l = A[l] * v_S + B[l]``,
+    ``A[S] = 1``, ``B[S] = 0`` and row 0 is the whole run.
 
-    Row ``l`` gives ``v_l = A[l] * v_S + B[l] * mean_spectral`` under the
-    recursion ``v_{s-1} = G[s-1] * v_s + M[s-1] * mean_spectral`` of
-    :func:`_step_gains`: ``A[S] = 1``, ``B[S] = 0`` and row 0 is the whole
-    run.  The affine recurrence ``B[s-1] = G[s-1] * B[s] + M[s-1]`` is folded
-    by a log-depth suffix scan (Hillis & Steele 1986; Blelloch 1990): after
-    the round with offset ``k``, ``(A[i], B[i])`` compose the ``2k`` steps
-    from ``i`` on, so ``ceil(log2 S)`` vector rounds replace the S-step loop.
-    Only products of gains are formed, never quotients, so gains that
-    underflow leave the result finite.  Columns fold independently, so
-    side-by-side recurrences share a scan.
+    Folded by a log-depth suffix scan (Hillis & Steele 1986; Blelloch 1990):
+    after the round with offset ``k``, ``(A[i], B[i])`` compose the ``2k``
+    steps from ``i`` on, so ``ceil(log2 S)`` vector rounds replace the S-step
+    loop.  Only products of gains are formed, never quotients, so gains that
+    underflow leave the result finite.  The stochastic sampler's extra
+    variance is its one user, on ``(G**2, c**2)``.
     """
     S = len(G)
     A, B = np.empty((S + 1, G.shape[1])), np.empty((S + 1, G.shape[1]))
@@ -384,83 +388,72 @@ def _suffix_fold(G: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _reverse_sweep(
-    lam, alpha_bar, a, b, c2, den, G, M, noise_gain, prefix, prefix2, d_var, d_gain
+    lam, alpha_bar, a, b, c2, inv_den, G, noise_gain, prefix, prefix2, d_var, d_gain
 ) -> np.ndarray:
     """Gradient with respect to ``alpha_bar[1:-1]`` from a loss's partials
     ``(d_var, d_gain)`` in the output variance and mean gain, reusing the
     arrays of the forward pass of :func:`_transfer_arrays`.
 
-    The adjoints of the per-step gains ``G`` and ``M`` need, per step, the
-    product of the later gains and the mean gain they carry (``A[s+1]`` and
-    ``B[s+1]`` of the log-depth scan :func:`_suffix_fold`); the stochastic
-    sampler's extra variance adds the same fold run on ``(G**2, c**2)``, its
-    only branch on the process.  The chain rule then goes through the
-    partials of ``(a, b, c**2)`` in the two neighbouring levels
-    ``p = alpha_bar[s-1]`` and ``x = alpha_bar[s]``, from :func:`_step_partials`.
+    The mean gain is ``sqrt(alpha_bar[0]) - sqrt(alpha_bar[S]) * noise_gain``
+    with fixed endpoints, so the loss's partial in the noise gain is ``d_ng =
+    2 d_var noise_gain - sqrt(alpha_bar[S]) d_gain``, and the adjoint of the
+    per-step gains is ``dG = prefix * later * d_ng``, ``later`` the product
+    of the later gains (:func:`_suffix_products`): products only, O(S d).  The
+    stochastic sampler's extra variance adds the log-depth fold
+    :func:`_suffix_fold` on ``(G**2, c**2)``, its only branch on the process.
+    The chain rule then goes through the partials of ``(a, b, c**2)`` in the
+    two neighbouring levels ``p = alpha_bar[s-1]`` and ``x = alpha_bar[s]``,
+    from :func:`_step_partials`.
     """
     a_p, a_x, b_p, b_x, c2_p, c2_x = _step_partials(alpha_bar, a, c2)
-    x = alpha_bar[1:]
-    sqrt_x, one_x = np.sqrt(x), 1.0 - x
-
-    # adjoints of the per-step gains, shape (S, d):
-    # dG = prefix * (2 d_var noise_gain A[1:] + d_gain B[1:]), dM = prefix * d_gain.
-    # work[0] becomes dG, work[1:] the products summed over coordinates below.
-    work = np.empty((5,) + G.shape)
-    S, d = G.shape
-    gains, means = G, M
-    if c2 is not None:
-        # the mean fold and the extra-variance fold on (G**2, c**2), side by
-        # side in one scan
-        gains, means = np.empty((2, S, 2 * d))
-        gains[:, :d] = G
-        np.multiply(G, G, out=gains[:, d:])
-        means[:, :d] = M
-        means[:, d:] = c2[:, None]
-    A, B = _suffix_fold(gains, means)  # row 0, the whole run, is not needed
-    later_gain, mean_part, var_part = A[1:, :d], B[1:, :d], B[1:, d:]
-    dG = np.multiply(2.0 * d_var * noise_gain, later_gain, out=work[0])
-    mean_part *= d_gain
-    dG += mean_part
+    sqrt_x = np.sqrt(alpha_bar[1:])
+    d_ng = 2.0 * d_var * noise_gain - np.sqrt(alpha_bar[-1]) * d_gain
+    dG = _suffix_products(G)[1:]
+    dG *= d_ng
     dG *= prefix
     grad_p = grad_x = 0.0
     if c2 is not None:
+        var_part = _suffix_fold(G * G, c2[:, None])[1]
         var_gain = 2.0 * d_var * G
         var_gain *= prefix2
-        var_gain *= var_part
+        var_gain *= var_part[1:]
         dG += var_gain
         d_c2 = (d_var * prefix2).sum(axis=1)
         grad_p, grad_x = d_c2 * c2_p, d_c2 * c2_x
 
-    # chain through G = a + b sqrt(x) lam / den and M = b (1 - x) / den,
-    # with den = x lam + 1 - x, summing each step over coordinates:
-    # dG, dG ratio, dG ratio slope, dM / den and dM slope / den
-    slope = (lam - 1.0) / den
-    np.divide(lam, den, out=work[1])
-    work[1] *= dG
-    np.multiply(work[1], slope, out=work[2])
-    dM = np.multiply(prefix, d_gain, out=work[4])
-    np.divide(dM, den, out=work[3])
-    dM *= slope
-    dM /= den
-    g_sum, g_ratio, g_slope, m_inv, m_slope = work.sum(axis=2)
-    grad_p = grad_p + a_p * g_sum + b_p * sqrt_x * g_ratio + b_p * one_x * m_inv
+    # chain through G = a + b sqrt(x) lam / den with den = x lam + 1 - x,
+    # summing each step over coordinates: dG, dG ratio and dG ratio slope
+    g_sum = dG.sum(axis=1)
+    dG *= inv_den
+    dG *= lam
+    g_ratio = dG.sum(axis=1)
+    dG *= lam - 1.0
+    dG *= inv_den
+    g_slope = dG.sum(axis=1)
+    grad_p = grad_p + a_p * g_sum + b_p * sqrt_x * g_ratio
     grad_x = (
         grad_x
         + a_x * g_sum
         + (b_x * sqrt_x + 0.5 * b / sqrt_x) * g_ratio
         - b * sqrt_x * g_slope
-        + (b_x * one_x - b) * m_inv
-        - b * one_x * m_slope
     )
     # interior level s is x of step s and p of step s + 1
     return grad_x[:-1] + grad_p[1:]
 
 
+def _trajectory(G: np.ndarray, alpha_bar: np.ndarray):
+    """``(A, B)``, shape (S+1, d): ``v_l = A[l] * v_S + B[l] * mean_spectral``
+    at every step of a run with state gains ``G``.  ``A`` is
+    :func:`_suffix_products`; ``B[l] = sqrt(alpha_bar[l]) - sqrt(alpha_bar[S])
+    * A[l]``, as the steps keep the clean-mean path, so no mean is folded."""
+    A = _suffix_products(G)
+    return A, np.sqrt(alpha_bar)[:, None] - np.sqrt(alpha_bar[-1]) * A
+
+
 def _ddim_trajectory(eigenvalues: np.ndarray, alpha_bar: np.ndarray):
-    """:func:`_suffix_fold` of the deterministic sampler's gains (no validation)."""
-    a, b, _ = _step_coefficients(alpha_bar, "ddim")
-    G, M, _ = _step_gains(eigenvalues, alpha_bar, a, b)
-    return _suffix_fold(G, M)
+    """:func:`_trajectory` of the deterministic sampler (no validation)."""
+    a, _, _ = _step_coefficients(alpha_bar, "ddim")
+    return _trajectory(_step_gains(eigenvalues, alpha_bar, a)[0], alpha_bar)
 
 
 def intermediate_distribution(model: SpectralModel, schedule: Schedule, l: int) -> SpectralModel:
@@ -519,7 +512,10 @@ def mean_bias(transfer: Transfer, model: SpectralModel) -> tuple[np.ndarray, np.
 
     Returns ``(bias, gain_deviation)`` where ``bias[i] = (mean_gain[i] - 1) *
     mean_spectral[i]`` and ``gain_deviation = |mean_gain - 1|`` (the
-    schedule-dependent factor, independent of the mean itself).
+    schedule-dependent factor, independent of the mean itself).  As both
+    samplers keep the clean-mean path, the bias is ``((sqrt(alpha_bar[0]) -
+    1) - sqrt(alpha_bar[S]) * noise_gain) * mean_spectral``: the endpoints'
+    share plus the noise gain's.
     """
     _check_dims(model, transfer)
     deviation = transfer.mean_gain - 1.0

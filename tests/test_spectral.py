@@ -19,9 +19,12 @@ from diffsched import (
 )
 from diffsched.spectral import (
     VeSchedule,
+    _ddim_trajectory,
     _step_coefficients,
     _step_gains,
     _suffix_fold,
+    _trajectory,
+    _transfer_arrays,
 )
 
 from conftest import (
@@ -101,8 +104,10 @@ def test_gains_agree_with_time_domain_step():
     a, b, _ = _step_coefficients(ab, "ddim")
     x = 0.9
     stepped = a[0] * x + b[0] * wiener_denoise(model, ab[1], np.array([x]))[0]
-    G, M, _ = _step_gains(np.array([lam]), ab, a, b)
-    assert stepped == pytest.approx(G[0, 0] * x + M[0, 0] * mu, abs=1e-14)
+    (G,), _ = _step_gains(np.array([lam]), ab, a)
+    # the mean gain is not formed: a step keeps the clean-mean path
+    M = np.sqrt(ab[0]) - np.sqrt(ab[1]) * G[0]
+    assert stepped == pytest.approx(G[0] * x + M * mu, abs=1e-14)
 
 
 def test_gains_noise_floor_limit():
@@ -209,7 +214,7 @@ def test_step_gains_positive_for_monotone_schedules(seed, S):
     a, b, _ = _step_coefficients(ab, "ddim")
     assert np.all(b >= -1e-15)
     lam = rng.uniform(0.0, 5.0, size=4)
-    G, _, _ = _step_gains(lam, ab, a, b)
+    G, _ = _step_gains(lam, ab, a)
     assert np.all(G > 0.0)
 
 
@@ -531,3 +536,62 @@ def test_suffix_fold_matches_step_loop(S, scale):
     assert np.all(np.abs(A - A_ref) <= 1e-14 * A_abs + tiny)
     np.testing.assert_array_equal(A[-1], 1.0)
     np.testing.assert_array_equal(B[-1], 0.0)
+
+
+def _levels(rng, S, shape):
+    """Levels of ``S`` steps: ``monotone``; ``tied``, with runs of equal
+    neighbours; ``crossed``, unsorted interior levels; or ``zigzag``, interior
+    levels alternating between 1e-6 and 1 - 1e-6, where the deterministic
+    sampler's gains near ``lam = 1`` are about 1e-3 a step and their products
+    underflow past about 110 steps."""
+    ab = random_monotone_alpha_bar(rng, S)
+    if shape == "tied" and S > 1:
+        for i in np.sort(rng.integers(1, S, size=S // 3 + 1)):
+            ab[i] = ab[i - 1]
+    elif shape == "crossed":
+        ab[1:-1] = rng.uniform(4e-5, 1.0 - 1e-4, S - 1)
+    elif shape == "zigzag":
+        ab[1:-1] = np.where(np.arange(1, S) % 2 == 1, 1e-6, 1.0 - 1e-6)
+    return ab
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 300),
+    st.sampled_from(["monotone", "tied", "crossed", "zigzag"]),
+    st.sampled_from(["ddim", "ddpm"]),
+)
+@example(seed=0, S=300, shape="zigzag", process="ddim")
+@example(seed=1, S=300, shape="crossed", process="ddpm")
+def test_mean_gain_is_read_off_the_noise_gain(seed, S, shape, process):
+    # Each step keeps the clean-mean path, G sqrt(x) + M = sqrt(p), so the
+    # mean coefficient is B[l] = sqrt(ab_l) - sqrt(ab_S) A[l] and the mean
+    # gain is row 0.  The oracle folds the per-step mean gains M = b (1 - x)
+    # / den one step at a time and never uses the identity.  Errors are
+    # measured against the fold of |G| and |M| run from the clean-mean path,
+    # B_abs + sqrt(ab_S) A_abs: it bounds both terms the identity subtracts,
+    # sqrt(ab_l) and sqrt(ab_S) |A[l]|, and the oracle's rounding is
+    # relative to it.  Worst case measured over 3,200 draws (400 seeds, each
+    # shape, both samplers, S up to 300): 2.6e-14, on zigzag levels; with
+    # the sqrt(ab_S) term dropped the smallest error read 3.8e-11.
+    rng = np.random.default_rng(seed)
+    ab = _levels(rng, S, shape)
+    lam = np.concatenate([[0.0, 1.0, 1e4, 1e10], 10.0 ** rng.uniform(-8.0, 8.0, 4)])
+    a, b, _ = _step_coefficients(ab, process)
+    G, _ = _step_gains(lam, ab, a)
+    x = ab[1:, None]
+    M = b[:, None] * (1.0 - x) / (x * lam + (1.0 - x))
+    A_ref, B_ref = step_loop(G, M)
+    A_abs, B_abs = step_loop(np.abs(G), np.abs(M))
+    scale = B_abs + np.sqrt(ab[-1]) * A_abs
+
+    A, B = _ddim_trajectory(lam, ab) if process == "ddim" else _trajectory(G, ab)
+    mean_gain = _transfer_arrays(lam, ab, process)[1]
+    tiny = np.finfo(float).tiny
+    assert A.shape == B.shape == (S + 1, 8)
+    assert np.all(np.abs(A - A_ref) <= 1e-14 * A_abs + tiny)
+    assert np.all(np.abs(B - B_ref) <= 1e-13 * scale)
+    assert np.all(np.abs(mean_gain - B_ref[0]) <= 1e-13 * scale[0])
+    if shape == "zigzag" and process == "ddim" and S >= 200:
+        assert A[0, 1] == 0.0  # the products underflowed
