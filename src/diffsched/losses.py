@@ -7,7 +7,7 @@ the root themselves.  Gradients with respect to the schedule are exact and
 come with the loss.  Every forward pass of ``spectral`` returns its pullback
 and every loss its partials in the output variance and mean gain;
 ``loss_from_alpha_bar(..., gradient=True)``, the only place the gradient is
-asked for, hands the one to the other, whose reverse sweep gives the gradient.
+asked for, hands the one to the other, whose local form gives the gradient.
 """
 
 from __future__ import annotations
@@ -159,10 +159,9 @@ def loss_from_alpha_bar(
     Fast path for optimizer iterates, which may be non-monotone in the
     unconstrained mode.  With ``gradient=True`` returns ``(loss, grad)``,
     ``grad`` the exact gradient with respect to ``alpha_bar[1:-1]``, from
-    one forward pass, O(S d), and the reverse sweep of its pullback: O(S d)
-    for ddim, and for ddpm's extra variance one log-depth scan of width d,
-    O(S d log S) work (``spectral._suffix_fold``); the loss is the same float
-    either way.
+    one forward pass and its pullback, each O(S d) with no scan: each level
+    enters only its two neighbouring steps, so its partial is local.  The
+    loss is the same float either way.
     """
     lam, mu = model.eigenvalues, model.mean_spectral
     noise_gain, mean_gain, var_extra, pullback = _transfer_arrays(lam, alpha_bar, process)
@@ -177,9 +176,9 @@ def loss_gradient(
     """Exact gradient of the loss with respect to the interior alpha_bar values.
 
     Endpoints stay fixed; component ``i`` differentiates ``alpha_bar[i+1]``.
-    Computed by the reverse-mode sweep of :func:`loss_from_alpha_bar` in
-    O(S d) work (O(S d log S) for ddpm), instead of the 2(S-1) loss
-    evaluations of central differences.
+    Computed by the local pullback of :func:`loss_from_alpha_bar` in O(S d)
+    work for both samplers, instead of the 2(S-1) loss evaluations of
+    central differences.
     Differences were also a poor reference near tied levels: on
     ``linear_schedule(10)`` the last interior levels sit within 1.4e-11 of
     ``epsS``, the stencil is clipped to that sliver and the last component

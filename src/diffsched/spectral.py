@@ -249,27 +249,17 @@ def _step_coefficients(alpha_bar: np.ndarray, process: str):
     return a, np.sqrt(p) - np.sqrt(x) * a, c2
 
 
-def _step_partials(alpha_bar: np.ndarray, a: np.ndarray, c2):
-    """Partials ``(a_p, a_x, b_p, b_x, c2_p, c2_x)`` of :func:`_step_coefficients`'
-    ``(a, b, c2)`` in ``p`` and ``x``; those of ``c2`` are zero on a crossed
-    step ``p < x``, where its clamp is active, and a tie ``p = x`` takes them
-    from the monotone side (None for ddim)."""
-    p, x = alpha_bar[:-1], alpha_bar[1:]
-    one_p, one_x = 1.0 - p, 1.0 - x
-    if c2 is None:
-        a_p = -0.5 * a / one_p
-        a_x = 0.5 * a / one_x
-        c2_p = c2_x = None
-    else:
-        a_p = -a * (1.0 / one_p + 0.5 / p)
-        a_x = a * (0.5 / x + 1.0 / one_x)
-        monotone = p >= x
-        c2_p = np.where(monotone, (x / p**2 - 1.0) / one_x, 0.0)
-        c2_x = np.where(monotone, -(one_p**2) / (p * one_x**2), 0.0)
-    sqrt_x = np.sqrt(x)
-    b_p = 0.5 / np.sqrt(p) - sqrt_x * a_p
-    b_x = -0.5 * a / sqrt_x - sqrt_x * a_x
-    return a_p, a_x, b_p, b_x, c2_p, c2_x
+def _step_dots(eigenvalues: np.ndarray, alpha_bar: np.ndarray, a: np.ndarray):
+    """``(dot, inv_den)``, each of shape (S, d), the numerator and the
+    reciprocal denominator of :func:`_step_gains`' ``G = dot / den``."""
+    ab_cur = alpha_bar[1:, None]
+    inv_den = ab_cur * eigenvalues[None, :]
+    inv_den += 1.0 - ab_cur
+    np.reciprocal(inv_den, out=inv_den)
+    root = np.sqrt(alpha_bar)
+    dot = (root[:-1] * root[1:])[:, None] * eigenvalues[None, :]
+    dot += (a * (1.0 - alpha_bar[1:]))[:, None]
+    return dot, inv_den
 
 
 def _step_gains(eigenvalues: np.ndarray, alpha_bar: np.ndarray, a: np.ndarray):
@@ -278,19 +268,13 @@ def _step_gains(eigenvalues: np.ndarray, alpha_bar: np.ndarray, a: np.ndarray):
     ``G[s-1]`` multiplies the state, ``v_{s-1} = G v_s + M mean_spectral``, at
     ``x = alpha_bar[s]`` and ``p = alpha_bar[s-1]``; ``den = x lam + 1 - x`` is
     the variance of the noisy state at the step's input level.  ``G = a + b
-    sqrt(x) lam / den`` is formed as ``(sqrt(p) sqrt(x) lam + a (1 - x)) /
-    den``, a sum of nonnegative terms, so a crossed step (``b < 0``) cancels
-    nothing and ``G >= 0`` on any levels.  The mean gain ``M = b (1 - x) /
-    den`` is never formed: in DDIM's family ``G sqrt(x) + M = a sqrt(x) + b =
-    sqrt(p)``, each step keeping the clean-mean path.
+    sqrt(x) lam / den`` is formed as ``dot / den`` with ``dot = sqrt(p)
+    sqrt(x) lam + a (1 - x)``, a sum of nonnegative terms, so a crossed step
+    (``b < 0``) cancels nothing and ``G >= 0`` on any levels.  The mean gain
+    ``M = b (1 - x) / den`` is never formed: in DDIM's family ``G sqrt(x) +
+    M = a sqrt(x) + b = sqrt(p)``, each step keeping the clean-mean path.
     """
-    ab_cur = alpha_bar[1:, None]
-    inv_den = ab_cur * eigenvalues[None, :]
-    inv_den += 1.0 - ab_cur
-    np.reciprocal(inv_den, out=inv_den)
-    root = np.sqrt(alpha_bar)
-    G = (root[:-1] * root[1:])[:, None] * eigenvalues[None, :]
-    G += (a * (1.0 - alpha_bar[1:]))[:, None]
+    G, inv_den = _step_dots(eigenvalues, alpha_bar, a)
     G *= inv_den
     return G, inv_den
 
@@ -310,31 +294,86 @@ def _transfer_arrays(eigenvalues: np.ndarray, alpha_bar: np.ndarray, process: st
     vector; ``var_extra`` is None for ddim, which adds no variance.
 
     Fast path shared with the loss/optimizer code; does no validation so it
-    can be called on unconstrained optimizer iterates.  Only the state gains
-    are folded: each step maps the clean-mean path ``sqrt(alpha_bar) *
-    mean_spectral`` onto itself (:func:`_step_gains`), which telescopes to
-    ``mean_gain = sqrt(alpha_bar[0]) - sqrt(alpha_bar[S]) * noise_gain``.  The
-    pullback ``(d_var, d_gain) -> gradient`` takes a loss's partials in the
-    output variance and the mean gain and returns the gradient with respect
-    to ``alpha_bar[1:-1]`` by :func:`_reverse_sweep` over this pass's arrays;
+    can be called on unconstrained optimizer iterates.  Each step maps the
+    clean-mean path ``sqrt(alpha_bar) * mean_spectral`` onto itself
+    (:func:`_step_gains`), which telescopes to ``mean_gain =
+    sqrt(alpha_bar[0]) - sqrt(alpha_bar[S]) * noise_gain``.  ddim's noise
+    gain is the product of its step gains; ddpm's is fixed by the endpoints
+    and its ``var_extra`` is one weighted sum over levels
+    (:func:`ddpm_transfer`).  The pullback ``(d_var, d_gain) -> gradient``
+    takes a loss's partials in the output variance and the mean gain and
+    returns the gradient with respect to ``alpha_bar[1:-1]`` in local form,
+    O(S d) with no scan (:func:`_ddim_pullback`, :func:`_ddpm_pullback`);
     it does no work until called.
     """
-    a, b, c2 = _step_coefficients(alpha_bar, process)
-    G, inv_den = _step_gains(eigenvalues, alpha_bar, a)
-    # prefix[i] is the product of G over the steps before i
-    prefix = np.empty_like(G)
-    prefix[0] = 1.0
-    np.cumprod(G[:-1], axis=0, out=prefix[1:])
-    noise_gain = prefix[-1] * G[-1]
+    a, _, c2 = _step_coefficients(alpha_bar, process)
+    if c2 is None:
+        dot, inv_den = _step_dots(eigenvalues, alpha_bar, a)
+        inv_dot = 1.0 / dot
+        noise_gain = np.multiply(dot, inv_den, out=dot).prod(axis=0)
+        var_extra = None
+        pullback = partial(_ddim_pullback, eigenvalues, alpha_bar, inv_dot, inv_den, noise_gain)
+    else:
+        p, ends = alpha_bar[:-1], alpha_bar[[0, -1], None]
+        var_0, var_S = ends * eigenvalues + (1.0 - ends)
+        noise_gain = np.sqrt(alpha_bar[-1] / alpha_bar[0]) * (var_0 / var_S)
+        # r[i] = var_0 / var_i, a ratio: var_0**2 alone can overflow
+        r = p[:, None] * eigenvalues[None, :]
+        r += (1.0 - p)[:, None]
+        np.divide(var_0, r, out=r)
+        weight = c2 * (p / alpha_bar[0])
+        var_extra = weight @ (r * r)
+        pullback = partial(_ddpm_pullback, eigenvalues, alpha_bar, weight, r, var_0)
     mean_gain = np.sqrt(alpha_bar[0]) - np.sqrt(alpha_bar[-1]) * noise_gain
-    prefix2 = var_extra = None
-    if c2 is not None:
-        prefix2 = prefix**2
-        var_extra = (prefix2 * c2[:, None]).sum(axis=0)
-    pullback = partial(
-        _reverse_sweep, eigenvalues, alpha_bar, a, b, c2, inv_den, G, noise_gain, prefix, prefix2
-    )
     return noise_gain, mean_gain, var_extra, pullback
+
+
+def _ddim_pullback(lam, alpha_bar, inv_dot, inv_den, noise_gain, d_var, d_gain) -> np.ndarray:
+    """ddim's gradient with respect to ``alpha_bar[1:-1]`` from a loss's
+    partials ``(d_var, d_gain)`` in the output variance and mean gain.
+
+    ``log noise_gain`` sums ``log G = log dot - log den`` over the steps,
+    and level ``k`` is ``x`` of step ``k`` and ``p`` of step ``k + 1``.  With
+    ``u`` the loss's partial in the noise gain times the noise gain, the
+    gradient sums ``u (d_x log G[k-1] + d_p log G[k])`` over coordinates,
+    where ``d_p log G = (sqrt(x / p) lam - sqrt((1 - x) / (1 - p))) / (2
+    dot)`` and ``d_x log G`` is the same with ``p`` and ``x`` swapped, less
+    ``(lam - 1) / den``: three matrix-vector products over the steps, and no
+    gain divided by.  Where the noise gain underflows to 0, so does ``u``.
+    """
+    u = (2.0 * d_var * noise_gain - np.sqrt(alpha_bar[-1]) * d_gain) * noise_gain
+    by_lam, by_one, by_den = inv_dot @ (lam * u), inv_dot @ u, inv_den @ ((lam - 1.0) * u)
+    root, root_c = np.sqrt(alpha_bar), np.sqrt(1.0 - alpha_bar)
+    # the square roots of p, x, 1 - p and 1 - x
+    rp, rx, rp_c, rx_c = root[:-1], root[1:], root_c[:-1], root_c[1:]
+    grad_p = 0.5 * (rx / rp * by_lam - rx_c / rp_c * by_one)
+    grad_x = 0.5 * (rp / rx * by_lam - rp_c / rx_c * by_one) - by_den
+    return grad_x[:-1] + grad_p[1:]
+
+
+def _ddpm_pullback(lam, alpha_bar, weight, r, var_0, d_var, d_gain) -> np.ndarray:
+    """ddpm's gradient with respect to ``alpha_bar[1:-1]`` from a loss's
+    partials in the output variance and mean gain.
+
+    The noise and mean gains are fixed by the endpoints, so only ``var_extra
+    = weight @ r**2`` (:func:`ddpm_transfer`) carries a gradient.  Level
+    ``k`` enters it through ``w[k-1]`` (as ``x``), ``w[k]`` (as ``p``) and
+    ``r[k]`` alone, ``w = alpha_bar[0] weight = (1 - p) (p - x) / (1 - x)``:
+    the gradient is ``w_x[k-1] T0[k-1] + w_p[k] T0[k] - 2 weight[k] T1[k]``,
+    with ``T0 = r**2 @ d_var / alpha_bar[0]`` and ``T1 = (r**2 (lam - 1) /
+    var_k) @ d_var = r**3 @ ((lam - 1) d_var / var_0)``.  The partials of
+    ``w`` are zero on a crossed step, where its clamp is active, and a tie
+    ``p = x`` takes them from the monotone side.
+    """
+    p, x = alpha_bar[:-1], alpha_bar[1:]
+    monotone = p >= x
+    w_p = np.where(monotone, ((1.0 - p) - (p - x)) / (1.0 - x), 0.0)
+    w_x = np.where(monotone, -(((1.0 - p) / (1.0 - x)) ** 2), 0.0)
+    r_pow = r * r
+    T0 = r_pow @ (d_var / alpha_bar[0])
+    r_pow *= r
+    T1 = r_pow @ ((lam - 1.0) * d_var / var_0)
+    return w_x[:-1] * T0[:-1] + w_p[1:] * T0[1:] - 2.0 * weight[1:] * T1[1:]
 
 
 def _transfer(model: SpectralModel, schedule: Schedule, process: str) -> Transfer:
@@ -353,92 +392,16 @@ def ddim_transfer(model: SpectralModel, schedule: Schedule) -> Transfer:
 def ddpm_transfer(model: SpectralModel, schedule: Schedule) -> Transfer:
     """Whole-run transfer of the stochastic sampler with the exact denoiser.
 
-    The output variance is ``noise_gain**2 + var_extra`` where ``var_extra``
-    accumulates the per-step fresh noise through the remaining gains.
+    The output variance is ``noise_gain**2 + var_extra``.  With ``var_t = t
+    lam + 1 - t``, a step's state gain is ``sqrt(x / p) var_p / var_x``, so
+    products of gains telescope.  ``noise_gain = sqrt(alpha_bar[S] /
+    alpha_bar[0]) var_0 / var_S`` is fixed by the endpoints, and the step
+    that adds fresh variance ``c2`` at level ``p = alpha_bar[i]`` reaches the
+    output with squared gain ``(p / alpha_bar[0]) r[i]**2``, ``r[i] = var_0
+    / var_i``.  So ``var_extra = weight @ r**2`` with ``weight = c2 p /
+    alpha_bar[0]``: the schedule shapes only ``var_extra``.  O(S d), no fold.
     """
     return _transfer(model, schedule, "ddpm")
-
-
-def _suffix_fold(G: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients ``(A, B)`` of the affine recurrence ``v_{s-1} = G[s-1] *
-    v_s + M[s-1]`` at every step, shape (S+1, d): ``v_l = A[l] * v_S + B[l]``,
-    ``A[S] = 1``, ``B[S] = 0`` and row 0 is the whole run.
-
-    Folded by a log-depth suffix scan (Hillis & Steele 1986; Blelloch 1990):
-    after the round with offset ``k``, ``(A[i], B[i])`` compose the ``2k``
-    steps from ``i`` on, so ``ceil(log2 S)`` vector rounds replace the S-step
-    loop.  Only products of gains are formed, never quotients, so gains that
-    underflow leave the result finite.  The stochastic sampler's extra
-    variance is its one user, on ``(G**2, c**2)``.
-    """
-    S = len(G)
-    A, B = np.empty((S + 1, G.shape[1])), np.empty((S + 1, G.shape[1]))
-    A[S], B[S] = 1.0, 0.0
-    g, m = A[:-1], B[:-1]  # the last rows stay as set
-    g[...] = G
-    m[...] = M
-    tmp = np.empty_like(m)
-    k = 1
-    while k < S:
-        np.multiply(g[: S - k], m[k:], out=tmp[: S - k])
-        m[: S - k] += tmp[: S - k]
-        g[: S - k] *= g[k:]
-        k *= 2
-    return A, B
-
-
-def _reverse_sweep(
-    lam, alpha_bar, a, b, c2, inv_den, G, noise_gain, prefix, prefix2, d_var, d_gain
-) -> np.ndarray:
-    """Gradient with respect to ``alpha_bar[1:-1]`` from a loss's partials
-    ``(d_var, d_gain)`` in the output variance and mean gain, reusing the
-    arrays of the forward pass of :func:`_transfer_arrays`.
-
-    The mean gain is ``sqrt(alpha_bar[0]) - sqrt(alpha_bar[S]) * noise_gain``
-    with fixed endpoints, so the loss's partial in the noise gain is ``d_ng =
-    2 d_var noise_gain - sqrt(alpha_bar[S]) d_gain``, and the adjoint of the
-    per-step gains is ``dG = prefix * later * d_ng``, ``later`` the product
-    of the later gains (:func:`_suffix_products`): products only, O(S d).  The
-    stochastic sampler's extra variance adds the log-depth fold
-    :func:`_suffix_fold` on ``(G**2, c**2)``, its only branch on the process.
-    The chain rule then goes through the partials of ``(a, b, c**2)`` in the
-    two neighbouring levels ``p = alpha_bar[s-1]`` and ``x = alpha_bar[s]``,
-    from :func:`_step_partials`.
-    """
-    a_p, a_x, b_p, b_x, c2_p, c2_x = _step_partials(alpha_bar, a, c2)
-    sqrt_x = np.sqrt(alpha_bar[1:])
-    d_ng = 2.0 * d_var * noise_gain - np.sqrt(alpha_bar[-1]) * d_gain
-    dG = _suffix_products(G)[1:]
-    dG *= d_ng
-    dG *= prefix
-    grad_p = grad_x = 0.0
-    if c2 is not None:
-        var_part = _suffix_fold(G * G, c2[:, None])[1]
-        var_gain = 2.0 * d_var * G
-        var_gain *= prefix2
-        var_gain *= var_part[1:]
-        dG += var_gain
-        d_c2 = (d_var * prefix2).sum(axis=1)
-        grad_p, grad_x = d_c2 * c2_p, d_c2 * c2_x
-
-    # chain through G = a + b sqrt(x) lam / den with den = x lam + 1 - x,
-    # summing each step over coordinates: dG, dG ratio and dG ratio slope
-    g_sum = dG.sum(axis=1)
-    dG *= inv_den
-    dG *= lam
-    g_ratio = dG.sum(axis=1)
-    dG *= lam - 1.0
-    dG *= inv_den
-    g_slope = dG.sum(axis=1)
-    grad_p = grad_p + a_p * g_sum + b_p * sqrt_x * g_ratio
-    grad_x = (
-        grad_x
-        + a_x * g_sum
-        + (b_x * sqrt_x + 0.5 * b / sqrt_x) * g_ratio
-        - b * sqrt_x * g_slope
-    )
-    # interior level s is x of step s and p of step s + 1
-    return grad_x[:-1] + grad_p[1:]
 
 
 def _trajectory(G: np.ndarray, alpha_bar: np.ndarray):

@@ -354,13 +354,14 @@ def test_eval_rows(tmp_path, model_file):
 
 
 def test_eval_forms_no_step_partials(tmp_path, model_file, monkeypatch):
-    # eval reports losses only, so no reverse sweep runs
+    # eval reports losses only, so no pullback forms the per-level partials
     import diffsched.spectral as spectral_module
 
     def refuse(*args):
         raise AssertionError("step partials formed without a gradient")
 
-    monkeypatch.setattr(spectral_module, "_step_partials", refuse)
+    for process in ("ddim", "ddpm"):
+        monkeypatch.setattr(spectral_module, f"_{process}_pullback", refuse)
     schedule = tmp_path / "s.json"
     save_schedule(cosine_schedule(10), schedule)
     out = tmp_path / "eval.csv"

@@ -87,7 +87,7 @@ def test_dense_oracle_takes_only_the_step_kernel_from_spectral():
 
 
 def test_losses_take_only_the_forward_pass_from_spectral():
-    # spectral owns the step gains and the reverse sweep through them; the
+    # spectral owns the step gains and the local gradients through them; the
     # losses see the whole-run arrays and the pullback, never the per-step ones
     assert _package_imports(PACKAGE / "losses.py") == {
         ("spectral", "LAMBDA_FLOOR"),
