@@ -355,6 +355,8 @@ def optimize_schedule(
 
     Returns the optimized schedule and a run report.  Runs are
     deterministic: the same model and config give bit-identical results.
+    Raises ValueError when, at the starting schedule, the loss is not finite
+    and positive or its gradient is not finite.
     """
     if np.all(model.eigenvalues == 0.0) and np.all(model.mean_spectral == 0.0):
         raise ValueError("degenerate model: all eigenvalues and means are zero")
@@ -422,9 +424,21 @@ def optimize_schedule(
         f, g_ab = loss_from_alpha_bar(model, full, config.loss, config.process, gradient=True)
         return f / f0, pullback(g_ab * interior * (1.0 - interior)) / f0
 
+    def first_objective(x):
+        # the solver's first call, at x0: a gradient that overflows there
+        # gives the solver no direction, so it is refused like f0
+        nonlocal solver_objective
+        solver_objective = objective
+        with np.errstate(all="ignore"):
+            f, g = objective(x)
+        if not np.all(np.isfinite(g)):
+            raise ValueError("objective gradient is not finite at the initial schedule")
+        return f, g
+
+    solver_objective = first_objective
     start = time.perf_counter()
     x, pg_norm, history, evaluations, message = _lbfgs(
-        objective, x0, lower, upper, config.ftol, config.max_iter
+        lambda x: solver_objective(x), x0, lower, upper, config.ftol, config.max_iter
     )
     wall = time.perf_counter() - start
 

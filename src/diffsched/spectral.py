@@ -250,20 +250,8 @@ def _step_coefficients(alpha_bar: np.ndarray, process: str):
 
 
 def _step_dots(eigenvalues: np.ndarray, alpha_bar: np.ndarray, a: np.ndarray):
-    """``(dot, inv_den)``, each of shape (S, d), the numerator and the
-    reciprocal denominator of :func:`_step_gains`' ``G = dot / den``."""
-    ab_cur = alpha_bar[1:, None]
-    inv_den = ab_cur * eigenvalues[None, :]
-    inv_den += 1.0 - ab_cur
-    np.reciprocal(inv_den, out=inv_den)
-    root = np.sqrt(alpha_bar)
-    dot = (root[:-1] * root[1:])[:, None] * eigenvalues[None, :]
-    dot += (a * (1.0 - alpha_bar[1:]))[:, None]
-    return dot, inv_den
-
-
-def _step_gains(eigenvalues: np.ndarray, alpha_bar: np.ndarray, a: np.ndarray):
-    """Per-step state gains ``G`` and ``inv_den = 1 / den``, each of shape (S, d).
+    """``(dot, inv_den)``, each of shape (S, d): the state gain ``G = dot *
+    inv_den`` of each step as its numerator and reciprocal denominator.
 
     ``G[s-1]`` multiplies the state, ``v_{s-1} = G v_s + M mean_spectral``, at
     ``x = alpha_bar[s]`` and ``p = alpha_bar[s-1]``; ``den = x lam + 1 - x`` is
@@ -274,19 +262,14 @@ def _step_gains(eigenvalues: np.ndarray, alpha_bar: np.ndarray, a: np.ndarray):
     ``M = b (1 - x) / den`` is never formed: in DDIM's family ``G sqrt(x) +
     M = a sqrt(x) + b = sqrt(p)``, each step keeping the clean-mean path.
     """
-    G, inv_den = _step_dots(eigenvalues, alpha_bar, a)
-    G *= inv_den
-    return G, inv_den
-
-
-def _suffix_products(G: np.ndarray) -> np.ndarray:
-    """``A[l]``, the product of ``G[l:]``, shape (S+1, d) with ``A[S] = 1``:
-    one reversed cumulative product, row ``l`` the state coefficient at step
-    ``l`` and row 0 the whole run's noise gain."""
-    A = np.empty((len(G) + 1, G.shape[1]))
-    A[-1] = 1.0
-    np.cumprod(G[::-1], axis=0, out=A[-2::-1])
-    return A
+    ab_cur = alpha_bar[1:, None]
+    inv_den = ab_cur * eigenvalues[None, :]
+    inv_den += 1.0 - ab_cur
+    np.reciprocal(inv_den, out=inv_den)
+    root = np.sqrt(alpha_bar)
+    dot = (root[:-1] * root[1:])[:, None] * eigenvalues[None, :]
+    dot += (a * (1.0 - alpha_bar[1:]))[:, None]
+    return dot, inv_den
 
 
 def _transfer_arrays(eigenvalues: np.ndarray, alpha_bar: np.ndarray, process: str):
@@ -296,7 +279,7 @@ def _transfer_arrays(eigenvalues: np.ndarray, alpha_bar: np.ndarray, process: st
     Fast path shared with the loss/optimizer code; does no validation so it
     can be called on unconstrained optimizer iterates.  Each step maps the
     clean-mean path ``sqrt(alpha_bar) * mean_spectral`` onto itself
-    (:func:`_step_gains`), which telescopes to ``mean_gain =
+    (:func:`_step_dots`), which telescopes to ``mean_gain =
     sqrt(alpha_bar[0]) - sqrt(alpha_bar[S]) * noise_gain``.  ddim's noise
     gain is the product of its step gains; ddpm's is fixed by the endpoints
     and its ``var_extra`` is one weighted sum over levels
@@ -404,28 +387,31 @@ def ddpm_transfer(model: SpectralModel, schedule: Schedule) -> Transfer:
     return _transfer(model, schedule, "ddpm")
 
 
-def _trajectory(G: np.ndarray, alpha_bar: np.ndarray):
-    """``(A, B)``, shape (S+1, d): ``v_l = A[l] * v_S + B[l] * mean_spectral``
-    at every step of a run with state gains ``G``.  ``A`` is
-    :func:`_suffix_products`; ``B[l] = sqrt(alpha_bar[l]) - sqrt(alpha_bar[S])
-    * A[l]``, as the steps keep the clean-mean path, so no mean is folded."""
-    A = _suffix_products(G)
-    return A, np.sqrt(alpha_bar)[:, None] - np.sqrt(alpha_bar[-1]) * A
-
-
 def _ddim_trajectory(eigenvalues: np.ndarray, alpha_bar: np.ndarray):
-    """:func:`_trajectory` of the deterministic sampler (no validation)."""
+    """``(A, B)``, shape (S+1, d): ``v_l = A[l] * v_S + B[l] * mean_spectral``
+    at every step of a deterministic run (no validation).  ``A[l]`` is the
+    product of the step gains ``G[l:]`` (:func:`_step_dots`), one reversed
+    cumulative product with ``A[S] = 1`` and row 0 the whole run's noise
+    gain; ``B[l] = sqrt(alpha_bar[l]) - sqrt(alpha_bar[S]) * A[l]``, as the
+    steps keep the clean-mean path, so no mean is folded."""
     a, _, _ = _step_coefficients(alpha_bar, "ddim")
-    return _trajectory(_step_gains(eigenvalues, alpha_bar, a)[0], alpha_bar)
+    G, inv_den = _step_dots(eigenvalues, alpha_bar, a)
+    G *= inv_den
+    A = np.empty((len(G) + 1, G.shape[1]))
+    A[-1] = 1.0
+    np.cumprod(G[::-1], axis=0, out=A[-2::-1])
+    return A, np.sqrt(alpha_bar)[:, None] - np.sqrt(alpha_bar[-1]) * A
 
 
 def intermediate_distribution(model: SpectralModel, schedule: Schedule, l: int) -> SpectralModel:
     """Distribution of the deterministic sampler's state at step index ``l``.
 
     ``l = S`` is the initial noise (mean 0, unit variance); ``l = 0``
-    reproduces the output distribution of :func:`ddim_transfer`.  The state
-    is a model in the same eigenbasis, ``source`` ``<model.source>#step<l>``;
-    a variance past the float range fails its ``eigenvalues`` check.
+    reproduces the output distribution of :func:`ddim_transfer` to rounding,
+    as a reversed cumulative product and the transfer's product of gains
+    associate differently.  The state is a model in the same eigenbasis,
+    ``source`` ``<model.source>#step<l>``; a variance past the float range
+    fails its ``eigenvalues`` check.
     """
     _require_integer(l, "l", 0)
     if l > schedule.steps:

@@ -1250,6 +1250,30 @@ def test_non_finite_result_exits_2_writing_nothing(tmp_path, capsys, monkeypatch
         assert error["message"].endswith(": refusing to write a NaN or infinite value")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["optimize", "compare"])
+@pytest.mark.parametrize("loss, largest", [("kl", 1e200), ("w2", 1e300)])
+def test_non_finite_start_gradient_exits_2(tmp_path, capsys, monkeypatch, command, loss, largest):
+    # the loss is finite at the start but its gradient overflows: refused
+    # before the solver runs, with no warning, which here would be an error
+    monkeypatch.chdir(tmp_path)
+    save_model(SpectralModel(dim=2, eigenvalues=[largest, 1.0], mean_spectral=[0.0, 0.0]), "m.json")
+    argv = {
+        "optimize": ["optimize", "--model", "m.json", "--loss", loss, "--steps", "10",
+                     "--out", "out.json"],
+        "compare": ["compare", "--model", "m.json", "--schedules", "spectral",
+                    "--steps-list", "10", "--losses", loss, "--out", "out.csv"],
+    }[command]
+    assert run(argv) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    error = json.loads(captured.err)["error"]
+    assert error == {"type": "ValueError",
+                     "message": "objective gradient is not finite at the initial schedule"}
+
+
 def test_loss_csv_refuses_an_infinite_kl(tmp_path):
     # a degenerate generated coordinate gives KL inf, which no CSV holds
     out = tmp_path / "e.csv"

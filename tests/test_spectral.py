@@ -21,9 +21,7 @@ from diffsched.spectral import (
     VeSchedule,
     _ddim_trajectory,
     _step_coefficients,
-    _step_gains,
-    _suffix_products,
-    _trajectory,
+    _step_dots,
     _transfer_arrays,
 )
 
@@ -104,7 +102,7 @@ def test_gains_agree_with_time_domain_step():
     a, b, _ = _step_coefficients(ab, "ddim")
     x = 0.9
     stepped = a[0] * x + b[0] * wiener_denoise(model, ab[1], np.array([x]))[0]
-    (G,), _ = _step_gains(np.array([lam]), ab, a)
+    (G,) = np.multiply(*_step_dots(np.array([lam]), ab, a))
     # the mean gain is not formed: a step keeps the clean-mean path
     M = np.sqrt(ab[0]) - np.sqrt(ab[1]) * G[0]
     assert stepped == pytest.approx(G[0] * x + M * mu, abs=1e-14)
@@ -214,7 +212,7 @@ def test_step_gains_positive_for_monotone_schedules(seed, S):
     a, b, _ = _step_coefficients(ab, "ddim")
     assert np.all(b >= -1e-15)
     lam = rng.uniform(0.0, 5.0, size=4)
-    G, _ = _step_gains(lam, ab, a)
+    G = np.multiply(*_step_dots(lam, ab, a))
     assert np.all(G > 0.0)
 
 
@@ -517,22 +515,27 @@ def test_refinement_narrows_distance(benchmark_model):
     assert fine < coarse
 
 
-@pytest.mark.parametrize("scale", [1.0, 1e-3], ids=["gains", "underflowing-gains"])
+@pytest.mark.parametrize("shape", ["monotone", "zigzag"], ids=["gains", "underflowing-gains"])
 @pytest.mark.parametrize("S", [1, 2, 3, 10, 112, 250])
-def test_suffix_fold_matches_step_loop(S, scale):
-    # The reversed cumulative product that the trajectories read, against
-    # the step loop, over all S + 1 rows.  G > 0, so the loop is its own fold
-    # of |G|, the size rounding is relative to; gains scaled by 1e-3 make the
-    # products underflow, which a form dividing by products of G would not
-    # survive.
+def test_suffix_fold_matches_step_loop(S, shape):
+    # The reversed cumulative product that the trajectory reads, against
+    # the step loop, over all S + 1 rows.  G >= 0, so the loop is its own
+    # fold of |G|, the size rounding is relative to; zigzag levels make the
+    # products near lam = 1 underflow, which a form dividing by products of
+    # G would not survive.
     rng = np.random.default_rng(S)
-    G = scale * rng.uniform(0.5, 1.5, size=(S, 7))
+    ab = _levels(rng, S, shape)
+    lam = np.concatenate([[0.0, 1.0, 1e4, 1e10], 10.0 ** rng.uniform(-8.0, 8.0, 3)])
+    a, _, _ = _step_coefficients(ab, "ddim")
+    G = np.multiply(*_step_dots(lam, ab, a))
     A_ref, _ = step_loop(G, np.zeros_like(G))
-    A = _suffix_products(G)
+    A, _ = _ddim_trajectory(lam, ab)
     assert A.shape == (S + 1, 7)
     # products that leave the normal range only owe an absolute error there
     assert np.all(np.abs(A - A_ref) <= 1e-14 * A_ref + np.finfo(float).tiny)
     np.testing.assert_array_equal(A[-1], 1.0)
+    if shape == "zigzag" and S >= 200:
+        assert A[0, 1] == 0.0  # the products underflowed
 
 
 def _levels(rng, S, shape):
@@ -571,27 +574,32 @@ def test_mean_gain_is_read_off_the_noise_gain(seed, S, shape, process):
     # sqrt(ab_l) and sqrt(ab_S) |A[l]|, and the oracle's rounding is
     # relative to it.  Worst case measured over 3,200 draws (400 seeds, each
     # shape, both samplers, S up to 300): 2.6e-14, on zigzag levels; with
-    # the sqrt(ab_S) term dropped the smallest error read 3.8e-11.
+    # the sqrt(ab_S) term dropped the smallest error read 3.8e-11.  Only
+    # ddim has a trajectory; its whole-run noise gain, the transfer's
+    # product of gains, read at most 3.5e-15 of A_abs[0] over 600 draws
+    # (each shape, S up to 300).
     rng = np.random.default_rng(seed)
     ab = _levels(rng, S, shape)
     lam = np.concatenate([[0.0, 1.0, 1e4, 1e10], 10.0 ** rng.uniform(-8.0, 8.0, 4)])
     a, b, _ = _step_coefficients(ab, process)
-    G, _ = _step_gains(lam, ab, a)
+    G = np.multiply(*_step_dots(lam, ab, a))
     x = ab[1:, None]
     M = b[:, None] * (1.0 - x) / (x * lam + (1.0 - x))
     A_ref, B_ref = step_loop(G, M)
     A_abs, B_abs = step_loop(np.abs(G), np.abs(M))
     scale = B_abs + np.sqrt(ab[-1]) * A_abs
 
-    A, B = _ddim_trajectory(lam, ab) if process == "ddim" else _trajectory(G, ab)
-    mean_gain = _transfer_arrays(lam, ab, process)[1]
+    noise_gain, mean_gain, _, _ = _transfer_arrays(lam, ab, process)
     tiny = np.finfo(float).tiny
-    assert A.shape == B.shape == (S + 1, 8)
-    assert np.all(np.abs(A - A_ref) <= 1e-14 * A_abs + tiny)
-    assert np.all(np.abs(B - B_ref) <= 1e-13 * scale)
     assert np.all(np.abs(mean_gain - B_ref[0]) <= 1e-13 * scale[0])
-    if shape == "zigzag" and process == "ddim" and S >= 200:
-        assert A[0, 1] == 0.0  # the products underflowed
+    if process == "ddim":
+        A, B = _ddim_trajectory(lam, ab)
+        assert A.shape == B.shape == (S + 1, 8)
+        assert np.all(np.abs(A - A_ref) <= 1e-14 * A_abs + tiny)
+        assert np.all(np.abs(noise_gain - A_ref[0]) <= 1e-14 * A_abs[0] + tiny)
+        assert np.all(np.abs(B - B_ref) <= 1e-13 * scale)
+        if shape == "zigzag" and S >= 200:
+            assert A[0, 1] == 0.0  # the products underflowed
 
 
 @pytest.mark.parametrize("shape", ["monotone", "tied", "crossed", "zigzag"])
@@ -608,7 +616,7 @@ def test_ddpm_closed_form_matches_step_loop(S, shape):
     ab = _levels(rng, S, shape)
     lam = np.concatenate([[0.0, 1.0, 1e4, 1e10], 10.0 ** rng.uniform(-8.0, 8.0, 4)])
     a, _, c2 = _step_coefficients(ab, "ddpm")
-    G, _ = _step_gains(lam, ab, a)
+    G = np.multiply(*_step_dots(lam, ab, a))
     A_ref, _ = step_loop(G, np.zeros_like(G))
     _, V_ref = step_loop(G * G, np.broadcast_to(c2[:, None], G.shape))
     noise_gain, _, var_extra, _ = _transfer_arrays(lam, ab, "ddpm")
