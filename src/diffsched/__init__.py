@@ -28,7 +28,6 @@ from .schedules import (
 from .losses import (
     LossKind,
     kl_loss,
-    loss_gradient,
     w2_loss,
     weighted_l1_loss,
 )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simulate import DenseGaussian, _sample_moments
+from .simulate import DenseGaussian, _rounding_level, _sample_moments
 from .spectral import SpectralModel, _require_integer
 
 __all__ = [
@@ -32,9 +32,6 @@ __all__ = [
 
 # How ``spectral_model_from_covariance`` diagonalizes an estimate.
 STRUCTURES = ("circulant", "symmetric")
-# A negative eigenvalue within this many ``d * eps`` of the largest
-# |eigenvalue| is taken as rounding: clamped to zero without a warning.
-_ROUNDING_SLACK = 4
 
 
 def _check_silence_threshold(value: float) -> None:
@@ -92,9 +89,12 @@ def synthetic_circulant_model(
         raise ValueError(f"mu_const must be finite, got {mu_const!r}")
     row = np.linspace(-l, l, d)
     A = circulant_matrix(row)
-    covariance = A.T @ A
-    covariance = 0.5 * (covariance + covariance.T)
-    eigenvalues = np.abs(np.fft.fft(row)) ** 2
+    with np.errstate(all="ignore"):  # an overflow is refused below
+        covariance = A.T @ A
+        covariance = 0.5 * (covariance + covariance.T)
+        eigenvalues = np.abs(np.fft.fft(row)) ** 2
+    if not (np.isfinite(covariance).all() and np.isfinite(eigenvalues).all()):
+        raise ValueError(f"l={l!r} is too large: the target's covariance overflows")
     mean_spectral = np.zeros(d)
     mean_spectral[0] = mu_const * np.sqrt(d)
     dense = DenseGaussian(mean=mu_const * np.ones(d), covariance=covariance)
@@ -174,7 +174,8 @@ def spectral_model_from_covariance(est: DenseGaussian, structure: str) -> Spectr
     Toeplitz average.  The mean reduces to its stationary (constant) part
     on the DC coordinate.  Negative estimated eigenvalues are clamped to
     zero, with a warning only when one lies beyond rounding (below
-    ``-_ROUNDING_SLACK * d * eps`` times the largest |eigenvalue|).
+    ``-_ROUNDING_SLACK * d * eps`` times the largest |eigenvalue|, the rule
+    by which a dense covariance is refused as not PSD).
     """
     cov = est.covariance
     d = cov.shape[0]
@@ -201,8 +202,7 @@ def spectral_model_from_covariance(est: DenseGaussian, structure: str) -> Spectr
         raise ValueError("eigendecomposition produced non-finite eigenvalues")
     negatives = int(np.sum(eigvals < 0.0))
     if negatives:
-        rounding = _ROUNDING_SLACK * d * np.finfo(float).eps * np.max(np.abs(eigvals))
-        if eigvals.min() < -rounding:
+        if eigvals.min() < -_rounding_level(eigvals):
             warnings.warn(f"clamped {negatives} negative eigenvalue(s) to zero", stacklevel=2)
         eigvals = np.clip(eigvals, 0.0, None)
     return SpectralModel(dim=d, eigenvalues=eigvals, mean_spectral=mean_spectral, source=source)

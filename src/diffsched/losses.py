@@ -19,7 +19,6 @@ import numpy as np
 from .spectral import (
     LAMBDA_FLOOR,
     SpectralModel,
-    Schedule,
     Transfer,
     _check_dims,
     _transfer_arrays,
@@ -31,7 +30,6 @@ __all__ = [
     "kl_loss",
     "weighted_l1_loss",
     "transfer_loss",
-    "loss_gradient",
 ]
 
 
@@ -51,18 +49,17 @@ _CLI_NAMES = {"w2": LossKind.WASSERSTEIN2, "kl": LossKind.KL, "wl1": LossKind.WE
 
 
 # Each loss of the per-coordinate output variance and mean gain returns its
-# value and its partials in both, as ``(value, d_variance, d_mean_gain)``.  A
-# zero output variance has no finite slope: W2's and KL's partials there are
-# inf or NaN, silently, and only a gradient evaluation reads them.
+# value and its partials in both, as ``(value, d_variance, d_mean_gain)``.
+# The kernels and the pullbacks run with numpy silenced by the entry points,
+# ``transfer_loss`` and ``loss_from_alpha_bar``: an overflow gives inf or
+# NaN, which the callers refuse or back off from, and a zero output variance
+# has no finite slope, which only a gradient evaluation reads.
 
 
 def _w2(lam, mu, variance, mean_gain):
     sqrt_lam, std = np.sqrt(lam), np.sqrt(variance)
-    # a sum past the float range is inf, which the callers refuse
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        value = float(((sqrt_lam - std) ** 2).sum() + (mu**2 * (mean_gain - 1.0) ** 2).sum())
-        d_var = 1.0 - sqrt_lam / std
-    return value, d_var, 2.0 * mu**2 * (mean_gain - 1.0)
+    value = float(((sqrt_lam - std) ** 2).sum() + (mu**2 * (mean_gain - 1.0) ** 2).sum())
+    return value, 1.0 - sqrt_lam / std, 2.0 * mu**2 * (mean_gain - 1.0)
 
 
 def _kl(lam, mu, variance, mean_gain):
@@ -77,15 +74,12 @@ def _kl(lam, mu, variance, mean_gain):
         ratio = (lam_k + (gain - 1.0) ** 2 * mu_k**2) / var
         value = float(0.5 * np.sum(np.log(var) - np.log(lam_k) - 1.0 + ratio))
     drift = (mean_gain - 1.0) * mu**2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d_var = 0.5 * (1.0 - (lam + (mean_gain - 1.0) * drift) / variance) / variance
-        d_gain = drift / variance
-    return value, np.where(keep, d_var, 0.0), np.where(keep, d_gain, 0.0)
+    d_var = 0.5 * (1.0 - (lam + (mean_gain - 1.0) * drift) / variance) / variance
+    return value, np.where(keep, d_var, 0.0), np.where(keep, drift / variance, 0.0)
 
 
 def _weighted_l1(lam, mu, variance, mean_gain):
-    with np.errstate(over="ignore"):  # an overflowing mass is rejected below
-        lam_total, mu_total = np.sum(lam), np.sum(mu**2)
+    lam_total, mu_total = np.sum(lam), np.sum(mu**2)
     for total, mass in ((lam_total, "sum(eigenvalues)"), (mu_total, "sum(mean_spectral**2)")):
         if not np.isfinite(total):
             raise ValueError(f"weighted-L1 loss undefined: the mass {mass} overflows to {total}")
@@ -111,8 +105,9 @@ def transfer_loss(model: SpectralModel, transfer: Transfer, kind: LossKind) -> f
     """Loss ``kind`` between the target and the output ``transfer`` implies."""
     _check_dims(model, transfer)
     loss = _LOSSES[LossKind(kind)]
-    variance = transfer.output_variance
-    return loss(model.eigenvalues, model.mean_spectral, variance, transfer.mean_gain)[0]
+    with np.errstate(all="ignore"):
+        variance = transfer.output_variance
+        return loss(model.eigenvalues, model.mean_spectral, variance, transfer.mean_gain)[0]
 
 
 def w2_loss(model: SpectralModel, transfer: Transfer) -> float:
@@ -164,25 +159,8 @@ def loss_from_alpha_bar(
     loss is the same float either way.
     """
     lam, mu = model.eigenvalues, model.mean_spectral
-    noise_gain, mean_gain, var_extra, pullback = _transfer_arrays(lam, alpha_bar, process)
-    variance = noise_gain**2 if var_extra is None else noise_gain**2 + var_extra
-    loss, d_var, d_gain = _LOSSES[LossKind(kind)](lam, mu, variance, mean_gain)
-    return (loss, pullback(d_var, d_gain)) if gradient else loss
-
-
-def loss_gradient(
-    model: SpectralModel, schedule: Schedule, kind: LossKind, process: str = "ddim"
-) -> np.ndarray:
-    """Exact gradient of the loss with respect to the interior alpha_bar values.
-
-    Endpoints stay fixed; component ``i`` differentiates ``alpha_bar[i+1]``.
-    Computed by the local pullback of :func:`loss_from_alpha_bar` in O(S d)
-    work for both samplers, instead of the 2(S-1) loss evaluations of
-    central differences.
-    Differences were also a poor reference near tied levels: on
-    ``linear_schedule(10)`` the last interior levels sit within 1.4e-11 of
-    ``epsS``, the stencil is clipped to that sliver and the last component
-    comes out near -4.6e-2, while shrinking the step moves central
-    differences toward the exact -4.6e-7.
-    """
-    return loss_from_alpha_bar(model, schedule.alpha_bar, kind, process, gradient=True)[1]
+    with np.errstate(all="ignore"):
+        noise_gain, mean_gain, var_extra, pullback = _transfer_arrays(lam, alpha_bar, process)
+        variance = noise_gain**2 if var_extra is None else noise_gain**2 + var_extra
+        loss, d_var, d_gain = _LOSSES[LossKind(kind)](lam, mu, variance, mean_gain)
+        return (loss, pullback(d_var, d_gain)) if gradient else loss

@@ -429,17 +429,18 @@ def optimize_schedule(
         # gives the solver no direction, so it is refused like f0
         nonlocal solver_objective
         solver_objective = objective
-        with np.errstate(all="ignore"):
-            f, g = objective(x)
+        f, g = objective(x)
         if not np.all(np.isfinite(g)):
             raise ValueError("objective gradient is not finite at the initial schedule")
         return f, g
 
     solver_objective = first_objective
     start = time.perf_counter()
-    x, pg_norm, history, evaluations, message = _lbfgs(
-        lambda x: solver_objective(x), x0, lower, upper, config.ftol, config.max_iter
-    )
+    # the solver backs off from an iterate whose loss or gradient overflows
+    with np.errstate(all="ignore"):
+        x, pg_norm, history, evaluations, message = _lbfgs(
+            lambda x: solver_objective(x), x0, lower, upper, config.ftol, config.max_iter
+        )
     wall = time.perf_counter() - start
 
     schedule_of(x)

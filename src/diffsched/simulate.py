@@ -80,7 +80,10 @@ __all__ = [
 ]
 
 SYMMETRY_TOL = 1e-12
-EIGENVALUE_FLOOR = -1e-10
+# A negative eigenvalue within this many ``d * eps`` of the largest
+# |eigenvalue| is rounding: a dense covariance is refused below it, and an
+# estimate's is clamped to zero above it without a warning.
+_ROUNDING_SLACK = 4
 
 # Normals drawn per chunk, d per sample: a chunk is about this // d rows.
 # Fewer make small matrix products; many more spill the chunk out of cache.
@@ -125,7 +128,7 @@ class DenseGaussian:
                 f"covariance shape {self.covariance.shape} does not match mean length {d}"
             )
         asym = np.max(np.abs(self.covariance - self.covariance.T))
-        if asym > SYMMETRY_TOL * max(1.0, np.max(np.abs(self.covariance))):
+        if asym > SYMMETRY_TOL * np.max(np.abs(self.covariance)):
             raise ValueError(f"covariance is not symmetric (max asymmetry {asym:.3e})")
 
     @property
@@ -183,9 +186,14 @@ def _chunk_stream_normals(
     return out
 
 
+def _rounding_level(eigenvalues: np.ndarray) -> float:
+    """How far below zero rounding alone puts an eigenvalue of this spectrum."""
+    return _ROUNDING_SLACK * len(eigenvalues) * np.finfo(float).eps * np.max(np.abs(eigenvalues))
+
+
 def _check_psd(covariance: np.ndarray) -> None:
     eigs = np.linalg.eigvalsh(covariance)
-    if eigs[0] < EIGENVALUE_FLOOR:
+    if eigs[0] < -_rounding_level(eigs):
         raise ValueError(f"covariance is not PSD (smallest eigenvalue {eigs[0]:.3e})")
 
 
@@ -417,8 +425,9 @@ def _sample_moments(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = samples.shape[0]
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
-    mean = samples.mean(axis=0)
-    centered = samples - mean
-    cov = centered.T @ centered / (n - 1)
-    cov = 0.5 * (cov + cov.T)
+    with np.errstate(all="ignore"):  # an overflow is refused as a non-finite moment
+        mean = samples.mean(axis=0)
+        centered = samples - mean
+        cov = centered.T @ centered / (n - 1)
+        cov = 0.5 * (cov + cov.T)
     return mean, cov

@@ -22,7 +22,6 @@ from diffsched import (
     empirical_moments,
     kl_loss,
     linear_schedule,
-    loss_gradient,
     mean_bias,
     optimize_schedule,
     relative_error_dynamics,
@@ -352,7 +351,9 @@ def test_criterion_13_gradient_self_consistency(benchmark_model):
             ratios.append((d1 - d2) / (d2 - d4))
     richardson_ok = len(ratios) >= 3 and all(3.5 <= r <= 4.5 for r in ratios)
 
-    g = loss_gradient(model, schedule, LossKind.WASSERSTEIN2, "ddim")
+    g = loss_from_alpha_bar(
+        model, schedule.alpha_bar, LossKind.WASSERSTEIN2, "ddim", gradient=True
+    )[1]
     u = rng.normal(size=len(x))
     u /= np.linalg.norm(u)
     t = 1e-6

@@ -1274,6 +1274,64 @@ def test_non_finite_start_gradient_exits_2(tmp_path, capsys, monkeypatch, comman
                      "message": "objective gradient is not finite at the initial schedule"}
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("process", ["ddim", "ddpm"])
+@pytest.mark.parametrize("command", ["optimize", "eval"])
+@pytest.mark.parametrize("loss", ["kl", "w2"])
+def test_overflowing_mean_drift_runs_without_warnings(tmp_path, capsys, monkeypatch, command,
+                                                      process, loss):
+    # the mean drift of the coordinate below the eigenvalue floor overflows:
+    # KL drops that coordinate and runs, W2 keeps it and is refused, and
+    # neither prints a warning, which here would be an error
+    monkeypatch.chdir(tmp_path)
+    model = SpectralModel(dim=2, eigenvalues=[1e-300, 1.0], mean_spectral=[1e160, 0.0])
+    save_model(model, "m.json")
+    save_schedule(cosine_schedule(6), "s.json")
+    argv = {
+        "optimize": ["optimize", "--model", "m.json", "--loss", loss, "--process", process,
+                     "--steps", "6", "--out", "out.json"],
+        "eval": ["eval", "--model", "m.json", "--schedules", "s.json", "--losses", loss,
+                 "--process", process, "--out", "out.csv"],
+    }[command]
+    code = run(argv)
+    captured = capsys.readouterr()
+    if loss == "kl":
+        assert (code, captured.err) == (0, "")
+        assert json.loads(captured.out)["command"] == command
+        return
+    assert code == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json", "s.json"]
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    message = json.loads(captured.err)["error"]["message"]
+    assert message == {
+        "optimize": "objective is not finite and positive at the initial schedule (inf)",
+        "eval": "out.csv: refusing to write a NaN or infinite value",
+    }[command]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["estimate", "simulate"])
+def test_overflowing_dense_target_exits_2_without_warnings(tmp_path, capsys, monkeypatch, command):
+    # the sample moments or the synthetic covariance overflow: refused as not
+    # finite, and numpy, silenced where they are computed, prints nothing
+    monkeypatch.chdir(tmp_path)
+    np.savetxt("x.csv", 1e160 * np.random.default_rng(0).normal(size=(20, 4)), delimiter=",")
+    save_schedule(cosine_schedule(4), "s.json")
+    argv, message = {
+        "estimate": (["estimate", "--input", "x.csv", "--window", "4", "--out-cov", "c.csv",
+                      "--out-model", "m.json"],
+                     "covariance must be finite (no NaN or inf)"),
+        "simulate": (["simulate", "--synthetic", "2,1e200,0", "--schedule", "s.json",
+                      "--process", "ddim", "--samples", "4", "--out", "o.f64"],
+                     "l=1e+200 is too large: the target's covariance overflows"),
+    }[command]
+    assert run(argv) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json", "x.csv"]
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert json.loads(captured.err)["error"] == {"type": "ValueError", "message": message}
+
+
 def test_loss_csv_refuses_an_infinite_kl(tmp_path):
     # a degenerate generated coordinate gives KL inf, which no CSV holds
     out = tmp_path / "e.csv"

@@ -4,7 +4,8 @@ eigenbasis, its losses take only the forward pass from ``spectral``, and
 every public name it exports and every flag its CLI defines has a documented
 use; a module's ``__all__`` lists only names it defines.  A Gaussian has two
 types, one per view, the sampler, loss and other choice names each have one
-owner, and a schedule is checked where it is made and where it is written."""
+owner, a schedule is checked where it is made and where it is written, and
+numpy is silenced only where a computation starts."""
 
 import argparse
 import ast
@@ -92,7 +93,6 @@ def test_losses_take_only_the_forward_pass_from_spectral():
     assert _package_imports(PACKAGE / "losses.py") == {
         ("spectral", "LAMBDA_FLOOR"),
         ("spectral", "SpectralModel"),
-        ("spectral", "Schedule"),
         ("spectral", "Transfer"),
         ("spectral", "_check_dims"),
         ("spectral", "_transfer_arrays"),
@@ -249,9 +249,9 @@ def test_sampler_and_loss_names_have_one_owner():
     assert spelled == []
 
 
-def _validate_calls(node: ast.AST, scope: str) -> list[str]:
-    """The scope, ``Class.method`` or ``function``, of each ``.validate(``
-    call under ``node``."""
+def _attribute_calls(node: ast.AST, attr: str, scope: str = "") -> list[str]:
+    """The scope, ``Class.method``, ``function`` or ``function.inner``, of
+    each ``.attr(`` call under ``node``."""
     calls = []
     for child in ast.iter_child_nodes(node):
         inner = scope
@@ -260,24 +260,45 @@ def _validate_calls(node: ast.AST, scope: str) -> list[str]:
         elif (
             isinstance(child, ast.Call)
             and isinstance(child.func, ast.Attribute)
-            and child.func.attr == "validate"
+            and child.func.attr == attr
         ):
             calls.append(scope)
-        calls += _validate_calls(child, inner)
+        calls += _attribute_calls(child, attr, inner)
     return calls
+
+
+def _package_calls(attr: str) -> list[str]:
+    """``module.py:scope`` of each ``.attr(`` call in the package, sorted."""
+    return sorted(
+        f"{path.name}:{scope}"
+        for path in PACKAGE.glob("*.py")
+        for scope in _attribute_calls(ast.parse(path.read_text(encoding="utf-8")), attr)
+    )
 
 
 def test_schedules_are_checked_where_made_and_where_written():
     # A schedule checks itself on construction, so no operation checks it
     # again; only the writers re-check, against fields changed since
-    calls = sorted(
-        f"{path.name}:{scope}"
-        for path in PACKAGE.glob("*.py")
-        for scope in _validate_calls(ast.parse(path.read_text(encoding="utf-8")), "")
-    )
-    assert calls == [
+    assert _package_calls("validate") == [
         "io.py:save_schedule",
         "io.py:save_ve_schedule",
         "spectral.py:Schedule.__post_init__",
         "spectral.py:VeSchedule.__post_init__",
+    ]
+
+
+def test_numpy_is_silenced_where_a_computation_starts():
+    # Floating-point exceptions are silenced at the entry to a computation
+    # whose non-finite result is refused, or backed off from, where it
+    # leaves; no kernel or pullback below an entry takes the decision back
+    assert _package_calls("errstate") == [
+        "estimate.py:synthetic_circulant_model",
+        "losses.py:loss_from_alpha_bar",
+        "losses.py:transfer_loss",
+        "optimize.py:fit_parametric.sum_sq",
+        "optimize.py:optimize_schedule",
+        "schedules.py:_family_schedule",
+        "simulate.py:_sample_moments",
+        "spectral.py:ve_to_vp",
+        "spectral.py:w2_dynamics",
     ]

@@ -32,6 +32,7 @@ from diffsched import (
     w2_loss,
 )
 from diffsched import simulate
+from diffsched.estimate import covariance_from_windows
 from diffsched.simulate import (
     _chunk_stream_normals,
     _dense_steps,
@@ -528,6 +529,40 @@ def test_sim_config_accepts_largest_seed():
 def test_rejects_asymmetric_covariance():
     with pytest.raises(ValueError):
         DenseGaussian(mean=np.zeros(2), covariance=np.array([[1.0, 0.5], [0.2, 1.0]]))
+
+
+
+def _windows_estimate(scale):
+    # 30 windows of d = 50: a rank-29 sample covariance, PSD by construction
+    windows = scale * np.random.default_rng(0).normal(size=(30, 50))
+    return covariance_from_windows(windows, 0.0)
+
+
+@pytest.mark.parametrize(
+    "target",
+    [
+        lambda: synthetic_circulant_model(50, 1000.0, 0.05)[0],
+        lambda: _windows_estimate(1.0),
+        lambda: _windows_estimate(1e3),
+    ],
+    ids=["synthetic-l1000", "windows-scale1", "windows-scale1e3"],
+)
+def test_psd_by_construction_covariances_are_sampled_at_any_scale(target):
+    # rounding is judged relative to the spectrum: a negative eigenvalue of
+    # 1e-9 beside 1e7 is rounding, at any scale of the same shape
+    samples = simulate_reverse(target(), SimConfig("ddim", 4, 0, cosine_schedule(4)))
+    assert np.all(np.isfinite(samples))
+
+
+def test_rejects_small_scale_non_psd_covariance():
+    bad = DenseGaussian(mean=np.zeros(2), covariance=1e-12 * np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(ValueError, match="not PSD"):
+        simulate_reverse(bad, SimConfig("ddim", 4, 0, cosine_schedule(4)))
+
+
+def test_rejects_small_scale_asymmetric_covariance():
+    with pytest.raises(ValueError, match="not symmetric"):
+        DenseGaussian(mean=np.zeros(2), covariance=np.array([[1e-14, 0.0], [1e-13, 1e-14]]))
 
 
 # -------------------------------------------------------------- moments
