@@ -29,7 +29,6 @@ from .losses import (
     LossKind,
     kl_loss,
     w2_loss,
-    weighted_l1_loss,
 )
 from .optimize import (
     OptimizeConfig,
@@ -41,7 +40,6 @@ from .optimize import (
 from .simulate import (
     DenseGaussian,
     SimConfig,
-    empirical_moments,
     simulate_reverse,
 )
 from .estimate import (

@@ -124,9 +124,11 @@ def _loss_rows(model, schedule, label, losses, processes):
 
 
 def _write_loss_csv(rows, path):
-    _refuse_non_finite(path, [row[-1] for row in rows])
     lines = ["steps,schedule,process,loss_kind,value"]
     for steps, label, process, kind, value in rows:
+        # refused before anything is written, naming the file, then the first bad row
+        _refuse_non_finite(f"{path}: {kind} of {label} under {process} at {steps} steps is {value}",
+                           value)
         label = str(label).replace(",", "|")  # keep the CSV split-safe
         lines.append(f"{steps},{label},{process},{kind},{format_float(value)}")
     atomic_write_text(path, "\n".join(lines) + "\n")

@@ -28,7 +28,6 @@ __all__ = [
     "LossKind",
     "w2_loss",
     "kl_loss",
-    "weighted_l1_loss",
     "transfer_loss",
 ]
 
@@ -79,6 +78,13 @@ def _kl(lam, mu, variance, mean_gain):
 
 
 def _weighted_l1(lam, mu, variance, mean_gain):
+    """Eigenvalue-weighted L1 variance mismatch plus mean-weighted drift term.
+
+    The variance term weights each coordinate by its share of the total
+    eigenvalue mass; the mean term weights by the share of squared mean and
+    is dropped entirely for a centered target.  Raises when the eigenvalue
+    mass is zero or either mass overflows.
+    """
     lam_total, mu_total = np.sum(lam), np.sum(mu**2)
     for total, mass in ((lam_total, "sum(eigenvalues)"), (mu_total, "sum(mean_spectral**2)")):
         if not np.isfinite(total):
@@ -129,17 +135,6 @@ def kl_loss(model: SpectralModel, transfer: Transfer) -> float:
     coordinate is excluded.
     """
     return transfer_loss(model, transfer, LossKind.KL)
-
-
-def weighted_l1_loss(model: SpectralModel, transfer: Transfer) -> float:
-    """Eigenvalue-weighted L1 variance mismatch plus mean-weighted drift term.
-
-    The variance term weights each coordinate by its share of the total
-    eigenvalue mass; the mean term weights by the share of squared mean and
-    is dropped entirely for a centered target.  Raises when the eigenvalue
-    mass is zero or either mass overflows.
-    """
-    return transfer_loss(model, transfer, LossKind.WEIGHTED_L1)
 
 
 def loss_from_alpha_bar(

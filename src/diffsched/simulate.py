@@ -25,23 +25,24 @@ covariance of the per-step process, noise included, so the samples have its
 exact law without drawing its per-step noise path; ``F`` is folded by one
 QR per three steps over a preallocated stack.
 
-Samples are drawn in chunks of a whole number of blocks.  Chunk indices
-come from one shared counter, and each chunk has an event that marks it
-drawn.  ``simulate_reverse`` starts one helper thread that claims chunks
+Samples are drawn in chunks of a whole number of blocks.  Chunk starts are
+claimed from one iterator under a lock, and each drawn chunk joins one
+queue.  ``simulate_reverse`` starts one helper thread that claims chunks
 and draws their normals straight into the output array while the calling
 thread runs ``compose_affine``; both release the interpreter lock in
 numpy's RNG and LAPACK calls.  Once ``F`` is ready, the calling thread maps
-the chunks in order, each in place with one ``(rows, d) @ (d, d)`` product
-as soon as it is drawn.  While the next chunk is not drawn yet, it claims
-and draws an unclaimed chunk itself rather than wait, and it blocks only
-once every chunk is claimed.  Each chunk resets one Philox's counter to each
+queued chunks in whatever order they were drawn, each in place with one
+``(rows, d) @ (d, d)`` product.  While the queue is empty it claims and
+draws a chunk itself rather than wait, and it joins the helper only once
+every chunk is claimed.  Each chunk resets one Philox's counter to each
 block's ``b << 128`` in turn and draws the block's normals into the chunk's
-rows, so the bytes do not depend on which thread drew it.  The last chunk
-draws only its own rows and is mapped through a copy padded with zero rows,
-so every sample passes through the same matrix-product shapes at the same
-row position and its bytes do not depend on the sample count.  A fold
-error stops further claims, and a draw error, in either thread, stops them
-too and is raised in the caller; either way the helper is joined first.
+rows, so the bytes depend neither on which thread drew a chunk nor on when
+it is mapped.  The last chunk draws only its own rows and is mapped
+through a copy padded with zero rows, so every sample passes through the
+same matrix-product shapes at the same row position and its bytes do not
+depend on the sample count.  An error in the fold, a map or a draw, in
+either thread, stops further claims and is raised in the caller once the
+helper is joined.
 
 For the whole call numpy's bundled OpenBLAS runs on one thread: its thread
 count is set to 1 through ``ctypes`` and restored afterwards, under one lock,
@@ -57,6 +58,7 @@ bytes may then depend on the BLAS thread count.
 
 from __future__ import annotations
 
+import collections
 import functools
 import threading
 from contextlib import contextmanager
@@ -76,7 +78,6 @@ __all__ = [
     "DenseGaussian",
     "SimConfig",
     "simulate_reverse",
-    "empirical_moments",
 ]
 
 SYMMETRY_TOL = 1e-12
@@ -317,55 +318,6 @@ def _one_blas_thread():
             set_(before)
 
 
-class _Draws:
-    """The chunks of ``out``, each drawn by whichever thread claims it first.
-
-    Claims come from one counter under a lock, and chunk ``k``'s event is set
-    once its draw has ended, failed or not.  A draw error is kept in
-    ``errors`` and stops every later claim; ``stop`` does the same for the
-    calling thread.  A caller that maps in order and stops at the first error
-    thus only waits on chunks that were claimed.
-    """
-
-    def __init__(self, seed: int, out: np.ndarray, rows: int):
-        self.seed, self.out, self.rows = seed, out, rows
-        self.drawn = [threading.Event() for _ in range(0, len(out), rows)]
-        self.stop = threading.Event()
-        self.errors: list[BaseException] = []
-        self._claimed = 0
-        self._lock = threading.Lock()
-
-    def draw_next(self) -> bool:
-        """Claim and draw the next unclaimed chunk; ``False`` once none is left."""
-        with self._lock:
-            k = self._claimed
-            if k == len(self.drawn) or self.stop.is_set():
-                return False
-            self._claimed += 1
-        try:
-            start = k * self.rows
-            chunk = self.out[start : start + self.rows]
-            _chunk_stream_normals(self.seed, start, len(chunk), self.out.shape[1], chunk)
-        except BaseException as exc:  # raised in the calling thread after the join
-            self.errors.append(exc)
-            self.stop.set()
-            return False
-        finally:
-            self.drawn[k].set()
-        return True
-
-    def draw_all(self) -> None:
-        """The helper thread: claim and draw chunks until none is left."""
-        while self.draw_next():
-            pass
-
-    def wait(self, k: int) -> None:
-        """Until chunk ``k`` is drawn, drawing unclaimed chunks meanwhile."""
-        while not self.drawn[k].is_set() and self.draw_next():
-            pass
-        self.drawn[k].wait()
-
-
 def simulate_reverse(target: DenseGaussian, cfg: SimConfig) -> np.ndarray:
     """Draw ``cfg.samples`` outputs of the reverse process, shape (n, d).
 
@@ -373,17 +325,40 @@ def simulate_reverse(target: DenseGaussian, cfg: SimConfig) -> np.ndarray:
     (``compose_affine``), applied to each sample's ``d`` normals as one
     matrix product per chunk of samples.  A helper thread draws chunks of
     normals into the output while this thread folds; then this thread maps
-    the chunks in order, drawing unclaimed ones itself rather than wait.  The
-    call runs numpy's OpenBLAS on one thread where it can (``blas_pinned``).
-    Sample ``i`` depends only on ``(seed, i)`` and ``d``.
+    drawn chunks in any order, drawing unclaimed ones itself rather than
+    wait.  The call runs numpy's OpenBLAS on one thread where it can
+    (``blas_pinned``).  Sample ``i`` depends only on ``(seed, i)`` and ``d``.
     """
     d = target.dim
     n = cfg.samples
     rows = _chunk_rows(d)
     out = np.empty((n, d))
-    draws = _Draws(cfg.seed, out, rows)
+    starts = iter(range(0, n, rows))
+    claim = threading.Lock()
+    drawn = collections.deque()  # starts of drawn chunks, not yet mapped
+    errors: list[BaseException] = []
+
+    def draw_next() -> bool:
+        """Claim and draw the next chunk; ``False`` once none is left or on any error."""
+        with claim:
+            start = None if errors else next(starts, None)
+        if start is None:
+            return False
+        chunk = out[start : start + rows]
+        try:
+            _chunk_stream_normals(cfg.seed, start, len(chunk), d, chunk)
+        except BaseException as exc:  # raised in the calling thread after the join
+            errors.append(exc)
+            return False
+        drawn.append(start)
+        return True
+
+    def draw_all() -> None:
+        while draw_next():
+            pass
+
     with _one_blas_thread():
-        helper = threading.Thread(target=draws.draw_all, name="diffsched-draws")
+        helper = threading.Thread(target=draw_all, name="diffsched-draws")
         helper.start()
         try:
             F, offset = compose_affine(target, cfg.schedule, cfg.process)
@@ -391,10 +366,12 @@ def simulate_reverse(target: DenseGaussian, cfg: SimConfig) -> np.ndarray:
             # is copied into a zero-padded buffer, so each sample's bytes do
             # not depend on the sample count.
             tmp = np.empty((rows, d))
-            for k, start in enumerate(range(0, n, rows)):
-                draws.wait(k)
-                if draws.errors:
-                    break
+            while not errors:
+                if not drawn and not draw_next():
+                    helper.join()  # nothing left to claim: wait for the helper's last chunk
+                    if not drawn:
+                        break
+                start = drawn.popleft()
                 chunk = out[start : start + rows]
                 m = len(chunk)
                 if m < rows:
@@ -403,22 +380,17 @@ def simulate_reverse(target: DenseGaussian, cfg: SimConfig) -> np.ndarray:
                     chunk = padded
                 np.matmul(chunk, F.T, out=tmp)
                 np.add(tmp[:m], offset, out=out[start : start + m])
-        finally:
-            draws.stop.set()
-            helper.join()
-    if draws.errors:
-        raise draws.errors[0]
+        except BaseException as exc:  # a fold or map error stops the claims too
+            errors.append(exc)
+        helper.join()
+    if errors:
+        raise errors[0]
     return out
 
 
-def empirical_moments(samples: np.ndarray) -> DenseGaussian:
-    """Sample mean and unbiased (n-1 divisor) covariance of sample rows."""
-    return DenseGaussian(*_sample_moments(samples))
-
-
 def _sample_moments(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(mean, covariance)`` of :func:`empirical_moments`, for a caller that
-    builds its own checked Gaussian from them."""
+    """Sample mean and unbiased (n-1 divisor) covariance of sample rows, for
+    a caller that builds its own checked Gaussian from them."""
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2:
         raise ValueError(f"samples must be 2-D (n, d), got shape {samples.shape}")

@@ -46,6 +46,9 @@ DEFAULT_EPSS = 4e-5
 # The two samplers, both members of DDIM's family (``_step_coefficients``).
 PROCESSES = ("ddim", "ddpm")
 
+# How far a schedule's stored endpoints may sit from its levels: absolute at
+# the clean end, where a level near 1 holds about 1e-16 of absolute
+# precision, and relative to ``epsS`` at the noisy end, which may be tiny.
 ENDPOINT_TOL = 1e-12
 # Below this eigenvalue a coordinate has no relative scale: KL drops it,
 # relative_error_dynamics reports its absolute mismatch, W2 and weighted-L1 keep it.
@@ -160,7 +163,7 @@ class Schedule:
             )
         if abs(ab[0] - (1.0 - self.eps0)) > ENDPOINT_TOL:
             raise ValueError(f"alpha_bar[0]={float(ab[0])!r} != 1-eps0={float(1.0 - self.eps0)!r}")
-        if abs(ab[-1] - self.epsS) > ENDPOINT_TOL:
+        if abs(ab[-1] - self.epsS) > ENDPOINT_TOL * abs(self.epsS):
             raise ValueError(f"alpha_bar[S]={float(ab[-1])!r} != epsS={float(self.epsS)!r}")
         if np.any(ab <= 0.0) or np.any(ab >= 1.0):
             raise ValueError("alpha_bar values must lie strictly inside (0, 1)")

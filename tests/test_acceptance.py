@@ -19,7 +19,6 @@ from diffsched import (
     ddim_transfer,
     ddpm_transfer,
     edm_schedule,
-    empirical_moments,
     kl_loss,
     linear_schedule,
     mean_bias,
@@ -32,7 +31,8 @@ from diffsched import (
     w2_loss,
     warm_start_interpolate,
 )
-from diffsched.losses import loss_from_alpha_bar
+from diffsched.estimate import covariance_from_windows
+from diffsched.losses import loss_from_alpha_bar, transfer_loss
 from diffsched.spectral import _step_coefficients
 
 from conftest import dense_affine_oracle, dense_ddpm_moments, random_monotone_alpha_bar
@@ -72,7 +72,7 @@ def test_criterion_01_monte_carlo_matches_closed_form(benchmark_model):
     schedule = linear_schedule(112)
     cfg = SimConfig(process="ddim", samples=20_000, seed=7, schedule=schedule)
     samples = simulate_reverse(dense, cfg)
-    est = empirical_moments(samples)
+    est = covariance_from_windows(samples, 0.0)  # a threshold of 0 keeps every row
     empirical = np.sort(np.linalg.eigvalsh(est.covariance))
     predicted = np.sort(ddim_transfer(model, schedule).noise_gain ** 2)
     rel = np.abs(empirical - predicted) / predicted
@@ -195,7 +195,7 @@ def test_criterion_07_losses_match_generic_oracles():
             0.5 * np.sum(np.log(var2 / var1) - 1 + var1 / var2 + (mu2 - mu1) ** 2 / var2)
         )
 
-    from diffsched import Transfer, weighted_l1_loss
+    from diffsched import Transfer
 
     rng = np.random.default_rng(2024)
     worst = 0.0
@@ -212,7 +212,7 @@ def test_criterion_07_losses_match_generic_oracles():
     # weighted-L1 hand arithmetic on a fixed instance
     model = SpectralModel(dim=2, eigenvalues=[3.0, 1.0], mean_spectral=[0.0, 0.0])
     t = Transfer(np.sqrt([3.0, 2.0]), np.ones(2), np.zeros(2))
-    wl1_err = abs(weighted_l1_loss(model, t) - 0.25)
+    wl1_err = abs(transfer_loss(model, t, LossKind.WEIGHTED_L1) - 0.25)
     ok = worst <= 1e-12 and wl1_err <= 1e-12
     report(7, "loss formulas equal generic Gaussian oracles", ok,
            f"worst |diff| {worst:.2e} <= 1e-12; weighted-L1 fixed case err {wl1_err:.2e}")

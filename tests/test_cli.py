@@ -1276,7 +1276,7 @@ def test_non_finite_start_gradient_exits_2(tmp_path, capsys, monkeypatch, comman
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("process", ["ddim", "ddpm"])
-@pytest.mark.parametrize("command", ["optimize", "eval"])
+@pytest.mark.parametrize("command", ["optimize", "eval", "compare"])
 @pytest.mark.parametrize("loss", ["kl", "w2"])
 def test_overflowing_mean_drift_runs_without_warnings(tmp_path, capsys, monkeypatch, command,
                                                       process, loss):
@@ -1292,6 +1292,8 @@ def test_overflowing_mean_drift_runs_without_warnings(tmp_path, capsys, monkeypa
                      "--steps", "6", "--out", "out.json"],
         "eval": ["eval", "--model", "m.json", "--schedules", "s.json", "--losses", loss,
                  "--process", process, "--out", "out.csv"],
+        "compare": ["compare", "--model", "m.json", "--schedules", "cosine", "--steps-list", "6",
+                    "--losses", loss, "--process", process, "--out", "out.csv"],
     }[command]
     code = run(argv)
     captured = capsys.readouterr()
@@ -1305,7 +1307,10 @@ def test_overflowing_mean_drift_runs_without_warnings(tmp_path, capsys, monkeypa
     message = json.loads(captured.err)["error"]["message"]
     assert message == {
         "optimize": "objective is not finite and positive at the initial schedule (inf)",
-        "eval": "out.csv: refusing to write a NaN or infinite value",
+        "eval": f"out.csv: wasserstein2 of s.json under {process} at 6 steps is inf: "
+                "refusing to write a NaN or infinite value",
+        "compare": f"out.csv: wasserstein2 of cosine under {process} at 6 steps is inf: "
+                   "refusing to write a NaN or infinite value",
     }[command]
 
 

@@ -11,7 +11,6 @@ from diffsched import (
     DenseGaussian,
     EstimationConfig,
     circulant_projection,
-    empirical_moments,
     pca_truncate,
     sliding_window_covariance,
     spectral_model_from_covariance,
@@ -23,6 +22,7 @@ from diffsched.estimate import (
     circulant_matrix,
     covariance_from_windows,
 )
+from diffsched.simulate import _sample_moments
 
 from conftest import toeplitz_average
 
@@ -104,14 +104,14 @@ def test_each_estimate_is_checked_once(monkeypatch):
     # with the bytes of their empirical moments
     rng = np.random.default_rng(5)
     windows = rng.normal(size=(40, 6))
-    expected = empirical_moments(windows)
+    mean, covariance = _sample_moments(windows)
     checks = []
     check = DenseGaussian.__post_init__
     monkeypatch.setattr(DenseGaussian, "__post_init__", lambda g: checks.append(check(g)))
     est = covariance_from_windows(windows, silence_threshold=0.0)
     assert isinstance(est, CovarianceEstimate) and len(checks) == 1
-    assert est.mean.tobytes() == expected.mean.tobytes()
-    assert est.covariance.tobytes() == expected.covariance.tobytes()
+    assert est.mean.tobytes() == mean.tobytes()
+    assert est.covariance.tobytes() == covariance.tobytes()
     sliding_window_covariance(windows.ravel(), EstimationConfig(window=6))
     assert len(checks) == 2
 

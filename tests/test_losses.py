@@ -18,7 +18,6 @@ from diffsched import (
     linear_schedule,
     synthetic_circulant_model,
     w2_loss,
-    weighted_l1_loss,
 )
 from diffsched.losses import loss_from_alpha_bar, transfer_loss
 from diffsched.optimize import finite_difference_gradient
@@ -151,7 +150,7 @@ def test_zero_output_variance_gives_finite_or_infinite_losses_without_warnings()
         warnings.simplefilter("error", RuntimeWarning)
         assert kl_loss(model, t) == float("inf")
         assert w2_loss(model, t) == pytest.approx(1.17157287525381, rel=1e-14)
-        assert weighted_l1_loss(model, t) == 1.0
+        assert transfer_loss(model, t, LossKind.WEIGHTED_L1) == 1.0
 
 
 # ------------------------------------------------------------------ wl1
@@ -160,29 +159,29 @@ def test_zero_output_variance_gives_finite_or_infinite_losses_without_warnings()
 def test_weighted_l1_zero_at_match():
     model = make_model([4.0, 1.0], [1.0, -2.0])
     t = diag_transfer([2.0, 1.0], np.ones(2))
-    assert weighted_l1_loss(model, t) == 0.0
+    assert transfer_loss(model, t, LossKind.WEIGHTED_L1) == 0.0
     irrational = make_model([3.0, 1.0], [1.0, -2.0])
     t = diag_transfer(np.sqrt(irrational.eigenvalues), np.ones(2))
-    assert weighted_l1_loss(irrational, t) == pytest.approx(0.0, abs=1e-14)
+    assert transfer_loss(irrational, t, LossKind.WEIGHTED_L1) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_weighted_l1_centered_mean_guard():
     model = make_model([3.0, 1.0], [0.0, 0.0])
     t = diag_transfer([1.0, 1.0], [5.0, 5.0])
-    value = weighted_l1_loss(model, t)
+    value = transfer_loss(model, t, LossKind.WEIGHTED_L1)
     assert np.isfinite(value)  # no division by the zero mean mass
 
 
 def test_weighted_l1_hand_example():
     model = make_model([3.0, 1.0], [0.0, 0.0])
     t = diag_transfer(np.sqrt([3.0, 2.0]), [1.0, 1.0])
-    assert weighted_l1_loss(model, t) == pytest.approx(0.25, abs=1e-14)
+    assert transfer_loss(model, t, LossKind.WEIGHTED_L1) == pytest.approx(0.25, abs=1e-14)
 
 
 def test_weighted_l1_rejects_zero_eigenvalue_mass():
     model = make_model([0.0, 0.0], [1.0, 1.0])
     with pytest.raises(ValueError):
-        weighted_l1_loss(model, diag_transfer([1.0, 1.0], [1.0, 1.0]))
+        transfer_loss(model, diag_transfer([1.0, 1.0], [1.0, 1.0]), LossKind.WEIGHTED_L1)
 
 
 # ----------------------------------------------------------- properties
@@ -201,12 +200,13 @@ def test_losses_invariant_under_joint_permutation(seed):
     base = (
         w2_loss(make_model(lam, mu), diag_transfer(gain, mean_gain)),
         kl_loss(make_model(lam, mu), diag_transfer(gain, mean_gain)),
-        weighted_l1_loss(make_model(lam, mu), diag_transfer(gain, mean_gain)),
+        transfer_loss(make_model(lam, mu), diag_transfer(gain, mean_gain), LossKind.WEIGHTED_L1),
     )
     permuted = (
         w2_loss(make_model(lam[perm], mu[perm]), diag_transfer(gain[perm], mean_gain[perm])),
         kl_loss(make_model(lam[perm], mu[perm]), diag_transfer(gain[perm], mean_gain[perm])),
-        weighted_l1_loss(make_model(lam[perm], mu[perm]), diag_transfer(gain[perm], mean_gain[perm])),
+        transfer_loss(make_model(lam[perm], mu[perm]), diag_transfer(gain[perm], mean_gain[perm]),
+                      LossKind.WEIGHTED_L1),
     )
     np.testing.assert_allclose(base, permuted, rtol=1e-12)
 
@@ -220,7 +220,7 @@ def test_losses_nonnegative(seed):
     t = diag_transfer(rng.uniform(0.05, 3.0, d), rng.uniform(-1.0, 2.0, d))
     assert w2_loss(model, t) >= 0
     assert kl_loss(model, t) >= 0
-    assert weighted_l1_loss(model, t) >= 0
+    assert transfer_loss(model, t, LossKind.WEIGHTED_L1) >= 0
 
 
 # zero, or any magnitude from subnormal to near the float range's top

@@ -21,7 +21,6 @@ from diffsched import (
     cosine_schedule,
     ddim_transfer,
     ddpm_transfer,
-    empirical_moments,
     intermediate_distribution,
     linear_schedule,
     optimize_schedule,
@@ -412,6 +411,83 @@ def test_draw_error_in_the_calling_thread_reaches_the_caller(
         simulate_reverse(target, SimConfig("ddim", 3 * rows, 0, cosine_schedule(12)))
 
 
+def _five_chunks(monkeypatch, process):
+    # Five chunks of the d=7 target, the last partial, and their reference bytes.
+    target = odd_dense_target()
+    monkeypatch.setattr(simulate, "_CHUNK_NORMALS", 2**10)
+    rows = simulate._chunk_rows(target.dim)
+    cfg = SimConfig(process, 4 * rows + rows // 3 + 1, 31, cosine_schedule(12))
+    F, offset = compose_affine(target, cfg.schedule, process)
+    reference = _reference_normals(cfg.seed, 0, cfg.samples, target.dim) @ F.T + offset
+    return target, cfg, rows, reference
+
+
+def _fold_waits_for(monkeypatch, event):
+    fold = simulate.compose_affine
+
+    def slow_fold(*args):
+        assert event.wait(timeout=30)
+        return fold(*args)
+
+    monkeypatch.setattr(simulate, "compose_affine", slow_fold)
+
+
+@pytest.mark.parametrize("process", ["ddim", "ddpm"])
+def test_later_chunks_are_drawn_while_an_earlier_one_is_slow(
+    monkeypatch, no_thread_left, process
+):
+    # The fold waits until the helper has claimed chunk 1, and the helper's
+    # draw of chunk 1 waits until the calling thread has drawn the last
+    # chunk: every later chunk is drawn, and may be mapped, before chunk 1,
+    # and the bytes do not depend on that order.
+    target, cfg, rows, reference = _five_chunks(monkeypatch, process)
+    helper_at_1, last_drawn = threading.Event(), threading.Event()
+    drawn_by = []
+    chunk_stream = simulate._chunk_stream_normals
+
+    def draw(seed, start, *args, **kwargs):
+        name = threading.current_thread().name
+        if (start, name) == (rows, "diffsched-draws"):
+            helper_at_1.set()
+            assert last_drawn.wait(timeout=30)
+        out = chunk_stream(seed, start, *args, **kwargs)
+        drawn_by.append((start, name))
+        if start == 4 * rows:
+            last_drawn.set()
+        return out
+
+    monkeypatch.setattr(simulate, "_chunk_stream_normals", draw)
+    _fold_waits_for(monkeypatch, helper_at_1)
+    got = simulate_reverse(target, cfg)
+    caller = threading.current_thread().name
+    assert drawn_by == [(0, "diffsched-draws"), (2 * rows, caller), (3 * rows, caller),
+                        (4 * rows, caller), (rows, "diffsched-draws")]
+    assert got.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("process", ["ddim", "ddpm"])
+def test_a_slow_fold_maps_every_chunk_the_helper_drew(monkeypatch, no_thread_left, process):
+    # The fold ends only once the helper has drawn every chunk, so the
+    # calling thread draws none and maps them all from the queue.
+    target, cfg, rows, reference = _five_chunks(monkeypatch, process)
+    all_drawn = threading.Event()
+    drawn_by = []
+    chunk_stream = simulate._chunk_stream_normals
+
+    def draw(seed, start, *args, **kwargs):
+        out = chunk_stream(seed, start, *args, **kwargs)
+        drawn_by.append((start, threading.current_thread().name))
+        if len(drawn_by) == 5:
+            all_drawn.set()
+        return out
+
+    monkeypatch.setattr(simulate, "_chunk_stream_normals", draw)
+    _fold_waits_for(monkeypatch, all_drawn)
+    got = simulate_reverse(target, cfg)
+    assert drawn_by == [(start, "diffsched-draws") for start in range(0, cfg.samples, rows)]
+    assert got.tobytes() == reference.tobytes()
+
+
 def test_concurrent_calls_give_the_serial_bytes(benchmark_model, no_thread_left):
     # More callers than two cores, switching often: each call
     # keeps its bytes, and the fixture checks the BLAS count they restore.
@@ -570,29 +646,29 @@ def test_rejects_small_scale_asymmetric_covariance():
 
 def test_moments_of_identical_rows():
     rows = np.tile(np.array([1.0, -2.0]), (5, 1))
-    est = empirical_moments(rows)
-    np.testing.assert_array_equal(est.mean, [1.0, -2.0])
-    np.testing.assert_array_equal(est.covariance, np.zeros((2, 2)))
+    mean, covariance = simulate._sample_moments(rows)
+    np.testing.assert_array_equal(mean, [1.0, -2.0])
+    np.testing.assert_array_equal(covariance, np.zeros((2, 2)))
 
 
 def test_moments_two_samples():
-    est = empirical_moments(np.array([[0.0], [2.0]]))
-    assert est.mean[0] == 1.0
-    assert est.covariance[0, 0] == 2.0  # unbiased divisor n-1
+    mean, covariance = simulate._sample_moments(np.array([[0.0], [2.0]]))
+    assert mean[0] == 1.0
+    assert covariance[0, 0] == 2.0  # unbiased divisor n-1
 
 
 def test_moments_rejects_single_sample():
     with pytest.raises(ValueError):
-        empirical_moments(np.array([[1.0, 2.0]]))
+        simulate._sample_moments(np.array([[1.0, 2.0]]))
 
 
 def test_moments_standard_normal_monte_carlo():
     rng = np.random.default_rng(0)
     draws = rng.standard_normal((100_000, 4))
-    est = empirical_moments(draws)
-    off_diag = est.covariance - np.diag(np.diag(est.covariance))
+    _, covariance = simulate._sample_moments(draws)
+    off_diag = covariance - np.diag(np.diag(covariance))
     assert np.max(np.abs(off_diag)) <= 0.02
-    np.testing.assert_allclose(np.diag(est.covariance), 1.0, atol=0.03)
+    np.testing.assert_allclose(np.diag(covariance), 1.0, atol=0.03)
 
 
 # --------------------------------------------- spectral/time equivalence

@@ -480,6 +480,18 @@ def test_schedule_validation():
     assert crossed.validate() is crossed
 
 
+def test_schedule_noisiest_level_is_checked_relative_to_eps_s():
+    # An absolute 1e-12 would pass a stored epsS 900 times too small, which
+    # warm_start_interpolate would then re-pin the level to.
+    with pytest.raises(ValueError, match=r"^alpha_bar\[S\]=9e-13 != epsS=1e-15$"):
+        make_schedule([1 - 1e-4, 0.5, 9e-13], epsS=1e-15)
+    tiny = make_schedule([1 - 1e-4, 0.5, 1e-15 * (1 + 1e-13)], epsS=1e-15)
+    assert tiny.validate() is tiny
+    # the clean end stays absolute: a level near 1 holds ~1e-16 of precision
+    near_one = make_schedule([1 - 1e-4 + 5e-13, 0.5, 4e-5])
+    assert near_one.validate() is near_one
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("field", ["alpha_bar", "eps0", "epsS"])
 def test_schedule_rejects_non_finite(field, bad):
