@@ -129,7 +129,7 @@ def _write_loss_csv(rows, path):
         # refused before anything is written, naming the file, then the first bad row
         _refuse_non_finite(f"{path}: {kind} of {label} under {process} at {steps} steps is {value}",
                            value)
-        label = str(label).replace(",", "|")  # keep the CSV split-safe
+        label = re.sub(r'[,\r\n"]', "|", str(label))  # a comma, CR, LF or quote splits a row
         lines.append(f"{steps},{label},{process},{kind},{format_float(value)}")
     atomic_write_text(path, "\n".join(lines) + "\n")
 

@@ -355,8 +355,10 @@ def optimize_schedule(
 
     Returns the optimized schedule and a run report.  Runs are
     deterministic: the same model and config give bit-identical results.
-    Raises ValueError when, at the starting schedule, the loss is not finite
-    and positive or its gradient is not finite.
+    ``objective_evals`` counts the solver's loss-and-gradient evaluations;
+    the first, at the starting schedule, sets the loss's scale.  Raises
+    ValueError when there the loss is not finite and positive or its scaled
+    gradient is not finite.
     """
     if np.all(model.eigenvalues == 0.0) and np.all(model.mean_spectral == 0.0):
         raise ValueError("degenerate model: all eigenvalues and means are zero")
@@ -413,33 +415,29 @@ def optimize_schedule(
         np.minimum(interior, head, out=interior)
         return pullback
 
-    schedule_of(x0)
-    f0 = loss_from_alpha_bar(model, full, config.loss, config.process)
-    if not (np.isfinite(f0) and f0 > 0.0):
-        raise ValueError(f"objective is not finite and positive at the initial schedule ({f0})")
+    f0 = None
 
     def objective(x):
-        # scaled to 1 at the start, so ftol and GTOL are relative
+        # scaled to 1 at the solver's first call, at x0, so ftol and GTOL are
+        # relative; a start that overflows gives the solver no direction
+        nonlocal f0
         pullback = schedule_of(x)
         f, g_ab = loss_from_alpha_bar(model, full, config.loss, config.process, gradient=True)
-        return f / f0, pullback(g_ab * interior * (1.0 - interior)) / f0
-
-    def first_objective(x):
-        # the solver's first call, at x0: a gradient that overflows there
-        # gives the solver no direction, so it is refused like f0
-        nonlocal solver_objective
-        solver_objective = objective
-        f, g = objective(x)
-        if not np.all(np.isfinite(g)):
+        first = f0 is None
+        if first:
+            if not (np.isfinite(f) and f > 0.0):
+                raise ValueError(f"objective is not finite and positive at the initial schedule ({f})")
+            f0 = f
+        g = pullback(g_ab * interior * (1.0 - interior)) / f0
+        if first and not np.all(np.isfinite(g)):
             raise ValueError("objective gradient is not finite at the initial schedule")
-        return f, g
+        return f / f0, g
 
-    solver_objective = first_objective
     start = time.perf_counter()
     # the solver backs off from an iterate whose loss or gradient overflows
     with np.errstate(all="ignore"):
         x, pg_norm, history, evaluations, message = _lbfgs(
-            lambda x: solver_objective(x), x0, lower, upper, config.ftol, config.max_iter
+            objective, x0, lower, upper, config.ftol, config.max_iter
         )
     wall = time.perf_counter() - start
 
@@ -452,8 +450,7 @@ def optimize_schedule(
     report = OptimizeReport(
         final_loss=float(final_loss),
         iterations=len(history),
-        # the extra objective call is the f0 check before the solver starts
-        objective_evals=1 + evaluations,
+        objective_evals=evaluations,
         gradient_evals=evaluations,
         loss_trace=f0 * np.array([1.0, *history]),
         converged=message.startswith("CONVERGENCE"),

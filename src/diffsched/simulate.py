@@ -37,10 +37,10 @@ draws a chunk itself rather than wait, and it joins the helper only once
 every chunk is claimed.  Each chunk resets one Philox's counter to each
 block's ``b << 128`` in turn and draws the block's normals into the chunk's
 rows, so the bytes depend neither on which thread drew a chunk nor on when
-it is mapped.  The last chunk draws only its own rows and is mapped
-through a copy padded with zero rows, so every sample passes through the
-same matrix-product shapes at the same row position and its bytes do not
-depend on the sample count.  An error in the fold, a map or a draw, in
+it is mapped.  The output holds whole chunks, zero past the sample count,
+and the last chunk draws only its own rows, so every sample passes through
+the same matrix-product shapes at the same row position and its bytes do
+not depend on the sample count.  An error in the fold, a map or a draw, in
 either thread, stops further claims and is raised in the caller once the
 helper is joined.
 
@@ -326,13 +326,15 @@ def simulate_reverse(target: DenseGaussian, cfg: SimConfig) -> np.ndarray:
     matrix product per chunk of samples.  A helper thread draws chunks of
     normals into the output while this thread folds; then this thread maps
     drawn chunks in any order, drawing unclaimed ones itself rather than
-    wait.  The call runs numpy's OpenBLAS on one thread where it can
+    wait, each chunk at the full shape: the output holds whole chunks, zero
+    past ``n``.  The call runs numpy's OpenBLAS on one thread where it can
     (``blas_pinned``).  Sample ``i`` depends only on ``(seed, i)`` and ``d``.
     """
     d = target.dim
     n = cfg.samples
     rows = _chunk_rows(d)
-    out = np.empty((n, d))
+    out = np.empty((-(-n // rows) * rows, d))  # whole chunks
+    out[n:] = 0.0
     starts = iter(range(0, n, rows))
     claim = threading.Lock()
     drawn = collections.deque()  # starts of drawn chunks, not yet mapped
@@ -344,9 +346,9 @@ def simulate_reverse(target: DenseGaussian, cfg: SimConfig) -> np.ndarray:
             start = None if errors else next(starts, None)
         if start is None:
             return False
-        chunk = out[start : start + rows]
+        m = min(rows, n - start)
         try:
-            _chunk_stream_normals(cfg.seed, start, len(chunk), d, chunk)
+            _chunk_stream_normals(cfg.seed, start, m, d, out[start : start + m])
         except BaseException as exc:  # raised in the calling thread after the join
             errors.append(exc)
             return False
@@ -362,9 +364,6 @@ def simulate_reverse(target: DenseGaussian, cfg: SimConfig) -> np.ndarray:
         helper.start()
         try:
             F, offset = compose_affine(target, cfg.schedule, cfg.process)
-            # Every chunk is mapped at the full (rows, d) shape: the last one
-            # is copied into a zero-padded buffer, so each sample's bytes do
-            # not depend on the sample count.
             tmp = np.empty((rows, d))
             while not errors:
                 if not drawn and not draw_next():
@@ -373,19 +372,14 @@ def simulate_reverse(target: DenseGaussian, cfg: SimConfig) -> np.ndarray:
                         break
                 start = drawn.popleft()
                 chunk = out[start : start + rows]
-                m = len(chunk)
-                if m < rows:
-                    padded = np.zeros((rows, d))
-                    padded[:m] = chunk
-                    chunk = padded
                 np.matmul(chunk, F.T, out=tmp)
-                np.add(tmp[:m], offset, out=out[start : start + m])
+                np.add(tmp, offset, out=chunk)
         except BaseException as exc:  # a fold or map error stops the claims too
             errors.append(exc)
         helper.join()
     if errors:
         raise errors[0]
-    return out
+    return out[:n]
 
 
 def _sample_moments(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

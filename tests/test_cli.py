@@ -192,7 +192,8 @@ def test_optimize_report_counts_objective_and_gradient_evals(tmp_path, model_fil
     report = json.loads((tmp_path / "opt.json.report.json").read_text())
     assert report["objective_evals"] > 0
     assert report["gradient_evals"] > 0
-    assert report["objective_evals"] != report["gradient_evals"]
+    # every evaluation returns the loss and its gradient from one pass
+    assert report["objective_evals"] == report["gradient_evals"]
 
 
 def test_optimize_iteration_limit_reports_its_stop(tmp_path, model_file):
@@ -351,6 +352,29 @@ def test_eval_rows(tmp_path, model_file):
         steps, label, process, kind, value = line.split(",")
         values.setdefault((process, kind), set()).add(value)
     assert all(len(v) == 1 for v in values.values())
+
+
+def test_loss_csv_labels_keep_one_row_each(tmp_path, model_file):
+    # a comma, CR, LF or double quote in a file name or a compare token is
+    # written as "|", so each row is one line of five fields
+    import csv
+
+    names = ["a\nb.json", '"q.json', "c,d.json", "e\rf.json"]
+    for name in names:
+        save_schedule(cosine_schedule(10), tmp_path / name)
+    evaluated, compared = tmp_path / "eval.csv", tmp_path / "compare.csv"
+    assert run(["eval", "--model", model_file, "--schedules", *(tmp_path / n for n in names),
+                "--losses", "w2", "--out", evaluated]) == 0
+    assert run(["compare", "--model", model_file, "--schedules", "cosine:0,1,1\n",
+                "--steps-list", "10", "--losses", "w2", "--out", compared]) == 0
+    for out, labels in ((evaluated, ["a|b.json", "|q.json", "c|d.json", "e|f.json"]),
+                        (compared, ["cosine:0|1|1|"])):
+        text = out.read_text()
+        assert len(text.splitlines()) == 1 + len(labels)
+        with open(out, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [row["schedule"] for row in rows] == labels
+        assert all(None not in row and float(row["value"]) > 0 for row in rows)
 
 
 def test_eval_forms_no_step_partials(tmp_path, model_file, monkeypatch):
