@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simulate import DenseGaussian, _rounding_level, _sample_moments
+from .simulate import DenseGaussian, _rounding_level
 from .spectral import SpectralModel, _require_integer
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "sliding_window_covariance",
     "covariance_from_windows",
     "circulant_projection",
-    "circulant_matrix",
     "spectral_model_from_covariance",
     "pca_truncate",
 ]
@@ -88,7 +87,7 @@ def synthetic_circulant_model(
     if not np.isfinite(mu_const):
         raise ValueError(f"mu_const must be finite, got {mu_const!r}")
     row = np.linspace(-l, l, d)
-    A = circulant_matrix(row)
+    A = _circulant_matrix(row)
     with np.errstate(all="ignore"):  # an overflow is refused below
         covariance = A.T @ A
         covariance = 0.5 * (covariance + covariance.T)
@@ -107,7 +106,7 @@ def synthetic_circulant_model(
     return dense, model
 
 
-def circulant_matrix(first_row: np.ndarray) -> np.ndarray:
+def _circulant_matrix(first_row: np.ndarray) -> np.ndarray:
     """Dense circulant matrix with the given first row (rows shift right)."""
     row = np.asarray(first_row, dtype=float)
     n = len(row)
@@ -116,8 +115,8 @@ def circulant_matrix(first_row: np.ndarray) -> np.ndarray:
 
 
 def covariance_from_windows(windows: np.ndarray, silence_threshold: float) -> CovarianceEstimate:
-    """Moments over window rows, dropping rows quieter than the threshold;
-    fewer than two rows left raise ``ValueError``."""
+    """Mean and unbiased (n-1 divisor) covariance of the window rows at or
+    above the silence threshold; fewer than two such rows raise ``ValueError``."""
     _check_silence_threshold(silence_threshold)
     windows = np.asarray(windows, dtype=float)
     if windows.ndim != 2:
@@ -125,14 +124,20 @@ def covariance_from_windows(windows: np.ndarray, silence_threshold: float) -> Co
     finite = np.isfinite(windows).all(axis=1)
     if not finite.all():
         raise ValueError(f"window row {np.argmin(finite)} holds NaN or inf (rows count from 0)")
-    loud = np.mean(np.abs(windows), axis=1) >= silence_threshold
-    used = int(np.sum(loud))
-    if used < 2:
-        raise ValueError(
-            f"need at least 2 windows at or above the silence threshold {silence_threshold!r}, "
-            f"got {used} of {len(loud)}"
-        )
-    return CovarianceEstimate(*_sample_moments(windows[loud]), used, len(loud) - used)
+    with np.errstate(all="ignore"):  # an overflow is refused as a non-finite moment
+        loud = np.mean(np.abs(windows), axis=1) >= silence_threshold
+        used = int(np.sum(loud))
+        if used < 2:
+            raise ValueError(
+                f"need at least 2 windows at or above the silence threshold "
+                f"{silence_threshold!r}, got {used} of {len(loud)}"
+            )
+        kept = windows[loud]
+        mean = kept.mean(axis=0)
+        centered = kept - mean
+        cov = centered.T @ centered / (used - 1)
+        cov = 0.5 * (cov + cov.T)
+    return CovarianceEstimate(mean, cov, used, len(loud) - used)
 
 
 def sliding_window_covariance(signal: np.ndarray, cfg: EstimationConfig) -> CovarianceEstimate:
@@ -179,27 +184,30 @@ def spectral_model_from_covariance(est: DenseGaussian, structure: str) -> Spectr
     """
     cov = est.covariance
     d = cov.shape[0]
-    if structure == "symmetric":
-        eigvals, eigvecs = np.linalg.eigh(0.5 * (cov + cov.T))
-        order = np.argsort(eigvals)[::-1]
-        eigvals = eigvals[order]
-        eigvecs = eigvecs[:, order]
-        mean_spectral = eigvecs.T @ est.mean
-        source = "estimated-symmetric"
-    elif structure == "circulant":
-        # row i of [C C], read from column i on, is C[i, (i + k) mod d]; in
-        # the flattened pair it starts at i (2d + 1)
-        doubled = np.concatenate((cov, cov), axis=1).ravel()
-        cyclic = np.lib.stride_tricks.sliding_window_view(doubled, d)[:: 2 * d + 1]
-        eigvals = np.fft.fft(cyclic.mean(axis=0)).real
-        mean_spectral = np.zeros(d)
-        mean_spectral[0] = est.mean.mean() * np.sqrt(d)
-        source = "estimated-circulant"
-    else:
-        choices = " or ".join(map(repr, STRUCTURES))
-        raise ValueError(f"structure must be {choices}, got {structure!r}")
+    with np.errstate(all="ignore"):  # an overflow is refused as a non-finite eigenvalue
+        if structure == "symmetric":
+            eigvals, eigvecs = np.linalg.eigh(0.5 * (cov + cov.T))
+            order = np.argsort(eigvals)[::-1]
+            eigvals = eigvals[order]
+            eigvecs = eigvecs[:, order]
+            mean_spectral = eigvecs.T @ est.mean
+            source = "estimated-symmetric"
+        elif structure == "circulant":
+            # row i of [C C], read from column i on, is C[i, (i + k) mod d];
+            # in the flattened pair it starts at i (2d + 1)
+            doubled = np.concatenate((cov, cov), axis=1).ravel()
+            cyclic = np.lib.stride_tricks.sliding_window_view(doubled, d)[:: 2 * d + 1]
+            eigvals = np.fft.fft(cyclic.mean(axis=0)).real
+            mean_spectral = np.zeros(d)
+            mean_spectral[0] = est.mean.mean() * np.sqrt(d)
+            source = "estimated-circulant"
+        else:
+            choices = " or ".join(map(repr, STRUCTURES))
+            raise ValueError(f"structure must be {choices}, got {structure!r}")
     if not np.all(np.isfinite(eigvals)):
-        raise ValueError("eigendecomposition produced non-finite eigenvalues")
+        raise ValueError(
+            f"{structure} eigenvalues are not finite: the estimate is too large to diagonalize"
+        )
     negatives = int(np.sum(eigvals < 0.0))
     if negatives:
         if eigvals.min() < -_rounding_level(eigvals):

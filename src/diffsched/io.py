@@ -32,7 +32,6 @@ __all__ = [
     "save_matrix_csv",
     "load_matrix_csv",
     "read_signal",
-    "read_wav_mono",
     "format_float",
 ]
 
@@ -267,7 +266,7 @@ def load_matrix_csv(path) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
-def read_wav_mono(path) -> np.ndarray:
+def _read_wav_mono(path) -> np.ndarray:
     """16-bit PCM RIFF samples scaled by 1/32768; channels averaged to mono.
 
     A file that is not such a WAV raises ``ValueError`` naming it.
@@ -281,6 +280,11 @@ def read_wav_mono(path) -> np.ndarray:
         raise ValueError(f"{path}: not a readable WAV file ({reason})") from exc
     if width != 2:
         raise ValueError(f"{path}: only 16-bit PCM WAV supported, got sample width {width}")
+    if len(frames) % (width * channels):
+        raise ValueError(
+            f"{path}: not a readable WAV file (data ends inside a frame: "
+            f"{len(frames)} bytes, {width * channels} per frame)"
+        )
     data = np.frombuffer(frames, dtype="<i2").astype(float) / 32768.0
     if channels > 1:
         data = data.reshape(-1, channels).mean(axis=1)
@@ -296,7 +300,7 @@ def read_signal(path) -> np.ndarray:
     path = Path(path)
     suffix = path.suffix.lower()
     if suffix == ".wav":
-        return read_wav_mono(path)
+        return _read_wav_mono(path)
     if suffix in (".f64", ".raw", ".bin"):
         return load_raw_f64(path)
     data = load_matrix_csv(path)

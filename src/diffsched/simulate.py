@@ -381,19 +381,3 @@ def simulate_reverse(target: DenseGaussian, cfg: SimConfig) -> np.ndarray:
         raise errors[0]
     return out[:n]
 
-
-def _sample_moments(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sample mean and unbiased (n-1 divisor) covariance of sample rows, for
-    a caller that builds its own checked Gaussian from them."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 2:
-        raise ValueError(f"samples must be 2-D (n, d), got shape {samples.shape}")
-    n = samples.shape[0]
-    if n < 2:
-        raise ValueError(f"need at least 2 samples, got {n}")
-    with np.errstate(all="ignore"):  # an overflow is refused as a non-finite moment
-        mean = samples.mean(axis=0)
-        centered = samples - mean
-        cov = centered.T @ centered / (n - 1)
-        cov = 0.5 * (cov + cov.T)
-    return mean, cov

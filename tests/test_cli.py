@@ -785,10 +785,22 @@ def test_convert_to_vp_outside_the_retention_range_exits_2(tmp_path, capsys, sig
     assert message.startswith(f"sigma[{level}]=")
 
 
+def _stereo_wav_bytes(cut: int) -> bytes:
+    """A 500-frame 16-bit stereo WAV with its last ``cut`` bytes removed."""
+    buffer = io.BytesIO()
+    with wave.open(buffer, "wb") as wav:
+        wav.setnchannels(2)
+        wav.setsampwidth(2)
+        wav.setframerate(16000)
+        wav.writeframes(np.arange(1000, dtype="<i2").tobytes())
+    return buffer.getvalue()[:-cut]
+
+
 @pytest.mark.parametrize(
     "content",
-    [b"", b"RIF", b"not a wav file", b"RIFF\x04\x00\x00\x00WAVE"],
-    ids=["empty", "truncated", "not-riff", "header-only"],
+    [b"", b"RIF", b"not a wav file", b"RIFF\x04\x00\x00\x00WAVE"]
+    + [_stereo_wav_bytes(cut) for cut in (1, 2, 3)],
+    ids=["empty", "truncated", "not-riff", "header-only", "cut-1", "cut-2", "cut-3"],
 )
 def test_estimate_unreadable_wav_exits_2(tmp_path, capsys, content):
     source = tmp_path / "bad.wav"
@@ -1338,18 +1350,33 @@ def test_overflowing_mean_drift_runs_without_warnings(tmp_path, capsys, monkeypa
     }[command]
 
 
+_ALTERNATING = np.array([[1.0, -1.0, 1.0, -1.0], [-1.0, 1.0, -1.0, 1.0]])
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("command", ["estimate", "simulate"])
+@pytest.mark.parametrize(
+    "command", ["estimate", "estimate-loudness", "circulant", "symmetric", "simulate"]
+)
 def test_overflowing_dense_target_exits_2_without_warnings(tmp_path, capsys, monkeypatch, command):
-    # the sample moments or the synthetic covariance overflow: refused as not
+    # the sample moments, the loudness of a window, the eigenvalues of a
+    # finite estimate or the synthetic covariance overflow: refused as not
     # finite, and numpy, silenced where they are computed, prints nothing
     monkeypatch.chdir(tmp_path)
-    np.savetxt("x.csv", 1e160 * np.random.default_rng(0).normal(size=(20, 4)), delimiter=",")
+    rows = {
+        "estimate-loudness": np.full((3, 4), 1e308),
+        "circulant": 5.5e153 * _ALTERNATING,
+        "symmetric": 5.5e153 * _ALTERNATING,
+    }.get(command, 1e160 * np.random.default_rng(0).normal(size=(20, 4)))
+    np.savetxt("x.csv", rows, delimiter=",")
     save_schedule(cosine_schedule(4), "s.json")
+    estimate = ["estimate", "--input", "x.csv", "--window", "4", "--th", "0",
+                "--out-cov", "c.csv", "--out-model", "m.json"]
+    too_large = "eigenvalues are not finite: the estimate is too large to diagonalize"
     argv, message = {
-        "estimate": (["estimate", "--input", "x.csv", "--window", "4", "--out-cov", "c.csv",
-                      "--out-model", "m.json"],
-                     "covariance must be finite (no NaN or inf)"),
+        "estimate": (estimate, "covariance must be finite (no NaN or inf)"),
+        "estimate-loudness": (estimate, "mean must be finite (no NaN or inf)"),
+        "circulant": (estimate + ["--structure", "circulant"], f"circulant {too_large}"),
+        "symmetric": (estimate + ["--structure", "symmetric"], f"symmetric {too_large}"),
         "simulate": (["simulate", "--synthetic", "2,1e200,0", "--schedule", "s.json",
                       "--process", "ddim", "--samples", "4", "--out", "o.f64"],
                      "l=1e+200 is too large: the target's covariance overflows"),
@@ -1359,6 +1386,23 @@ def test_overflowing_dense_target_exits_2_without_warnings(tmp_path, capsys, mon
     captured = capsys.readouterr()
     assert captured.out == "" and len(captured.err.splitlines()) == 1
     assert json.loads(captured.err)["error"] == {"type": "ValueError", "message": message}
+
+
+def test_runtime_failure_exits_3_writing_nothing(tmp_path, capsys, monkeypatch):
+    # a step that fails outside the usage errors' classes is a runtime error
+    def fail(*args):
+        raise MemoryError("fold failed")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(diffsched.simulate, "compose_affine", fail)
+    save_schedule(cosine_schedule(4), "s.json")
+    rc = run(["simulate", "--synthetic", "4,0.1,0.05", "--schedule", "s.json",
+              "--process", "ddim", "--samples", "4", "--out", "o.f64"])
+    assert rc == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert json.loads(captured.err)["error"] == {"type": "MemoryError", "message": "fold failed"}
 
 
 def test_loss_csv_refuses_an_infinite_kl(tmp_path):

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -19,10 +20,9 @@ from diffsched import (
 from diffsched.estimate import (
     STRUCTURES,
     CovarianceEstimate,
-    circulant_matrix,
+    _circulant_matrix,
     covariance_from_windows,
 )
-from diffsched.simulate import _sample_moments
 
 from conftest import toeplitz_average
 
@@ -104,7 +104,10 @@ def test_each_estimate_is_checked_once(monkeypatch):
     # with the bytes of their empirical moments
     rng = np.random.default_rng(5)
     windows = rng.normal(size=(40, 6))
-    mean, covariance = _sample_moments(windows)
+    mean = windows.mean(axis=0)
+    centered = windows - mean
+    covariance = centered.T @ centered / (len(windows) - 1)
+    covariance = 0.5 * (covariance + covariance.T)
     checks = []
     check = DenseGaussian.__post_init__
     monkeypatch.setattr(DenseGaussian, "__post_init__", lambda g: checks.append(check(g)))
@@ -152,6 +155,12 @@ def test_fewer_than_two_loud_windows_rejected(levels, used):
     message = rf"^need at least 2 windows at or above the silence threshold 0.5, got {used} of "
     with pytest.raises(ValueError, match=message + f"{len(levels)}$"):
         covariance_from_windows(windows, silence_threshold=0.5)
+
+
+@pytest.mark.parametrize("shape", [(8,), (2, 2, 2)])
+def test_windows_that_are_not_rows_rejected(shape):
+    with pytest.raises(ValueError, match=rf"^windows must be 2-D, got shape {re.escape(str(shape))}$"):
+        covariance_from_windows(np.ones(shape), silence_threshold=0.0)
 
 
 def test_stream_shorter_than_window_rejected():
@@ -242,7 +251,7 @@ def test_projection_reconstruction_diagonalizes():
     raw = rng.normal(size=(6, 6))
     sym = raw @ raw.T
     circ_row = circulant_projection(toeplitz_average(sym))
-    C = circulant_matrix(circ_row)
+    C = _circulant_matrix(circ_row)
     np.testing.assert_allclose(C, C.T, atol=1e-12)
     fft_eigs = np.sort(np.fft.fft(circ_row).real)
     dense_eigs = np.sort(np.linalg.eigvalsh(C))
@@ -328,7 +337,7 @@ def test_diagonal_covariance_symmetric_path():
 
 def test_circulant_covariance_gives_fft_coefficients():
     row = np.array([4.0, 1.0, 0.5, 1.0])
-    C = circulant_matrix(row)
+    C = _circulant_matrix(row)
     est = CovarianceEstimate(mean=np.zeros(4), covariance=C, windows_used=1, windows_rejected=0)
     model = spectral_model_from_covariance(est, "circulant")
     np.testing.assert_allclose(model.eigenvalues, np.fft.fft(row).real, atol=1e-12)
@@ -378,6 +387,14 @@ def test_rounding_level_negatives_clamped_without_warning(d, structure):
         warnings.simplefilter("error")
         model = spectral_model_from_covariance(dense, structure)
     assert np.all(model.eigenvalues >= 0)
+
+
+@pytest.mark.parametrize("structure", ["toeplitz", "Circulant", ""])
+def test_unknown_structure_rejected(structure):
+    dense, _ = synthetic_circulant_model(4, 0.1, 0.05)
+    message = f"structure must be 'circulant' or 'symmetric', got {structure!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        spectral_model_from_covariance(dense, structure)
 
 
 # ------------------------------------------------------------------ pca

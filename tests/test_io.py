@@ -16,6 +16,7 @@ from hypothesis.extra.numpy import arrays
 from diffsched import Schedule, SpectralModel, cosine_schedule, synthetic_circulant_model
 from diffsched.cli import main
 from diffsched.io import (
+    _read_wav_mono,
     format_float,
     load_matrix_csv,
     load_model,
@@ -23,7 +24,6 @@ from diffsched.io import (
     load_schedule,
     load_ve_schedule,
     read_signal,
-    read_wav_mono,
     save_matrix_csv,
     save_model,
     save_raw_f64,
@@ -236,6 +236,12 @@ def test_raw_f64_scalar_stream(tmp_path):
     np.testing.assert_array_equal(loaded, data)
 
 
+def test_raw_f64_refuses_more_than_two_dims(tmp_path):
+    with pytest.raises(ValueError, match=r"^only 1-D or 2-D arrays supported, got shape \(2, 2, 2\)$"):
+        save_raw_f64(np.ones((2, 2, 2)), tmp_path / "x.f64")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_raw_f64_sidecar_mismatch(tmp_path):
     path = tmp_path / "bad.f64"
     save_raw_f64(np.ones(4), path)
@@ -394,7 +400,7 @@ def test_wav_mono_read(tmp_path):
     t = np.arange(400)
     signal = 0.5 * np.sin(2 * np.pi * t / 50)
     write_wav(path, signal)
-    loaded = read_wav_mono(path)
+    loaded = _read_wav_mono(path)
     assert len(loaded) == 400
     np.testing.assert_allclose(loaded, signal, atol=1.0 / 32768)
 
@@ -407,7 +413,7 @@ def test_wav_stereo_averaged(tmp_path):
     interleaved[0::2] = left
     interleaved[1::2] = right
     write_wav(path, interleaved, channels=2)
-    loaded = read_wav_mono(path)
+    loaded = _read_wav_mono(path)
     assert len(loaded) == 64
     np.testing.assert_allclose(loaded, 0.125, atol=1.0 / 32768)
 

@@ -602,6 +602,21 @@ def test_sim_config_accepts_largest_seed():
     assert np.all(np.isfinite(out))
 
 
+@pytest.mark.parametrize(
+    "mean, covariance, message",
+    [
+        (np.zeros((1, 2)), np.eye(2), "mean must be a vector"),
+        (np.float64(0.0), np.eye(1), "mean must be a vector"),
+        (np.zeros(2), np.eye(3), r"covariance shape \(3, 3\) does not match mean length 2"),
+        (np.zeros(2), np.zeros(2), r"covariance shape \(2,\) does not match mean length 2"),
+    ],
+    ids=["matrix-mean", "scalar-mean", "larger-covariance", "vector-covariance"],
+)
+def test_dense_gaussian_rejects_ill_shaped_parts(mean, covariance, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        DenseGaussian(mean=mean, covariance=covariance)
+
+
 def test_rejects_asymmetric_covariance():
     with pytest.raises(ValueError):
         DenseGaussian(mean=np.zeros(2), covariance=np.array([[1.0, 0.5], [0.2, 1.0]]))
@@ -646,26 +661,26 @@ def test_rejects_small_scale_asymmetric_covariance():
 
 def test_moments_of_identical_rows():
     rows = np.tile(np.array([1.0, -2.0]), (5, 1))
-    mean, covariance = simulate._sample_moments(rows)
-    np.testing.assert_array_equal(mean, [1.0, -2.0])
-    np.testing.assert_array_equal(covariance, np.zeros((2, 2)))
+    est = covariance_from_windows(rows, 0.0)  # a silence threshold of 0 keeps every row
+    np.testing.assert_array_equal(est.mean, [1.0, -2.0])
+    np.testing.assert_array_equal(est.covariance, np.zeros((2, 2)))
 
 
 def test_moments_two_samples():
-    mean, covariance = simulate._sample_moments(np.array([[0.0], [2.0]]))
-    assert mean[0] == 1.0
-    assert covariance[0, 0] == 2.0  # unbiased divisor n-1
+    est = covariance_from_windows(np.array([[0.0], [2.0]]), 0.0)
+    assert est.mean[0] == 1.0
+    assert est.covariance[0, 0] == 2.0  # unbiased divisor n-1
 
 
 def test_moments_rejects_single_sample():
     with pytest.raises(ValueError):
-        simulate._sample_moments(np.array([[1.0, 2.0]]))
+        covariance_from_windows(np.array([[1.0, 2.0]]), 0.0)
 
 
 def test_moments_standard_normal_monte_carlo():
     rng = np.random.default_rng(0)
     draws = rng.standard_normal((100_000, 4))
-    _, covariance = simulate._sample_moments(draws)
+    covariance = covariance_from_windows(draws, 0.0).covariance
     off_diag = covariance - np.diag(np.diag(covariance))
     assert np.max(np.abs(off_diag)) <= 0.02
     np.testing.assert_allclose(np.diag(covariance), 1.0, atol=0.03)

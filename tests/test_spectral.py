@@ -470,6 +470,23 @@ def test_transfer_rejects_vectors_of_unequal_length(field, vectors):
         Transfer(*vectors)
 
 
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda v: SpectralModel(dim=2, eigenvalues=v, mean_spectral=[0.0, 0.0]), "eigenvalues"),
+        (lambda v: SpectralModel(dim=2, eigenvalues=[1.0, 1.0], mean_spectral=v), "mean_spectral"),
+        (lambda v: Schedule(kind="custom", steps=1, alpha_bar=v), "alpha_bar"),
+        (lambda v: VeSchedule(steps=1, sigma=v), "sigma"),
+        (lambda v: Transfer(v, [1.0, 1.0], [0.0, 0.0]), "noise_gain"),
+    ],
+    ids=["eigenvalues", "mean_spectral", "alpha_bar", "sigma", "noise_gain"],
+)
+def test_vector_fields_refuse_a_matrix(make, field):
+    # a (1, 2) field would broadcast where a length-2 vector is meant
+    with pytest.raises(ValueError, match=rf"^{field} must be a 1-D vector, got shape \(1, 2\)$"):
+        make([[1.0, 0.5]])
+
+
 def test_schedule_validation():
     with pytest.raises(ValueError):
         make_schedule([0.9, 4e-5])  # endpoint mismatch
