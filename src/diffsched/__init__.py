@@ -44,7 +44,6 @@ from .simulate import (
 )
 from .estimate import (
     EstimationConfig,
-    circulant_projection,
     pca_truncate,
     sliding_window_covariance,
     spectral_model_from_covariance,

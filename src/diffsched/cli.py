@@ -51,7 +51,7 @@ from .io import (
 )
 from .losses import _CLI_NAMES, LossKind, transfer_loss
 from .optimize import INITS, MODES, OptimizeConfig, optimize_schedule, single_eigenvalue_problem
-from .schedules import cosine_schedule, edm_schedule, linear_schedule, sigmoid_schedule
+from .schedules import _FAMILIES, cosine_schedule, edm_schedule, linear_schedule, sigmoid_schedule
 from .simulate import DenseGaussian, SimConfig, blas_pinned, simulate_reverse
 from .spectral import (
     DEFAULT_EPS0,
@@ -78,11 +78,6 @@ def _parse_list(text: str, convert, name: str) -> list:
         return [convert(tok) for tok in text.split(",")]
     except ValueError as exc:
         raise ValueError(f"{name}: {exc}") from None
-
-
-# family -> number of shape parameters its generator ``<family>_schedule``
-# takes; parameters left out fall back to the generator's own defaults
-_FAMILIES = {"linear": 0, "cosine": 3, "sigmoid": 3, "edm": 3}
 
 
 def _generate(
@@ -510,11 +505,12 @@ def main(argv=None) -> int:
         _write_manifest(writes[-1][2], args, inputs, outputs, info, time.perf_counter() - start)
     except SystemExit as exc:  # --help
         return int(exc.code) if exc.code else 0
-    except (ValueError, FileNotFoundError, IsADirectoryError, NotADirectoryError, TypeError) as exc:
+    except Exception as exc:
         _emit_error(type(exc).__name__, str(exc))
-        return USAGE_ERROR
-    except Exception as exc:  # numerical/runtime failures
-        _emit_error(type(exc).__name__, str(exc))
+        usage = (ValueError, FileNotFoundError, IsADirectoryError, NotADirectoryError, TypeError)
+        # a LinAlgError is a ValueError, yet a numerical failure
+        if isinstance(exc, usage) and not isinstance(exc, np.linalg.LinAlgError):
+            return USAGE_ERROR
         return RUNTIME_ERROR
     summary = {"command": args.command, "outputs": outputs, **info}
     print(json.dumps(summary, default=str))

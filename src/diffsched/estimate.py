@@ -23,7 +23,6 @@ __all__ = [
     "synthetic_circulant_model",
     "sliding_window_covariance",
     "covariance_from_windows",
-    "circulant_projection",
     "spectral_model_from_covariance",
     "pca_truncate",
 ]
@@ -87,7 +86,7 @@ def synthetic_circulant_model(
     if not np.isfinite(mu_const):
         raise ValueError(f"mu_const must be finite, got {mu_const!r}")
     row = np.linspace(-l, l, d)
-    A = _circulant_matrix(row)
+    A = row[(np.arange(d)[None, :] - np.arange(d)[:, None]) % d]  # rows shift right
     with np.errstate(all="ignore"):  # an overflow is refused below
         covariance = A.T @ A
         covariance = 0.5 * (covariance + covariance.T)
@@ -104,14 +103,6 @@ def synthetic_circulant_model(
         source=f"synthetic-circulant(d={d}, l={l}, mu={mu_const})",
     )
     return dense, model
-
-
-def _circulant_matrix(first_row: np.ndarray) -> np.ndarray:
-    """Dense circulant matrix with the given first row (rows shift right)."""
-    row = np.asarray(first_row, dtype=float)
-    n = len(row)
-    idx = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
-    return row[idx]
 
 
 def covariance_from_windows(windows: np.ndarray, silence_threshold: float) -> CovarianceEstimate:
@@ -151,23 +142,6 @@ def sliding_window_covariance(signal: np.ndarray, cfg: EstimationConfig) -> Cova
     return covariance_from_windows(windows, cfg.silence_threshold)
 
 
-def circulant_projection(toeplitz_row: np.ndarray) -> np.ndarray:
-    """First row of the circulant matrix closest to a symmetric Toeplitz one.
-
-    Minimizes, independently per lag k, the occurrence-weighted mismatch
-    against the Toeplitz lags k and n-k, giving
-    ``X_A[k] = (X_B[k] (n-k) + X_B[n-k] k) / n`` with ``X_A[0] = X_B[0]``.
-    A row already satisfying ``X_B[k] == X_B[n-k]`` is a fixed point.
-    """
-    row = np.asarray(toeplitz_row, dtype=float)
-    n = len(row)
-    k = np.arange(1, n)
-    out = np.empty(n)
-    out[0] = row[0]  # copied: row[0] * n / n need not round back to row[0]
-    out[1:] = (row[1:] * (n - k) + row[n - k] * k) / n
-    return out
-
-
 def spectral_model_from_covariance(est: DenseGaussian, structure: str) -> SpectralModel:
     """Diagonalize a dense Gaussian, such as a covariance estimate, into a spectral target.
 
@@ -175,7 +149,7 @@ def spectral_model_from_covariance(est: DenseGaussian, structure: str) -> Spectr
     descending, mean projected onto the eigenbasis).  ``circulant`` takes
     the eigenvalues, in frequency order, as the DFT of the cyclic-diagonal
     means ``r[k] = mean_i C[i, (i + k) mod d]``, the averaged periodogram;
-    for a symmetric ``C``, ``r`` is the :func:`circulant_projection` of its
+    for a symmetric ``C``, ``r`` is the nearest circulant (T. Chan's) to its
     Toeplitz average.  The mean reduces to its stationary (constant) part
     on the DC coordinate.  Negative estimated eigenvalues are clamped to
     zero, with a warning only when one lies beyond rounding (below

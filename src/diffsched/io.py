@@ -273,17 +273,18 @@ def _read_wav_mono(path) -> np.ndarray:
     """
     try:
         with wave.open(str(path), "rb") as wav:
-            width, channels = wav.getsampwidth(), wav.getnchannels()
-            frames = wav.readframes(wav.getnframes())
+            width, channels, nframes = wav.getsampwidth(), wav.getnchannels(), wav.getnframes()
+            frames = wav.readframes(nframes)
     except (EOFError, wave.Error) as exc:
         reason = str(exc) or "file ends early"
         raise ValueError(f"{path}: not a readable WAV file ({reason})") from exc
     if width != 2:
         raise ValueError(f"{path}: only 16-bit PCM WAV supported, got sample width {width}")
-    if len(frames) % (width * channels):
+    expected = nframes * width * channels
+    if len(frames) != expected:
         raise ValueError(
-            f"{path}: not a readable WAV file (data ends inside a frame: "
-            f"{len(frames)} bytes, {width * channels} per frame)"
+            f"{path}: not a readable WAV file (data ends early: "
+            f"{len(frames)} of {expected} bytes)"
         )
     data = np.frombuffer(frames, dtype="<i2").astype(float) / 32768.0
     if channels > 1:

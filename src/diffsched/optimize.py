@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import LossKind, loss_from_alpha_bar
-from .schedules import _FAMILIES, cosine_schedule, warm_start_interpolate
+from .schedules import _CURVES, cosine_schedule, warm_start_interpolate
 from .spectral import (
     DEFAULT_EPS0,
     DEFAULT_EPSS,
@@ -275,8 +275,8 @@ def fit_parametric(schedule: Schedule, family: str) -> tuple[float, float, float
     ``schedules.sigmoid_schedule``).
     Equal curves have many parameters, so compare fits by their residuals.
     """
-    if family not in _FAMILIES:
-        raise ValueError(f"family must be one of {sorted(_FAMILIES)}, got {family!r}")
+    if family not in _CURVES:
+        raise ValueError(f"family must be one of {sorted(_CURVES)}, got {family!r}")
     t = np.linspace(0.0, 1.0, schedule.steps + 1)
     span = 1.0 - schedule.eps0 - schedule.epsS
 
@@ -299,7 +299,7 @@ def fit_parametric(schedule: Schedule, family: str) -> tuple[float, float, float
         # far out in tau (or in the sigmoid's s and e) the curve under- or
         # overflows to a constant, giving NaN; the solver backs off from it
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            fitted = schedule.epsS + _FAMILIES[family](t, *shape(x)) * span
+            fitted = schedule.epsS + _CURVES[family](t, *shape(x)) * span
             return float(np.sum((fitted - schedule.alpha_bar) ** 2))
 
     def refine(start):

@@ -4,7 +4,7 @@ All generators emit a :class:`~diffsched.spectral.Schedule` whose endpoints
 are pinned to ``(1 - eps0, epsS)`` by an affine rescale of the raw curve,
 which keeps the interior shape intact (no truncation).  Generators are
 deterministic: identical inputs give bit-identical outputs.  The raw curves
-of the cosine and sigmoid families (``_FAMILIES``) are also what
+of the cosine and sigmoid families (``_CURVES``) are also what
 ``optimize.fit_parametric`` fits to a schedule.
 """
 
@@ -109,7 +109,7 @@ def sigmoid_schedule(
     return _family_schedule("sigmoid", S, s, e, tau, eps0, epsS)
 
 
-_FAMILIES = {"cosine": _cosine_curve, "sigmoid": _sigmoid_curve}
+_CURVES = {"cosine": _cosine_curve, "sigmoid": _sigmoid_curve}
 
 
 def _family_schedule(family, S, s, e, tau, eps0, epsS) -> Schedule:
@@ -120,7 +120,7 @@ def _family_schedule(family, S, s, e, tau, eps0, epsS) -> Schedule:
     # A saturating curve overflows to its limit, which is right; a flat one
     # normalizes to 0/0.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        raw = _FAMILIES[family](np.linspace(0.0, 1.0, S + 1), s, e, tau)
+        raw = _CURVES[family](np.linspace(0.0, 1.0, S + 1), s, e, tau)
     if not np.all(np.isfinite(raw)):
         raise ValueError(f"{family} curve is flat or not finite at (s, e, tau) = ({s}, {e}, {tau})")
     return _pinned_schedule(f"{family}({s},{e},{tau})", raw, eps0, epsS)
@@ -156,6 +156,11 @@ def edm_schedule(
     ) ** rho
     raw = ve_to_vp(VeSchedule(steps=S, sigma=sigma)).alpha_bar
     return _pinned_schedule(f"edm({rho},{sigma_min},{sigma_max})", raw, eps0, epsS)
+
+
+# family -> number of shape parameters its generator ``<family>_schedule``
+# takes; parameters left out fall back to the generator's own defaults
+_FAMILIES = {"linear": 0, "cosine": 3, "sigmoid": 3, "edm": 3}
 
 
 def warm_start_interpolate(schedule: Schedule, S_new: int) -> Schedule:

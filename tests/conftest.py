@@ -104,8 +104,8 @@ def generic_loss(target, basis, eigenvalues, alpha_bar, kind, process):
 def toeplitz_average(covariance):
     """First row of the Frobenius-nearest symmetric Toeplitz matrix, one lag
     at a time: entry ``k`` is the mean of the k-th diagonal, super- and
-    sub-diagonal pooled.  With :func:`diffsched.estimate.circulant_projection`
-    it is the two-stage oracle for the circulant model's one-read route."""
+    sub-diagonal pooled.  With :func:`circulant_projection` it is the
+    two-stage oracle for the circulant model's one-read route."""
     cov = np.asarray(covariance, dtype=float)
     row = np.empty(len(cov))
     for k in range(len(cov)):
@@ -115,3 +115,20 @@ def toeplitz_average(covariance):
         else:
             row[k] = np.concatenate([upper, np.diagonal(cov, -k)]).mean()
     return row
+
+
+def circulant_projection(toeplitz_row: np.ndarray) -> np.ndarray:
+    """First row of the circulant matrix closest to a symmetric Toeplitz one.
+
+    Minimizes, independently per lag k, the occurrence-weighted mismatch
+    against the Toeplitz lags k and n-k, giving
+    ``X_A[k] = (X_B[k] (n-k) + X_B[n-k] k) / n`` with ``X_A[0] = X_B[0]``.
+    A row already satisfying ``X_B[k] == X_B[n-k]`` is a fixed point.
+    """
+    row = np.asarray(toeplitz_row, dtype=float)
+    n = len(row)
+    k = np.arange(1, n)
+    out = np.empty(n)
+    out[0] = row[0]  # copied: row[0] * n / n need not round back to row[0]
+    out[1:] = (row[1:] * (n - k) + row[n - k] * k) / n
+    return out

@@ -14,7 +14,6 @@ from diffsched import (
     Schedule,
     SimConfig,
     SpectralModel,
-    circulant_projection,
     cosine_schedule,
     ddim_transfer,
     ddpm_transfer,
@@ -35,7 +34,12 @@ from diffsched.estimate import covariance_from_windows
 from diffsched.losses import loss_from_alpha_bar, transfer_loss
 from diffsched.spectral import _step_coefficients
 
-from conftest import dense_affine_oracle, dense_ddpm_moments, random_monotone_alpha_bar
+from conftest import (
+    circulant_projection,
+    dense_affine_oracle,
+    dense_ddpm_moments,
+    random_monotone_alpha_bar,
+)
 
 STEP_COUNTS = (10, 28, 60, 112)
 

@@ -799,8 +799,9 @@ def _stereo_wav_bytes(cut: int) -> bytes:
 @pytest.mark.parametrize(
     "content",
     [b"", b"RIF", b"not a wav file", b"RIFF\x04\x00\x00\x00WAVE"]
-    + [_stereo_wav_bytes(cut) for cut in (1, 2, 3)],
-    ids=["empty", "truncated", "not-riff", "header-only", "cut-1", "cut-2", "cut-3"],
+    + [_stereo_wav_bytes(cut) for cut in (1, 2, 3, 4, 400)],
+    ids=["empty", "truncated", "not-riff", "header-only"]
+    + [f"cut-{cut}" for cut in (1, 2, 3, 4, 400)],
 )
 def test_estimate_unreadable_wav_exits_2(tmp_path, capsys, content):
     source = tmp_path / "bad.wav"
@@ -1389,20 +1390,22 @@ def test_overflowing_dense_target_exits_2_without_warnings(tmp_path, capsys, mon
 
 
 def test_runtime_failure_exits_3_writing_nothing(tmp_path, capsys, monkeypatch):
-    # a step that fails outside the usage errors' classes is a runtime error
-    def fail(*args):
-        raise MemoryError("fold failed")
-
+    # a step that fails outside the usage errors' classes is a runtime error;
+    # so is a LinAlgError, though numpy makes it a ValueError
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(diffsched.simulate, "compose_affine", fail)
     save_schedule(cosine_schedule(4), "s.json")
-    rc = run(["simulate", "--synthetic", "4,0.1,0.05", "--schedule", "s.json",
-              "--process", "ddim", "--samples", "4", "--out", "o.f64"])
-    assert rc == 3
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
-    captured = capsys.readouterr()
-    assert captured.out == "" and len(captured.err.splitlines()) == 1
-    assert json.loads(captured.err)["error"] == {"type": "MemoryError", "message": "fold failed"}
+    for error in (MemoryError, np.linalg.LinAlgError):
+        def fail(*args):
+            raise error("fold failed")
+
+        monkeypatch.setattr(diffsched.simulate, "compose_affine", fail)
+        rc = run(["simulate", "--synthetic", "4,0.1,0.05", "--schedule", "s.json",
+                  "--process", "ddim", "--samples", "4", "--out", "o.f64"])
+        assert rc == 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert json.loads(captured.err)["error"] == {"type": error.__name__, "message": "fold failed"}
 
 
 def test_loss_csv_refuses_an_infinite_kl(tmp_path):

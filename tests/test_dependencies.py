@@ -231,6 +231,7 @@ _NAME_OWNERS = [
     ({"w2", "kl", "wl1"}, "losses.py"),
     ({"constrained", "free"}, "optimize.py"),
     ({"linear", "cosine", "random"}, "optimize.py"),
+    ({"linear", "cosine", "sigmoid", "edm"}, "schedules.py"),
     ({"circulant", "symmetric"}, "estimate.py"),
 ]
 

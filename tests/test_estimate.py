@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.linalg import circulant
 from scipy.optimize import minimize_scalar
 
 from diffsched import (
     DenseGaussian,
     EstimationConfig,
-    circulant_projection,
     pca_truncate,
     sliding_window_covariance,
     spectral_model_from_covariance,
@@ -20,11 +20,10 @@ from diffsched import (
 from diffsched.estimate import (
     STRUCTURES,
     CovarianceEstimate,
-    _circulant_matrix,
     covariance_from_windows,
 )
 
-from conftest import toeplitz_average
+from conftest import circulant_projection, toeplitz_average
 
 
 # ------------------------------------------------------- synthetic model
@@ -44,6 +43,16 @@ def test_synthetic_eigenvalues_match_dense_eigensolver(benchmark_model):
     dense, model = benchmark_model
     dense_eigs = np.sort(np.linalg.eigvalsh(dense.covariance))
     np.testing.assert_allclose(np.sort(model.eigenvalues), dense_eigs, atol=1e-10)
+
+
+@pytest.mark.parametrize("d", [2, 7, 50, 200, 400])
+def test_synthetic_covariance_is_the_symmetrized_gram_of_the_ramp_circulant(d):
+    # pinned bit for bit: the Monte Carlo digests quoted in the README rest
+    # on these bytes
+    A = circulant(np.linspace(-0.1, 0.1, d)).T
+    G = A.T @ A
+    dense, _ = synthetic_circulant_model(d, 0.1, 0.05)
+    np.testing.assert_array_equal(dense.covariance, 0.5 * (G + G.T))
 
 
 def test_synthetic_rejects_bad_params():
@@ -251,7 +260,7 @@ def test_projection_reconstruction_diagonalizes():
     raw = rng.normal(size=(6, 6))
     sym = raw @ raw.T
     circ_row = circulant_projection(toeplitz_average(sym))
-    C = _circulant_matrix(circ_row)
+    C = circulant(circ_row).T
     np.testing.assert_allclose(C, C.T, atol=1e-12)
     fft_eigs = np.sort(np.fft.fft(circ_row).real)
     dense_eigs = np.sort(np.linalg.eigvalsh(C))
@@ -337,7 +346,7 @@ def test_diagonal_covariance_symmetric_path():
 
 def test_circulant_covariance_gives_fft_coefficients():
     row = np.array([4.0, 1.0, 0.5, 1.0])
-    C = _circulant_matrix(row)
+    C = circulant(row).T
     est = CovarianceEstimate(mean=np.zeros(4), covariance=C, windows_used=1, windows_rejected=0)
     model = spectral_model_from_covariance(est, "circulant")
     np.testing.assert_allclose(model.eigenvalues, np.fft.fft(row).real, atol=1e-12)

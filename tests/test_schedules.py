@@ -248,9 +248,9 @@ def _nelder_mead_residual(schedule, family):
     points penalized, from the same grid: the oracle for the L-BFGS fit."""
     from scipy.optimize import minimize
 
-    from diffsched.schedules import _FAMILIES
+    from diffsched.schedules import _CURVES
 
-    curve = _FAMILIES[family]
+    curve = _CURVES[family]
     t = np.linspace(0.0, 1.0, schedule.steps + 1)
     span = 1.0 - schedule.eps0 - schedule.epsS
     if family == "cosine":
