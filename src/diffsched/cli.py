@@ -232,7 +232,10 @@ def _load_target(args) -> DenseGaussian:
         d, l, mu = values
         if not d.is_integer():
             raise ValueError(f"--synthetic d must be an integer, got {d}")
-        dense, _ = synthetic_circulant_model(int(d), l, mu)
+        try:
+            dense, _ = synthetic_circulant_model(int(d), l, mu)
+        except ValueError as exc:
+            raise ValueError(f"--synthetic: {exc}") from None
         return dense
     cov = np.asarray(read_signal(args.cov), dtype=float)
     if cov.size == 1:  # read_signal gives a one-column file as a 1-D stream
@@ -241,7 +244,12 @@ def _load_target(args) -> DenseGaussian:
         raise ValueError("--cov must hold a matrix")
     mean = np.zeros(cov.shape[0])
     if args.mean is not None:
-        mean = np.asarray(read_signal(args.mean), dtype=float).ravel()
+        mean = np.asarray(read_signal(args.mean), dtype=float)
+        if mean.ndim == 2 and min(mean.shape) > 1:
+            raise ValueError(
+                f"--mean must hold one row or one column, got a {mean.shape[0]}x{mean.shape[1]} matrix"
+            )
+        mean = mean.ravel()
         if len(mean) != len(cov):
             raise ValueError(f"--mean must hold {len(cov)} values to match --cov, got {len(mean)}")
     return DenseGaussian(mean=mean, covariance=cov)

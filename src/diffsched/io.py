@@ -226,11 +226,12 @@ def load_raw_f64(path) -> np.ndarray:
             raise ValueError(
                 f"raw sidecar field {name!r} must be >= {least}, got {value} ({sidecar})"
             )
-    data = np.fromfile(path, dtype="<f8")
-    if len(data) != dim * count:
+    size, promised = os.path.getsize(path), 8 * dim * count
+    if size != promised:
         raise ValueError(
-            f"raw file holds {len(data)} doubles, sidecar promises {count}x{dim}"
+            f"{path}: holds {size} bytes, sidecar promises {count}x{dim} doubles ({promised} bytes)"
         )
+    data = np.fromfile(path, dtype="<f8")
     return data if dim == 1 else data.reshape(count, dim)
 
 

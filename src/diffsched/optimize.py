@@ -371,17 +371,10 @@ def optimize_schedule(
     # starting interior inside the endpoints
     start_levels = _logit(np.clip(_initial_schedule(config), tail, head))
 
-    # one schedule vector and one softmax cotangent per run, rewritten by
-    # every evaluation; the endpoints are set once
-    full = np.empty(S + 1)
-    full[0], full[-1] = head, tail
-    interior = full[1:-1]
-
     if config.mode == "constrained":
         gaps = np.maximum(-np.diff(start_levels), MIN_START_GAP * span)
         x0 = np.log(gaps / gaps.sum())
         lower, upper = -np.inf, np.inf
-        g_w = np.zeros(S)  # g_w[S-1] stays 0: w[S-1] is the last gap, in no level
 
         def parameterise(theta):
             w = np.exp(theta - theta.max())
@@ -389,9 +382,10 @@ def optimize_schedule(
 
             def pullback(g_levels):
                 # levels[s] = top - span * (w[0] + ... + w[s]): a suffix sum,
-                # then the softmax Jacobian diag(w) - w w^T
-                np.cumsum(g_levels[::-1], out=g_w[-2::-1])
-                g_w[:-1] *= -span
+                # then the softmax Jacobian diag(w) - w w^T; g_w[S-1] is 0:
+                # w[S-1] is the last gap, in no level
+                g_w = np.zeros(S)
+                g_w[-2::-1] = -span * np.cumsum(g_levels[::-1])
                 return w * (g_w - w @ g_w)
 
             return top - span * np.cumsum(w[:-1]), pullback
@@ -404,16 +398,11 @@ def optimize_schedule(
             return levels, lambda g_levels: g_levels
 
     def schedule_of(x):
-        """Write the schedule of ``x`` into ``full``; return the pullback."""
+        """Return the schedule of ``x`` and the pullback of its cotangent to ``x``."""
         levels, pullback = parameterise(x)
-        np.negative(levels, out=interior)
-        np.exp(interior, out=interior)
-        np.add(interior, 1.0, out=interior)
-        np.divide(1.0, interior, out=interior)
         # clamping only absorbs rounding at the endpoints
-        np.maximum(interior, tail, out=interior)
-        np.minimum(interior, head, out=interior)
-        return pullback
+        ab = np.minimum(np.maximum(1.0 / (1.0 + np.exp(-levels)), tail), head)
+        return np.concatenate(([head], ab, [tail])), lambda g_ab: pullback(g_ab * ab * (1.0 - ab))
 
     f0 = None
 
@@ -421,14 +410,14 @@ def optimize_schedule(
         # scaled to 1 at the solver's first call, at x0, so ftol and GTOL are
         # relative; a start that overflows gives the solver no direction
         nonlocal f0
-        pullback = schedule_of(x)
+        full, pullback = schedule_of(x)
         f, g_ab = loss_from_alpha_bar(model, full, config.loss, config.process, gradient=True)
         first = f0 is None
         if first:
             if not (np.isfinite(f) and f > 0.0):
                 raise ValueError(f"objective is not finite and positive at the initial schedule ({f})")
             f0 = f
-        g = pullback(g_ab * interior * (1.0 - interior)) / f0
+        g = pullback(g_ab) / f0
         if first and not np.all(np.isfinite(g)):
             raise ValueError("objective gradient is not finite at the initial schedule")
         return f / f0, g
@@ -441,8 +430,7 @@ def optimize_schedule(
         )
     wall = time.perf_counter() - start
 
-    schedule_of(x)
-    full = full.copy()
+    full, _ = schedule_of(x)
     final_loss = loss_from_alpha_bar(model, full, config.loss, config.process)
     schedule = Schedule(
         kind="spectral-optimized", steps=S, alpha_bar=full, eps0=eps0, epsS=epsS

@@ -509,6 +509,9 @@ def test_simulate_requires_target(tmp_path):
         ("50", "--synthetic takes three finite values"),
         ("50.5,0.1,0.05", "--synthetic d must be an integer"),
         ("nan,0.1,0.05", "--synthetic takes three finite values"),
+        ("1,0.1,0.05", "--synthetic: d must be an integer >= 2, got 1"),
+        ("8,0,0.05", "--synthetic: l must be finite and positive, got 0.0"),
+        ("8,-0.1,0.05", "--synthetic: l must be finite and positive, got -0.1"),
     ],
 )
 def test_simulate_bad_synthetic_exits_2(tmp_path, capsys, spec, message):
@@ -560,6 +563,35 @@ def test_simulate_reads_a_one_value_cov_as_a_1x1_matrix(tmp_path):
         ])
         assert rc == 0
         assert out.read_bytes() == expected
+
+
+@pytest.mark.parametrize("suffix", ["csv", "f64"])
+def test_simulate_mean_that_is_a_matrix_exits_2(tmp_path, capsys, suffix):
+    # a 2x2 mean was flattened into the four values a 4x4 --cov asks for
+    sched = tmp_path / "s.json"
+    save_schedule(cosine_schedule(6), sched)
+    save_raw_f64(np.eye(4), tmp_path / "cov.f64")
+    mean = tmp_path / f"mean.{suffix}"
+    if suffix == "csv":
+        mean.write_text("0.5,0.0\n0.0,0.5\n")
+    else:
+        save_raw_f64(np.full((2, 2), 0.5), mean)
+    out = tmp_path / "x.f64"
+    argv = ["simulate", "--cov", tmp_path / "cov.f64", "--schedule", sched, "--samples", "4",
+            "--out", out]
+    assert run([*argv, "--mean", mean]) == 2
+    assert not out.exists()
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == {
+        "type": "ValueError",
+        "message": "--mean must hold one row or one column, got a 2x2 matrix",
+    }
+    # one row, like one column, is a vector
+    (tmp_path / "row.csv").write_text("0.5,0.0,0.0,0.5\n")
+    (tmp_path / "column.csv").write_text("0.5\n0.0\n0.0\n0.5\n")
+    for name in ("row", "column"):
+        assert run([*argv[:-1], tmp_path / f"{name}.f64", "--mean", tmp_path / f"{name}.csv"]) == 0
+    assert (tmp_path / "row.f64").read_bytes() == (tmp_path / "column.f64").read_bytes()
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**128)])
@@ -873,6 +905,24 @@ def test_raw_sidecar_with_bad_counts_exits_2_naming_the_field(
     message = json.loads(err)["error"]["message"]
     assert message.startswith(f"raw sidecar field {field!r} must be >= ")
     assert message.endswith(f"({raw}.json)")
+
+
+@pytest.mark.parametrize("command", ["estimate", "simulate"])
+@pytest.mark.parametrize("extra", [3, 8, -8], ids=["plus-3", "plus-8", "minus-8"])
+def test_raw_file_size_off_its_sidecar_exits_2_naming_the_file(tmp_path, capsys, command, extra):
+    # reading whole doubles dropped a partial one unseen, and a count
+    # mismatch named neither the file nor the flag
+    raw = tmp_path / "x.f64"
+    save_raw_f64(np.eye(4), raw)
+    data = raw.read_bytes()
+    raw.write_bytes(data + b"\0" * extra if extra > 0 else data[:extra])
+    assert run(_estimate_or_simulate(command, raw, tmp_path)) == 2
+    assert not (tmp_path / "o.f64").exists() and not (tmp_path / "c.csv").exists()
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == {
+        "type": "ValueError",
+        "message": f"{raw}: holds {128 + extra} bytes, sidecar promises 4x4 doubles (128 bytes)",
+    }
 
 
 @pytest.mark.parametrize(
@@ -1380,7 +1430,7 @@ def test_overflowing_dense_target_exits_2_without_warnings(tmp_path, capsys, mon
         "symmetric": (estimate + ["--structure", "symmetric"], f"symmetric {too_large}"),
         "simulate": (["simulate", "--synthetic", "2,1e200,0", "--schedule", "s.json",
                       "--process", "ddim", "--samples", "4", "--out", "o.f64"],
-                     "l=1e+200 is too large: the target's covariance overflows"),
+                     "--synthetic: l=1e+200 is too large: the target's covariance overflows"),
     }[command]
     assert run(argv) == 2
     assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json", "x.csv"]

@@ -246,7 +246,13 @@ def test_raw_f64_sidecar_mismatch(tmp_path):
     path = tmp_path / "bad.f64"
     save_raw_f64(np.ones(4), path)
     (tmp_path / "bad.f64.json").write_text(json.dumps({"dim": 1, "count": 9}))
-    with pytest.raises(ValueError):
+    named = re.escape(str(path))
+    with pytest.raises(ValueError, match=rf"^{named}: holds 32 bytes, sidecar promises 9x1 doubles \(72 bytes\)$"):
+        load_raw_f64(path)
+    # a partial double at the end is refused too, not dropped
+    (tmp_path / "bad.f64.json").write_text(json.dumps({"dim": 1, "count": 4}))
+    path.write_bytes(path.read_bytes() + b"\0" * 3)
+    with pytest.raises(ValueError, match=rf"^{named}: holds 35 bytes, sidecar promises 4x1 doubles \(32 bytes\)$"):
         load_raw_f64(path)
 
 

@@ -357,6 +357,26 @@ def test_each_run_evaluates_its_start_once(benchmark_model, monkeypatch, process
     assert sum(ab == schedules[0] for ab in schedules) == 1
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_no_schedule_a_loss_call_receives_is_rewritten(benchmark_model, monkeypatch, mode):
+    # each evaluation builds its own schedule: no later evaluation, and not
+    # the final loss, writes into an array an earlier loss call was handed
+    kept = []
+    real = optimize_module.loss_from_alpha_bar
+
+    def keeping(model, alpha_bar, *args, **kwargs):
+        kept.append((alpha_bar, alpha_bar.copy()))
+        return real(model, alpha_bar, *args, **kwargs)
+
+    monkeypatch.setattr(optimize_module, "loss_from_alpha_bar", keeping)
+    _, model = benchmark_model
+    schedule, report = optimize_schedule(model, OptimizeConfig(mode=mode, steps=28))
+    assert len(kept) == report.objective_evals + 1
+    for index, (alpha_bar, copy) in enumerate(kept):
+        np.testing.assert_array_equal(alpha_bar, copy, err_msg=f"loss call {index}")
+    np.testing.assert_array_equal(schedule.alpha_bar, kept[-1][1])
+
+
 # (objective evaluations, iterations, final loss) of the run before the loss
 # and gradient shared one forward pass; only the gradient's rounding changed.
 # The evaluations exclude the loss-only start check that run also made.
